@@ -1,0 +1,37 @@
+"""CLI dumps compared byte for byte with recorded golden outputs.
+
+Each file in tests/data/golden is the standard output of one command on the
+default N=2 session, recorded before the engine's internals were refactored;
+any change in a printed normal form, table or verdict shows up here.
+"""
+
+import io
+import os
+
+import pytest
+
+from qdc.cli import run
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+CASES = {
+    "relations": ["relations"],
+    "bicomplex": ["bicomplex"],
+    "maps_d2": ["--degree", "2", "maps"],
+    "check_d2_structured": ["--degree", "2", "--format", "structured", "check"],
+    "eval_d_t11": ["eval", "d(t[1,1])"],
+    "eval_dd_t12": ["eval", "d(d(t[1,2]))"],
+    "eval_scaled_wedge": ["eval", "(q - q^-1) * w[1,1] /\\ w[2,2]"],
+    "eval_split_t21": ["eval", "del(t[2,1]) + dlt(t[2,1])"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("QDC_DEFAULT_RMATRIX", raising=False)
+    buf = io.StringIO()
+    assert run(CASES[name], out=buf) == 0
+    with open(os.path.join(GOLDEN_DIR, name + ".txt"), encoding="utf-8",
+              newline="") as fh:
+        expected = fh.read()
+    assert buf.getvalue() == expected
