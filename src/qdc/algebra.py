@@ -10,7 +10,13 @@ from __future__ import annotations
 import itertools
 
 from .scalars import Scalar, ZERO, ONE, parse_scalar, render_scalar
-from .linalg import mat_inverse, mat_mul, identity, rref_sparse
+from .linalg import (mat_inverse, mat_mul, rref_sparse, add_term, add_scaled,
+                     sparse_sum, sparse_diff)
+
+
+# Memo tables (rewrites, coproducts, antipodes, commutation and convolution
+# of words) keep only words up to this length.
+MEMO_MAX_WORD_LENGTH = 8
 
 
 class AlgebraError(Exception):
@@ -125,7 +131,6 @@ class RMatrix:
         m = [[braid.get((p, r), ZERO) for r in pairs] for p in pairs]
         q = Scalar.q()
         qinv = ONE / q
-        ident = identity(len(pairs))
         left = [[m[i][j] - (q if i == j else ZERO) for j in range(len(pairs))]
                 for i in range(len(pairs))]
         right = [[m[i][j] + (qinv if i == j else ZERO) for j in range(len(pairs))]
@@ -137,7 +142,6 @@ class RMatrix:
                     raise RMatrixError(
                         "Hecke condition fails at braided entry %r -> %r"
                         % (pairs[i], pairs[j]))
-        del ident
 
 
 def load_rmatrix(text, check=True):
@@ -153,15 +157,26 @@ def load_rmatrix(text, check=True):
         key = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         if key == "N":
-            n = int(rest)
+            n = int(rest) if rest.strip().isdecimal() else 0
+            if n < 1:
+                raise RMatrixError("N must be a positive integer on line %d: %r"
+                                   % (lineno, raw))
         elif key == "series":
             series = rest.strip()
         elif key == "entry":
             fields = rest.split(None, 4)
             if len(fields) != 5:
                 raise RMatrixError("bad entry line %d: %r" % (lineno, raw))
-            a, c, b, d = (int(x) for x in fields[:4])
-            entries[(a, c, b, d)] = parse_scalar(fields[4])
+            try:
+                index = tuple(int(x) for x in fields[:4])
+                value = parse_scalar(fields[4])
+            except (ValueError, ArithmeticError) as err:
+                raise RMatrixError("bad entry line %d: %r (%s: %s)"
+                                   % (lineno, raw, type(err).__name__, err))
+            if index in entries:
+                raise RMatrixError("duplicate entry %d %d %d %d on line %d"
+                                   % (index + (lineno,)))
+            entries[index] = value
         else:
             raise RMatrixError("unknown config key %r on line %d" % (key, lineno))
     if n is None:
@@ -232,33 +247,21 @@ class RewriteSystem:
                 if hit:
                     break
             if hit is None:
-                s = result.get(w)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    result.pop(w, None)
-                else:
-                    result[w] = s
+                add_term(result, w, coeff)
                 continue
             i, ln, rhs = hit
             pre, post = w[:i], w[i + ln:]
             for rw, rc in rhs.items():
                 stack.append((pre + rw + post, coeff * rc))
-        if len(word) <= 8:
+        if len(word) <= MEMO_MAX_WORD_LENGTH:
             self._cache[word] = result
         return result
 
     def reduce_terms(self, terms):
         out = {}
         for w, c in terms.items():
-            if c.is_zero():
-                continue
-            for rw, rc in self.reduce_word(w).items():
-                s = out.get(rw)
-                s = c * rc if s is None else s + c * rc
-                if s.is_zero():
-                    out.pop(rw, None)
-                else:
-                    out[rw] = s
+            if not c.is_zero():
+                add_scaled(out, self.reduce_word(w), c)
         return out
 
     def normal_words(self, max_degree):
@@ -281,11 +284,6 @@ class RewriteSystem:
             words.extend(layer)
         words.sort(key=self.word_key)
         return words
-
-
-def normal_form(rs, terms):
-    """Normal-form element from raw (word -> scalar) terms."""
-    return AlgebraElement(rs, dict(terms))
 
 
 def quantum_determinant_terms(n):
@@ -314,51 +312,36 @@ def derive_relations(r, sl_mode=True):
     for a, b, c, d in itertools.product(rng, repeat=4):
         terms = {}
         for e, f in itertools.product(rng, repeat=2):
-            v = r.val(a, b, e, f)
-            if not v.is_zero():
-                w = ((f, d), (e, c))
-                terms[w] = terms.get(w, ZERO) + v
-            v = r.val(e, f, c, d)
-            if not v.is_zero():
-                w = ((a, e), (b, f))
-                terms[w] = terms.get(w, ZERO) - v
-        terms = {w: s for w, s in terms.items() if not s.is_zero()}
+            add_term(terms, ((f, d), (e, c)), r.val(a, b, e, f))
+            add_term(terms, ((a, e), (b, f)), -r.val(e, f, c, d))
         if terms:
             raw_relations.append(terms)
     if sl_mode:
         det = dict(quantum_determinant_terms(n))
-        det[()] = det.get((), ZERO) - ONE
+        add_term(det, (), -ONE)
         raw_relations.append(det)
 
     rs = RewriteSystem(n, {}, sl_mode=sl_mode)
-    pending = raw_relations
-    while pending:
-        progressed = False
-        leftovers = []
-        for rel in pending:
-            red = rs.reduce_terms(rel)
-            if not red:
-                continue
-            lead = max(red, key=word_key)
-            if lead == ():
-                raise PresentationError(
-                    "inconsistent relations: a nonzero constant reduces to zero")
-            coeff = red.pop(lead)
-            rhs = {w: -(c / coeff) for w, c in red.items()}
-            rs.rules[lead] = rhs
-            rs.lhs_lengths = sorted({len(w) for w in rs.rules}, reverse=True)
-            rs._cache.clear()
-            progressed = True
-        # re-reduce every rule right-hand side against the full system
-        for lead in list(rs.rules):
-            rs._cache.clear()
-            body = rs.reduce_terms(rs.rules[lead])
-            if lead in body:
-                raise PresentationError("rule %r is self-referential" % (lead,))
-            rs.rules[lead] = body
-        pending = leftovers
-        if not progressed:
-            break
+    for rel in raw_relations:
+        red = rs.reduce_terms(rel)
+        if not red:
+            continue
+        lead = max(red, key=word_key)
+        if lead == ():
+            raise PresentationError(
+                "inconsistent relations: a nonzero constant reduces to zero")
+        coeff = red.pop(lead)
+        rhs = {w: -(c / coeff) for w, c in red.items()}
+        rs.rules[lead] = rhs
+        rs.lhs_lengths = sorted({len(w) for w in rs.rules}, reverse=True)
+        rs._cache.clear()
+    # re-reduce every rule right-hand side against the full system
+    for lead in list(rs.rules):
+        rs._cache.clear()
+        body = rs.reduce_terms(rs.rules[lead])
+        if lead in body:
+            raise PresentationError("rule %r is self-referential" % (lead,))
+        rs.rules[lead] = body
     rs._cache.clear()
     return rs
 
@@ -410,26 +393,12 @@ class AlgebraElement:
         return max((len(w) for w in self.terms), default=0)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return AlgebraElement(self.rs, terms, reduce=False)
+        return AlgebraElement(self.rs, sparse_sum(self.terms, other.terms),
+                              reduce=False)
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return AlgebraElement(self.rs, terms, reduce=False)
+        return AlgebraElement(self.rs, sparse_diff(self.terms, other.terms),
+                              reduce=False)
 
     def __neg__(self):
         return AlgebraElement(self.rs, {w: -c for w, c in self.terms.items()},
@@ -439,14 +408,7 @@ class AlgebraElement:
         raw = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = raw.get(w)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s.is_zero():
-                    raw.pop(w, None)
-                else:
-                    raw[w] = s
+                add_term(raw, w1 + w2, c1 * c2)
         return AlgebraElement(self.rs, raw)
 
     def scalar_mul(self, s):
@@ -531,39 +493,17 @@ class TensorElement:
         rs = self.rs
         out = {}
         for key, c in self.terms.items():
-            red = rs.reduce_word(key[leg] + (gen,))
-            for w, rc in red.items():
-                nk = key[:leg] + (w,) + key[leg + 1:]
-                s = out.get(nk)
-                p = c * rc
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(nk, None)
-                else:
-                    out[nk] = s
+            for w, rc in rs.reduce_word(key[leg] + (gen,)).items():
+                add_term(out, key[:leg] + (w,) + key[leg + 1:], c * rc)
         return TensorElement(rs, self.arity, out)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            s = terms.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return TensorElement(self.rs, self.arity, terms)
+        return TensorElement(self.rs, self.arity,
+                             sparse_sum(self.terms, other.terms))
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            s = terms.get(k)
-            s = -v if s is None else s - v
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return TensorElement(self.rs, self.arity, terms)
+        return TensorElement(self.rs, self.arity,
+                             sparse_diff(self.terms, other.terms))
 
     def scalar_mul(self, s):
         return TensorElement(self.rs, self.arity,
@@ -575,11 +515,6 @@ class TensorElement:
     def __eq__(self, other):
         return (isinstance(other, TensorElement) and self.arity == other.arity
                 and self.terms == other.terms)
-
-    def left(self):
-        assert self.arity == 2
-        return [(AlgebraElement.from_word(self.rs, k[0]), k[1], v)
-                for k, v in self.terms.items()]
 
     def __str__(self):
         if not self.terms:
@@ -632,15 +567,15 @@ class QuantumGroup:
                 out = out + piece
         else:
             out = TensorElement.unit(rs, arity)
-        if len(word) <= 8:
+        if len(word) <= MEMO_MAX_WORD_LENGTH:
             self._cop_cache[key] = out
         return out
 
     def coproduct(self, elem, arity=2):
-        out = TensorElement(self.rs, arity, {})
+        terms = {}
         for w, c in elem.terms.items():
-            out = out + self.coproduct_word(w, arity).scalar_mul(c)
-        return out
+            add_scaled(terms, self.coproduct_word(w, arity).terms, c)
+        return TensorElement(self.rs, arity, terms)
 
     # -- counit -------------------------------------------------------------
 
@@ -672,20 +607,12 @@ class QuantumGroup:
         table = {}
         for a in range(1, n + 1):
             rows = {}
-
-            def row_for(b, u):
-                key = (b, u)
-                if key not in rows:
-                    rows[key] = {}
-                return rows[key]
-
             for g in range(1, n + 1):
                 for w in words:
                     for b in range(1, n + 1):
                         red = rs.reduce_word(w + ((g, b),))
                         for u, c in red.items():
-                            row = row_for(b, u)
-                            row[(g, w)] = row.get((g, w), ZERO) + c
+                            add_term(rows.setdefault((b, u), {}), (g, w), c)
             rhs_key = "__rhs__"
             all_rows = []
             for (b, u), row in rows.items():
@@ -738,15 +665,15 @@ class QuantumGroup:
         out = AlgebraElement.one(self.rs)
         for g in reversed(word):
             out = out * self.antipode_table[g]
-        if len(word) <= 8:
+        if len(word) <= MEMO_MAX_WORD_LENGTH:
             self._antipode_cache[word] = out
         return out
 
     def antipode(self, elem):
-        out = AlgebraElement.zero(self.rs)
+        terms = {}
         for w, c in elem.terms.items():
-            out = out + self.antipode_word(w).scalar_mul(c)
-        return out
+            add_scaled(terms, self.antipode_word(w).terms, c)
+        return AlgebraElement(self.rs, terms, reduce=False)
 
     # -- adjoint ------------------------------------------------------------
 

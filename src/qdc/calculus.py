@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 
 from .scalars import Scalar, ZERO, ONE, qlambda, render_scalar
-from .linalg import mat_mul, mat_inverse, identity, mat_eq_zero
+from .linalg import (mat_mul, mat_inverse, identity, mat_eq_zero, sparse_rank,
+                     add_term)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element)
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
@@ -82,6 +83,15 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def first_witness(witnesses):
+    """The first witness a law's generator yields; None if the law holds.
+
+    A law is written as a generator over its instances that yields a witness
+    string for each failure, so taking the first stops the sweep there.
+    """
+    return next(iter(witnesses), None)
+
+
 # ---------------------------------------------------------------------------
 # projectors and the bidegree grid
 
@@ -105,16 +115,8 @@ class ProjectorPair:
         out = {}
         for (i,), c in x.terms.items():
             for r in range(self.basis.M):
-                v = mat[r][i]
-                if v.is_zero():
-                    continue
-                key = (r,)
-                cur = out.get(key)
-                s = c.scalar_mul(v) if cur is None else cur + c.scalar_mul(v)
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                if not mat[r][i].is_zero():
+                    add_term(out, (r,), c.scalar_mul(mat[r][i]))
         return FormElement(x.space, out)
 
     def laws_exact(self):
@@ -220,16 +222,8 @@ class GridSplit:
                     continue
                 for i in range(dim):
                     v = d["cols"][slot][i]
-                    if v.is_zero():
-                        continue
-                    w = d["basis_words"][i]
-                    cur = terms.get(w)
-                    piece = c.scalar_mul(v)
-                    s = piece if cur is None else cur + piece
-                    if s.is_zero():
-                        terms.pop(w, None)
-                    else:
-                        terms[w] = s
+                    if not v.is_zero():
+                        add_term(terms, d["basis_words"][i], c.scalar_mul(v))
             parts.append(FormElement(x.space, terms))
         return parts[0], parts[1]
 
@@ -241,7 +235,6 @@ def _extends_rank(vectors, v):
     rows = [dict((i, x) for i, x in enumerate(u) if not x.is_zero())
             for u in vectors]
     rows.append({i: x for i, x in enumerate(v) if not x.is_zero()})
-    from .linalg import sparse_rank
     return sparse_rank(rows, list(range(len(v)))) == len(vectors) + 1
 
 
@@ -489,14 +482,12 @@ class OuterCalculus:
 
 def convolve_combo(qg, combo, a):
     """(xi * a) for a formal combination xi of functionals (left side)."""
-    out = AlgebraElement.zero(qg.rs)
-    tc = qg.coproduct(a)
-    for (w1, w2), c in tc.terms.items():
+    terms = {}
+    for (w1, w2), c in qg.coproduct(a).terms.items():
         v = combo.on_word(w2)
-        if v.is_zero():
-            continue
-        out = out + AlgebraElement(qg.rs, {w1: c * v}, reduce=False)
-    return out
+        if not v.is_zero():
+            add_term(terms, w1, c * v)
+    return AlgebraElement(qg.rs, terms, reduce=False)
 
 
 class ExtendedCalculus:
@@ -519,10 +510,6 @@ class ExtendedCalculus:
         qg = self.qg
         eps = counit_functional(qg)
         return convolve(self.f00, a, side="left") - convolve(eps, a, side="left")
-
-    def x_commutation(self, a):
-        """X a = (f00 * a) X + partial(a): (X coefficient, complement table)."""
-        return convolve(self.f00, a, side="left"), self.outer.partial_table(a)
 
     def total_differential(self, a):
         """(partial + delta)(a) as (X coefficient, complement coefficients)."""

@@ -13,12 +13,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import Scalar, ONE, ZERO, render_scalar
+from .scalars import Scalar, ONE, ZERO, render_scalar, ScalarError
 from .algebra import (AlgebraElement, load_rmatrix, dump_rmatrix,
-                      render_element, RMatrixError)
+                      render_element, render_word, AlgebraError, RMatrixError)
+from .functionals import FunctionalError
 from .calculus import (assemble, map_in_to_out, map_out_to_in,
-                       roundtrip_check, DEFAULT_RMATRIX)
-from .forms import GradeCapError
+                       roundtrip_check, DEFAULT_RMATRIX, CalculusError)
+from .forms import FormsError
 from .bicomplex import build_grid, cartan_check, grid_check
 from .suites import hopf_suite, bicovariance_suite, leibniz_suite
 
@@ -150,7 +151,9 @@ def _parse_exponent(s):
         num = _parse_signed_int(s)
         s.expect("/")
         den = _parse_signed_int(s)
-        s.expect(")")
+        close = s.expect(")")
+        if den == 0:
+            raise ExprError("zero denominator in exponent", close[2])
         return sign * Fraction(num, den)
     t = s.expect("int")
     return sign * t[1]
@@ -364,7 +367,7 @@ def write_session(path, rmatrix_text, f00, degree, cap):
 
 
 def read_session(path):
-    cfg = {"f00": "trace", "degree": 3, "cap": 3}
+    cfg = {}
     rmatrix_lines = []
     in_rmatrix = False
     with open(path, encoding="utf-8") as fh:
@@ -387,10 +390,12 @@ def read_session(path):
                 raise CliError("unsupported session format %r" % rest)
             if key == "f00":
                 cfg["f00"] = rest.strip()
-            elif key == "degree":
-                cfg["degree"] = int(rest)
-            elif key == "cap":
-                cfg["cap"] = int(rest)
+            elif key in ("degree", "cap"):
+                try:
+                    cfg[key] = int(rest)
+                except ValueError:
+                    raise CliError("session file %s: bad %s %r"
+                                   % (path, key, rest.strip()))
     if not rmatrix_lines:
         raise CliError("session file %s carries no R-matrix block" % path)
     cfg["rmatrix"] = "\n".join(rmatrix_lines) + "\n"
@@ -405,33 +410,40 @@ def _packaged_default_rmatrix():
         return DEFAULT_RMATRIX
 
 
+CONFIG_DEFAULTS = {"f00": "trace", "degree": 3, "cap": 3}
+
+
+def _read_rmatrix_file(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise CliError("cannot read R-matrix config %s: %s"
+                       % (path, err.strerror))
+
+
 def resolve_config(args):
-    if getattr(args, "rmatrix", None):
-        with open(args.rmatrix, encoding="utf-8") as fh:
-            text = fh.read()
-        return {"rmatrix": text, "f00": args.f00 or "trace",
-                "degree": args.degree or 3, "cap": args.cap or 3}
-    if getattr(args, "descriptor", None):
+    """The session config: flags override the descriptor, which overrides
+    CONFIG_DEFAULTS; degree and cap must be at least 1."""
+    if args.rmatrix:
+        cfg = {"rmatrix": _read_rmatrix_file(args.rmatrix)}
+    elif args.descriptor:
         if not os.path.exists(args.descriptor):
             raise CliError("descriptor %s is missing (run qdc init first)"
                            % args.descriptor)
         cfg = read_session(args.descriptor)
+    elif os.environ.get("QDC_DEFAULT_RMATRIX"):
+        cfg = {"rmatrix": _read_rmatrix_file(os.environ["QDC_DEFAULT_RMATRIX"])}
     else:
-        env = os.environ.get("QDC_DEFAULT_RMATRIX")
-        if env:
-            with open(env, encoding="utf-8") as fh:
-                cfg = {"rmatrix": fh.read()}
-        else:
-            cfg = {"rmatrix": _packaged_default_rmatrix()}
-        cfg.setdefault("f00", "trace")
-        cfg.setdefault("degree", 3)
-        cfg.setdefault("cap", 3)
-    if args.f00:
-        cfg["f00"] = args.f00
-    if args.degree:
-        cfg["degree"] = args.degree
-    if args.cap:
-        cfg["cap"] = args.cap
+        cfg = {"rmatrix": _packaged_default_rmatrix()}
+    for key, default in CONFIG_DEFAULTS.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            cfg[key] = flag
+        cfg.setdefault(key, default)
+    for key in ("degree", "cap"):
+        if cfg[key] < 1:
+            raise CliError("%s must be at least 1, got %d" % (key, cfg[key]))
     return cfg
 
 
@@ -470,8 +482,7 @@ def cmd_relations(args, out):
                "wedge": {}}
     for lhs in sorted(qg.rs.rules, key=qg.rs.word_key):
         rhs = AlgebraElement(qg.rs, qg.rs.rules[lhs], reduce=False)
-        payload["algebra_rules"].append(
-            ["*".join("t[%d,%d]" % g for g in lhs), render_element(rhs)])
+        payload["algebra_rules"].append([render_word(lhs), render_element(rhs)])
     for label, gen, v in calc.dual.f.generator_table():
         payload["bimodule"].append([label, gen, render_scalar(v)])
     for label, gen, v in calc.dual.chi.generator_table():
@@ -520,11 +531,7 @@ def cmd_eval(args, out):
     cfg = resolve_config(args)
     calc = build_calculus(cfg)
     ast = parse(args.expression)
-    try:
-        value = evaluate_ast(ast, calc)
-    except GradeCapError as err:
-        raise CliError(str(err))
-    rendered = render_value(value)
+    rendered = render_value(evaluate_ast(ast, calc))
     if args.format == "structured":
         out.write(json.dumps({"expression": print_ast(ast),
                               "value": rendered}, sort_keys=True,
@@ -679,7 +686,8 @@ def run(argv, out=None):
     args = _merge_shared(parser.parse_args(argv))
     try:
         return _COMMANDS[args.command](args, out)
-    except (CliError, RMatrixError, GradeCapError) as err:
+    except (CliError, RMatrixError, AlgebraError, FunctionalError, FormsError,
+            CalculusError, ScalarError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import rref_sparse, kernel_basis, rank_at_specializations
-from .algebra import AlgebraElement, render_element
+from .linalg import (rref_sparse, kernel_basis, rank_at_specializations,
+                     add_term, sparse_sum, sparse_diff)
+from .algebra import AlgebraElement, render_element, MEMO_MAX_WORD_LENGTH
 from .functionals import convolve, flatten_pair
 
 
@@ -60,12 +61,7 @@ class WedgeTable:
         self.dense_limit = min(max_grade, max(dense_limit, 2))
         self.lambda_matrix = lambda_matrix
         m = self.M
-        mm = m * m
-        # relation subspace: fixed vectors of the braiding on coefficient rows
-        smat = [[lambda_matrix.rows[i][k] for i in range(mm)] for k in range(mm)]
-        s_minus_id = [[smat[i][j] - (ONE if i == j else ZERO) for j in range(mm)]
-                      for i in range(mm)]
-        self.relation_vectors = kernel_basis(s_minus_id)
+        self.relation_vectors = _relation_vectors(lambda_matrix)
         self.basis = {0: [()], 1: [(i,) for i in range(m)]}
         self.pivot_rows = {0: {}, 1: {}}
         self.zero_grades = set()
@@ -188,14 +184,7 @@ class _IncrementalChain:
                     a, b = divmod(c, m)
                     red = self._reduce_word_top(u + (a,))
                     for w, coeff in red.items():
-                        key = w + (b,)
-                        s = row.get(key)
-                        p = coeff * v[c]
-                        s = p if s is None else s + p
-                        if s.is_zero():
-                            row.pop(key, None)
-                        else:
-                            row[key] = s
+                        add_term(row, w + (b,), coeff * v[c])
                 if row:
                     rows.append(row)
         columns = sorted((w + (l,) for w in self.basis for l in range(m)),
@@ -214,11 +203,6 @@ class _IncrementalChain:
             return {w: -c for w, c in row.items() if w != word}
         self._reduce_word_top = reduce_next
         return len(new_basis)
-
-
-def build_wedge_table(lambda_matrix, max_grade):
-    """Reduced bases and rewrite rows of the exterior algebra, per grade."""
-    return WedgeTable(lambda_matrix, max_grade)
 
 
 class FormSpace:
@@ -255,7 +239,7 @@ class FormSpace:
                 c = convolve(self.f.entry(letter, j), elem, side="left")
                 if not c.is_zero():
                     hit[j] = c
-            if len(mon) <= 8:
+            if len(mon) <= MEMO_MAX_WORD_LENGTH:
                 self._pass_cache[key] = hit
         return hit
 
@@ -267,14 +251,7 @@ class FormSpace:
             for suffix, coeff in segments.items():
                 for mon, sc in coeff.terms.items():
                     for j, c in self._pass_letter_word(letter, mon).items():
-                        key = (j,) + suffix
-                        piece = c.scalar_mul(sc)
-                        cur = nxt.get(key)
-                        s = piece if cur is None else cur + piece
-                        if s.is_zero():
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
+                        add_term(nxt, (j,) + suffix, c.scalar_mul(sc))
             segments = nxt
         return segments
 
@@ -309,21 +286,15 @@ class FormElement:
                            {w: c for w, c in self.terms.items() if len(w) == k})
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = terms.get(w)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return FormElement(self.space, terms)
+        return FormElement(self.space, sparse_sum(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + other.negate()
+        return FormElement(self.space, sparse_diff(self.terms, other.terms))
 
     def negate(self):
         return FormElement(self.space, {w: -c for w, c in self.terms.items()})
+
+    __neg__ = negate
 
     def scalar_mul(self, s):
         return FormElement(self.space,
@@ -339,23 +310,11 @@ class FormElement:
         out = {}
         for w, c in self.terms.items():
             if not w:
-                prod = c * a
-                if not prod.is_zero():
-                    cur = out.get(w)
-                    out[w] = prod if cur is None else cur + prod
+                add_term(out, w, c * a)
                 continue
             for w2, passed in space.pass_algebra_through(w, a).items():
-                red = space.table.reduce_word(w2)
-                for wr, sc in red.items():
-                    prod = (c * passed).scalar_mul(sc)
-                    if prod.is_zero():
-                        continue
-                    cur = out.get(wr)
-                    s = prod if cur is None else cur + prod
-                    if s.is_zero():
-                        out.pop(wr, None)
-                    else:
-                        out[wr] = s
+                for wr, sc in space.table.reduce_word(w2).items():
+                    add_term(out, wr, (c * passed).scalar_mul(sc))
         return FormElement(self.space, out)
 
     def wedge(self, other):
@@ -374,15 +333,7 @@ class FormElement:
                     for w1p, passed in space.pass_algebra_through(w1, c2).items():
                         red = space.table.reduce_word(w1p + w2)
                         for wr, sc in red.items():
-                            prod = (c1 * passed).scalar_mul(sc)
-                            if prod.is_zero():
-                                continue
-                            cur = piece.get(wr)
-                            s = prod if cur is None else cur + prod
-                            if not s.is_zero():
-                                piece[wr] = s
-                            else:
-                                piece.pop(wr, None)
+                            add_term(piece, wr, (c1 * passed).scalar_mul(sc))
                 out = out + FormElement(space, piece)
         return out
 
@@ -428,15 +379,7 @@ def _reduce_terms(space, terms):
     out = {}
     for w, c in terms.items():
         for wr, sc in space.table.reduce_word(w).items():
-            prod = c.scalar_mul(sc)
-            if prod.is_zero():
-                continue
-            cur = out.get(wr)
-            s = prod if cur is None else cur + prod
-            if s.is_zero():
-                out.pop(wr, None)
-            else:
-                out[wr] = s
+            add_term(out, wr, c.scalar_mul(sc))
     return out
 
 
@@ -458,15 +401,10 @@ class CoactionElement:
         self.terms = {w: fe for w, fe in terms.items() if not fe.is_zero()}
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for w, fe in other.terms.items():
-            cur = terms.get(w)
-            s = fe if cur is None else cur + fe
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return CoactionElement(self.space, terms)
+        return CoactionElement(self.space, sparse_sum(self.terms, other.terms))
+
+    def __sub__(self, other):
+        return CoactionElement(self.space, sparse_diff(self.terms, other.terms))
 
     def __eq__(self, other):
         return isinstance(other, CoactionElement) and self.terms == other.terms
@@ -481,13 +419,8 @@ class CoactionElement:
         return out
 
     def map_right(self, fn):
-        out = {}
-        for w, fe in self.terms.items():
-            v = fn(fe)
-            if not v.is_zero():
-                cur = out.get(w)
-                out[w] = v if cur is None else cur + v
-        return CoactionElement(self.space, out)
+        return CoactionElement(self.space,
+                               {w: fn(fe) for w, fe in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -500,12 +433,8 @@ def left_coaction(space, x):
     for w, c in x.terms.items():
         tc = qg.coproduct(c)
         for (w1, w2), sc in tc.terms.items():
-            fe = FormElement(space, {w: AlgebraElement(qg.rs, {w2: sc},
-                                                       reduce=False)})
-            if fe.is_zero():
-                continue
-            cur = out.get(w1)
-            out[w1] = fe if cur is None else cur + fe
+            add_term(out, w1, FormElement(space, {w: AlgebraElement(
+                qg.rs, {w2: sc}, reduce=False)}))
     return CoactionElement(space, out)
 
 
@@ -534,9 +463,8 @@ def z_form_comparison(lambda_matrix):
         rows_z.append(row)
     cols = list(range(mm))
     _, zp = rref_sparse(rows_z, cols)
-    smat_rows = []
-    for v in _kernel_rows(lambda_matrix):
-        smat_rows.append(v)
+    smat_rows = [{c: v[c] for c in cols if not v[c].is_zero()}
+                 for v in _relation_vectors(lambda_matrix)]
     _, kp = rref_sparse(smat_rows, cols)
     both = rows_z + smat_rows
     _, bp = rref_sparse(both, cols)
@@ -548,12 +476,10 @@ def z_form_comparison(lambda_matrix):
     }
 
 
-def _kernel_rows(lambda_matrix):
+def _relation_vectors(lambda_matrix):
+    """The quadratic wedge relations: fixed vectors of the braiding acting
+    on coefficient rows, i.e. the kernel of (transposed Lam) - id."""
     mm = lambda_matrix.M * lambda_matrix.M
-    smat = [[lambda_matrix.rows[i][k] for i in range(mm)] for k in range(mm)]
-    s_minus_id = [[smat[i][j] - (ONE if i == j else ZERO) for j in range(mm)]
-                  for i in range(mm)]
-    rows = []
-    for v in kernel_basis(s_minus_id):
-        rows.append({c: v[c] for c in range(mm) if not v[c].is_zero()})
-    return rows
+    rows = lambda_matrix.rows
+    return kernel_basis([[rows[j][i] - (ONE if i == j else ZERO)
+                          for j in range(mm)] for i in range(mm)])

@@ -14,8 +14,9 @@ import itertools
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
-from .linalg import mat_mul, mat_inverse, identity, rref_sparse
-from .algebra import AlgebraElement
+from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
+                     add_scaled)
+from .algebra import AlgebraElement, MEMO_MAX_WORD_LENGTH
 
 
 class FunctionalError(Exception):
@@ -258,10 +259,6 @@ class VectorFieldFamily:
     def entries(self):
         return [self.entry(i) for i in range(self.size)]
 
-    def value_vector(self, elem):
-        m = self.ext.on_element(elem)
-        return [m[0][1 + i] for i in range(self.size)]
-
     def generator_table(self):
         rows = []
         for i in range(self.size):
@@ -367,14 +364,7 @@ def _sp_mul(a, b):
             br = b.get(k)
             if not br:
                 continue
-            for j, w in br.items():
-                p = v * w
-                s = acc.get(j)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    acc.pop(j, None)
-                else:
-                    acc[j] = s
+            add_scaled(acc, br, v)
         if acc:
             out[i] = acc
     return out
@@ -503,18 +493,10 @@ def make_C(lambda_matrix, lam, chi):
 
 def convolve(f, a, side="left"):
     """(f * a) = (id (x) f) o phi(a) for side='left'; (a * f) for side='right'."""
-    qg = f.family.qg
     out = {}
     for w0, c in a.terms.items():
-        for w, v in _convolve_word(f, w0, side).items():
-            s = out.get(w)
-            p = c * v
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return AlgebraElement(qg.rs, out, reduce=False)
+        add_scaled(out, _convolve_word(f, w0, side), c)
+    return AlgebraElement(f.family.qg.rs, out, reduce=False)
 
 
 def _convolve_word(f, word, side):
@@ -526,22 +508,11 @@ def _convolve_word(f, word, side):
     qg = f.family.qg
     out = {}
     for (w1, w2), c in qg.coproduct_word(word).terms.items():
-        if side == "left":
-            v = f.on_word(w2)
-            w = w1
-        else:
-            v = f.on_word(w1)
-            w = w2
-        if v.is_zero():
-            continue
-        s = out.get(w)
-        p = c * v
-        s = p if s is None else s + p
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-    if len(word) <= 8:
+        w, leg = (w1, w2) if side == "left" else (w2, w1)
+        v = f.on_word(leg)
+        if not v.is_zero():
+            add_term(out, w, c * v)
+    if len(word) <= MEMO_MAX_WORD_LENGTH:
         cache[key] = out
     return out
 
@@ -595,10 +566,6 @@ class ConvCombo:
         return ConvCombo(self.qg, [(c * s, fs) for c, fs in self.terms])
 
 
-def convolve_product(qg, funcs, elem):
-    return ConvCombo(qg, [(ONE, tuple(funcs))]).value(elem)
-
-
 def q_lie_bracket(i, j, chi, lambda_matrix):
     """[chi_i, chi_j] = chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l as a ConvCombo."""
     m = chi.size
@@ -611,30 +578,6 @@ def q_lie_bracket(i, j, chi, lambda_matrix):
                 continue
             terms.append((-coef, (chi.entry(k), chi.entry(l))))
     return ConvCombo(chi.qg, terms)
-
-
-def bracket_of_combos(chi, lambda_matrix, left, right):
-    """Bracket extended bilinearly to chi-span combinations.
-
-    left/right: dicts index -> Scalar over the chi basis.
-    """
-    m = chi.size
-    qg = chi.qg
-    terms = []
-    for i, ci in left.items():
-        for j, cj in right.items():
-            c = ci * cj
-            if c.is_zero():
-                continue
-            terms.append((c, (chi.entry(i), chi.entry(j))))
-            col = i * m + j
-            for k in range(m):
-                for l in range(m):
-                    coef = lambda_matrix.rows[k * m + l][col]
-                    if coef.is_zero():
-                        continue
-                    terms.append((-(coef * c), (chi.entry(k), chi.entry(l))))
-    return ConvCombo(qg, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 Rows are dicts mapping column keys to field elements; dense matrices are
 lists of lists.  Field elements must support +, -, *, / and an is_zero test
 (Scalar has .is_zero(); Fractions compare to 0).
+
+The sparse accumulate kernel (add_term, add_scaled, sparse_sum,
+sparse_diff) is the one place where a linear combination stored as a dict
+key -> coefficient gains a term; every sparse object of the engine (rows,
+algebra elements, tensor legs, forms, coaction terms) accumulates through
+it, so no stored coefficient is ever zero.
 """
 
 from __future__ import annotations
@@ -13,9 +19,46 @@ from .scalars import Scalar, ZERO, ONE
 
 
 def _iszero(x):
-    if isinstance(x, Scalar):
-        return x.is_zero()
-    return x == 0
+    if type(x) in (int, Fraction):
+        return x == 0
+    return x.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the sparse accumulate kernel
+
+def add_term(terms, key, value):
+    """terms[key] += value in place; a key whose sum is zero is dropped."""
+    cur = terms.get(key)
+    if cur is not None:
+        value = cur + value
+    if _iszero(value):
+        terms.pop(key, None)
+    else:
+        terms[key] = value
+
+
+def add_scaled(terms, other, factor, skip=None):
+    """terms += factor * other in place, leaving out other's entry at skip."""
+    for key, value in other.items():
+        if key != skip:
+            add_term(terms, key, factor * value)
+
+
+def sparse_sum(a, b):
+    """a + b as a new dict."""
+    out = dict(a)
+    for key, value in b.items():
+        add_term(out, key, value)
+    return out
+
+
+def sparse_diff(a, b):
+    """a - b as a new dict."""
+    out = dict(a)
+    for key, value in b.items():
+        add_term(out, key, -value)
+    return out
 
 
 def rref_sparse(rows, column_order):
@@ -35,26 +78,9 @@ def rref_sparse(rows, column_order):
             work.append(r)
 
     def reduce_row(row):
-        changed = True
-        while changed:
-            changed = False
-            for c in list(row):
-                if c not in row:
-                    continue
-                p = pivot_rows.get(c)
-                if p is None:
-                    continue
-                f = row.pop(c)
-                for cc, vv in p.items():
-                    if cc == c:
-                        continue
-                    s = row.get(cc, None)
-                    s = -(vv * f) if s is None else s - vv * f
-                    if _iszero(s):
-                        row.pop(cc, None)
-                    else:
-                        row[cc] = s
-                changed = True
+        # pivot rows only reach non-pivot columns, so one pass clears them all
+        for c in [c for c in row if c in pivot_rows]:
+            add_scaled(row, pivot_rows[c], -row.pop(c), skip=c)
         return row
 
     for row in work:
@@ -66,20 +92,10 @@ def rref_sparse(rows, column_order):
         newrow = {c: v / pv for c, v in row.items()}
         newrow[piv] = _one_like(pv)
         # eliminate the new pivot from existing pivot rows
-        for c, p in pivot_rows.items():
-            f = p.get(piv)
-            if f is None or _iszero(f):
-                continue
-            p.pop(piv, None)
-            for cc, vv in newrow.items():
-                if cc == piv:
-                    continue
-                s = p.get(cc, None)
-                s = -(vv * f) if s is None else s - vv * f
-                if _iszero(s):
-                    p.pop(cc, None)
-                else:
-                    p[cc] = s
+        for p in pivot_rows.values():
+            f = p.pop(piv, None)
+            if f is not None:
+                add_scaled(p, newrow, -f, skip=piv)
         pivot_rows[piv] = newrow
     return pivot_rows, sorted(pivot_rows, key=lambda c: col_rank[c])
 
@@ -130,10 +146,6 @@ def mat_mul(a, b):
             row.append(acc if acc is not None else _zero_like(ai[0]))
         out.append(row)
     return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_eq_zero(a):

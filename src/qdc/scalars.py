@@ -398,24 +398,6 @@ ONE = _ONE = Scalar(LaurentPoly.one(), _normalized=True)
 Q = Scalar(LaurentPoly.q(), _normalized=True)
 
 
-def normalize(raw_numerator, raw_denominator):
-    """Canonical representative of a raw fraction of Laurent polynomials."""
-    return Scalar(raw_numerator, raw_denominator)
-
-
-def field_arithmetic(a, b, op):
-    """Exact field operation by name: add, sub, mul or div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown field operation %r" % (op,))
-
-
 def evaluate_at(a, q0):
     return a.evaluate_at(q0)
 

@@ -11,17 +11,11 @@ from __future__ import annotations
 import random
 
 from .scalars import ZERO, ONE
-from .linalg import kernel_basis
-from .algebra import AlgebraElement, TensorElement, render_element
+from .linalg import kernel_basis, add_term
+from .algebra import AlgebraElement, render_element, render_word
 from .functionals import convolve, unflatten_pair
 from .forms import left_coaction, z_form_comparison
-from .calculus import CheckReport
-
-
-def _word_str(w):
-    if not w:
-        return "1"
-    return "*".join("t[%d,%d]" % g for g in w)
+from .calculus import CheckReport, first_witness
 
 
 # ---------------------------------------------------------------------------
@@ -29,60 +23,56 @@ def _word_str(w):
 
 def hopf_suite(calc, degree=None):
     qg = calc.qg
+    rs = qg.rs
     degree = degree if degree is not None else calc.degree_bound
     report = CheckReport("hopf", degree)
-    words = qg.rs.normal_words(degree)
+    words = rs.normal_words(degree)
 
-    ok, wit = True, None
-    for w in words:
-        two = qg.coproduct_word(w)
-        left = TensorElement(qg.rs, 3, {})
-        right = TensorElement(qg.rs, 3, {})
-        for (w1, w2), c in two.terms.items():
-            for (u1, u2), cc in qg.coproduct_word(w1).terms.items():
-                left = left + TensorElement(qg.rs, 3, {(u1, u2, w2): c * cc})
-            for (u1, u2), cc in qg.coproduct_word(w2).terms.items():
-                right = right + TensorElement(qg.rs, 3, {(w1, u1, u2): c * cc})
-        if left != right:
-            ok, wit = False, _word_str(w)
-            break
+    def coassociativity():
+        for w in words:
+            left, right = {}, {}
+            for (w1, w2), c in qg.coproduct_word(w).terms.items():
+                for (u1, u2), cc in qg.coproduct_word(w1).terms.items():
+                    add_term(left, (u1, u2, w2), c * cc)
+                for (u1, u2), cc in qg.coproduct_word(w2).terms.items():
+                    add_term(right, (w1, u1, u2), c * cc)
+            if left != right:
+                yield render_word(w)
+
+    wit = first_witness(coassociativity())
     report.add("coassociativity",
-               "(phi x id) phi = (id x phi) phi on monomials", ok, wit)
+               "(phi x id) phi = (id x phi) phi on monomials", wit is None, wit)
 
-    ok, wit = True, None
-    for w in words:
-        elem = AlgebraElement.from_word(qg.rs, w)
-        two = qg.coproduct_word(w)
-        left = AlgebraElement.zero(qg.rs)
-        right = AlgebraElement.zero(qg.rs)
-        for (w1, w2), c in two.terms.items():
-            e1 = qg.counit_word(w1)
-            if not e1.is_zero():
-                left = left + AlgebraElement(qg.rs, {w2: c * e1}, reduce=False)
-            e2 = qg.counit_word(w2)
-            if not e2.is_zero():
-                right = right + AlgebraElement(qg.rs, {w1: c * e2}, reduce=False)
-        if left != elem or right != elem:
-            ok, wit = False, _word_str(w)
-            break
-    report.add("counit", "(eps x id) phi = id = (id x eps) phi", ok, wit)
+    def counit():
+        for w in words:
+            elem = AlgebraElement.from_word(rs, w).terms
+            left, right = {}, {}
+            for (w1, w2), c in qg.coproduct_word(w).terms.items():
+                if qg.counit_word(w1).is_one():
+                    add_term(left, w2, c)
+                if qg.counit_word(w2).is_one():
+                    add_term(right, w1, c)
+            if left != elem or right != elem:
+                yield render_word(w)
 
-    ok, wit = True, None
-    for w in words:
-        target = AlgebraElement.from_scalar(qg.rs, qg.counit_word(w))
-        two = qg.coproduct_word(w)
-        left = AlgebraElement.zero(qg.rs)
-        right = AlgebraElement.zero(qg.rs)
-        for (w1, w2), c in two.terms.items():
-            left = left + (qg.antipode_word(w1) *
-                           AlgebraElement.from_word(qg.rs, w2)).scalar_mul(c)
-            right = right + (AlgebraElement.from_word(qg.rs, w1) *
-                             qg.antipode_word(w2)).scalar_mul(c)
-        if left != target or right != target:
-            ok, wit = False, _word_str(w)
-            break
+    wit = first_witness(counit())
+    report.add("counit", "(eps x id) phi = id = (id x eps) phi", wit is None, wit)
+
+    def antipode():
+        for w in words:
+            target = AlgebraElement.from_scalar(rs, qg.counit_word(w))
+            left = right = AlgebraElement.zero(rs)
+            for (w1, w2), c in qg.coproduct_word(w).terms.items():
+                left = left + (qg.antipode_word(w1) *
+                               AlgebraElement.from_word(rs, w2)).scalar_mul(c)
+                right = right + (AlgebraElement.from_word(rs, w1) *
+                                 qg.antipode_word(w2)).scalar_mul(c)
+            if left != target or right != target:
+                yield render_word(w)
+
+    wit = first_witness(antipode())
     report.add("antipode", "m(kappa x id) phi = eps 1 = m(id x kappa) phi",
-               ok, wit)
+               wit is None, wit)
     return report
 
 
@@ -111,6 +101,11 @@ class _Tables:
             m = dual.chi.ext.word_matrix(w)
             self.x[w] = [m[0][1 + i] for i in range(dual.M)]
         self.eps = {w: dual.qg.counit_word(w) for w in legs}
+        # Lam^{kl}_{ij} by lower pair: column i*M + j -> [(k, l, value), ...]
+        self.lam_cols = {}
+        for (row, col), v in dual.lam_matrix.sparse.items():
+            self.lam_cols.setdefault(col, []).append(divmod(row, dual.M) + (v,))
+        self._bracket = {}
 
     def double_chi(self, w):
         """B[i][j] = (chi_i chi_j)(w)."""
@@ -130,6 +125,22 @@ class _Tables:
                         row[j] = row[j] + ca * b
         return out
 
+    def bracket(self, w):
+        """T[i][j] = [chi_i, chi_j](w) = B[i][j] - Lam^{kl}_{ij} B[k][l]."""
+        t = self._bracket.get(w)
+        if t is None:
+            m = self.dual.M
+            B = self.double_chi(w)
+            t = [[ZERO] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(m):
+                    val = B[i][j]
+                    for k, l, lv in self.lam_cols.get(i * m + j, ()):
+                        val = val - lv * B[k][l]
+                    t[i][j] = val
+            self._bracket[w] = t
+        return t
+
     def ff_sparse(self, w):
         """K[(i,j),(p,q)] = (f^i_p f^j_q)(w), sparse."""
         m = self.dual.M
@@ -143,13 +154,7 @@ class _Tables:
             for i, p, a in nz1:
                 ca = c * a
                 for j, q, b in nz2:
-                    key = (i * m + j, p * m + q)
-                    cur = out.get(key)
-                    s = ca * b if cur is None else cur + ca * b
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_term(out, (i * m + j, p * m + q), ca * b)
         return out
 
     def fx(self, w):
@@ -165,16 +170,8 @@ class _Tables:
                         continue
                     ca = c * a
                     for k in range(m):
-                        b = x2[k]
-                        if b.is_zero():
-                            continue
-                        key = (i, j, k)
-                        cur = out.get(key)
-                        s = ca * b if cur is None else cur + ca * b
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        if not x2[k].is_zero():
+                            add_term(out, (i, j, k), ca * x2[k])
         return out
 
     def xf(self, w):
@@ -184,22 +181,13 @@ class _Tables:
         for (w1, w2), c in self.cop[w]:
             x1, f2 = self.x[w1], self.F[w2]
             for k in range(m):
-                a = x1[k]
-                if a.is_zero():
+                if x1[k].is_zero():
                     continue
-                ca = c * a
+                ca = c * x1[k]
                 for i in range(m):
                     for j in range(m):
-                        b = f2[i][j]
-                        if b.is_zero():
-                            continue
-                        key = (k, i, j)
-                        cur = out.get(key)
-                        s = ca * b if cur is None else cur + ca * b
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        if not f2[i][j].is_zero():
+                            add_term(out, (k, i, j), ca * f2[i][j])
         return out
 
 
@@ -213,6 +201,7 @@ def bicovariance_suite(calc, degree=None):
     tabs = _Tables(dual, words)
     lam_sparse = dual.lam_matrix.sparse
     lam_rows = dual.lam_matrix.rows
+    lam_cols = tabs.lam_cols
 
     for fn, fam in [("L+", dual.lplus.family), ("L-", dual.lminus.family),
                     ("f", dual.f.family), ("chi", dual.chi.ext),
@@ -245,246 +234,182 @@ def bicovariance_suite(calc, degree=None):
         report.add("braiding-invertible", "the braiding matrix is invertible",
                    False)
 
-    flip_ok = True
-    mm = m * m
-    for i in range(mm):
-        for j in range(mm):
-            a, b = divmod(i, m)
-            c, d = divmod(j, m)
-            want = 1 if (a == d and b == c) else 0
-            if lam_rows[i][j].evaluate_at(1) != want:
-                flip_ok = False
+    # the braiding at q0 = 1 is the flip (a, b) (c, d) -> (b, a) (d, c)
+    flip_ok = all(lam_rows[i][j].evaluate_at(1) ==
+                  (1 if divmod(i, m) == divmod(j, m)[::-1] else 0)
+                  for i in range(m * m) for j in range(m * m))
     report.add("braiding-classical-limit",
                "at q0 = 1 the braiding specializes to the flip", flip_ok)
 
     # bracket relation: chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l = C_{ij}^k chi_k
-    ok, wit = True, None
-    for w in words:
-        B = tabs.double_chi(w)
-        xw = tabs.x[w]
-        for i in range(m):
-            for j in range(m):
-                col = i * m + j
-                lhs = B[i][j]
-                for (rowk, colk), v in lam_sparse.items():
-                    if colk != col:
-                        continue
-                    k, l = divmod(rowk, m)
-                    lhs = lhs - v * B[k][l]
-                rhs = ZERO
-                for k in range(m):
-                    cc = dual.C.get(i, j, k)
-                    if not cc.is_zero():
-                        rhs = rhs + cc * xw[k]
-                if lhs != rhs:
-                    ok, wit = False, "(i,j)=%r on %s" % (
-                        (unflatten_pair(i, qg.N), unflatten_pair(j, qg.N)),
-                        _word_str(w))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    def bracket_structure_constants():
+        for w in words:
+            t = tabs.bracket(w)
+            xw = tabs.x[w]
+            for i in range(m):
+                for j in range(m):
+                    rhs = ZERO
+                    for k in range(m):
+                        cc = dual.C.get(i, j, k)
+                        if not cc.is_zero():
+                            rhs = rhs + cc * xw[k]
+                    if t[i][j] != rhs:
+                        yield "(i,j)=%r on %s" % (
+                            (unflatten_pair(i, qg.N), unflatten_pair(j, qg.N)),
+                            render_word(w))
+
+    wit = first_witness(bracket_structure_constants())
     report.add("bracket-structure-constants",
                "the vector-field bracket expands over the structure constants",
-               ok, wit)
+               wit is None, wit)
 
     # exchange: Lam f f = f f Lam  (commutant identity per monomial)
-    ok, wit = True, None
-    for w in words:
-        K = tabs.ff_sparse(w)
-        lhs, rhs = {}, {}
-        for (a, b), v in lam_sparse.items():
-            # lhs[n m; p q] += Lam[(nm),(ij)] K[(ij),(pq)]
-            for (ij, pq), kv in K.items():
-                if ij == b:
-                    key = (a, pq)
-                    cur = lhs.get(key)
-                    s = v * kv if cur is None else cur + v * kv
-                    if s.is_zero():
-                        lhs.pop(key, None)
-                    else:
-                        lhs[key] = s
-                if pq == a:
-                    key = (ij, b)
-                    cur = rhs.get(key)
-                    s = kv * v if cur is None else cur + kv * v
-                    if s.is_zero():
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = s
-        if lhs != rhs:
-            ok, wit = False, _word_str(w)
-            break
+    def braiding_f_exchange():
+        for w in words:
+            K = tabs.ff_sparse(w)
+            lhs, rhs = {}, {}
+            for (a, b), v in lam_sparse.items():
+                # lhs[n m; p q] += Lam[(nm),(ij)] K[(ij),(pq)]
+                for (ij, pq), kv in K.items():
+                    if ij == b:
+                        add_term(lhs, (a, pq), v * kv)
+                    if pq == a:
+                        add_term(rhs, (ij, b), kv * v)
+            if lhs != rhs:
+                yield render_word(w)
+
+    wit = first_witness(braiding_f_exchange())
     report.add("braiding-f-exchange",
-               "the braiding commutes with the doubled f-family action", ok, wit)
+               "the braiding commutes with the doubled f-family action",
+               wit is None, wit)
 
     # mixed exchange: C f f + f chi = Lam chi f + C f
-    ok, wit = True, None
-    for w in words:
-        K = tabs.ff_sparse(w)
-        H = tabs.fx(w)
-        Hp = tabs.xf(w)
-        Fw = tabs.F[w]
-        epsw = tabs.eps[w]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    lhs = ZERO
-                    for (mm_, nn, i2), cc in dual.C.items():
-                        if i2 != i:
-                            continue
-                        kv = K.get((mm_ * m + nn, j * m + k))
-                        if kv is not None:
-                            lhs = lhs + cc * kv
-                    hv = H.get((i, j, k))
-                    if hv is not None:
-                        lhs = lhs + hv
-                    rhs = ZERO
-                    for (rowp, colp), v in lam_sparse.items():
-                        if colp != j * m + k:
-                            continue
-                        p, qq = divmod(rowp, m)
-                        hp = Hp.get((p, i, qq))
-                        if hp is not None:
-                            rhs = rhs + v * hp
-                    for l in range(m):
-                        cc = dual.C.get(j, k, l)
-                        if not cc.is_zero():
-                            fv = Fw[i][l]
-                            if not fv.is_zero():
-                                rhs = rhs + cc * fv
-                    if lhs != rhs:
-                        ok, wit = False, "(i,j,k)=(%d,%d,%d) on %s" % (
-                            i, j, k, _word_str(w))
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    def mixed_exchange():
+        for w in words:
+            K = tabs.ff_sparse(w)
+            H = tabs.fx(w)
+            Hp = tabs.xf(w)
+            Fw = tabs.F[w]
+            for i in range(m):
+                for j in range(m):
+                    for k in range(m):
+                        lhs = ZERO
+                        for (mm_, nn, i2), cc in dual.C.items():
+                            if i2 != i:
+                                continue
+                            kv = K.get((mm_ * m + nn, j * m + k))
+                            if kv is not None:
+                                lhs = lhs + cc * kv
+                        hv = H.get((i, j, k))
+                        if hv is not None:
+                            lhs = lhs + hv
+                        rhs = ZERO
+                        for p, qq, v in lam_cols.get(j * m + k, ()):
+                            hp = Hp.get((p, i, qq))
+                            if hp is not None:
+                                rhs = rhs + v * hp
+                        for l in range(m):
+                            cc = dual.C.get(j, k, l)
+                            if not cc.is_zero() and not Fw[i][l].is_zero():
+                                rhs = rhs + cc * Fw[i][l]
+                        if lhs != rhs:
+                            yield "(i,j,k)=(%d,%d,%d) on %s" % (
+                                i, j, k, render_word(w))
+
+    wit = first_witness(mixed_exchange())
     report.add("mixed-exchange",
-               "the mixed structure-constant/f/chi exchange identity", ok, wit)
+               "the mixed structure-constant/f/chi exchange identity",
+               wit is None, wit)
 
     # chi f = Lam f chi
-    ok, wit = True, None
-    for w in words:
-        H = tabs.fx(w)
-        Hp = tabs.xf(w)
-        for n in range(m):
-            for k in range(m):
-                for l in range(m):
-                    lhs = Hp.get((k, n, l), ZERO)
-                    rhs = ZERO
-                    for (rowp, colp), v in lam_sparse.items():
-                        if colp != k * m + l:
-                            continue
-                        i, j = divmod(rowp, m)
-                        hv = H.get((n, i, j))
-                        if hv is not None:
-                            rhs = rhs + v * hv
-                    if lhs != rhs:
-                        ok, wit = False, "(k,l,n)=(%d,%d,%d) on %s" % (
-                            k, l, n, _word_str(w))
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    def chi_f_exchange():
+        for w in words:
+            H = tabs.fx(w)
+            Hp = tabs.xf(w)
+            for n in range(m):
+                for k in range(m):
+                    for l in range(m):
+                        rhs = ZERO
+                        for i, j, v in lam_cols.get(k * m + l, ()):
+                            hv = H.get((n, i, j))
+                            if hv is not None:
+                                rhs = rhs + v * hv
+                        if Hp.get((k, n, l), ZERO) != rhs:
+                            yield "(k,l,n)=(%d,%d,%d) on %s" % (
+                                k, l, n, render_word(w))
+
+    wit = first_witness(chi_f_exchange())
     report.add("chi-f-exchange",
-               "vector fields exchange with f through the braiding", ok, wit)
+               "vector fields exchange with f through the braiding",
+               wit is None, wit)
 
     # coalgebra of the dual: kappa_d(chi_i) = -chi_j kappa_d(f^j_i)
-    ok, wit = True, None
     kd_f = dual.f.family.compose_antipode()
     kd_ext = dual.chi.ext.compose_antipode()
-    for w in words:
-        mk = kd_ext.word_matrix(w)
-        for i in range(m):
-            lhs = mk[0][1 + i]
-            rhs = ZERO
-            for (w1, w2), c in tabs.cop[w]:
-                x1 = tabs.x[w1]
-                f2 = kd_f.word_matrix(w2)
-                for j in range(m):
-                    if x1[j].is_zero():
-                        continue
-                    v = f2[j][i]
-                    if not v.is_zero():
-                        rhs = rhs - c * x1[j] * v
-            if lhs != rhs:
-                ok, wit = False, "i=%d on %s" % (i, _word_str(w))
-                break
-        if not ok:
-            break
+
+    def antipode_of_chi():
+        for w in words:
+            mk = kd_ext.word_matrix(w)
+            for i in range(m):
+                rhs = ZERO
+                for (w1, w2), c in tabs.cop[w]:
+                    x1 = tabs.x[w1]
+                    f2 = kd_f.word_matrix(w2)
+                    for j in range(m):
+                        if not x1[j].is_zero() and not f2[j][i].is_zero():
+                            rhs = rhs - c * x1[j] * f2[j][i]
+                if mk[0][1 + i] != rhs:
+                    yield "i=%d on %s" % (i, render_word(w))
+
+    wit = first_witness(antipode_of_chi())
     report.add("antipode-of-chi",
-               "kappa-dual of a vector field expands over kappa-dual f", ok, wit)
+               "kappa-dual of a vector field expands over kappa-dual f",
+               wit is None, wit)
 
     # inverse law: kd(f^k_j) f^j_i = delta eps = f^k_j kd(f^j_i)
-    ok, wit = True, None
-    for w in words:
-        target = tabs.eps[w]
-        for k in range(m):
-            for i in range(m):
-                left = ZERO
-                right = ZERO
-                for (w1, w2), c in tabs.cop[w]:
-                    m1k = kd_f.word_matrix(w1)
-                    m2 = tabs.F[w2]
-                    m1 = tabs.F[w1]
-                    m2k = kd_f.word_matrix(w2)
-                    for j in range(m):
-                        a = m1k[k][j]
-                        if not a.is_zero():
-                            b = m2[j][i]
-                            if not b.is_zero():
-                                left = left + c * a * b
-                        a2 = m1[k][j]
-                        if not a2.is_zero():
-                            b2 = m2k[j][i]
-                            if not b2.is_zero():
-                                right = right + c * a2 * b2
-                want = target if k == i else ZERO
-                if left != want or right != want:
-                    ok, wit = False, "(k,i)=(%d,%d) on %s" % (k, i, _word_str(w))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    def f_inverse_law():
+        for w in words:
+            for k in range(m):
+                for i in range(m):
+                    left = ZERO
+                    right = ZERO
+                    for (w1, w2), c in tabs.cop[w]:
+                        m1k = kd_f.word_matrix(w1)
+                        m2 = tabs.F[w2]
+                        m1 = tabs.F[w1]
+                        m2k = kd_f.word_matrix(w2)
+                        for j in range(m):
+                            if not m1k[k][j].is_zero() and not m2[j][i].is_zero():
+                                left = left + c * m1k[k][j] * m2[j][i]
+                            if not m1[k][j].is_zero() and not m2k[j][i].is_zero():
+                                right = right + c * m1[k][j] * m2k[j][i]
+                    want = tabs.eps[w] if k == i else ZERO
+                    if left != want or right != want:
+                        yield "(k,i)=(%d,%d) on %s" % (k, i, render_word(w))
+
+    wit = first_witness(f_inverse_law())
     report.add("f-inverse-law",
-               "kappa-dual f is the convolution inverse of f", ok, wit)
+               "kappa-dual f is the convolution inverse of f", wit is None, wit)
 
     # invariant combinations annihilate under the bracket
     fixed = kernel_basis([[lam_rows[i][j] - (ONE if i == j else ZERO)
                            for j in range(m * m)] for i in range(m * m)])
-    ok, wit = True, None
-    for v in fixed:
-        for w in words:
-            B = tabs.double_chi(w)
-            total = ZERO
-            for c in range(m * m):
-                if v[c].is_zero():
-                    continue
-                k, l = divmod(c, m)
-                br = B[k][l]
-                col = c
-                for (rowk, colk), lv in lam_sparse.items():
-                    if colk != col:
-                        continue
-                    kk, ll = divmod(rowk, m)
-                    br = br - lv * B[kk][ll]
-                total = total + v[c] * br
-            if not total.is_zero():
-                ok, wit = False, _word_str(w)
-                break
-        if not ok:
-            break
+
+    def symmetric_vanishing():
+        for v in fixed:
+            for w in words:
+                t = tabs.bracket(w)
+                total = ZERO
+                for c in range(m * m):
+                    if not v[c].is_zero():
+                        k, l = divmod(c, m)
+                        total = total + v[c] * t[k][l]
+                if not total.is_zero():
+                    yield render_word(w)
+
+    wit = first_witness(symmetric_vanishing())
     report.add("symmetric-vanishing",
-               "braiding-invariant pairs have vanishing bracket", ok, wit)
+               "braiding-invariant pairs have vanishing bracket", wit is None, wit)
     report.add("symmetric-space-dim",
                "the invariant subspace matches the wedge relation count",
                len(fixed) == len(calc.space.table.relation_vectors),
@@ -492,57 +417,34 @@ def bicovariance_suite(calc, degree=None):
                                      len(calc.space.table.relation_vectors)))
 
     # q-Jacobi via the verified bracket expansion
-    ok, wit = True, None
-    br_tab = {}
-    for w in words:
-        B = tabs.double_chi(w)
-        t = [[ZERO] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                val = B[i][j]
-                col = i * m + j
-                for (rowk, colk), lv in lam_sparse.items():
-                    if colk != col:
-                        continue
-                    k, l = divmod(rowk, m)
-                    val = val - lv * B[k][l]
-                t[i][j] = val
-        br_tab[w] = t
-    for w in words:
-        t = br_tab[w]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    lhs = ZERO
-                    for l in range(m):
-                        cc = dual.C.get(j, k, l)
-                        if not cc.is_zero():
-                            lhs = lhs + cc * t[i][l]
-                    rhs = ZERO
-                    for l in range(m):
-                        cc = dual.C.get(i, j, l)
-                        if not cc.is_zero():
-                            rhs = rhs + cc * t[l][k]
-                    for (rowp, colp), lv in lam_sparse.items():
-                        if colp != j * m + k:
-                            continue
-                        l, mm_ = divmod(rowp, m)
-                        for p in range(m):
-                            cc = dual.C.get(i, l, p)
+    def q_jacobi():
+        for w in words:
+            t = tabs.bracket(w)
+            for i in range(m):
+                for j in range(m):
+                    for k in range(m):
+                        lhs = ZERO
+                        for l in range(m):
+                            cc = dual.C.get(j, k, l)
                             if not cc.is_zero():
-                                rhs = rhs - lv * cc * t[p][mm_]
-                    if lhs != rhs:
-                        ok, wit = False, "(i,j,k)=(%d,%d,%d) on %s" % (
-                            i, j, k, _word_str(w))
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+                                lhs = lhs + cc * t[i][l]
+                        rhs = ZERO
+                        for l in range(m):
+                            cc = dual.C.get(i, j, l)
+                            if not cc.is_zero():
+                                rhs = rhs + cc * t[l][k]
+                        for l, mm_, lv in lam_cols.get(j * m + k, ()):
+                            for p in range(m):
+                                cc = dual.C.get(i, l, p)
+                                if not cc.is_zero():
+                                    rhs = rhs - lv * cc * t[p][mm_]
+                        if lhs != rhs:
+                            yield "(i,j,k)=(%d,%d,%d) on %s" % (
+                                i, j, k, render_word(w))
+
+    wit = first_witness(q_jacobi())
     report.add("q-jacobi", "the braided Jacobi identity for the bracket",
-               ok, wit)
+               wit is None, wit)
 
     zf = z_form_comparison(dual.lam_matrix)
     report.add("alt-quadratic-rule",
@@ -560,84 +462,94 @@ def bicovariance_suite(calc, degree=None):
 
 def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
     qg = calc.qg
+    space = calc.space
     degree = degree if degree is not None else calc.degree_bound
     report = CheckReport("leibniz", degree)
     rng = random.Random(seed)
     words = qg.rs.normal_words(degree)
     elems = [AlgebraElement.from_word(qg.rs, w) for w in words]
+    pairs = [(a, b) for a in elems for b in elems]
 
-    ok, wit = True, None
-    for a in elems:
-        for b in elems:
+    def pair_str(a, b):
+        return "%s, %s" % (render_element(a), render_element(b))
+
+    def leibniz_d():
+        for a, b in pairs:
             lhs = calc.d(a * b)
             rhs = calc.d(a).algebra_mul_right(b) + \
-                calc.space.from_algebra(a).wedge(calc.d(b))
+                space.from_algebra(a).wedge(calc.d(b))
             if lhs != rhs:
-                ok, wit = False, "%s, %s" % (render_element(a), render_element(b))
-                break
-        if not ok:
-            break
-    report.add("leibniz-d", "d(ab) = (da) b + a (db) on monomial pairs", ok, wit)
+                yield pair_str(a, b)
 
-    ok, wit = True, None
-    for _ in range(samples):
-        x = calc.random_form(rng, 1)
-        y = calc.random_form(rng, 1)
-        if x.is_zero() or y.is_zero():
-            continue
-        lhs = calc.d(x.wedge(y))
-        rhs = calc.d(x).wedge(y) - x.wedge(calc.d(y))
-        if lhs != rhs:
-            ok, wit = False, "%s ; %s" % (x.render(), y.render())
-            break
+    wit = first_witness(leibniz_d())
+    report.add("leibniz-d", "d(ab) = (da) b + a (db) on monomial pairs",
+               wit is None, wit)
+
+    def leibniz_graded():
+        for _ in range(samples):
+            x = calc.random_form(rng, 1)
+            y = calc.random_form(rng, 1)
+            if x.is_zero() or y.is_zero():
+                continue
+            lhs = calc.d(x.wedge(y))
+            rhs = calc.d(x).wedge(y) - x.wedge(calc.d(y))
+            if lhs != rhs:
+                yield "%s ; %s" % (x.render(), y.render())
+
+    wit = first_witness(leibniz_graded())
     report.add("leibniz-graded",
-               "d(x /\\ y) = dx /\\ y - x /\\ dy on grade-1 pairs", ok, wit)
+               "d(x /\\ y) = dx /\\ y - x /\\ dy on grade-1 pairs",
+               wit is None, wit)
 
     trace = calc.dual.trace_functional()
     eps = calc.dual.eps
+
+    def leibniz_sector(f00):
+        for a, b in pairs:
+            lhs = convolve(f00, a * b, side="left") - (a * b)
+            rhs = (convolve(f00, a, side="left") - a) * \
+                convolve(f00, b, side="left") + \
+                a * (convolve(f00, b, side="left") - b)
+            if lhs != rhs:
+                yield pair_str(a, b)
+
     for f00, tag in ((trace, "trace"), (eps, "counit")):
-        ok, wit = True, None
-        for a in elems:
-            for b in elems:
-                lhs = convolve(f00, a * b, side="left") - (a * b)
-                rhs = (convolve(f00, a, side="left") - a) * \
-                    convolve(f00, b, side="left") + \
-                    a * (convolve(f00, b, side="left") - b)
-                if lhs != rhs:
-                    ok, wit = False, "%s, %s" % (render_element(a),
-                                                 render_element(b))
-                    break
-            if not ok:
-                break
+        wit = first_witness(leibniz_sector(f00))
         report.add("leibniz-sector-%s" % tag,
                    "the one-dimensional-sector differential obeys the "
-                   "Leibniz rule (f00 = %s)" % tag, ok, wit)
+                   "Leibniz rule (f00 = %s)" % tag, wit is None, wit)
 
-    ok, wit = True, None
-    okp, witp = True, None
-    for a in elems:
-        for b in elems:
+    # the twisted rule is swept row by row (all b for one a) and reports the
+    # last failure of its first failing row; the plain rule is measured on
+    # the pairs that sweep visits and reports its first failure
+    plain_failures = []
+
+    def leibniz_partial_rows():
+        for a in elems:
             pa = calc.partial(a)
-            lhs = calc.partial(a * b)
-            plain = pa.algebra_mul_right(b) + \
-                calc.space.from_algebra(a).wedge(calc.partial(b))
-            twisted = pa.algebra_mul_right(b) + \
-                calc.space.from_algebra(
-                    convolve(trace, a, side="left")).wedge(calc.partial(b))
-            if lhs != twisted:
-                ok, wit = False, "%s, %s" % (render_element(a), render_element(b))
-            if lhs != plain and witp is None:
-                okp, witp = False, "%s, %s" % (render_element(a),
-                                               render_element(b))
-        if not ok:
-            break
+            twist = space.from_algebra(convolve(trace, a, side="left"))
+            row_failures = []
+            for b in elems:
+                lhs = calc.partial(a * b)
+                plain = pa.algebra_mul_right(b) + \
+                    space.from_algebra(a).wedge(calc.partial(b))
+                twisted = pa.algebra_mul_right(b) + twist.wedge(calc.partial(b))
+                if lhs != twisted:
+                    row_failures.append(pair_str(a, b))
+                if lhs != plain:
+                    plain_failures.append((a, b))
+            if row_failures:
+                yield row_failures[-1]
+
+    wit = first_witness(leibniz_partial_rows())
+    witp = pair_str(*plain_failures[0]) if plain_failures else None
     report.add("leibniz-partial-twisted",
                "the complement differential obeys the trace-twisted "
-               "Leibniz rule", ok, wit)
+               "Leibniz rule", wit is None, wit)
     report.add("leibniz-partial-plain",
                "plain Leibniz for the complement differential "
                "(measured; the twisted rule is the exact law)",
-               okp, witp, gating=False)
+               witp is None, witp, gating=False)
 
     j1, j2, j3 = calc.projectors.laws_exact()
     report.add("projector-idempotent", "J o J = J", j1)
@@ -645,46 +557,41 @@ def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
     report.add("projector-complete", "J + Jperp = id", j3)
 
     # right-module property of J (measured)
-    ok, wit = True, None
-    for i in range(calc.space.M):
-        for g in qg.rs.gens:
-            a = qg.generator(*g)
-            lhs = calc.projectors.apply(calc.projectors.J,
-                                        calc.space.one_form(i)).algebra_mul_right(a)
-            rhs_form = calc.space.one_form(i).algebra_mul_right(a)
-            rhs = calc.space.zero()
-            for k in rhs_form.grades():
-                u0, u1 = calc.grid.split_component(rhs_form.component(k), k)
-                rhs = rhs + u1
-            if lhs != rhs:
-                ok, wit = False, "J(%s t[%d,%d])" % (calc.space.basis.label(i),
-                                                     g[0], g[1])
-                break
-        if not ok:
-            break
+    def projector_right_module():
+        for i in range(space.M):
+            for g in qg.rs.gens:
+                a = qg.generator(*g)
+                lhs = calc.projectors.apply(
+                    calc.projectors.J, space.one_form(i)).algebra_mul_right(a)
+                rhs_form = space.one_form(i).algebra_mul_right(a)
+                rhs = space.zero()
+                for k in rhs_form.grades():
+                    rhs = rhs + calc.grid.split_component(
+                        rhs_form.component(k), k)[1]
+                if lhs != rhs:
+                    yield "J(%s t[%d,%d])" % (space.basis.label(i), g[0], g[1])
+
+    wit = first_witness(projector_right_module())
     report.add("projector-right-module",
                "J commutes with right multiplication (measured, informative)",
-               ok, wit, gating=False)
+               wit is None, wit, gating=False)
 
-    # canonical line as a right module (measured) and its projected rule
+    # canonical line as a right module (measured) and its projected rule;
+    # both sweep every word, the rule reporting its last failure
     X = calc.X
-    ok_span, wit_span = True, None
-    ok_rule, wit_rule = True, None
+    wit_span = wit_rule = None
     for w in words:
         a = AlgebraElement.from_word(qg.rs, w)
-        xa = X.algebra_mul_right(a)
-        u0, u1 = calc.grid.split_component(xa.component(1), 1)
+        u0, u1 = calc.grid.split_component(X.algebra_mul_right(a).component(1), 1)
         if not u0.is_zero() and wit_span is None:
-            ok_span, wit_span = False, "X %s has complement part %s" % (
-                _word_str(w), u0.render())
-        expected = X.algebra_mul_left(convolve(trace, a, side="left"))
-        if u1 != expected:
-            ok_rule, wit_rule = False, _word_str(w)
+            wit_span = "X %s has complement part %s" % (render_word(w), u0.render())
+        if u1 != X.algebra_mul_left(convolve(trace, a, side="left")):
+            wit_rule = render_word(w)
     report.add("canonical-line-submodule",
                "the canonical line is a right submodule (measured; fails for "
-               "a connected calculus)", ok_span, wit_span, gating=False)
+               "a connected calculus)", wit_span is None, wit_span, gating=False)
     report.add("canonical-line-projected-rule",
-               "J(X a) = (trace-f * a) X exactly", ok_rule, wit_rule)
+               "J(X a) = (trace-f * a) X exactly", wit_rule is None, wit_rule)
 
     xx = X.wedge(X)
     report.add("canonical-square",
@@ -692,63 +599,60 @@ def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
                xx.is_zero(), witness=xx.render())
 
     # complement is right stable
-    ok, wit = True, None
-    for i in calc.space.basis.complement:
-        for g in qg.rs.gens:
-            got = calc.space.one_form(i).algebra_mul_right(qg.generator(*g))
-            u0, u1 = calc.grid.split_component(got.component(1), 1)
-            if not u1.is_zero():
-                ok, wit = False, "%s t[%d,%d]" % (calc.space.basis.label(i),
-                                                  g[0], g[1])
-                break
-        if not ok:
-            break
+    def complement_right_stable():
+        for i in space.basis.complement:
+            for g in qg.rs.gens:
+                got = space.one_form(i).algebra_mul_right(qg.generator(*g))
+                if not calc.grid.split_component(got.component(1), 1)[1].is_zero():
+                    yield "%s t[%d,%d]" % (space.basis.label(i), g[0], g[1])
+
+    wit = first_witness(complement_right_stable())
     report.add("complement-right-stable",
-               "the complement of the canonical line is right stable", ok, wit)
+               "the complement of the canonical line is right stable",
+               wit is None, wit)
 
     # duality: <da, chi_j> = chi_j(a) with <omega_i, chi_j> = delta
-    ok, wit = True, None
-    for w in words:
-        a = AlgebraElement.from_word(qg.rs, w)
-        coeffs = calc.expand_d_in_basis(a)
-        for j in range(calc.space.M):
-            if qg.counit(coeffs[j]) != calc.dual.chi.entry(j).value(a):
-                ok, wit = False, "j=%d on %s" % (j, _word_str(w))
-                break
-        if not ok:
-            break
+    def duality_pairing():
+        for w in words:
+            a = AlgebraElement.from_word(qg.rs, w)
+            coeffs = calc.expand_d_in_basis(a)
+            for j in range(space.M):
+                if qg.counit(coeffs[j]) != calc.dual.chi.entry(j).value(a):
+                    yield "j=%d on %s" % (j, render_word(w))
+
+    wit = first_witness(duality_pairing())
     report.add("duality-pairing",
                "pairing d(a) against the dual vector fields returns chi(a)",
-               ok, wit)
+               wit is None, wit)
 
     # bicovariance of d under the left coaction
-    ok, wit = True, None
-    test_forms = [calc.space.from_algebra(qg.generator(*g)) for g in qg.rs.gens]
-    test_forms += [calc.space.one_form(i).algebra_mul_left(
-        qg.generator(1, 1)) for i in range(calc.space.M)]
-    for x in test_forms:
-        lhs = left_coaction(calc.space, calc.d(x))
-        rhs = left_coaction(calc.space, x).map_right(calc.d)
-        if lhs != rhs:
-            ok, wit = False, x.render()
-            break
+    test_forms = [space.from_algebra(qg.generator(*g)) for g in qg.rs.gens]
+    test_forms += [space.one_form(i).algebra_mul_left(qg.generator(1, 1))
+                   for i in range(space.M)]
+
+    def d_left_covariant():
+        for x in test_forms:
+            lhs = left_coaction(space, calc.d(x))
+            if lhs != left_coaction(space, x).map_right(calc.d):
+                yield x.render()
+
+    wit = first_witness(d_left_covariant())
     report.add("d-left-covariant",
-               "the left coaction intertwines d", ok, wit)
+               "the left coaction intertwines d", wit is None, wit)
 
     # expand-d tie-in
-    ok, wit = True, None
-    for w in words:
-        a = AlgebraElement.from_word(qg.rs, w)
-        coeffs = calc.expand_d_in_basis(a)
-        for i in range(calc.space.M):
-            if coeffs[i] != convolve(calc.dual.chi.entry(i), a, side="left"):
-                ok, wit = False, "i=%d on %s" % (i, _word_str(w))
-                break
-        if not ok:
-            break
+    def d_chi_expansion():
+        for w in words:
+            a = AlgebraElement.from_word(qg.rs, w)
+            coeffs = calc.expand_d_in_basis(a)
+            for i in range(space.M):
+                if coeffs[i] != convolve(calc.dual.chi.entry(i), a, side="left"):
+                    yield "i=%d on %s" % (i, render_word(w))
+
+    wit = first_witness(d_chi_expansion())
     report.add("d-chi-expansion",
                "basis expansion of d matches the vector-field convolutions",
-               ok, wit)
+               wit is None, wit)
 
     report.add("right-coaction-intertwiner",
                "right-coaction intertwiner identity: not implemented "

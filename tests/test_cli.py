@@ -175,3 +175,43 @@ class TestCommands:
         code, text = out_of(["--degree", "2", "maps"])
         assert code == 0
         assert "rank 3" in text and "rank 4" in text
+
+
+class TestErrorSurface:
+    """Bad input ends in one `error:` line and exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, ["--rmatrix", "{tmp}/missing.rmatrix", "eval", "q"]),
+        ("N 0\nseries A\n", ["eval", "q"]),
+        (DEFAULT_RMATRIX.replace("entry 1 1 1 1 q\n",
+                                 "entry 1 1 1 1 q^(1/0)\n"), ["eval", "q"]),
+        (DEFAULT_RMATRIX + "entry 1 1 1 1 q\n", ["eval", "q"]),
+        (None, ["--cap", "-1", "eval", "q"]),
+        (None, ["eval", "q^(1/0)"]),
+    ], ids=["missing-rmatrix", "n-zero", "zero-denominator-exponent",
+            "duplicate-entry", "negative-cap", "zero-denominator-expression"])
+    def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "r.rmatrix"
+            path.write_text(config)
+            argv = ["--rmatrix", str(path)] + argv
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, text = out_of(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestDegreeAndCap:
+    @pytest.mark.parametrize("flag, value", [
+        ("--degree", "0"), ("--degree", "-1"), ("--cap", "0")])
+    def test_values_below_one_rejected(self, flag, value, capsys):
+        code, text = out_of([flag, value, "check", "--suite", "hopf"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_explicit_values_used_as_given(self):
+        code, text = out_of(["--degree", "1", "check", "--suite", "hopf"])
+        assert code == 0 and "suite hopf (degree bound 1)" in text
+        code, text = out_of(["--cap", "1", "bicomplex"])
+        assert code == 0 and text.startswith("bicomplex grid (cap 1)\n")
