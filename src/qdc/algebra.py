@@ -302,12 +302,6 @@ def derive_relations(r, sl_mode=True):
     """Oriented rewrite system for R T2 T1 = T1 T2 R (plus det = 1)."""
     n = r.N
     rng = range(1, n + 1)
-    gens = gen_order(n)
-    rank = {g: i for i, g in enumerate(gens)}
-
-    def word_key(w):
-        return (len(w), tuple(rank[g] for g in w))
-
     raw_relations = []
     for a, b, c, d in itertools.product(rng, repeat=4):
         terms = {}
@@ -326,7 +320,7 @@ def derive_relations(r, sl_mode=True):
         red = rs.reduce_terms(rel)
         if not red:
             continue
-        lead = max(red, key=word_key)
+        lead = max(red, key=rs.word_key)
         if lead == ():
             raise PresentationError(
                 "inconsistent relations: a nonzero constant reduces to zero")

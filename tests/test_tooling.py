@@ -1,6 +1,7 @@
 """Repository hygiene checks on the engine's source."""
 
 import ast
+import collections
 import pathlib
 import re
 
@@ -22,16 +23,15 @@ def test_every_helper_is_referenced():
     A name counts as referenced if it appears as a whole word anywhere in
     src/ or tests/ more often than it is defined.
     """
-    texts = [p.read_text(encoding="utf-8")
-             for d in (ROOT / "src", ROOT / "tests") for p in d.rglob("*.py")]
-    defs = {}
+    words = collections.Counter()
+    for d in (ROOT / "src", ROOT / "tests"):
+        for p in d.rglob("*.py"):
+            words.update(re.findall(r"\w+", p.read_text(encoding="utf-8")))
+    defs = collections.defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         for name, lineno in _defined_functions(path):
-            defs.setdefault(name, []).append("%s:%d" % (path.name, lineno))
-    unreferenced = []
-    for name, sites in sorted(defs.items()):
-        pattern = re.compile(r"\b%s\b" % re.escape(name))
-        uses = sum(len(pattern.findall(t)) for t in texts)
-        if uses <= len(sites):
-            unreferenced.extend("%s (%s)" % (name, s) for s in sites)
+            defs[name].append("%s:%d" % (path.name, lineno))
+    unreferenced = ["%s (%s)" % (name, site)
+                    for name, sites in sorted(defs.items())
+                    if words[name] <= len(sites) for site in sites]
     assert not unreferenced, "unreferenced: %s" % ", ".join(unreferenced)
