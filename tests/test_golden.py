@@ -1,8 +1,9 @@
 """CLI dumps compared byte for byte with recorded golden outputs.
 
 Each file in tests/data/golden is the standard output of one command on the
-default N=2 session, recorded before the engine's internals were refactored;
-any change in a printed normal form, table or verdict shows up here.
+default N=2 session (or, where named, the N=1 config in tests/data), recorded
+before the engine's internals were refactored; any change in a printed
+normal form, table or verdict shows up here.
 """
 
 import io
@@ -12,11 +13,16 @@ import pytest
 
 from qdc.cli import run
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
+SLQ1 = os.path.join(DATA_DIR, "slq1.rmatrix")
 
 CASES = {
     "relations": ["relations"],
     "bicomplex": ["bicomplex"],
+    "bicomplex_cap1": ["--cap", "1", "bicomplex"],
+    "relations_cap1": ["--cap", "1", "relations"],
+    "relations_slq1": ["--rmatrix", SLQ1, "relations"],
     "maps_d2": ["--degree", "2", "maps"],
     "check_d2_structured": ["--degree", "2", "--format", "structured", "check"],
     "eval_d_t11": ["eval", "d(t[1,1])"],
