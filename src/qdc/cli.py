@@ -8,6 +8,7 @@ wedge /\\ with precedence ^ > * / > /\\ > + -.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -474,6 +475,10 @@ def cmd_init(args, out):
     return 0
 
 
+# relations lists the wedge rewrite rules of grades 2 up to this one
+RELATIONS_MAX_GRADE = 4
+
+
 def cmd_relations(args, out):
     cfg = resolve_config(args)
     calc = build_calculus(cfg)
@@ -488,9 +493,12 @@ def cmd_relations(args, out):
     for label, gen, v in calc.dual.chi.generator_table():
         payload["vector_fields"].append([label, gen, render_scalar(v)])
     table = calc.space.table
-    for k in range(2, table.dense_limit + 1):
+    for k in range(2, min(table.max_grade, RELATIONS_MAX_GRADE) + 1):
+        basis = set(table.basis[k])
         rows = []
-        for w in sorted(table.pivot_rows[k]):
+        for w in itertools.product(range(table.M), repeat=k):
+            if w in basis:
+                continue
             red = table.reduce_word(w)
             rows.append([_wedge_word_str(calc, w),
                          " + ".join("%s %s" % (render_scalar(c),
@@ -529,8 +537,8 @@ def _wedge_word_str(calc, w):
 
 def cmd_eval(args, out):
     cfg = resolve_config(args)
-    calc = build_calculus(cfg)
     ast = parse(args.expression)
+    calc = build_calculus(cfg)
     rendered = render_value(evaluate_ast(ast, calc))
     if args.format == "structured":
         out.write(json.dumps({"expression": print_ast(ast),
@@ -544,7 +552,11 @@ def cmd_eval(args, out):
 SUITES = ("hopf", "bicovariance", "leibniz", "cartan", "roundtrip")
 
 
-def run_suite(calc, name, degree, samples=8):
+# random forms per grade that the cartan suite adds to its inputs
+CARTAN_SAMPLES = 8
+
+
+def run_suite(calc, name, degree):
     if name == "hopf":
         return [hopf_suite(calc, degree)]
     if name == "bicovariance":
@@ -552,7 +564,8 @@ def run_suite(calc, name, degree, samples=8):
     if name == "leibniz":
         return [leibniz_suite(calc, degree)]
     if name == "cartan":
-        reports = [cartan_check(calc, degree, f00_choice=c, samples=samples)
+        reports = [cartan_check(calc, degree, f00_choice=c,
+                                samples=CARTAN_SAMPLES)
                    for c in ("trace", "counit")]
         reports.append(grid_check(calc))
         return reports

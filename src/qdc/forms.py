@@ -8,11 +8,9 @@ grade, with reduction rows kept per grade for exact normal forms.
 
 from __future__ import annotations
 
-import itertools
-
 from .scalars import Scalar, ZERO, ONE
 from .linalg import (rref_sparse, kernel_basis, rank_at_specializations,
-                     add_term, sparse_sum, sparse_diff)
+                     add_term, add_scaled, sparse_sum, sparse_diff)
 from .algebra import AlgebraElement, render_element, MEMO_MAX_WORD_LENGTH
 from .functionals import convolve, flatten_pair
 
@@ -49,59 +47,49 @@ class OneFormBasis:
 
 SPECIALIZATION_POINTS = (2, 3, 5)
 
+# first_empty_grade builds grades past the table cap up to this one
+PROBE_LIMIT = 9
+
 
 class WedgeTable:
-    """Per-grade reduced bases and rewrite rows for the exterior algebra."""
+    """Per-grade reduced bases and rewrite rows for the exterior algebra.
 
-    def __init__(self, lambda_matrix, max_grade, dense_limit=4):
+    Grade k is built from (grade k-1 basis) x letter: under the
+    lexicographic word order every prefix of a reduced word is reduced
+    (standard monomials, as in Bergman's diamond lemma), so the grade-k
+    relations are the quadratic relations appended to the reduced words of
+    grade k-2, rewritten in those coordinates.
+    """
+
+    def __init__(self, lambda_matrix, max_grade):
         if max_grade < 2:
             raise FormsError("wedge table needs max_grade >= 2")
         self.M = lambda_matrix.M
         self.max_grade = max_grade
-        self.dense_limit = min(max_grade, max(dense_limit, 2))
-        self.lambda_matrix = lambda_matrix
-        m = self.M
         self.relation_vectors = _relation_vectors(lambda_matrix)
-        self.basis = {0: [()], 1: [(i,) for i in range(m)]}
+        self.basis = {0: [()], 1: [(i,) for i in range(self.M)]}
         self.pivot_rows = {0: {}, 1: {}}
-        self.zero_grades = set()
         self.spec_ranks = {}
         self.warnings = []
-        for k in range(2, self.dense_limit + 1):
+        self._reduced = {}
+        for k in range(2, max_grade + 1):
             self._build_grade(k)
-        # grades past the dense limit: exact dimensions via the incremental
-        # chain; only certified-empty grades get a (zero) reduction map
-        if max_grade > self.dense_limit:
-            chain = _IncrementalChain(self)
-            for k in range(self.dense_limit + 1, max_grade + 1):
-                dim = chain.extend()
-                if dim == 0:
-                    self.basis[k] = []
-                    self.zero_grades.add(k)
-                else:
-                    raise FormsError(
-                        "grade %d has dimension %d; raise dense_limit to "
-                        "rewrite at that grade" % (k, dim))
-
-    def _relation_rows(self, k):
-        m = self.M
-        rows = []
-        for v in self.relation_vectors:
-            pairs = [(divmod(c, m), v[c]) for c in range(m * m)
-                     if not v[c].is_zero()]
-            for pos in range(k - 1):
-                for rest in itertools.product(range(m), repeat=k - 2):
-                    prefix = rest[:pos]
-                    suffix = rest[pos:]
-                    row = {}
-                    for (a, b), coeff in pairs:
-                        row[prefix + (a, b) + suffix] = coeff
-                    rows.append(row)
-        return rows
 
     def _build_grade(self, k):
-        rows = self._relation_rows(k)
-        columns = sorted(itertools.product(range(self.M), repeat=k), reverse=True)
+        m = self.M
+        rows = []
+        for u in self.basis[k - 2]:
+            for v in self.relation_vectors:
+                row = {}
+                for c, coeff in enumerate(v):
+                    if coeff.is_zero():
+                        continue
+                    a, b = divmod(c, m)
+                    for w, sc in self._reduce(u + (a,)).items():
+                        add_term(row, w + (b,), sc * coeff)
+                rows.append(row)
+        columns = sorted((w + (b,) for w in self.basis[k - 1] for b in range(m)),
+                         reverse=True)
         pivot_rows, pivots = rref_sparse(rows, columns)
         sym_rank = len(pivots)
         numeric = rank_at_specializations(rows, columns, SPECIALIZATION_POINTS)
@@ -112,8 +100,7 @@ class WedgeTable:
                     "grade %d relation rank drops from %d to %d at q0=%s"
                     % (k, sym_rank, rk, q0))
         pivot_set = set(pivots)
-        self.basis[k] = sorted(w for w in itertools.product(range(self.M), repeat=k)
-                               if w not in pivot_set)
+        self.basis[k] = sorted(w for w in columns if w not in pivot_set)
         self.pivot_rows[k] = pivot_rows
 
     def dimension(self, k):
@@ -125,84 +112,42 @@ class WedgeTable:
         return [len(self.basis[k]) for k in range(self.max_grade + 1)]
 
     def reduce_word(self, word):
-        """Expand a wedge word over the reduced basis of its grade."""
-        k = len(word)
-        if k > self.max_grade:
-            raise GradeCapError("grade %d beyond table cap %d" % (k, self.max_grade))
-        if k in self.zero_grades:
-            return {}
-        row = self.pivot_rows[k].get(word)
-        if row is None:
-            return {word: ONE}
-        return {w: -c for w, c in row.items() if w != word}
+        """Expand a wedge word over the reduced basis of its grade.
 
-    def first_empty_grade(self, probe_limit=9):
-        """Smallest grade with empty reduced basis, or None within the limit.
-
-        Grades beyond the dense range are probed with an incremental
-        quotient construction (exact, dimensions only).
+        The result is shared with the table's memo: read it, never mutate it.
         """
-        for k in sorted(self.basis):
+        if len(word) > self.max_grade:
+            raise GradeCapError("grade %d beyond table cap %d"
+                                % (len(word), self.max_grade))
+        return self._reduce(word)
+
+    def _reduce(self, word):
+        # reduce the prefix, append the last letter, rewrite by pivot rows
+        hit = self._reduced.get(word)
+        if hit is None:
+            if len(word) < 2:
+                hit = {word: ONE}
+            else:
+                pivot_rows = self.pivot_rows[len(word)]
+                hit = {}
+                for u, c in self._reduce(word[:-1]).items():
+                    w = u + word[-1:]
+                    row = pivot_rows.get(w)
+                    if row is None:
+                        add_term(hit, w, c)
+                    else:
+                        add_scaled(hit, row, -c, skip=w)
+            self._reduced[word] = hit
+        return hit
+
+    def first_empty_grade(self):
+        """Smallest grade with empty reduced basis, or None up to PROBE_LIMIT."""
+        for k in range(PROBE_LIMIT + 1):
+            if k not in self.basis:
+                self._build_grade(k)
             if not self.basis[k]:
                 return k
-        chain = _IncrementalChain(self)
-        k = self.dense_limit
-        while k < probe_limit:
-            k += 1
-            dim = chain.extend()
-            if dim == 0:
-                return k
         return None
-
-
-class _IncrementalChain:
-    """Extends quotient dimensions one grade past a built table.
-
-    In each step the new relations are the images of (grade-2 relation
-    vectors) appended to the previous reduced basis words, expressed in
-    (previous basis x letter) coordinates.
-    """
-
-    def __init__(self, table):
-        self.table = table
-        self.M = table.M
-        top = table.dense_limit
-        self.grade = top
-        self.basis = list(table.basis[top])
-        self.prev_basis = list(table.basis[top - 1])
-        self._reduce_word_top = table.reduce_word
-
-    def extend(self):
-        m = self.M
-        rows = []
-        for u in self.prev_basis:
-            for v in self.table.relation_vectors:
-                row = {}
-                for c in range(m * m):
-                    if v[c].is_zero():
-                        continue
-                    a, b = divmod(c, m)
-                    red = self._reduce_word_top(u + (a,))
-                    for w, coeff in red.items():
-                        add_term(row, w + (b,), coeff * v[c])
-                if row:
-                    rows.append(row)
-        columns = sorted((w + (l,) for w in self.basis for l in range(m)),
-                         reverse=True)
-        pivot_rows, pivots = rref_sparse(rows, columns)
-        new_basis = sorted(w for w in columns if w not in set(pivots))
-        # fold state forward: the next extension reduces via these rows
-        self.prev_basis = self.basis
-        self.basis = new_basis
-        self._pivot_rows = pivot_rows
-
-        def reduce_next(word):
-            row = pivot_rows.get(word)
-            if row is None:
-                return {word: ONE}
-            return {w: -c for w, c in row.items() if w != word}
-        self._reduce_word_top = reduce_next
-        return len(new_basis)
 
 
 class FormSpace:

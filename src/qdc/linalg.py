@@ -120,14 +120,12 @@ def _zero_like(x):
     return Fraction(0)
 
 
-def identity(n, one=None, zero=None):
-    one = ONE if one is None else one
-    zero = ZERO if zero is None else zero
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
     out = []
     for i in range(n):
         row = []
@@ -155,6 +153,8 @@ def mat_eq_zero(a):
 def mat_inverse(a):
     """Exact inverse via Gauss-Jordan; raises ValueError if singular."""
     n = len(a)
+    if n == 0:
+        return []
     one = _one_like(a[0][0])
     zero = _zero_like(a[0][0])
     aug = [list(row) + [one if i == j else zero for j in range(n)]
@@ -212,11 +212,14 @@ def rank_at_specializations(rows, column_order, points):
     """
     out = {}
     for q0 in points:
+        values = {}   # rows repeat few distinct entries
         frows = []
         for r in rows:
             fr = {}
             for c, v in r.items():
-                x = v.evaluate_at(q0)
+                x = values.get(v)
+                if x is None:
+                    x = values[v] = v.evaluate_at(q0)
                 if x:
                     fr[c] = x
             frows.append(fr)

@@ -215,3 +215,22 @@ class TestDegreeAndCap:
         assert code == 0 and "suite hopf (degree bound 1)" in text
         code, text = out_of(["--cap", "1", "bicomplex"])
         assert code == 0 and text.startswith("bicomplex grid (cap 1)\n")
+
+
+class TestOneGenerator:
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+
+    @pytest.mark.parametrize("command", ["maps", "check", "bicomplex"])
+    def test_n1_commands_exit_zero(self, command):
+        # rank-0 outer calculus and an empty grade 2: 0x0 matrices throughout
+        code, text = out_of(["--rmatrix", os.path.join(self.DATA, "slq1.rmatrix"),
+                             command])
+        assert code == 0 and text
+
+
+def test_eval_parses_before_assembling(monkeypatch, capsys):
+    def no_assembly(cfg):
+        raise AssertionError("assembled before parsing")
+    monkeypatch.setattr("qdc.cli.build_calculus", no_assembly)
+    assert run(["eval", "t[1,"]) == 2
+    assert capsys.readouterr().err.startswith("error: unexpected end of input")

@@ -1,12 +1,14 @@
+import math
+import os
 import random
 
 import pytest
 
 from qdc.scalars import ZERO, ONE
-from qdc.algebra import AlgebraElement
-from qdc.forms import (FormElement, GradeCapError, commute_form_past,
-                       left_coaction, z_form_comparison)
-from qdc.functionals import convolve
+from qdc.algebra import AlgebraElement, load_rmatrix
+from qdc.forms import (FormElement, GradeCapError, WedgeTable,
+                       commute_form_past, left_coaction, z_form_comparison)
+from qdc.functionals import convolve, make_lambda
 from qdc.linalg import sparse_rank
 
 
@@ -73,6 +75,16 @@ class TestWedgeTable:
     def test_grade_cap_error(self, calc):
         with pytest.raises(GradeCapError):
             calc.space.table.reduce_word((0,) * 7)
+
+    def test_sl3_grades_are_binomial(self):
+        # the N=3 table at the default cap (max grade 5) has the classical
+        # dimensions C(9, k) and agrees with every specialization
+        path = os.path.join(os.path.dirname(__file__), "data", "slq3.rmatrix")
+        with open(path, encoding="utf-8") as fh:
+            r = load_rmatrix(fh.read())
+        table = WedgeTable(make_lambda(r), 5)
+        assert table.dimensions() == [math.comb(9, k) for k in range(6)]
+        assert table.warnings == []
 
 
 class TestBimodule:
