@@ -122,7 +122,6 @@ class WedgeTable:
         return self._reduce(word)
 
     def _reduce(self, word):
-        # reduce the prefix, append the last letter, rewrite by pivot rows
         hit = self._reduced.get(word)
         if hit is None:
             if len(word) < 2:
