@@ -29,6 +29,8 @@ CASES = {
     "eval_dd_t12": ["eval", "d(d(t[1,2]))"],
     "eval_scaled_wedge": ["eval", "(q - q^-1) * w[1,1] /\\ w[2,2]"],
     "eval_split_t21": ["eval", "del(t[2,1]) + dlt(t[2,1])"],
+    "eval_del_mixed": ["eval", "del(t[2,1]*w[1,2] + t[1,1]*X)"],
+    "eval_dlt_mixed": ["eval", "dlt(t[2,1]*w[1,2] + t[1,1]*X)"],
 }
 
 
