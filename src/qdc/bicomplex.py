@@ -81,18 +81,6 @@ def build_grid(calc, cap=None):
     return BicomplexGrid(calc, cap if cap is not None else calc.grade_cap)
 
 
-def _delta_op(calc, f00_choice):
-    if f00_choice == "counit":
-        return lambda x: calc.space.zero()
-    return calc.delta
-
-
-def _total_d(calc, f00_choice):
-    if f00_choice == "counit":
-        return calc.partial
-    return calc.d
-
-
 def cartan_check(calc, degree=None, f00_choice="trace", samples=0, seed=20260809,
                  swap_projectors=False):
     """The split conditions: total, square of each part, anticommutation.
@@ -108,15 +96,18 @@ def cartan_check(calc, degree=None, f00_choice="trace", samples=0, seed=20260809
         # misassembled splitting: project with J and Jperp exchanged and
         # without the row bookkeeping; the squares must then fail
         def part(x):
-            return calc.split_differential(x)[1]
+            return calc.grid.split_component(calc.d(x))[1]
 
         def delt(x):
-            return calc.split_differential(x)[0]
+            return calc.grid.split_component(calc.d(x))[0]
         total = calc.d
+    elif f00_choice == "counit":
+        part = total = calc.partial
+
+        def delt(x):
+            return calc.space.zero()
     else:
-        part = calc.partial
-        delt = _delta_op(calc, f00_choice)
-        total = _total_d(calc, f00_choice)
+        part, delt, total = calc.partial, calc.delta, calc.d
 
     elements = []
     for w in calc.qg.rs.normal_words(degree):

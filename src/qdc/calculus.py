@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 
 from .scalars import Scalar, ZERO, ONE, qlambda, render_scalar
-from .linalg import (mat_mul, mat_inverse, identity, mat_eq_zero, sparse_rank,
-                     add_term)
+from .linalg import (mat_mul, mat_inverse, identity, mat_eq_zero, rref_sparse,
+                     add_term, add_scaled)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element)
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
@@ -96,31 +96,20 @@ def first_witness(witnesses):
 # projectors and the bidegree grid
 
 class ProjectorPair:
-    """J projects onto the canonical line along the stable complement."""
+    """J projects onto the canonical line along the stable complement.
 
-    def __init__(self, basis):
-        m = basis.M
-        rm = basis.removed_index
-        can = basis.canonical_coeffs
-        self.J = [[ZERO] * m for _ in range(m)]
-        for i in range(m):
-            if not can[i].is_zero():
-                self.J[i][rm] = can[i]
+    J is the grade-1 row-1 projector of the grid split, as a matrix.
+    """
+
+    def __init__(self, p1, m):
+        self.M = m
+        self.J = [[p1.get((j,), {}).get((i,), ZERO) for j in range(m)]
+                  for i in range(m)]
         self.Jperp = [[(ONE if i == j else ZERO) - self.J[i][j]
                        for j in range(m)] for i in range(m)]
-        self.basis = basis
-
-    def apply(self, mat, x):
-        """Apply a basis matrix to a grade-1 form element."""
-        out = {}
-        for (i,), c in x.terms.items():
-            for r in range(self.basis.M):
-                if not mat[r][i].is_zero():
-                    add_term(out, (r,), c.scalar_mul(mat[r][i]))
-        return FormElement(x.space, out)
 
     def laws_exact(self):
-        m = self.basis.M
+        m = self.M
         jj = mat_mul(self.J, self.J)
         jp = mat_mul(self.J, self.Jperp)
         ident = identity(m)
@@ -132,7 +121,12 @@ class ProjectorPair:
 
 
 class GridSplit:
-    """Per-grade direct-sum data: complement-word span and its X-wedge."""
+    """Per-grade row split and its row-1 projector P1.
+
+    Row 0 of grade k is spanned by complement words, row 1 by row-0 words of
+    grade k-1 wedged by the canonical element on the right; P1 projects onto
+    row 1 along row 0.
+    """
 
     def __init__(self, calc):
         self.calc = calc
@@ -144,98 +138,58 @@ class GridSplit:
         return self._data[k]
 
     def _build(self, k):
-        calc = self.calc
-        table = calc.space.table
+        space = self.calc.space
+        table = space.table
         basis_words = table.basis[k]
-        index = {w: i for i, w in enumerate(basis_words)}
         dim = len(basis_words)
-
-        def reduced_vec(word):
-            v = [ZERO] * dim
-            for w, c in table.reduce_word(word).items():
-                v[index[w]] = c
-            return v
-
-        comp = calc.space.basis.complement
-        u0_vectors, u0_words = [], []
-        for w in itertools.product(comp, repeat=k):
-            v = reduced_vec(w)
-            if _extends_rank(u0_vectors, v):
-                u0_vectors.append(v)
-                u0_words.append(w)
-        u1_vectors, u1_words = [], []
+        # candidates (row, word, vector) in order; the earliest independent
+        # ones, the pivots of the matrix with these columns, form the basis
+        cands = [(0, w, table.reduce_word(w))
+                 for w in itertools.product(space.basis.complement, repeat=k)]
         if k >= 1:
-            # row 1 is the complement span wedged by the canonical element on
-            # the right: left coefficients then never cross the canonical line
-            prev_words = self.data(k - 1)["u0_words"] if k - 1 >= 1 else [()]
-            can = calc.space.basis.canonical_coeffs
-            for w in prev_words:
-                v = [ZERO] * dim
-                for c, coeff in enumerate(can):
-                    if coeff.is_zero():
-                        continue
-                    for wr, sc in table.reduce_word(w + (c,)).items():
-                        v[index[wr]] = v[index[wr]] + coeff * sc
-                if _extends_rank(u1_vectors + u0_vectors, v):
-                    u1_vectors.append(v)
-                    u1_words.append(w)
-        d0, d1 = len(u0_vectors), len(u1_vectors)
+            # the canonical element sits on the right: left coefficients
+            # then never cross the canonical line
+            for w in self.data(k - 1)["u0_words"]:
+                v = {}
+                for c, coeff in enumerate(space.basis.canonical_coeffs):
+                    if not coeff.is_zero():
+                        add_scaled(v, table.reduce_word(w + (c,)), coeff)
+                cands.append((1, w, v))
+        rows = {}
+        for j, (_, _, v) in enumerate(cands):
+            for w, c in v.items():
+                rows.setdefault(w, {})[j] = c
+        _, pivots = rref_sparse(list(rows.values()), range(len(cands)))
+        chosen = [cands[j] for j in pivots]
+        u0_words = [w for r, w, _ in chosen if r == 0]
+        u1_words = [w for r, w, _ in chosen if r == 1]
+        d0, d1 = len(u0_words), len(u1_words)
         if d0 + d1 != dim:
             raise CalculusError(
                 "grade %d does not split: %d + %d != %d" % (k, d0, d1, dim))
-        cols = u0_vectors + u1_vectors
-        bmat = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        binv = mat_inverse(bmat)
-        return {"basis_words": basis_words, "index": index,
-                "u0_words": u0_words, "u1_words": u1_words,
-                "dims": (d0, d1), "cols": cols, "binv": binv}
+        cols = [[v.get(w, ZERO) for w in basis_words] for _, _, v in chosen]
+        binv = mat_inverse([[cols[j][i] for j in range(dim)]
+                            for i in range(dim)])
+        p1 = {}
+        for i, w in enumerate(basis_words):
+            image = {}
+            for slot in range(d0, dim):
+                if not binv[slot][i].is_zero():
+                    add_scaled(image, chosen[slot][2], binv[slot][i])
+            if image:
+                p1[w] = image
+        return {"basis_words": basis_words, "u0_words": u0_words,
+                "u1_words": u1_words, "dims": (d0, d1), "cols": cols,
+                "p1": p1}
 
-    def split_component(self, x, k):
-        """(r=0 part, r=1 part) of a grade-k form element."""
-        if k == 0 or not x.terms:
-            return x, x.space.zero()
-        d = self.data(k)
-        dim = len(d["basis_words"])
-        coeffs = [None] * dim
+    def split_component(self, x):
+        """(row-0 part, row-1 part) = (x - P1 x, P1 x) of a form element."""
+        row1 = {}
         for w, c in x.terms.items():
-            coeffs[d["index"][w]] = c
-        comps = []
-        for slot in range(dim):
-            acc = None
-            for i in range(dim):
-                c = coeffs[i]
-                if c is None:
-                    continue
-                v = d["binv"][slot][i]
-                if v.is_zero():
-                    continue
-                piece = c.scalar_mul(v)
-                acc = piece if acc is None else acc + piece
-            comps.append(acc)
-        d0 = d["dims"][0]
-        parts = []
-        for lo, hi in ((0, d0), (d0, dim)):
-            terms = {}
-            for slot in range(lo, hi):
-                c = comps[slot]
-                if c is None or c.is_zero():
-                    continue
-                for i in range(dim):
-                    v = d["cols"][slot][i]
-                    if not v.is_zero():
-                        add_term(terms, d["basis_words"][i], c.scalar_mul(v))
-            parts.append(FormElement(x.space, terms))
-        return parts[0], parts[1]
-
-
-def _extends_rank(vectors, v):
-    """True if v is independent of the span (small dense incremental check)."""
-    if all(x.is_zero() for x in v):
-        return False
-    rows = [dict((i, x) for i, x in enumerate(u) if not x.is_zero())
-            for u in vectors]
-    rows.append({i: x for i, x in enumerate(v) if not x.is_zero()})
-    return sparse_rank(rows, list(range(len(v)))) == len(vectors) + 1
+            for w1, s in self.data(len(w))["p1"].get(w, {}).items():
+                add_term(row1, w1, c.scalar_mul(s))
+        row1 = FormElement(x.space, row1)
+        return x - row1, row1
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +215,8 @@ class Calculus:
         self.space = FormSpace(qg, self.dual.f, self.dual.lam_matrix,
                                max_grade=grade_cap + 2)
         self.X = canonical_element(self.space)
-        self.projectors = ProjectorPair(self.space.basis)
         self.grid = GridSplit(self)
+        self.projectors = ProjectorPair(self.grid.data(1)["p1"], self.space.M)
         self.f00_choice = f00_choice
         self.f00 = self.resolve_f00(f00_choice)
         co = left_coaction(self.space, self.X)
@@ -307,55 +261,21 @@ class Calculus:
             out[w[0]] = c
         return out
 
-    def split_differential(self, x):
-        """(complement part, canonical-line part) of d(x)."""
-        x = self.as_form(x)
-        dx = self.d(x)
-        p_total, d_total = self.space.zero(), self.space.zero()
-        for k in dx.grades():
-            u0, u1 = self.grid.split_component(dx.component(k), k)
-            p_total = p_total + u0
-            d_total = d_total + u1
-        return p_total, d_total
-
-    def bidegree_components(self, x):
-        """List of ((r, s), component) pieces of a form element."""
-        x = self.as_form(x)
-        out = []
-        for k in x.grades():
-            u0, u1 = self.grid.split_component(x.component(k), k)
-            if not u0.is_zero():
-                out.append(((0, k), u0))
-            if not u1.is_zero():
-                out.append(((1, k - 1), u1))
-        return out
+    def _split_d(self, x):
+        """(partial x, delta x): d of each row of x, cut into the part that
+        stays in that row and the part that moves to the other."""
+        x0, x1 = self.grid.split_component(self.as_form(x))
+        stay0, move0 = self.grid.split_component(self.d(x0))
+        move1, stay1 = self.grid.split_component(self.d(x1))
+        return stay0 + stay1, move0 + move1
 
     def partial(self, x):
-        """The s-raising part of d (complement part on r=0, all of d on r=1)."""
-        total = self.space.zero()
-        for (r, s), comp in self.bidegree_components(x):
-            dcomp = self.d(comp)
-            for k in dcomp.grades():
-                u0, u1 = self.grid.split_component(dcomp.component(k), k)
-                total = total + (u0 if r == 0 else u1)
-        return total
+        """The part of d that keeps a form's row."""
+        return self._split_d(x)[0]
 
     def delta(self, x):
-        """The r-raising part of d (zero on r=1 up to the verified leak)."""
-        total = self.space.zero()
-        for (r, s), comp in self.bidegree_components(x):
-            dcomp = self.d(comp)
-            for k in dcomp.grades():
-                u0, u1 = self.grid.split_component(dcomp.component(k), k)
-                total = total + (u1 if r == 0 else u0)
-        return total
-
-    def delta_gamma0(self, a, f00=None):
-        """The one-dimensional-sector differential ((f00 - eps) * a) X."""
-        f00 = f00 or self.f00
-        coeff = convolve(f00, a, side="left") - convolve(self.dual.eps, a,
-                                                         side="left")
-        return self.X.algebra_mul_left(coeff)
+        """The part of d that moves a form to the other row."""
+        return self._split_d(x)[1]
 
     # -- random elements for property sweeps --------------------------------
 
@@ -380,31 +300,6 @@ def canonical_element(space):
         if not c.is_zero():
             out[(i,)] = AlgebraElement.from_scalar(space.qg.rs, c)
     return FormElement(space, out)
-
-
-def build_projectors(calc, f00_choice=None):
-    """The projector pair onto the canonical line and its stable complement."""
-    pair = calc.projectors
-    if f00_choice is not None:
-        calc.f00_choice = f00_choice
-        calc.f00 = calc.resolve_f00(f00_choice)
-    return pair
-
-
-def inner_d(calc, x):
-    return calc.d(x)
-
-
-def expand_d_in_basis(calc, a):
-    return calc.expand_d_in_basis(a)
-
-
-def delta_differential(calc, a, f00=None):
-    return calc.delta_gamma0(a, f00)
-
-
-def split_differential(calc, x):
-    return calc.split_differential(x)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +399,12 @@ class ExtendedCalculus:
         self.f00 = f00
         self.rank = outer.rank + 1
         self.labels = ["X"] + list(outer.labels)
+        self.eps = counit_functional(self.qg)
 
     def delta_coeff(self, a):
         """delta(a) = ((f00 - eps) * a) X, as the X-sector coefficient."""
-        qg = self.qg
-        eps = counit_functional(qg)
-        return convolve(self.f00, a, side="left") - convolve(eps, a, side="left")
+        return (convolve(self.f00, a, side="left")
+                - convolve(self.eps, a, side="left"))
 
     def total_differential(self, a):
         """(partial + delta)(a) as (X coefficient, complement coefficients)."""

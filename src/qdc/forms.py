@@ -327,16 +327,6 @@ def _reduce_terms(space, terms):
     return out
 
 
-def commute_form_past(space, i, a):
-    """omega_i * a as a grade-1 element with convolved coefficients."""
-    out = {}
-    for j in range(space.M):
-        c = convolve(space.f.entry(i, j), a, side="left")
-        if not c.is_zero():
-            out[(j,)] = c
-    return FormElement(space, out)
-
-
 class CoactionElement:
     """Element of (algebra) (x) (forms): left leg is a normal monomial."""
 

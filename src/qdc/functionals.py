@@ -121,11 +121,6 @@ class Functional:
         return "<functional %s>" % self.label
 
 
-def evaluate(f, a):
-    """Value of the functional on a normal-form element."""
-    return f.value(a)
-
-
 def counit_functional(qg):
     tables = {g: [[ONE if g[0] == g[1] else ZERO]] for g in qg.rs.gens}
     fam = CorepFamily(qg, 1, tables, name="eps")

@@ -1,15 +1,22 @@
+import os
 import random
 
 import pytest
 
 from qdc.scalars import ZERO, ONE, Q
 from qdc.algebra import AlgebraElement
-from qdc.forms import left_coaction
+from qdc.forms import FormElement, left_coaction
 from qdc.functionals import convolve, InvalidFunctionalError, scalar_functional
-from qdc.calculus import (assemble, canonical_element, build_projectors,
-                          inner_d, expand_d_in_basis, delta_differential,
-                          split_differential, map_in_to_out, map_out_to_in,
-                          roundtrip_check, CalculusError)
+from qdc.calculus import (assemble, canonical_element, map_in_to_out,
+                          map_out_to_in, roundtrip_check, CalculusError)
+
+SLQ3 = os.path.join(os.path.dirname(__file__), "data", "slq3.rmatrix")
+
+
+@pytest.fixture(scope="module")
+def calc3():
+    with open(SLQ3, encoding="utf-8") as fh:
+        return assemble(fh.read(), grade_cap=1)
 
 
 class TestCanonicalElement:
@@ -80,38 +87,43 @@ class TestBasisExpansion:
 
 class TestProjectors:
     def test_laws(self, calc):
-        assert build_projectors(calc).laws_exact() == (True, True, True)
+        assert calc.projectors.laws_exact() == (True, True, True)
 
     def test_on_canonical_element(self, calc):
-        pair = calc.projectors
-        assert pair.apply(pair.J, calc.X) == calc.X
-        assert pair.apply(pair.Jperp, calc.X).is_zero()
+        row0, row1 = calc.grid.split_component(calc.X)
+        assert row1 == calc.X
+        assert row0.is_zero()
 
     def test_along_complement(self, calc):
-        pair = calc.projectors
         for i in calc.space.basis.complement:
             w = calc.space.one_form(i)
-            assert pair.apply(pair.J, w).is_zero()
-            assert pair.apply(pair.Jperp, w) == w
+            row0, row1 = calc.grid.split_component(w)
+            assert row1.is_zero()
+            assert row0 == w
 
 
 class TestSectorDifferential:
+    @staticmethod
+    def sector(calc, choice):
+        """The extended calculus whose one-dimensional sector uses choice."""
+        return map_out_to_in(map_in_to_out(calc), calc.resolve_f00(choice))
+
     def test_counit_choice_vanishes(self, calc, qg):
-        eps = calc.resolve_f00("counit")
+        ext = self.sector(calc, "counit")
         for w in qg.rs.normal_words(2):
             a = AlgebraElement.from_word(qg.rs, w)
-            assert delta_differential(calc, a, eps).is_zero()
+            assert ext.delta_coeff(a).is_zero()
 
     def test_trace_choice_frozen_value(self, calc, qg):
-        trace = calc.resolve_f00("trace")
+        ext = self.sector(calc, "trace")
         a = qg.generator(1, 1)
-        got = delta_differential(calc, a, trace)
+        got = calc.X.algebra_mul_left(ext.delta_coeff(a))
         coeff = a.scalar_mul(Q - ONE)
         assert got == calc.X.algebra_mul_left(coeff)
 
     def test_unit_vanishes(self, calc, qg):
-        trace = calc.resolve_f00("trace")
-        assert delta_differential(calc, qg.one(), trace).is_zero()
+        ext = self.sector(calc, "trace")
+        assert ext.delta_coeff(qg.one()).is_zero()
 
 
 class TestSplit:
@@ -120,13 +132,13 @@ class TestSplit:
         inputs = [calc.space.from_algebra(qg.generator(1, 2)),
                   calc.random_form(rng, 1), calc.random_form(rng, 2)]
         for x in inputs:
-            p, dl = split_differential(calc, x)
+            p, dl = calc.grid.split_component(calc.d(x))
             assert p + dl == calc.d(x)
 
     def test_grade_zero_sector_is_canonical_multiple(self, calc, qg, dual):
         for g in qg.rs.gens:
             a = qg.generator(*g)
-            _, dl = split_differential(calc, a)
+            _, dl = calc.grid.split_component(calc.d(a))
             coeff = convolve(dual.chi.entry(3), a, side="left")
             assert dl == calc.X.algebra_mul_left(coeff)
 
@@ -134,9 +146,8 @@ class TestSplit:
         for w in qg.rs.normal_words(calc.degree_bound):
             a = AlgebraElement.from_word(qg.rs, w)
             p = calc.partial(a)
-            for k in p.grades():
-                u0, u1 = calc.grid.split_component(p.component(k), k)
-                assert u1.is_zero()
+            u0, u1 = calc.grid.split_component(p)
+            assert u1.is_zero()
 
 
 class TestMaps:
@@ -205,8 +216,38 @@ class TestMaps:
             calc.resolve_f00("something-else")
 
 
-class TestOperationWrappers:
-    def test_wrappers_delegate(self, calc, qg):
-        a = qg.generator(1, 2)
-        assert inner_d(calc, a) == calc.d(a)
-        assert expand_d_in_basis(calc, a) == calc.expand_d_in_basis(a)
+class TestRowProjector:
+    def test_sl3_grid_dimensions(self, calc3):
+        dims = [calc3.grid.data(k)["dims"] for k in (1, 2, 3)]
+        assert dims == [(8, 1), (28, 8), (56, 28)]
+
+    def test_split_is_a_projection_and_sums_to_d(self, calc, calc3):
+        cases = []
+        for c, grades, seed in ((calc, range(calc.space.table.max_grade - 1), 11),
+                                (calc3, (0, 1), 13)):
+            rng = random.Random(seed)
+            forms = [c.random_form(rng, k) for k in grades for _ in range(2)]
+            # one mixed-grade element as well: the split takes any grade mix
+            forms.append(sum(forms, c.space.zero()))
+            cases += [(c, x) for x in forms]
+        for c, x in cases:
+            zero = c.space.zero()
+            row0, row1 = c.grid.split_component(x)
+            assert row0 + row1 == x
+            assert c.grid.split_component(row0) == (row0, zero)
+            assert c.grid.split_component(row1) == (zero, row1)
+            assert c.partial(x) + c.delta(x) == c.d(x)
+
+    def test_row_bases_split_to_their_rows(self, calc, calc3):
+        # row 0 is spanned by the u0 words, row 1 by the u0 words of one
+        # grade lower wedged by X; P1 must fix the one and kill the other
+        for c, top in ((calc, calc.space.table.max_grade), (calc3, 3)):
+            one, zero = AlgebraElement.one(c.qg.rs), c.space.zero()
+            for k in range(1, top + 1):
+                data = c.grid.data(k)
+                for w in data["u0_words"]:
+                    x = FormElement(c.space, {w: one}, reduce=True)
+                    assert c.grid.split_component(x) == (x, zero)
+                for w in data["u1_words"]:
+                    x = FormElement(c.space, {w: one}, reduce=True).wedge(c.X)
+                    assert c.grid.split_component(x) == (zero, x)

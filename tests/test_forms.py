@@ -6,8 +6,8 @@ import pytest
 
 from qdc.scalars import ZERO, ONE
 from qdc.algebra import AlgebraElement, load_rmatrix
-from qdc.forms import (FormElement, GradeCapError, WedgeTable,
-                       commute_form_past, left_coaction, z_form_comparison)
+from qdc.forms import (FormElement, GradeCapError, WedgeTable, left_coaction,
+                       z_form_comparison)
 from qdc.functionals import convolve, make_lambda
 from qdc.linalg import sparse_rank
 
@@ -92,15 +92,15 @@ class TestBimodule:
         w = calc.space.one_form(2)
         assert w.algebra_mul_right(qg.one()) == w
 
-    def test_commute_form_past_expansion(self, calc, qg, dual):
+    def test_pass_algebra_through_expansion(self, calc, qg, dual):
         a = qg.generator(1, 1)
-        got = commute_form_past(calc.space, 0, a)
+        got = calc.space.pass_algebra_through((0,), a)
         expected = {}
         for j in range(4):
             c = convolve(dual.f.entry(0, j), a, side="left")
             if not c.is_zero():
                 expected[(j,)] = c
-        assert got.terms == expected
+        assert got == expected
 
     def test_associativity(self, calc, qg):
         rng = random.Random(7)
@@ -118,8 +118,8 @@ class TestBimodule:
             le = AlgebraElement.from_word(qg.rs, lhs)
             re = AlgebraElement(qg.rs, rhs, reduce=False)
             for i in range(4):
-                assert commute_form_past(calc.space, i, le) == \
-                    commute_form_past(calc.space, i, re)
+                assert calc.space.pass_algebra_through((i,), le) == \
+                    calc.space.pass_algebra_through((i,), re)
 
 
 class TestWedgeProduct:

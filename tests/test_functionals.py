@@ -6,7 +6,7 @@ import pytest
 from qdc.scalars import Scalar, ZERO, ONE, Q, parse_scalar
 from qdc.algebra import AlgebraElement
 from qdc.functionals import (make_chi, make_C, convolve, q_lie_bracket,
-                             evaluate, flatten_pair, scalar_functional,
+                             flatten_pair, scalar_functional,
                              validate_scalar_functional,
                              DegenerateParameterError, InvalidFunctionalError)
 from qdc.linalg import kernel_basis
@@ -349,4 +349,4 @@ class TestConvolution:
 
     def test_evaluate_dispatch(self, dual, qg):
         elem = qg.generator(1, 1) * qg.generator(2, 2)
-        assert evaluate(dual.eps, elem) == qg.counit(elem)
+        assert dual.eps.value(elem) == qg.counit(elem)

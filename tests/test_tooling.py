@@ -2,6 +2,8 @@
 
 import ast
 import collections
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -35,3 +37,23 @@ def test_every_helper_is_referenced():
                     for name, sites in sorted(defs.items())
                     if words[name] <= len(sites) for site in sites]
     assert not unreferenced, "unreferenced: %s" % ", ".join(unreferenced)
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute) that perfbench/spans.py traces exists in qdc.
+
+    The tracer wraps these names by string, so a rename in qdc would
+    otherwise only show up as a failing traced benchmark run.
+    """
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attribute, _, _ in spans.TARGETS:
+        obj = importlib.import_module("qdc." + module)
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append("qdc.%s.%s" % (module, attribute))
+    assert not missing, "traced names missing from qdc: %s" % ", ".join(missing)
