@@ -1,9 +1,9 @@
 """CLI dumps compared byte for byte with recorded golden outputs.
 
 Each file in tests/data/golden is the standard output of one command on the
-default N=2 session (or, where named, the N=1 config in tests/data), recorded
-before the engine's internals were refactored; any change in a printed
-normal form, table or verdict shows up here.
+default N=2 session (or, where named, the N=1 or N=3 config in tests/data),
+recorded before the engine's internals were refactored; any change in a
+printed normal form, table or verdict shows up here.
 """
 
 import io
@@ -16,6 +16,7 @@ from qdc.cli import run
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
 SLQ1 = os.path.join(DATA_DIR, "slq1.rmatrix")
+SLQ3 = os.path.join(DATA_DIR, "slq3.rmatrix")
 
 CASES = {
     "relations": ["relations"],
@@ -31,6 +32,8 @@ CASES = {
     "eval_split_t21": ["eval", "del(t[2,1]) + dlt(t[2,1])"],
     "eval_del_mixed": ["eval", "del(t[2,1]*w[1,2] + t[1,1]*X)"],
     "eval_dlt_mixed": ["eval", "dlt(t[2,1]*w[1,2] + t[1,1]*X)"],
+    # N=3: coefficients with q^(1/3) exponents
+    "eval_d_t11_slq3": ["--rmatrix", SLQ3, "--cap", "1", "eval", "d(t[1,1])"],
 }
 
 
