@@ -2,14 +2,23 @@
 
 A Scalar is a reduced fraction of Laurent polynomials in the deformation
 parameter q with rational coefficients.  Everything is exact; there is no
-floating point anywhere.  Exponents are normally integers, but fractional
-exponents (stored as Fraction) are supported so that q^(1/N)-normalized
-functional tables stay representable.
+floating point anywhere.  A coefficient is an int when it is integral and a
+Fraction only when it is not.  Exponents are normally integers, but
+fractional exponents (stored as Fraction) are supported so that
+q^(1/N)-normalized functional tables stay representable.
+
+Reduction takes the gcd of numerator and denominator over the integers,
+from primitive parts and pseudo-remainders (Gauss's lemma; Knuth, TAOCP
+vol. 2, 4.6.1).  Products cancel crosswise (Henrici), so a product of
+reduced fractions only takes gcds of a numerator with the other factor's
+denominator, and sums and products over equal or trivial denominators take
+none at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ScalarError(ArithmeticError):
@@ -36,12 +45,42 @@ class ScalarParseError(ValueError):
         self.pos = pos
 
 
-def _fr(x):
-    if isinstance(x, Fraction):
+def _coef(x):
+    """x as a coefficient: an int when it is integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("rational coefficient expected, got %r" % (x,))
+
+
+def _quo(a, b):
+    """The exact quotient a / b of two coefficients, as a coefficient."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coef(Fraction(a, b))
+
+
+def _pruned(terms):
+    """terms without its zero coefficients; integral Fractions, whether
+    coefficients or exponents, become ints."""
+    out = {}
+    for e, c in terms.items():
+        if c:
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            if type(e) is not int and e.denominator == 1:
+                e = e.numerator
+            out[e] = c
+    return out
+
+
+_new = object.__new__
+_ONE_TERMS = {0: 1}
 
 
 class LaurentPoly:
@@ -50,16 +89,16 @@ class LaurentPoly:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                c = _fr(c)
-                if c:
-                    if isinstance(e, Fraction) and e.denominator == 1:
-                        e = int(e)
-                    clean[e] = c
-        self.terms = clean
+        self.terms = _pruned({e: _coef(c) for e, c in terms.items()}) if terms else {}
         self._hash = None
+
+    @staticmethod
+    def _make(terms):
+        """Trusted constructor: terms is already as _pruned returns it."""
+        p = _new(LaurentPoly)
+        p.terms = terms
+        p._hash = None
+        return p
 
     @classmethod
     def zero(cls):
@@ -75,17 +114,17 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({0: _fr(c)})
+        return cls({0: c})
 
     @classmethod
     def monomial(cls, exp, coeff=1):
-        return cls({exp: _fr(coeff)})
+        return cls({exp: coeff})
 
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
-        return self.terms == {0: Fraction(1)}
+        return self.terms == _ONE_TERMS
 
     def min_exp(self):
         return min(self.terms)
@@ -103,60 +142,49 @@ class LaurentPoly:
         """Multiply by q^k."""
         if not self.terms or k == 0:
             return self
+        if type(k) is int:
+            return _make({e + k: c for e, c in self.terms.items()})
         return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
     def scale_exponents(self, r):
         """Substitute q -> q^r (exponents multiplied by r)."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = e * r
-            if isinstance(ne, Fraction) and ne.denominator == 1:
-                ne = int(ne)
-            out[ne] = c
-        return LaurentPoly(out)
+        return _make(_pruned({e * r: c for e, c in self.terms.items()}))
 
     def __add__(self, other):
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c
-            if s:
+            if not s:
+                del terms[e]
+            elif type(s) is int or s.denominator != 1:
                 terms[e] = s
             else:
-                terms.pop(e, None)
-        return LaurentPoly(terms)
+                terms[e] = s.numerator
+        return _make(terms)
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) - c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return LaurentPoly(terms)
+        return self + -other
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _make({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return LaurentPoly()
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _make({})
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        get = terms.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return LaurentPoly(terms)
+                terms[e] = get(e, 0) + c1 * c2
+        return _make(_pruned(terms))
 
     def scalar_mul(self, c):
-        c = _fr(c)
-        if not c:
-            return LaurentPoly()
-        return LaurentPoly({e: cc * c for e, cc in self.terms.items()})
+        c = _coef(c)
+        if c == 1:
+            return self
+        return _make(_pruned({e: cc * c for e, cc in self.terms.items()}))
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -167,7 +195,7 @@ class LaurentPoly:
         return self._hash
 
     def evaluate(self, q0):
-        q0 = _fr(q0)
+        q0 = Fraction(_coef(q0))
         if q0 == 0:
             raise SpecializationError("cannot specialize at q0 = 0")
         if self.has_fractional_exponents():
@@ -186,7 +214,7 @@ class LaurentPoly:
             rmax = max(rem)
             if rmax < dmax:
                 break
-            f = rem[rmax] / dlead
+            f = _quo(rem[rmax], dlead)
             k = rmax - dmax
             quo[k] = f
             for e, c in other.terms.items():
@@ -203,14 +231,70 @@ class LaurentPoly:
     __repr__ = __str__
 
 
+_make = LaurentPoly._make
+_ZERO_POLY = _make({})
+_ONE_POLY = _make({0: 1})
+
+
+def _dense(p):
+    """Coefficients of p (integer exponents >= 0), highest exponent first."""
+    top = max(p.terms)
+    cs = [0] * (top + 1)
+    for e, c in p.terms.items():
+        cs[top - e] = c
+    return cs
+
+
+def _primitive(cs):
+    """The primitive part of a nonzero coefficient list: integers with
+    content 1 and a positive leading coefficient."""
+    den = 1
+    for c in cs:
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den != 1:
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*cs)
+    if cs[0] < 0:
+        g = -g
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _pseudo_remainder(a, b):
+    """A nonzero integer multiple of a mod b (integer lists, highest first,
+    len(a) >= len(b)); leading zeros stripped, so [] means b divides a."""
+    lead, n = b[0], len(b)
+    tail = b[1:]
+    while len(a) >= n:
+        c = a[0]
+        if c:
+            g = gcd(c, lead)
+            m, f = lead // g, c // g
+            a = ([m * x - f * y for x, y in zip(a[1:n], tail)]
+                 + [m * x for x in a[n:]])
+        else:
+            a = a[1:]
+    i = 0
+    while i < len(a) and not a[i]:
+        i += 1
+    return a[i:]
+
+
 def _poly_gcd(a, b):
-    """Monic gcd of two polynomials (integer exponents >= 0)."""
-    while not b.is_zero():
-        _, r = a._polydiv(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.scalar_mul(1 / a.leading_coeff())
+    """Gcd of two nonzero polynomials (integer exponents >= 0): integer
+    coefficients, content 1 and a positive leading coefficient."""
+    a, b = _primitive(_dense(a)), _primitive(_dense(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            break
+        a, b = b, _primitive(r)
+    else:
+        return _ONE_POLY
+    top = len(b) - 1
+    return _make({top - i: c for i, c in enumerate(b) if c})
 
 
 def _common_exponent_scale(*polys):
@@ -218,17 +302,16 @@ def _common_exponent_scale(*polys):
     r = 1
     for p in polys:
         for e in p.terms:
-            if isinstance(e, Fraction):
-                d = e.denominator
-                g = _gcd_int(r, d)
-                r = r * d // g
+            if type(e) is not int:
+                r = lcm(r, e.denominator)
     return r
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _scalar(num, den):
+    """Trusted Scalar constructor: num/den already meets the invariants."""
+    s = _new(Scalar)
+    s.num, s.den, s._hash = num, den, None
+    return s
 
 
 class Scalar:
@@ -264,7 +347,7 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, c):
-        c = _fr(c)
+        c = _coef(c)
         if not c:
             return _ZERO
         return cls(LaurentPoly.const(c), _normalized=True)
@@ -275,51 +358,41 @@ class Scalar:
 
     @classmethod
     def q_power(cls, exp, coeff=1):
-        coeff = _fr(coeff)
+        coeff = _coef(coeff)
         if not coeff:
             return _ZERO
         return cls(LaurentPoly.monomial(exp, coeff), _normalized=True)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
 
     def __add__(self, other):
-        if self.is_zero():
+        if not self.num.terms:
             return other
-        if other.is_zero():
+        if not other.num.terms:
             return self
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        return _sum(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other):
-        if other.is_zero():
+        if not other.num.terms:
             return self
-        if self.den == other.den:
-            return Scalar(self.num - other.num, self.den)
-        return Scalar(self.num * other.den - other.num * self.den,
-                      self.den * other.den)
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, _normalized=True)
+        return _scalar(-self.num, self.den)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return _ZERO
-        if self.den.is_one() and other.den.is_one():
-            return Scalar(self.num * other.num, _normalized=True)
-        return Scalar(self.num * other.num, self.den * other.den)
+        return _mul(self, other)
 
     def __truediv__(self, other):
-        if other.is_zero():
+        if not other.num.terms:
             raise ScalarDivisionError("division by zero scalar")
-        if self.is_zero():
+        if not self.num.terms:
             return _ZERO
-        return Scalar(self.num * other.den, self.den * other.num)
+        return _mul(self, _inverse(other))
 
     def inverse(self):
         return _ONE / self
@@ -327,12 +400,15 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("integer power expected")
-        if n == 0:
-            return _ONE
-        base = self if n > 0 else self.inverse()
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
         out = _ONE
-        for _ in range(abs(n)):
-            out = out * base
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -350,7 +426,7 @@ class Scalar:
 
     def evaluate_at(self, q0):
         """The rational number self(q0); exact, with pole detection."""
-        q0 = _fr(q0)
+        q0 = Fraction(_coef(q0))
         if q0 == 0:
             raise SpecializationError("cannot specialize at q0 = 0")
         d = self.den.evaluate(q0)
@@ -364,12 +440,55 @@ class Scalar:
     __repr__ = __str__
 
 
+def _sum(an, ad, bn, bd):
+    """an/ad + bn/bd for nonzero reduced fractions."""
+    if ad.terms == bd.terms:
+        num = an + bn
+        if not num.terms:
+            return _ZERO
+        if ad.terms == _ONE_TERMS:
+            return _scalar(num, ad)
+        return Scalar(num, ad)
+    # with one denominator 1 the sum is already reduced
+    if ad.terms == _ONE_TERMS:
+        return _scalar(an * bd + bn, bd)
+    if bd.terms == _ONE_TERMS:
+        return _scalar(an + bn * ad, ad)
+    return Scalar(an * bd + bn * ad, ad * bd)
+
+
+def _mul(a, b):
+    """a * b, cancelling each numerator against the other denominator."""
+    an, bn = a.num, b.num
+    if not an.terms or not bn.terms:
+        return _ZERO
+    ad, bd = a.den, b.den
+    if ad.terms == bd.terms:
+        return _scalar(an * bn, ad if ad.terms == _ONE_TERMS else ad * bd)
+    if bd.terms != _ONE_TERMS:
+        an, bd = _normalize(an, bd)
+    if ad.terms != _ONE_TERMS:
+        bn, ad = _normalize(bn, ad)
+    return _scalar(an * bn, ad * bd)
+
+
+def _inverse(a):
+    """1/a for a nonzero Scalar; a reduced fraction needs no gcd here."""
+    num, den = a.num, a.den
+    low = min(num.terms)
+    inv = _quo(1, num.terms[max(num.terms)])
+    return _scalar(den.shift(-low).scalar_mul(inv), num.shift(-low).scalar_mul(inv))
+
+
 def _normalize(num, den):
     """Canonical representative of num/den; see Scalar invariants."""
     if den.is_zero():
         raise ScalarDivisionError("zero denominator")
     if num.is_zero():
-        return LaurentPoly.zero(), LaurentPoly.one()
+        return _ZERO_POLY, _ONE_POLY
+    if len(den.terms) == 1:
+        (e, c), = den.terms.items()
+        return num.scalar_mul(_quo(1, c)).shift(-e), _ONE_POLY
     r = _common_exponent_scale(num, den)
     if r != 1:
         num = num.scale_exponents(r)
@@ -377,14 +496,16 @@ def _normalize(num, den):
     sn, sd = num.min_exp(), den.min_exp()
     num = num.shift(-sn)
     den = den.shift(-sd)
-    g = _poly_gcd(num, den)
-    if not g.is_one():
-        num, _ = num._polydiv(g)
-        den, _ = den._polydiv(g)
+    if len(num.terms) > 1:
+        g = _poly_gcd(num, den)
+        if not g.is_one():
+            num, _ = num._polydiv(g)
+            den, _ = den._polydiv(g)
     lead = den.leading_coeff()
     if lead != 1:
-        num = num.scalar_mul(1 / lead)
-        den = den.scalar_mul(1 / lead)
+        inv = _quo(1, lead)
+        num = num.scalar_mul(inv)
+        den = den.scalar_mul(inv)
     num = num.shift(sn - sd)
     if r != 1:
         inv = Fraction(1, r)
@@ -413,8 +534,6 @@ def qlambda():
 def _render_exp(e):
     if isinstance(e, Fraction):
         return "(%d/%d)" % (e.numerator, e.denominator)
-    if e < 0:
-        return str(e)
     return str(e)
 
 
