@@ -47,9 +47,6 @@ class OneFormBasis:
 
 SPECIALIZATION_POINTS = (2, 3, 5)
 
-# first_empty_grade builds grades past the table cap up to this one
-PROBE_LIMIT = 9
-
 
 class WedgeTable:
     """Per-grade reduced bases and rewrite rows for the exterior algebra.
@@ -140,8 +137,12 @@ class WedgeTable:
         return hit
 
     def first_empty_grade(self):
-        """Smallest grade with empty reduced basis, or None up to PROBE_LIMIT."""
-        for k in range(PROBE_LIMIT + 1):
+        """Smallest grade with empty reduced basis, or None up to grade M + 1.
+
+        Grade M + 1 is where the classical exterior algebra on M letters
+        ends; grades past the table cap are built on the way.
+        """
+        for k in range(self.M + 2):
             if k not in self.basis:
                 self._build_grade(k)
             if not self.basis[k]:

@@ -85,6 +85,7 @@ class TestWedgeTable:
         table = WedgeTable(make_lambda(r), 5)
         assert table.dimensions() == [math.comb(9, k) for k in range(6)]
         assert table.warnings == []
+        assert table.first_empty_grade() == 10
 
 
 class TestBimodule:
