@@ -89,7 +89,8 @@ class LaurentPoly:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        self.terms = _pruned({e: _coef(c) for e, c in terms.items()}) if terms else {}
+        terms = terms or {}
+        self.terms = _pruned({e: _coef(c) for e, c in terms.items()})
         self._hash = None
 
     @staticmethod
@@ -324,13 +325,10 @@ class Scalar:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=None, _normalized=False):
+    def __init__(self, num, den=None):
         if den is None:
-            den = LaurentPoly.one()
-        if _normalized:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = _normalize(num, den)
+            den = _ONE_POLY
+        self.num, self.den = _normalize(num, den)
         self._hash = None
 
     @classmethod
@@ -343,14 +341,14 @@ class Scalar:
 
     @classmethod
     def q(cls):
-        return cls(LaurentPoly.q(), _normalized=True)
+        return Q
 
     @classmethod
     def from_rational(cls, c):
         c = _coef(c)
         if not c:
             return _ZERO
-        return cls(LaurentPoly.const(c), _normalized=True)
+        return _scalar(LaurentPoly.const(c), _ONE_POLY)
 
     @classmethod
     def from_int(cls, n):
@@ -361,7 +359,7 @@ class Scalar:
         coeff = _coef(coeff)
         if not coeff:
             return _ZERO
-        return cls(LaurentPoly.monomial(exp, coeff), _normalized=True)
+        return _scalar(LaurentPoly.monomial(exp, coeff), _ONE_POLY)
 
     def is_zero(self):
         return not self.num.terms
@@ -441,7 +439,7 @@ class Scalar:
 
 
 def _sum(an, ad, bn, bd):
-    """an/ad + bn/bd for nonzero reduced fractions."""
+    """an/ad + bn/bd for reduced fractions, bn nonzero."""
     if ad.terms == bd.terms:
         num = an + bn
         if not num.terms:
@@ -477,7 +475,8 @@ def _inverse(a):
     num, den = a.num, a.den
     low = min(num.terms)
     inv = _quo(1, num.terms[max(num.terms)])
-    return _scalar(den.shift(-low).scalar_mul(inv), num.shift(-low).scalar_mul(inv))
+    return _scalar(den.shift(-low).scalar_mul(inv),
+                   num.shift(-low).scalar_mul(inv))
 
 
 def _normalize(num, den):
@@ -514,9 +513,9 @@ def _normalize(num, den):
     return num, den
 
 
-ZERO = _ZERO = Scalar(LaurentPoly.zero(), _normalized=True)
-ONE = _ONE = Scalar(LaurentPoly.one(), _normalized=True)
-Q = Scalar(LaurentPoly.q(), _normalized=True)
+ZERO = _ZERO = _scalar(_ZERO_POLY, _ONE_POLY)
+ONE = _ONE = _scalar(_ONE_POLY, _ONE_POLY)
+Q = _scalar(LaurentPoly.q(), _ONE_POLY)
 
 
 def evaluate_at(a, q0):
@@ -525,7 +524,7 @@ def evaluate_at(a, q0):
 
 def qlambda():
     """The default normalization constant q - q^-1."""
-    return Scalar(LaurentPoly({1: 1, -1: -1}), _normalized=True)
+    return _scalar(LaurentPoly({1: 1, -1: -1}), _ONE_POLY)
 
 
 # ---------------------------------------------------------------------------

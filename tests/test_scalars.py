@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qdc.scalars import (LaurentPoly, Scalar, ZERO, ONE, Q, qlambda,
                          parse_scalar, render_scalar, ScalarDivisionError,
                          PoleError, SpecializationError, ScalarParseError)
+from qdc.scalars import _poly_gcd
 
 
 def poly(d):
@@ -165,3 +167,149 @@ class TestGrammar:
             parse_scalar("(q")
         with pytest.raises(ScalarParseError):
             parse_scalar("q 3")
+
+
+# Wider strategies: non-integral rational coefficients and exponents in
+# steps of 1/2 and 1/3 (the q^(1/N) tables of N = 2 and N = 3).
+
+wide_coeffs = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+                        st.integers(min_value=1, max_value=4))
+wide_exps = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+                      st.sampled_from([2, 3]))
+wide_polys = st.dictionaries(wide_exps, wide_coeffs,
+                             max_size=3).map(LaurentPoly)
+wide_nonzero_polys = wide_polys.filter(lambda p: not p.is_zero())
+wide_scalars = st.builds(Scalar, wide_polys, wide_nonzero_polys)
+wide_nonzero_scalars = wide_scalars.filter(lambda s: not s.is_zero())
+small_powers = st.integers(min_value=-3, max_value=3)
+
+
+def is_exact(x):
+    """x is an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def assert_exact_types(s):
+    """Every coefficient and every exponent of num and den is exact."""
+    for p in (s.num, s.den):
+        assert isinstance(p, LaurentPoly)
+        for e, c in p.terms.items():
+            assert is_exact(c) and is_exact(e), (e, c)
+
+
+def assert_normal_form(s):
+    """Monic denominator with lowest exponent 0, coprime to the numerator."""
+    assert s.den.min_exp() == 0
+    assert s.den.leading_coeff() == 1
+    if s.is_zero():
+        assert s.den.is_one()
+        return
+    r = lcm(1, *(Fraction(e).denominator
+                 for p in (s.num, s.den) for e in p.terms))
+    num, den = s.num.scale_exponents(r), s.den.scale_exponents(r)
+    assert _poly_gcd(num.shift(-num.min_exp()), den).is_one()
+
+
+def operation_results(a, b, n):
+    out = [a + b, a - b, a * b, parse_scalar(render_scalar(a))]
+    if not b.is_zero():
+        out += [a / b, b.inverse()]
+    if n >= 0 or not a.is_zero():
+        out.append(a ** n)
+    return out
+
+
+class TestWideFieldAxioms:
+    @given(wide_scalars, wide_scalars, wide_scalars)
+    def test_add_associative(self, a, b, c):
+        assert (a + b) + c == a + (b + c)
+
+    @given(wide_scalars, wide_scalars, wide_scalars)
+    def test_mul_associative(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+
+    @given(wide_scalars, wide_scalars, wide_scalars)
+    def test_distributive(self, a, b, c):
+        assert a * (b + c) == a * b + a * c
+
+    @given(wide_scalars, wide_scalars)
+    def test_commutative(self, a, b):
+        assert a + b == b + a
+        assert a * b == b * a
+
+    @given(wide_scalars)
+    def test_additive_inverse(self, a):
+        assert (a - a).is_zero()
+        assert (a + -a).is_zero()
+
+    @given(wide_nonzero_scalars, wide_scalars)
+    def test_division_inverts_multiplication(self, a, b):
+        assert (b * a) / a == b
+        assert (a * a.inverse()).is_one()
+
+    @given(wide_scalars, small_powers, small_powers)
+    def test_power_laws(self, a, m, n):
+        if a.is_zero() and min(m, n) < 0:
+            return
+        assert a ** (m + n) == a ** m * a ** n
+
+    @given(wide_scalars, wide_nonzero_polys)
+    def test_common_factor_invariance(self, s, f):
+        assert Scalar(s.num * f, s.den * f) == s
+
+    @given(wide_scalars)
+    def test_round_trip(self, a):
+        assert parse_scalar(render_scalar(a)) == a
+
+
+class TestRepresentationInvariants:
+    @given(scalars, scalars, small_powers)
+    def test_integer_exponents(self, a, b, n):
+        for s in operation_results(a, b, n):
+            assert_exact_types(s)
+            assert_normal_form(s)
+
+    @given(wide_scalars, wide_scalars, small_powers)
+    def test_fractional_exponents(self, a, b, n):
+        for s in operation_results(a, b, n):
+            assert_exact_types(s)
+            assert_normal_form(s)
+
+    def test_integral_results_are_ints(self):
+        half = Scalar.from_rational(Fraction(1, 2))
+        s = (half + half) * parse_scalar("2*q - 4")
+        assert s.num.terms == {1: 2, 0: -4}
+        assert_exact_types(s)
+        # a denominator with leading coefficient -1 is made monic exactly
+        s = Scalar(poly({0: 1}), poly({1: -1, 0: 1}))
+        assert s.num.terms == {0: -1} and s.den.terms == {1: 1, 0: -1}
+        assert_exact_types(s)
+
+    def test_monomial_denominator(self):
+        s = Scalar(poly({3: 2, 1: 4}), poly({2: 2}))
+        assert s.den.is_one()
+        assert s.num == poly({1: 1, -1: 2})
+
+
+def test_operations_agree_with_sympy():
+    """sympy's cancel is an independent normal form for Q(q)."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def to_sympy(s):
+        return sympy.sympify(render_scalar(s).replace("^", "**"),
+                             locals={"q": q})
+
+    @settings(max_examples=60, deadline=None)
+    @given(scalars, scalars, small_powers)
+    def check(a, b, n):
+        x, y = to_sympy(a), to_sympy(b)
+        cases = [(x + y, a + b), (x - y, a - b), (x * y, a * b)]
+        if not b.is_zero():
+            cases.append((x / y, a / b))
+        if n >= 0 or not a.is_zero():
+            cases.append((x ** n, a ** n))
+        for expected, got in cases:
+            assert sympy.cancel(expected) == sympy.cancel(to_sympy(got))
+
+    check()
