@@ -11,8 +11,8 @@ Reduction takes the gcd of numerator and denominator over the integers,
 from primitive parts and pseudo-remainders (Gauss's lemma; Knuth, TAOCP
 vol. 2, 4.6.1).  Products cancel crosswise (Henrici), so a product of
 reduced fractions only takes gcds of a numerator with the other factor's
-denominator, and sums and products over equal or trivial denominators take
-none at all.
+denominator, and none over equal denominators; a sum takes none when one
+denominator is 1, and a monomial denominator needs only a shift and scale.
 """
 
 from __future__ import annotations
