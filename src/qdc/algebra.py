@@ -43,13 +43,12 @@ class RMatrix:
     Also derives R^{-1} and the second solution R21^{-1}.
     """
 
-    def __init__(self, n, entries, series="A", check=True):
+    def __init__(self, n, entries, series="A"):
         self.N = n
         self.series = series
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
         self.inv_entries = self._invert()
-        if check:
-            self._validate()
+        self._validate()
         # second solution: (R-)^{ac}_{bd} = (R^-1)^{ca}_{db}
         self.rminus_entries = {(c, a, d, b): v
                                for (a, c, b, d), v in self.inv_entries.items()}
@@ -144,7 +143,7 @@ class RMatrix:
                         % (pairs[i], pairs[j]))
 
 
-def load_rmatrix(text, check=True):
+def load_rmatrix(text):
     """Parse the R-matrix config format (fields N, series, entry lines)."""
     n = None
     series = "A"
@@ -186,7 +185,7 @@ def load_rmatrix(text, check=True):
             if not 1 <= x <= n:
                 raise RMatrixError("entry index %r out of range 1..%d"
                                    % ((a, c, b, d), n))
-    return RMatrix(n, entries, series=series, check=check)
+    return RMatrix(n, entries, series=series)
 
 
 def dump_rmatrix(r):
@@ -213,12 +212,11 @@ class RewriteSystem:
     checked empirically by the test suite up to a degree bound.
     """
 
-    def __init__(self, n, rules, sl_mode=True):
+    def __init__(self, n, rules):
         self.N = n
         self.gens = gen_order(n)
         self.rank = {g: i for i, g in enumerate(self.gens)}
         self.rules = rules
-        self.sl_mode = sl_mode
         self.lhs_lengths = sorted({len(w) for w in rules}, reverse=True)
         self._cache = {}
 
@@ -315,7 +313,7 @@ def derive_relations(r, sl_mode=True):
         add_term(det, (), -ONE)
         raw_relations.append(det)
 
-    rs = RewriteSystem(n, {}, sl_mode=sl_mode)
+    rs = RewriteSystem(n, {})
     for rel in raw_relations:
         red = rs.reduce_terms(rel)
         if not red:
@@ -382,9 +380,6 @@ class AlgebraElement:
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
 
     def __add__(self, other):
         return AlgebraElement(self.rs, sparse_sum(self.terms, other.terms),
@@ -530,7 +525,6 @@ class QuantumGroup:
         self.R = rmatrix
         self.N = rmatrix.N
         self.rs = derive_relations(rmatrix, sl_mode=sl_mode)
-        self.sl_mode = sl_mode
         # the bialgebra is Hopf only on the unit-determinant quotient; the
         # GL-mode presentation carries no antipode
         self.antipode_table = self._solve_antipode() if sl_mode else None

@@ -279,10 +279,10 @@ class Calculus:
 
     # -- random elements for property sweeps --------------------------------
 
-    def random_form(self, rng, grade, coeff_degree=1):
+    def random_form(self, rng, grade):
         words = self.space.table.basis[grade]
         terms = {}
-        mons = self.qg.rs.normal_words(coeff_degree)
+        mons = self.qg.rs.normal_words(1)
         for w in words:
             if rng.random() < 0.6:
                 mon = mons[rng.randrange(len(mons))]
@@ -406,10 +406,6 @@ class ExtendedCalculus:
         return (convolve(self.f00, a, side="left")
                 - convolve(self.eps, a, side="left"))
 
-    def total_differential(self, a):
-        """(partial + delta)(a) as (X coefficient, complement coefficients)."""
-        return self.delta_coeff(a), self.outer.partial_table(a)
-
     def restrict_to_outer(self):
         return self.outer
 
@@ -479,10 +475,10 @@ entry 2 2 2 2 q
 
 
 def assemble(config_text=None, lam=None, grade_cap=3, degree_bound=3,
-             f00_choice="trace", sl_mode=True):
+             f00_choice="trace"):
     """Build the full inner-calculus descriptor from an R-matrix config."""
     text = config_text if config_text is not None else DEFAULT_RMATRIX
     r = load_rmatrix(text)
-    qg = QuantumGroup(r, sl_mode=sl_mode)
+    qg = QuantumGroup(r)
     return Calculus(qg, lam=lam, grade_cap=grade_cap,
                     degree_bound=degree_bound, f00_choice=f00_choice)

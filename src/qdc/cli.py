@@ -1,8 +1,7 @@
 """Command-line surface: expression evaluation, dumps, and check suites.
 
-Grammar: generators t[a,b], one-forms w[a,b], the canonical element X,
-differentials d(...), del(...), dlt(...), operators + - * / ^ and the
-wedge /\\ with precedence ^ > * / > /\\ > + -.
+Expressions are parsed by qdc.expr (the grammar is documented there) and
+evaluated here against an assembled calculus.
 """
 
 from __future__ import annotations
@@ -12,10 +11,12 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .scalars import Scalar, ONE, ZERO, render_scalar, ScalarError
-from .algebra import (AlgebraElement, load_rmatrix, dump_rmatrix,
+# tokenize is not used here; importing it keeps qdc.cli.tokenize working
+from .expr import ExprError, parse, print_ast, tokenize
+from .scalars import (Scalar, ONE, ZERO, render_scalar, scalar_power,
+                      ScalarError)
+from .algebra import (AlgebraElement, dump_rmatrix,
                       render_element, render_word, AlgebraError, RMatrixError)
 from .functionals import FunctionalError
 from .calculus import (assemble, map_in_to_out, map_out_to_in,
@@ -27,212 +28,6 @@ from .suites import hopf_suite, bicovariance_suite, leibniz_suite
 
 class CliError(Exception):
     pass
-
-
-class ExprError(CliError):
-    def __init__(self, message, pos=None):
-        if pos is not None:
-            message = "%s (at position %d)" % (message, pos)
-        super().__init__(message)
-        self.pos = pos
-
-
-# ---------------------------------------------------------------------------
-# tokenizer
-
-_NAMES = ("del", "dlt", "d", "t", "w", "X", "q")
-
-
-def tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("/\\", i):
-            toks.append(("wedge", "/\\", i))
-            i += 2
-            continue
-        if c in "+-*/^()[],":
-            toks.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name not in _NAMES:
-                raise ExprError("unknown symbol %r" % name, i)
-            toks.append(("name", name, i))
-            i = j
-            continue
-        raise ExprError("unexpected character %r" % c, i)
-    return toks
-
-
-# ---------------------------------------------------------------------------
-# parser (precedence climbing); AST nodes are tuples
-
-_PREC = {"+": 0, "-": 0, "wedge": 1, "*": 2, "/": 2, "^": 3}
-
-
-class _Stream:
-    def __init__(self, toks, text):
-        self.toks = toks
-        self.pos = 0
-        self.text = text
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ExprError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ExprError("expected %r, found %r" % (kind, t[1]), t[2])
-        return t
-
-
-def parse(text):
-    """Parse an expression; returns an AST of nested tuples."""
-    toks = tokenize(text)
-    stream = _Stream(toks, text)
-    ast = _parse_expr(stream, 0)
-    rest = stream.peek()
-    if rest is not None:
-        raise ExprError("trailing input %r" % (rest[1],), rest[2])
-    return ast
-
-
-def _parse_expr(s, min_prec):
-    lhs = _parse_atom(s)
-    while True:
-        t = s.peek()
-        if t is None or t[0] not in _PREC:
-            return lhs
-        op = t[0]
-        prec = _PREC[op]
-        if prec < min_prec:
-            return lhs
-        s.next()
-        if op == "^":
-            rhs = _parse_exponent(s)
-            lhs = ("pow", lhs, rhs)
-            continue
-        rhs = _parse_expr(s, prec + 1)
-        lhs = (op if op != "wedge" else "wedge", lhs, rhs)
-    return lhs
-
-
-def _parse_exponent(s):
-    t = s.peek()
-    sign = 1
-    if t is not None and t[0] == "-":
-        s.next()
-        sign = -1
-    if s.peek() is not None and s.peek()[0] == "(":
-        s.next()
-        num = _parse_signed_int(s)
-        s.expect("/")
-        den = _parse_signed_int(s)
-        close = s.expect(")")
-        if den == 0:
-            raise ExprError("zero denominator in exponent", close[2])
-        return sign * Fraction(num, den)
-    t = s.expect("int")
-    return sign * t[1]
-
-
-def _parse_signed_int(s):
-    sign = 1
-    if s.peek() is not None and s.peek()[0] == "-":
-        s.next()
-        sign = -1
-    return sign * s.expect("int")[1]
-
-
-def _parse_atom(s):
-    t = s.next()
-    kind, val, pos = t
-    if kind == "(":
-        inner = _parse_expr(s, 0)
-        s.expect(")")
-        return inner
-    if kind == "-":
-        # unary minus binds looser than exponentiation: -q^2 = -(q^2)
-        return ("neg", _parse_expr(s, _PREC["^"]))
-    if kind == "int":
-        return ("int", val)
-    if kind == "name":
-        if val == "q":
-            return ("q",)
-        if val == "X":
-            return ("X",)
-        if val in ("d", "del", "dlt"):
-            s.expect("(")
-            inner = _parse_expr(s, 0)
-            s.expect(")")
-            return (val, inner)
-        if val in ("t", "w"):
-            s.expect("[")
-            a = _parse_signed_int(s)
-            s.expect(",")
-            b = _parse_signed_int(s)
-            s.expect("]")
-            return (val, a, b, pos)
-    raise ExprError("unexpected token %r" % (val,), pos)
-
-
-def print_ast(ast):
-    """Canonical rendering of a parse tree (round-trips through parse)."""
-    kind = ast[0]
-    if kind == "int":
-        return str(ast[1])
-    if kind == "q":
-        return "q"
-    if kind == "X":
-        return "X"
-    if kind in ("t", "w"):
-        return "%s[%d,%d]" % (kind, ast[1], ast[2])
-    if kind in ("d", "del", "dlt"):
-        return "%s(%s)" % (kind, print_ast(ast[1]))
-    if kind == "neg":
-        return "-%s" % _wrap(ast[1], 9)
-    if kind == "pow":
-        e = ast[2]
-        es = str(e) if isinstance(e, int) else "(%d/%d)" % (e.numerator,
-                                                            e.denominator)
-        return "%s^%s" % (_wrap(ast[1], 9), es)
-    op = {"+": " + ", "-": " - ", "*": "*", "/": "/", "wedge": " /\\ "}[kind]
-    prec = _PREC[kind if kind != "wedge" else "wedge"]
-    return "%s%s%s" % (_wrap(ast[1], prec), op, _wrap(ast[2], prec + 1))
-
-
-def _wrap(ast, outer_prec):
-    inner = print_ast(ast)
-    kind = ast[0]
-    if kind in _PREC and _PREC[kind] < outer_prec:
-        return "(%s)" % inner
-    if kind == "neg" and outer_prec > 0:
-        return "(%s)" % inner
-    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +83,13 @@ def evaluate_ast(ast, calc):
         x = evaluate_ast(ast[1], calc)
         e = ast[2]
         s = _as_scalar(x)
-        if isinstance(e, Fraction):
-            if s is None or not (s.den.is_one() and len(s.num.terms) == 1
-                                 and s.num.leading_coeff() == 1):
-                raise CliError("fractional powers only apply to powers of q")
-            return calc.space.from_algebra(AlgebraElement.from_scalar(
-                calc.qg.rs, Scalar.q_power(s.num.max_exp() * e)))
         if s is not None:
             return calc.space.from_algebra(AlgebraElement.from_scalar(
-                calc.qg.rs, s ** e))
+                calc.qg.rs, scalar_power(s, e)))
         alg = _as_algebra(x)
-        if alg is None or e < 0:
-            raise CliError("powers of forms (or negative powers of algebra "
-                           "elements) are not defined")
+        if alg is None or not isinstance(e, int) or e < 0:
+            raise CliError("powers of forms (or negative or fractional powers "
+                           "of algebra elements) are not defined")
         return calc.space.from_algebra(alg ** e)
     if kind == "d":
         return calc.d(evaluate_ast(ast[1], calc))
@@ -354,8 +143,7 @@ def render_value(x):
 SESSION_FORMAT = "qdc-session 1"
 
 
-def write_session(path, rmatrix_text, f00, degree, cap):
-    r = load_rmatrix(rmatrix_text)
+def write_session(path, r, f00, degree, cap):
     lines = ["format %s" % SESSION_FORMAT,
              "f00 %s" % f00,
              "degree %d" % degree,
@@ -463,7 +251,7 @@ def cmd_init(args, out):
     cfg = resolve_config(args)
     calc = build_calculus(cfg)   # assembles and validates before persisting
     path = args.out or "qdc-session.qdc"
-    write_session(path, cfg["rmatrix"], cfg["f00"], cfg["degree"], cfg["cap"])
+    write_session(path, calc.R, cfg["f00"], cfg["degree"], cfg["cap"])
     payload = {"written": path, "N": calc.qg.N,
                "one_form_dimension": calc.space.M,
                "wedge_dimensions": calc.space.table.dimensions()}
@@ -699,8 +487,8 @@ def run(argv, out=None):
     args = _merge_shared(parser.parse_args(argv))
     try:
         return _COMMANDS[args.command](args, out)
-    except (CliError, RMatrixError, AlgebraError, FunctionalError, FormsError,
-            CalculusError, ScalarError) as err:
+    except (CliError, ExprError, RMatrixError, AlgebraError, FunctionalError,
+            FormsError, CalculusError, ScalarError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
 

@@ -206,9 +206,7 @@ class FormElement:
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space, terms, reduce=False):
-        if reduce:
-            terms = _reduce_terms(space, terms)
+    def __init__(self, space, terms):
         self.space = space
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
@@ -217,14 +215,6 @@ class FormElement:
 
     def grades(self):
         return sorted({len(w) for w in self.terms})
-
-    def grade(self):
-        gs = self.grades()
-        if not gs:
-            return 0
-        if len(gs) > 1:
-            raise FormsError("mixed-grade element has no single grade")
-        return gs[0]
 
     def component(self, k):
         return FormElement(self.space,
@@ -291,10 +281,10 @@ class FormElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
 
-    def render(self, letter_names=None):
+    def render(self):
         if not self.terms:
             return "0"
-        names = letter_names or self.space.basis.label
+        names = self.space.basis.label
         parts = []
         for w, c in self.sorted_terms():
             cs = render_element(c)
@@ -320,14 +310,6 @@ def _needs_parens(s):
     return ("+" in s[1:]) or ("-" in s[1:]) or ("*" in s) or ("/" in s)
 
 
-def _reduce_terms(space, terms):
-    out = {}
-    for w, c in terms.items():
-        for wr, sc in space.table.reduce_word(w).items():
-            add_term(out, wr, c.scalar_mul(sc))
-    return out
-
-
 class CoactionElement:
     """Element of (algebra) (x) (forms): left leg is a normal monomial."""
 
@@ -343,15 +325,6 @@ class CoactionElement:
 
     def __eq__(self, other):
         return isinstance(other, CoactionElement) and self.terms == other.terms
-
-    def apply_counit_left(self):
-        qg = self.space.qg
-        out = self.space.zero()
-        for w, fe in self.terms.items():
-            e = qg.counit_word(w)
-            if not e.is_zero():
-                out = out + fe.scalar_mul(e)
-        return out
 
     def map_right(self, fn):
         return CoactionElement(self.space,

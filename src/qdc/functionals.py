@@ -186,12 +186,12 @@ def make_L(qg, sign, normalized=True):
     """Regular functional family: (L+)(t^c_d) = c+ R^{ac}_{bd}, (L-) from R21^-1.
 
     The normalization c+- = q^{-+1/N} makes the family well defined on the
-    determinant relation (SL mode); unnormalized tables are available for
-    the GL-mode presentation.
+    determinant relation; normalized=False gives the raw tables, which are
+    not (a negative control for the normalization).
     """
     n = qg.N
     r = qg.R
-    if normalized and qg.sl_mode:
+    if normalized:
         scale = Scalar.q_power(Fraction(-sign, n))
     else:
         scale = ONE
@@ -250,9 +250,6 @@ class VectorFieldFamily:
     def entry(self, i):
         label = "chi[%d,%d]" % unflatten_pair(i, self.N)
         return Functional(self.ext, 0, 1 + i, "deriv", label)
-
-    def entries(self):
-        return [self.entry(i) for i in range(self.size)]
 
     def generator_table(self):
         rows = []
@@ -581,7 +578,7 @@ def q_lie_bracket(i, j, chi, lambda_matrix):
 class DualStructure:
     """All functional families of one calculus, built from the same R."""
 
-    def __init__(self, qg, lam=None, normalized=True):
+    def __init__(self, qg, lam=None):
         if lam is None:
             lam = qlambda()
         if lam.is_zero():
@@ -590,8 +587,8 @@ class DualStructure:
         self.lam = lam
         self.N = qg.N
         self.M = qg.N * qg.N
-        self.lplus = make_L(qg, +1, normalized=normalized)
-        self.lminus = make_L(qg, -1, normalized=normalized)
+        self.lplus = make_L(qg, +1)
+        self.lminus = make_L(qg, -1)
         self.f = make_f(qg, self.lplus, self.lminus)
         self.chi = make_chi(qg, self.lplus, self.lminus, lam, f_matrix=self.f)
         self.lam_matrix = make_lambda(qg.R)

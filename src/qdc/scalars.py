@@ -17,8 +17,11 @@ denominator is 1, and a monomial denominator needs only a shift and scale.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
+
+from . import expr
 
 
 class ScalarError(ArithmeticError):
@@ -37,12 +40,8 @@ class SpecializationError(ScalarError):
     """Specialization point is not admissible (q0 = 0 or fractional powers)."""
 
 
-class ScalarParseError(ValueError):
-    def __init__(self, message, pos=None):
-        if pos is not None:
-            message = "%s (at position %d)" % (message, pos)
-        super().__init__(message)
-        self.pos = pos
+# the grammar's one error class, under the name this module always used
+ScalarParseError = expr.ExprError
 
 
 def _coef(x):
@@ -518,10 +517,6 @@ ONE = _ONE = _scalar(_ONE_POLY, _ONE_POLY)
 Q = _scalar(LaurentPoly.q(), _ONE_POLY)
 
 
-def evaluate_at(a, q0):
-    return a.evaluate_at(q0)
-
-
 def qlambda():
     """The default normalization constant q - q^-1."""
     return _scalar(LaurentPoly({1: 1, -1: -1}), _ONE_POLY)
@@ -567,146 +562,42 @@ def render_scalar(s):
 
 
 # ---------------------------------------------------------------------------
-# parsing (the textual grammar shared with the CLI: + - * / ^ parentheses,
-# integer literals, and the variable q with integer or (p/r) exponents)
+# parsing: the scalar part of the textual grammar of qdc.expr
 
-class _ScalarTokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+def scalar_power(s, e):
+    """s^e for an int or Fraction exponent e; a non-integral e applies
+    only to a power of q, where it multiplies the exponent."""
+    if isinstance(e, Fraction):
+        if e.denominator == 1:
+            e = e.numerator
+        elif (s.den.is_one() and len(s.num.terms) == 1
+              and s.num.leading_coeff() == 1):
+            return Scalar.q_power(s.num.max_exp() * e)
+        else:
+            raise ScalarError("fractional powers only apply to powers of q")
+    return s ** e
 
-    def peek(self):
-        t = self.text
-        i = self.pos
-        while i < len(t) and t[i].isspace():
-            i += 1
-        self.pos = i
-        if i >= len(t):
-            return None
-        return t[i]
 
-    def take(self):
-        c = self.peek()
-        if c is not None:
-            self.pos += 1
-        return c
-
-    def number(self):
-        t = self.text
-        i = self.pos
-        j = i
-        while j < len(t) and t[j].isdigit():
-            j += 1
-        self.pos = j
-        return int(t[i:j])
+_FOLD_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                "/": operator.truediv}
 
 
 def parse_scalar(text):
-    """Parse the scalar grammar, e.g. '(q - q^-1)/(q^2 + 1)'."""
-    toks = _ScalarTokens(text)
-    val = _parse_sum(toks)
-    if toks.peek() is not None:
-        raise ScalarParseError("trailing input in scalar", toks.pos)
-    return val
+    """Parse a scalar such as '(q - q^-1)/(q^2 + 1)' with qdc.expr; a
+    generator, form or operator outside Q(q) is a ScalarParseError."""
+    return _fold(expr.parse(text))
 
 
-def _parse_sum(toks):
-    val = _parse_product(toks)
-    while True:
-        c = toks.peek()
-        if c == "+":
-            toks.take()
-            val = val + _parse_product(toks)
-        elif c == "-":
-            toks.take()
-            val = val - _parse_product(toks)
-        else:
-            return val
-
-
-def _parse_product(toks):
-    val = _parse_power(toks)
-    while True:
-        c = toks.peek()
-        if c == "*":
-            toks.take()
-            val = val * _parse_power(toks)
-        elif c == "/":
-            toks.take()
-            try:
-                val = val / _parse_power(toks)
-            except ScalarDivisionError:
-                raise ScalarParseError("division by zero in scalar", toks.pos)
-        else:
-            return val
-
-
-def _parse_power(toks):
-    val = _parse_atom(toks)
-    if toks.peek() == "^":
-        toks.take()
-        exp = _parse_exponent(toks)
-        if isinstance(exp, Fraction):
-            if not (val.den.is_one() and len(val.num.terms) == 1
-                    and val.num.leading_coeff() == 1):
-                raise ScalarParseError("fractional exponent only allowed on q",
-                                       toks.pos)
-            return Scalar.q_power(val.num.max_exp() * exp)
-        return val ** exp
-    return val
-
-
-def _parse_exponent(toks):
-    c = toks.peek()
-    if c == "(":
-        toks.take()
-        num = _parse_signed_int(toks)
-        if toks.peek() != "/":
-            raise ScalarParseError("expected / in fractional exponent", toks.pos)
-        toks.take()
-        den = _parse_signed_int(toks)
-        if toks.peek() != ")":
-            raise ScalarParseError("expected ) after fractional exponent", toks.pos)
-        toks.take()
-        f = Fraction(num, den)
-        return int(f) if f.denominator == 1 else f
-    return _parse_signed_int(toks)
-
-
-def _parse_signed_int(toks):
-    sign = 1
-    c = toks.peek()
-    if c == "-":
-        toks.take()
-        sign = -1
-    elif c == "+":
-        toks.take()
-    c = toks.peek()
-    if c is None or not c.isdigit():
-        raise ScalarParseError("expected integer", toks.pos)
-    return sign * toks.number()
-
-
-def _parse_atom(toks):
-    c = toks.peek()
-    if c is None:
-        raise ScalarParseError("unexpected end of scalar", toks.pos)
-    if c == "(":
-        toks.take()
-        val = _parse_sum(toks)
-        if toks.peek() != ")":
-            raise ScalarParseError("expected )", toks.pos)
-        toks.take()
-        return val
-    if c == "-":
-        toks.take()
-        return -_parse_power(toks)
-    if c.isdigit():
-        return Scalar.from_int(toks.number())
-    if c == "q":
-        toks.take()
-        nxt = toks.text[toks.pos:toks.pos + 1]
-        if nxt.isalnum():
-            raise ScalarParseError("unknown symbol in scalar", toks.pos)
+def _fold(node):
+    kind = node[0]
+    if kind == "int":
+        return Scalar.from_int(node[1])
+    if kind == "q":
         return Q
-    raise ScalarParseError("unexpected character %r in scalar" % c, toks.pos)
+    if kind == "neg":
+        return -_fold(node[1])
+    if kind == "pow":
+        return scalar_power(_fold(node[1]), node[2])
+    if kind not in _FOLD_BINARY:
+        raise ScalarParseError("%s is not a scalar" % expr.print_ast(node))
+    return _FOLD_BINARY[kind](_fold(node[1]), _fold(node[2]))

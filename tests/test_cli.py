@@ -188,8 +188,11 @@ class TestErrorSurface:
         (DEFAULT_RMATRIX + "entry 1 1 1 1 q\n", ["eval", "q"]),
         (None, ["--cap", "-1", "eval", "q"]),
         (None, ["eval", "q^(1/0)"]),
+        (DEFAULT_RMATRIX.replace("entry 1 1 1 1 q\n",
+                                 "entry 1 1 1 1 t[1,1]\n"), ["eval", "q"]),
     ], ids=["missing-rmatrix", "n-zero", "zero-denominator-exponent",
-            "duplicate-entry", "negative-cap", "zero-denominator-expression"])
+            "duplicate-entry", "negative-cap", "zero-denominator-expression",
+            "generator-in-entry"])
     def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
         if config is not None:
             path = tmp_path / "r.rmatrix"

@@ -156,7 +156,9 @@ class TestWedgeProduct:
             c = convolve(dual.f.entry(i, k), b, side="left")
             if c.is_zero():
                 continue
-            piece = FormElement(calc.space, {(k, j): a * c}, reduce=True)
+            piece = FormElement(calc.space, {
+                w: (a * c).scalar_mul(s)
+                for w, s in calc.space.table.reduce_word((k, j)).items()})
             expected = expected + piece
         assert lhs == expected
 
@@ -197,7 +199,10 @@ class TestLeftCoaction:
         rng = random.Random(11)
         x = calc.random_form(rng, 1)
         co = left_coaction(calc.space, x)
-        assert co.apply_counit_left() == x
+        collapsed = calc.space.zero()
+        for w, fe in co.terms.items():
+            collapsed = collapsed + fe.scalar_mul(qg.counit_word(w))
+        assert collapsed == x
 
 
 class TestAlternativeRule:

@@ -8,6 +8,7 @@ from qdc.scalars import (LaurentPoly, Scalar, ZERO, ONE, Q, qlambda,
                          parse_scalar, render_scalar, ScalarDivisionError,
                          PoleError, SpecializationError, ScalarParseError)
 from qdc.scalars import _poly_gcd
+from qdc.cli import parse, evaluate_ast, render_value
 
 
 def poly(d):
@@ -168,6 +169,13 @@ class TestGrammar:
         with pytest.raises(ScalarParseError):
             parse_scalar("q 3")
 
+    @pytest.mark.parametrize("text", ["t[1,1]", "w[1,2]", "X", "d(q)",
+                                      "w[1,1] /\\ w[2,2]"])
+    def test_non_scalar_nodes_rejected(self, text):
+        # the grammar parses these; the scalar fold refuses them
+        with pytest.raises(ScalarParseError):
+            parse_scalar(text)
+
 
 # Wider strategies: non-integral rational coefficients and exponents in
 # steps of 1/2 and 1/3 (the q^(1/N) tables of N = 2 and N = 3).
@@ -260,6 +268,13 @@ class TestWideFieldAxioms:
     @given(wide_scalars)
     def test_round_trip(self, a):
         assert parse_scalar(render_scalar(a)) == a
+
+    @settings(deadline=None)
+    @given(a=wide_scalars)
+    def test_expression_round_trip(self, calc, a):
+        # the same text evaluated as a CLI expression renders back unchanged
+        text = render_scalar(a)
+        assert render_value(evaluate_ast(parse(text), calc)) == text
 
 
 class TestRepresentationInvariants:
