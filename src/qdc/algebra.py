@@ -403,6 +403,8 @@ class AlgebraElement:
     def scalar_mul(self, s):
         if s.is_zero():
             return AlgebraElement.zero(self.rs)
+        if s.is_one():
+            return self
         return AlgebraElement(self.rs, {w: c * s for w, c in self.terms.items()},
                               reduce=False)
 
@@ -495,6 +497,8 @@ class TensorElement:
                              sparse_diff(self.terms, other.terms))
 
     def scalar_mul(self, s):
+        if s.is_one():
+            return self
         return TensorElement(self.rs, self.arity,
                              {k: v * s for k, v in self.terms.items()})
 

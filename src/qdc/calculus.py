@@ -15,7 +15,7 @@ from .scalars import Scalar, ZERO, ONE, qlambda, render_scalar
 from .linalg import (mat_mul, mat_inverse, identity, mat_eq_zero, rref_sparse,
                      add_term, add_scaled)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
-                      render_element)
+                      render_element, MEMO_MAX_WORD_LENGTH)
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
                           ConvCombo, convolve, counit_functional,
                           validate_scalar_functional, InvalidFunctionalError,
@@ -209,6 +209,8 @@ class Calculus:
         self.qg = qg
         self.R = qg.R
         self.lam = lam
+        self._inv_lam = ONE / lam
+        self._d_cache = {}
         self.degree_bound = degree_bound
         self.grade_cap = grade_cap
         self.dual = DualStructure(qg, lam)
@@ -238,17 +240,34 @@ class Calculus:
         return x
 
     def d(self, x):
-        """Graded commutator with the canonical element, over lambda."""
+        """Graded commutator with the canonical element, over lambda.
+
+        d is Q(q)-linear, so it is summed from its images on the basis
+        elements mon * omega_w, each memoized with 1/lambda folded in.
+        """
         x = self.as_form(x)
-        out = self.space.zero()
-        for k in sorted(x.grades()):
-            comp = x.component(k)
-            left = self.X.wedge(comp)
-            right = comp.wedge(self.X)
-            sign_flip = (k % 2 == 0)
-            piece = (left - right) if sign_flip else (left + right)
-            out = out + piece.scalar_mul(ONE / self.lam)
-        return out
+        out = {}
+        for w, a in x.terms.items():
+            for mon, c in a.terms.items():
+                for w2, image in self._d_basis(mon, w).items():
+                    add_term(out, w2, image.scalar_mul(c))
+        return FormElement(self.space, out)
+
+    def _d_basis(self, mon, w):
+        """Terms of d(mon * omega_w); shared, so callers must not mutate."""
+        key = (mon, w)
+        hit = self._d_cache.get(key)
+        if hit is None:
+            e = FormElement(self.space,
+                            {w: AlgebraElement(self.qg.rs, {mon: ONE},
+                                               reduce=False)})
+            left = self.X.wedge(e)
+            right = e.wedge(self.X)
+            piece = (left + right) if len(w) % 2 else (left - right)
+            hit = piece.scalar_mul(self._inv_lam).terms
+            if len(mon) <= MEMO_MAX_WORD_LENGTH:
+                self._d_cache[key] = hit
+        return hit
 
     def expand_d_in_basis(self, a):
         """Coefficients of d(a) over the one-form basis."""

@@ -216,10 +216,6 @@ class FormElement:
     def grades(self):
         return sorted({len(w) for w in self.terms})
 
-    def component(self, k):
-        return FormElement(self.space,
-                           {w: c for w, c in self.terms.items() if len(w) == k})
-
     def __add__(self, other):
         return FormElement(self.space, sparse_sum(self.terms, other.terms))
 
@@ -232,6 +228,8 @@ class FormElement:
     __neg__ = negate
 
     def scalar_mul(self, s):
+        if s.is_one():
+            return self
         return FormElement(self.space,
                            {w: c.scalar_mul(s) for w, c in self.terms.items()})
 

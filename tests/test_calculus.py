@@ -5,8 +5,8 @@ import random
 import pytest
 
 from qdc.scalars import Scalar, ZERO, ONE, Q
-from qdc.algebra import AlgebraElement
-from qdc.forms import FormElement, left_coaction
+from qdc.algebra import AlgebraElement, MEMO_MAX_WORD_LENGTH
+from qdc.forms import FormElement, GradeCapError, left_coaction
 from qdc.functionals import convolve, InvalidFunctionalError, scalar_functional
 from qdc.calculus import (assemble, canonical_element, map_in_to_out,
                           map_out_to_in, roundtrip_check, CalculusError)
@@ -58,6 +58,53 @@ class TestInnerDifferential:
             rhs = calc.d(a).algebra_mul_right(b) + \
                 calc.space.from_algebra(a).wedge(calc.d(b))
             assert lhs == rhs
+
+    def test_memo_matches_plain_commutator(self, calc, calc3):
+        # d sums memoized images of basis elements; the plain graded
+        # commutator recomputes every wedge and must give the same form
+        def plain(c, x, k):
+            left, right = c.X.wedge(x), x.wedge(c.X)
+            piece = left - right if k % 2 == 0 else left + right
+            return piece.scalar_mul(ONE / c.lam)
+
+        rs = calc.qg.rs
+        long_word = ((1, 1),) * (MEMO_MAX_WORD_LENGTH + 1)
+        long_mon = AlgebraElement.from_word(rs, long_word)
+        assert list(long_mon.terms) == [long_word]
+        cases = [(calc, calc.space.from_algebra(long_mon), 0),
+                 (calc, calc.space.one_form(1, long_mon), 1)]
+        for c, grades, seed in ((calc, range(4), 5), (calc3, range(2), 7)):
+            rng = random.Random(seed)
+            cases += [(c, c.random_form(rng, k), k)
+                      for k in grades for _ in range(3)]
+        for c, x, k in cases:
+            assert c.d(x) == plain(c, x, k)
+        assert not any(len(mon) > MEMO_MAX_WORD_LENGTH
+                       for mon, _ in calc._d_cache)
+
+    def test_shared_images_stay_intact(self, calc, qg):
+        x = calc.space.one_form(2, qg.generator(1, 2)) + \
+            calc.space.from_algebra(qg.generator(2, 1) * qg.generator(1, 1))
+        before = calc.d(x).render()
+        dx = calc.d(x)
+        assert dx.scalar_mul(ONE) is dx
+        dx.scalar_mul(Q)
+        dx + dx
+        dx - dx
+        dx.algebra_mul_right(qg.generator(2, 2))
+        calc.X.wedge(dx)
+        dx.wedge(calc.X)
+        calc.space.one_form(0).wedge(dx)
+        assert calc.d(x).render() == before
+        assert calc.d(calc.d(x)).is_zero()
+
+    def test_d_at_the_top_grade_hits_the_cap(self, calc3):
+        # the cartan sweep skips an element whose d leaves the wedge table
+        top = calc3.space.table.max_grade
+        x = FormElement(calc3.space, {calc3.space.table.basis[top][0]:
+                                      AlgebraElement.one(calc3.qg.rs)})
+        with pytest.raises(GradeCapError):
+            calc3.d(x)
 
     def test_degenerate_parameter(self, qg):
         from qdc.functionals import DegenerateParameterError
