@@ -88,13 +88,12 @@ class TestInnerDifferential:
         before = calc.d(x).render()
         dx = calc.d(x)
         assert dx.scalar_mul(ONE) is dx
-        dx.scalar_mul(Q)
-        dx + dx
-        dx - dx
-        dx.algebra_mul_right(qg.generator(2, 2))
-        calc.X.wedge(dx)
-        dx.wedge(calc.X)
-        calc.space.one_form(0).wedge(dx)
+        derived = [dx.scalar_mul(Q), dx + dx, dx - dx,
+                   dx.algebra_mul_right(qg.generator(2, 2)),
+                   calc.X.wedge(dx), dx.wedge(calc.X),
+                   calc.space.one_form(0).wedge(dx)]
+        assert all(isinstance(y, FormElement) for y in derived)
+        assert dx.render() == before
         assert calc.d(x).render() == before
         assert calc.d(calc.d(x)).is_zero()
 
