@@ -201,6 +201,14 @@ class FormSpace:
         return segments
 
 
+def _add_reduced(out, reduced, c, passed):
+    """out += (c * passed) * reduced, with the product taken once."""
+    if reduced:
+        cp = c * passed
+        for wr, sc in reduced.items():
+            add_term(out, wr, cp.scalar_mul(sc))
+
+
 class FormElement:
     """Graded element: reduced wedge words with left algebra coefficients."""
 
@@ -246,13 +254,12 @@ class FormElement:
                 add_term(out, w, c * a)
                 continue
             for w2, passed in space.pass_algebra_through(w, a).items():
-                for wr, sc in space.table.reduce_word(w2).items():
-                    add_term(out, wr, (c * passed).scalar_mul(sc))
+                _add_reduced(out, space.table.reduce_word(w2), c, passed)
         return FormElement(self.space, out)
 
     def wedge(self, other):
         space = self.space
-        out = space.zero()
+        out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 if len(w1) + len(w2) > space.table.max_grade:
@@ -260,15 +267,12 @@ class FormElement:
                         "wedge of grades %d and %d beyond table cap %d"
                         % (len(w1), len(w2), space.table.max_grade))
                 if not w1:
-                    piece = {w2: c1 * c2}
-                else:
-                    piece = {}
-                    for w1p, passed in space.pass_algebra_through(w1, c2).items():
-                        red = space.table.reduce_word(w1p + w2)
-                        for wr, sc in red.items():
-                            add_term(piece, wr, (c1 * passed).scalar_mul(sc))
-                out = out + FormElement(space, piece)
-        return out
+                    add_term(out, w2, c1 * c2)
+                    continue
+                for w1p, passed in space.pass_algebra_through(w1, c2).items():
+                    _add_reduced(out, space.table.reduce_word(w1p + w2),
+                                 c1, passed)
+        return FormElement(space, out)
 
     def __eq__(self, other):
         return isinstance(other, FormElement) and self.terms == other.terms

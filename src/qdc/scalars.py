@@ -13,6 +13,8 @@ vol. 2, 4.6.1).  Products cancel crosswise (Henrici), so a product of
 reduced fractions only takes gcds of a numerator with the other factor's
 denominator, and none over equal denominators; a sum takes none when one
 denominator is 1, and a monomial denominator needs only a shift and scale.
+A product with a factor equal to one returns the other factor, and each
+distinct fraction that needs a gcd is reduced once per process.
 """
 
 from __future__ import annotations
@@ -460,6 +462,11 @@ def _mul(a, b):
     if not an.terms or not bn.terms:
         return _ZERO
     ad, bd = a.den, b.den
+    # a factor equal to one hands back the other; scalars are immutable
+    if an.terms == _ONE_TERMS and ad.terms == _ONE_TERMS:
+        return b
+    if bn.terms == _ONE_TERMS and bd.terms == _ONE_TERMS:
+        return a
     if ad.terms == bd.terms:
         return _scalar(an * bn, ad if ad.terms == _ONE_TERMS else ad * bd)
     if bd.terms != _ONE_TERMS:
@@ -487,6 +494,20 @@ def _normalize(num, den):
     if len(den.terms) == 1:
         (e, c), = den.terms.items()
         return num.scalar_mul(_quo(1, c)).shift(-e), _ONE_POLY
+    key = (num, den)
+    out = _REDUCED.get(key)
+    if out is None:
+        out = _REDUCED[key] = _reduce(num, den)
+    return out
+
+
+# (num, den) -> _reduce(num, den).  The canonical form is a pure function of
+# the two polynomials, so one memo serves every calculus in the process.
+_REDUCED = {}
+
+
+def _reduce(num, den):
+    """Canonical num/den by the gcd: num nonzero, den of two or more terms."""
     r = _common_exponent_scale(num, den)
     if r != 1:
         num = num.scale_exponents(r)

@@ -525,15 +525,15 @@ def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
     plain_failures = []
 
     def leibniz_partial_rows():
-        for a in elems:
-            pa = calc.partial(a)
+        partials = [calc.partial(e) for e in elems]
+        for a, pa in zip(elems, partials):
             twist = space.from_algebra(convolve(trace, a, side="left"))
             row_failures = []
-            for b in elems:
+            for b, pb in zip(elems, partials):
                 lhs = calc.partial(a * b)
-                plain = pa.algebra_mul_right(b) + \
-                    space.from_algebra(a).wedge(calc.partial(b))
-                twisted = pa.algebra_mul_right(b) + twist.wedge(calc.partial(b))
+                pa_b = pa.algebra_mul_right(b)
+                plain = pa_b + space.from_algebra(a).wedge(pb)
+                twisted = pa_b + twist.wedge(pb)
                 if lhs != twisted:
                     row_failures.append(pair_str(a, b))
                 if lhs != plain:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qdc.scalars import (LaurentPoly, Scalar, ZERO, ONE, Q, qlambda,
                          parse_scalar, render_scalar, ScalarDivisionError,
                          PoleError, SpecializationError, ScalarParseError)
-from qdc.scalars import _poly_gcd
+from qdc.scalars import _poly_gcd, _normalize, _reduce, _REDUCED
 from qdc.cli import parse, evaluate_ast, render_value
 
 
@@ -52,6 +52,23 @@ class TestNormalize:
     @given(scalars, nonzero_polys)
     def test_common_factor_invariance(self, s, f):
         assert Scalar(s.num * f, s.den * f) == s
+        # the same fraction again is read from the reduced-fraction memo
+        again = Scalar(s.num * f, s.den * f)
+        assert again == s
+        assert_normal_form(again)
+
+    @pytest.mark.parametrize("num, den", [
+        ({3: 1, 1: -1}, {2: 1, 0: -1}),
+        ({Fraction(2, 3): 2, 0: -2}, {Fraction(4, 3): 3, Fraction(1, 3): -3}),
+    ])
+    def test_memo_hit_is_canonical(self, num, den):
+        first = _normalize(poly(num), poly(den))
+        key = (poly(num), poly(den))
+        assert key[0] is not first[0] and key in _REDUCED
+        hit = _normalize(*key)
+        assert hit is _REDUCED[key]
+        assert hit == first == _reduce(poly(num), poly(den))
+        assert_normal_form(Scalar(*hit))
 
 
 class TestFieldAxioms:
@@ -79,6 +96,13 @@ class TestFieldAxioms:
     @given(nonzero_scalars)
     def test_multiplicative_inverse(self, a):
         assert (a * (ONE / a)).is_one()
+
+    @given(nonzero_scalars.filter(lambda s: not s.is_one()))
+    def test_unit_factor_returns_other_operand(self, x):
+        one = parse_scalar("q/q")
+        assert one == ONE and one is not ONE
+        assert x * one is x
+        assert one * x is x
 
     def test_division_by_zero(self):
         with pytest.raises(ScalarDivisionError):
@@ -264,6 +288,9 @@ class TestWideFieldAxioms:
     @given(wide_scalars, wide_nonzero_polys)
     def test_common_factor_invariance(self, s, f):
         assert Scalar(s.num * f, s.den * f) == s
+        again = Scalar(s.num * f, s.den * f)
+        assert again == s
+        assert_normal_form(again)
 
     @given(wide_scalars)
     def test_round_trip(self, a):
