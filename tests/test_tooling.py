@@ -1,6 +1,7 @@
 """Repository hygiene checks on the engine's source."""
 
 import ast
+import json
 import importlib
 import importlib.util
 import pathlib
@@ -124,3 +125,69 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append("qdc.%s.%s" % (module, attribute))
     assert not missing, "traced names missing from qdc: %s" % ", ".join(missing)
+
+
+def _load_tool(name):
+    path = ROOT / "tools" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(sha, seed, verdict_s, evals_per_s):
+    """The last two lines of a perfbench --trace 0 run."""
+    info = {"python": "3.11.7", "nproc": 2, "affinity": 2,
+            "cpu_model": "Test CPU", "loadavg": [0.5, 0.5, 0.5],
+            "git_sha": sha, "workload": "check-sl2-d3", "seed": seed,
+            "stream_seed": seed, "seconds": 30.0, "trace": 0,
+            "eval_samples": 1504, "eval_tail_percentile": 99}
+    values = {"setup_s": 0.05, "verdict_s": verdict_s, "eval_p50_ms": 0.4,
+              "eval_p99_ms": 3.0, "evals_per_s": evals_per_s,
+              "peak_rss_mb": 21.0}
+    result = {"correct": True, "attempted": 1738, "failed": 0,
+              "metrics": {k: {"value": v, "unit": "-"}
+                          for k, v in values.items()}}
+    return "progress line\n%s\n%s\n" % (json.dumps({"info": info}),
+                                        json.dumps(result))
+
+
+def test_bench_record_from_two_runs(tmp_path, monkeypatch):
+    tool = _load_tool("bench_record")
+    change, parent = tmp_path / "1_change.txt", tmp_path / "2_parent.txt"
+    change.write_text(_canned_run("c" * 40, 7, 1.5, 2000.0))
+    parent.write_text(_canned_run("p" * 40, 7, 2.0, 1600.0))
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"memo": {"entries": 3}}))
+    monkeypatch.chdir(tmp_path)
+    args = ["--label", "t", "--change", "test change", "--parent-sha",
+            "p" * 40, "--change-sha", "c" * 40, "--extra", str(extra)]
+    assert tool.main(args + [str(change), str(parent)]) == 0
+
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["shas"] == {"parent": "p" * 40, "change": "c" * 40}
+    assert out["memo"] == {"entries": 3}
+    assert out["machine"] == {"affinity": 2, "cpu_model": "Test CPU",
+                              "nproc": 2, "python": "3.11.7"}
+    assert out["command"].endswith("--seconds 30 --trace 0")
+    runs = out["workloads"]["check-sl2-d3"]["runs"]
+    assert [(r["side"], r["ran"], r["seed"]) for r in runs] == \
+        [("change", "first", 7), ("parent", "second", 7)]
+    assert runs[1]["metrics"]["verdict_s"] == 2.0
+    medians = out["workloads"]["check-sl2-d3"]["medians"]
+    assert set(medians) == {"setup_s", "verdict_s", "eval_p50_ms",
+                            "eval_p99_ms", "evals_per_s", "peak_rss_mb"}
+    verdict = medians["verdict_s"]
+    assert verdict["parent_median"] == 2.0
+    assert verdict["parent_quartiles"] == [2.0, 2.0]
+    assert verdict["relative_change"] == -0.25
+    assert verdict["change_better_pairs"] == 1 and verdict["pairs"] == 1
+    # higher is better for throughput; a tie wins for neither side
+    assert medians["evals_per_s"]["change_better_pairs"] == 1
+    assert medians["setup_s"]["change_better_pairs"] == 0
+
+    # a run of a third commit, or a seed with one side only, is refused
+    other = tmp_path / "3_other.txt"
+    other.write_text(_canned_run("o" * 40, 8, 1.0, 1.0))
+    assert tool.main(args + [str(change), str(parent), str(other)]) == 2
+    assert tool.main(args + [str(change)]) == 2
