@@ -132,19 +132,26 @@ def cartan_check(calc, degree=None, f00_choice="trace", samples=0, seed=20260809
          lambda x: part(delt(x)) + delt(part(x))),
     ]
 
-    def witnesses(op):
+    def witnesses(op, counts):
         for name, x in elements:
             if max(x.grades(), default=0) > max_input:
+                counts["skipped"] += 1
                 continue
             try:
                 val = op(x)
             except GradeCapError:
+                counts["skipped"] += 1
                 continue
+            counts["evaluated"] += 1
             if not val.is_zero():
                 yield "%s -> %s" % (name, val.render())
 
     for law, desc, op in checks:
-        wit = first_witness(witnesses(op))
+        counts = {"evaluated": 0, "skipped": 0}
+        wit = first_witness(witnesses(op, counts))
+        # a law that evaluated nothing has shown nothing, so it cannot pass
+        if wit is None and not counts["evaluated"]:
+            wit = "no instance evaluated (%d skipped)" % counts["skipped"]
         report.add(law, desc, wit is None, witness=wit)
     return report
 

@@ -348,24 +348,24 @@ def left_coaction(space, x):
     return CoactionElement(space, out)
 
 
-def z_form_comparison(lambda_matrix):
+def z_form_comparison(lambda_matrix, inverse):
     """Compare the alternative quadratic-relation rule with the braid kernel.
 
     The alternative rule generates relations e_{ij} + Z^{kl}_{ij} e_{kl} with
     Z = (Lam - Lam^-1)/(q^2 - q^-2); returns dimensions and whether the two
     relation subspaces agree (they are expected to differ off the series the
     rule was stated for, and the discrepancy is reported, not hidden).
+    inverse is Lam^-1, as LambdaMatrix.inverse() returns it.
     """
     m = lambda_matrix.M
     mm = m * m
     q2 = Scalar.q_power(2)
     denom = q2 - (ONE / q2)
-    inv = lambda_matrix.inverse()
     rows_z = []
     for i in range(mm):
         row = {}
         for k in range(mm):
-            v = (lambda_matrix.rows[k][i] - inv[k][i]) / denom
+            v = (lambda_matrix.rows[k][i] - inverse[k][i]) / denom
             if k == i:
                 v = v + ONE
             if not v.is_zero():

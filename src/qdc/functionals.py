@@ -251,6 +251,11 @@ class VectorFieldFamily:
         label = "chi[%d,%d]" % unflatten_pair(i, self.N)
         return Functional(self.ext, 0, 1 + i, "deriv", label)
 
+    def values(self, word):
+        """[chi_1(w), ..., chi_M(w)] for one word w."""
+        row = self.ext.word_matrix(word)[0]
+        return row[1:1 + self.size]
+
     def generator_table(self):
         rows = []
         for i in range(self.size):
@@ -323,6 +328,13 @@ class LambdaMatrix:
     def inverse(self):
         return mat_inverse(self.rows)
 
+    def by_lower_pair(self):
+        """Lam^{kl}_{ij} by lower pair: column i*M + j -> [(k, l, value), ...]."""
+        cols = {}
+        for (row, col), v in self.sparse.items():
+            cols.setdefault(col, []).append(divmod(row, self.M) + (v,))
+        return cols
+
     def braid_defect(self):
         """None if the braid relation holds; else a witness index pair."""
         m = self.M
@@ -382,6 +394,9 @@ def make_lambda(r):
     def fl(a, b):
         return flatten_pair(a, b, n)
 
+    # the weight q^{2f-1} / q^{2c-1} of each (f2, c2), divided once
+    weight = {(f, c): Scalar.q_power(2 * f - 1) / Scalar.q_power(2 * c - 1)
+              for f in rng for c in rng}
     rows = [[ZERO] * (m * m) for _ in range(m * m)]
     for a1, a2 in itertools.product(rng, repeat=2):
         for d1, d2 in itertools.product(rng, repeat=2):
@@ -389,7 +404,7 @@ def make_lambda(r):
                 for b1, b2 in itertools.product(rng, repeat=2):
                     acc = ZERO
                     for f2 in rng:
-                        w = Scalar.q_power(2 * f2 - 1) / Scalar.q_power(2 * c2 - 1)
+                        w = weight[(f2, c2)]
                         for g1 in rng:
                             x1 = rv(f2, b1, c2, g1)
                             if x1.is_zero():
@@ -424,57 +439,114 @@ class StructureConstants:
     def items(self):
         return self.table.items()
 
+    def by_lower_pair(self):
+        """C_{ij}^k by lower pair: i*M + j -> [(k, value), ...]."""
+        out = {}
+        for (i, j, k), v in self.table.items():
+            out.setdefault(i * self.M + j, []).append((k, v))
+        return out
+
+    def by_upper_index(self):
+        """C_{ij}^k by upper index: k -> [(i*M + j, value), ...]."""
+        out = {}
+        for (i, j, k), v in self.table.items():
+            out.setdefault(k, []).append((i * self.M + j, v))
+        return out
+
+
+def bracket_table(pairs, x, lam_cols, m):
+    """T[i][j] = [chi_i, chi_j](w) = B[i][j] - Lam^{kl}_{ij} B[k][l] on one word.
+
+    pairs are the coproduct terms ((w1, w2), c) of w, x maps each leg to
+    its chi values and lam_cols is LambdaMatrix.by_lower_pair(); the double
+    table B[i][j] = (chi_i chi_j)(w) is built once for all M^2 brackets.
+    """
+    B = [[ZERO] * m for _ in range(m)]
+    for (w1, w2), c in pairs:
+        x1, x2 = x[w1], x[w2]
+        for i in range(m):
+            a = x1[i]
+            if a.is_zero():
+                continue
+            ca = c * a
+            row = B[i]
+            for j in range(m):
+                b = x2[j]
+                if not b.is_zero():
+                    row[j] = row[j] + ca * b
+    t = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            val = B[i][j]
+            for k, l, lv in lam_cols.get(i * m + j, ()):
+                val = val - lv * B[k][l]
+            t[i][j] = val
+    return t
+
 
 def make_C(lambda_matrix, lam, chi):
     """Structure constants solved from [chi_i, chi_j] = C_{ij}^k chi_k.
 
     The bracket is chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l (convolution
-    products); expanding it over the chi basis on the unit and the
-    generators determines C uniquely, and the full bracket relation is
-    re-verified on a degree-bounded span by the check suites.
+    products); its values on the unit and the generators determine C
+    uniquely, and the full bracket relation is re-verified on a
+    degree-bounded span by the check suites.  The chi-value rows of those
+    words are the same for every pair (i, j), so they are eliminated once,
+    each word's row operations recorded in a column of its own, and the
+    recorded combinations are then applied to every bracket.
     """
     if lam.is_zero():
         raise DegenerateParameterError("normalization constant is zero")
     qg = chi.qg
     m = chi.size
     words = [()] + [((a, b),) for (a, b) in qg.rs.gens]
-    brackets = {}
-    for i in range(m):
-        for j in range(m):
-            br = q_lie_bracket(i, j, chi, lambda_matrix)
-            for w in words:
-                brackets[(i, j, w)] = br.on_word(w)
-    chi_vals = {w: [chi.entry(k).on_word(w) for k in range(m)] for w in words}
+    cop = {w: list(qg.coproduct_word(w).terms.items()) for w in words}
+    legs = {leg for w in words for pair, _ in cop[w] for leg in pair}
+    x = {w: chi.values(w) for w in legs.union(words)}
+    lam_cols = lambda_matrix.by_lower_pair()
+    brackets = [bracket_table(cop[w], x, lam_cols, m) for w in words]
+    # column m + n records the row operations applied to word n
+    rows = []
+    for n, w in enumerate(words):
+        row = {k: v for k, v in enumerate(x[w]) if not v.is_zero()}
+        row[m + n] = ONE
+        rows.append(row)
+    piv, _ = rref_sparse(rows, list(range(m + len(words))))
+
+    def recorded(p):
+        return [(c - m, v) for c, v in p.items() if c >= m]
+
+    # a pivot row at a word column has no chi part: the brackets must
+    # satisfy the same linear relation as the chi values do
+    relations = [recorded(p) for c, p in piv.items() if c >= m]
+    solved = []
+    for k in range(m):
+        p = piv.get(k)
+        if p is not None:
+            free = [c for c in p if c != k and c < m]
+            solved.append((k, free, recorded(p)))
+
+    def combine(combo, i, j):
+        total = ZERO
+        for n, v in combo:
+            b = brackets[n][i][j]
+            if not b.is_zero():
+                total = total + v * b
+        return total
+
     table = {}
     for i in range(m):
         for j in range(m):
-            rows = []
-            for w in words:
-                row = {}
-                for k in range(m):
-                    v = chi_vals[w][k]
-                    if not v.is_zero():
-                        row[k] = v
-                rhs = brackets[(i, j, w)]
-                if not rhs.is_zero():
-                    row["rhs"] = -rhs
-                if row:
-                    rows.append(row)
-            piv, pivots = rref_sparse(rows, list(range(m)) + ["rhs"])
-            if "rhs" in pivots:
+            if any(not combine(r, i, j).is_zero() for r in relations):
                 raise FunctionalError(
                     "bracket [%d,%d] does not lie in the vector-field span"
                     % (i, j))
-            for k in range(m):
-                p = piv.get(k)
-                if p is None:
-                    continue
-                free = [c for c in p if c != k and c != "rhs"]
+            for k, free, combo in solved:
                 if free:
                     raise FunctionalError(
                         "structure constants underdetermined at (%d,%d,%d)"
                         % (i, j, k))
-                v = -p.get("rhs", ZERO)
+                v = combine(combo, i, j)
                 if not v.is_zero():
                     table[(i, j, k)] = v
     return StructureConstants(chi.N, table)

@@ -174,6 +174,22 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return _make({})
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a single term c q^e with e an int shifts and scales the other
+            # factor: exponents stay distinct and no product vanishes
+            (e, c), = b.items()
+            if type(e) is int:
+                if c == 1:
+                    return _make({e1 + e: c1 for e1, c1 in a.items()})
+                terms = {}
+                for e1, c1 in a.items():
+                    p = c1 * c
+                    if type(p) is not int and p.denominator == 1:
+                        p = p.numerator
+                    terms[e1 + e] = p
+                return _make(terms)
         terms = {}
         get = terms.get
         for e1, c1 in a.items():

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from qdc.algebra import QuantumGroup, load_rmatrix
@@ -7,6 +9,14 @@ from qdc.calculus import assemble, DEFAULT_RMATRIX
 @pytest.fixture(scope="session")
 def calc():
     return assemble()
+
+
+@pytest.fixture(scope="session")
+def calc3():
+    """SL_q(3) at grade cap 1."""
+    path = os.path.join(os.path.dirname(__file__), "data", "slq3.rmatrix")
+    with open(path, encoding="utf-8") as fh:
+        return assemble(fh.read(), grade_cap=1)
 
 
 @pytest.fixture(scope="session")

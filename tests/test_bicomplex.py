@@ -67,3 +67,26 @@ class TestCartan:
         assert failing and all(e.witness for e in failing)
         assert any(e.law in ("partial-squared", "anticommute")
                    for e in failing)
+
+    def test_law_with_no_instance_fails(self, calc):
+        report = cartan_check(AtGradeCap(calc), degree=1, samples=0)
+        inputs = len(calc.qg.rs.normal_words(1)) + calc.space.M
+        assert not report.passed()
+        assert [(e.status, e.witness) for e in report.entries] == \
+            [("fail", "no instance evaluated (%d skipped)" % inputs)] * 4
+
+
+class AtGradeCap:
+    """A calculus whose d, partial and delta raise GradeCapError on every
+    input, so that no split condition evaluates anything."""
+
+    def __init__(self, calc):
+        self._calc = calc
+
+    def __getattr__(self, name):
+        return getattr(self._calc, name)
+
+    def d(self, x):
+        raise GradeCapError("every input is at the grade cap")
+
+    partial = delta = d

@@ -1,5 +1,4 @@
 import copy
-import os
 import random
 
 import pytest
@@ -10,14 +9,6 @@ from qdc.forms import FormElement, GradeCapError, left_coaction
 from qdc.functionals import convolve, InvalidFunctionalError, scalar_functional
 from qdc.calculus import (assemble, canonical_element, map_in_to_out,
                           map_out_to_in, roundtrip_check, CalculusError)
-
-SLQ3 = os.path.join(os.path.dirname(__file__), "data", "slq3.rmatrix")
-
-
-@pytest.fixture(scope="module")
-def calc3():
-    with open(SLQ3, encoding="utf-8") as fh:
-        return assemble(fh.read(), grade_cap=1)
 
 
 class TestCanonicalElement:

@@ -207,6 +207,6 @@ class TestLeftCoaction:
 
 class TestAlternativeRule:
     def test_reported_dimensions(self, dual):
-        out = z_form_comparison(dual.lam_matrix)
+        out = z_form_comparison(dual.lam_matrix, dual.lam_matrix.inverse())
         assert out == {"z_rank": 13, "kernel_rank": 10, "union_rank": 16,
                        "equal": False}

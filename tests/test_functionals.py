@@ -5,11 +5,13 @@ import pytest
 
 from qdc.scalars import Scalar, ZERO, ONE, Q, parse_scalar
 from qdc.algebra import AlgebraElement
-from qdc.functionals import (make_chi, make_C, convolve, q_lie_bracket,
-                             flatten_pair, scalar_functional,
-                             validate_scalar_functional,
+from qdc import functionals
+from qdc.functionals import (make_chi, make_C, make_lambda, convolve,
+                             q_lie_bracket, flatten_pair, scalar_functional,
+                             validate_scalar_functional, CorepFamily,
+                             VectorFieldFamily, FunctionalError,
                              DegenerateParameterError, InvalidFunctionalError)
-from qdc.linalg import kernel_basis
+from qdc.linalg import kernel_basis, rref_sparse
 
 
 HALF = Fraction(1, 2)
@@ -190,6 +192,21 @@ class TestBraiding:
     def test_braid_relation(self, dual):
         assert dual.lam_matrix.braid_defect() is None
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_weights_divided_once_each(self, n, calc, calc3, monkeypatch):
+        c = calc if n == 2 else calc3
+        divide = Scalar.__truediv__
+        calls = []
+
+        def counted(a, b):
+            calls.append(b)
+            return divide(a, b)
+
+        monkeypatch.setattr(Scalar, "__truediv__", counted)
+        lam = make_lambda(c.qg.R)
+        assert len(calls) <= n * n     # was N^8 * N = 19,683 at N=3
+        assert lam.sparse == c.dual.lam_matrix.sparse
+
     def test_invertible(self, dual):
         inv = dual.lam_matrix.inverse()
         assert len(inv) == 16
@@ -290,6 +307,80 @@ class TestStructureConstants:
     def test_degenerate_parameter_rejected(self, dual):
         with pytest.raises(DegenerateParameterError):
             make_C(dual.lam_matrix, ZERO, dual.chi)
+
+    def test_matches_per_pair_solve(self, dual):
+        assert make_C(dual.lam_matrix, dual.lam, dual.chi).table == \
+            per_pair_C(dual.lam_matrix, dual.chi)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_elimination(self, n, calc, calc3, monkeypatch):
+        dual = (calc if n == 2 else calc3).dual
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rref_sparse(*args)
+
+        monkeypatch.setattr(functionals, "rref_sparse", counted)
+        got = make_C(dual.lam_matrix, dual.lam, dual.chi)
+        assert len(calls) == 1      # was M^2 = 81 at N=3
+        assert got.table == dual.C.table
+
+    @staticmethod
+    def _chi_copy_column(tables):
+        # chi[2,1] takes the values of chi[2,2]: C_{11}^{(2,1)} is not fixed
+        for t in tables.values():
+            t[0][3] = t[0][4]
+
+    @staticmethod
+    def _chi_copy_row(tables):
+        # chi on t[2,1] takes its values on t[1,2]: a bracket leaves the span
+        tables[(2, 1)][0] = list(tables[(1, 2)][0])
+
+    @pytest.mark.parametrize("edit, message", [
+        ("_chi_copy_column", "structure constants underdetermined at (0,0,2)"),
+        ("_chi_copy_row", "bracket [0,2] does not lie in the vector-field span"),
+    ])
+    def test_error_branches_match_per_pair_solve(self, dual, edit, message):
+        tables = {g: [list(row) for row in t]
+                  for g, t in dual.chi.ext.gen_tables.items()}
+        getattr(self, edit)(tables)
+        ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
+        chi = VectorFieldFamily(dual.qg, ext, dual.f, dual.lam)
+        with pytest.raises(FunctionalError) as want:
+            per_pair_C(dual.lam_matrix, chi)
+        with pytest.raises(FunctionalError) as got:
+            make_C(dual.lam_matrix, dual.lam, chi)
+        assert str(got.value) == str(want.value) == message
+
+
+def per_pair_C(lambda_matrix, chi):
+    """C solved pair by pair, one q_lie_bracket and one elimination each:
+    the reference for make_C's single shared elimination."""
+    m = chi.size
+    words = [()] + [(g,) for g in chi.qg.rs.gens]
+    table = {}
+    for i in range(m):
+        for j in range(m):
+            br = q_lie_bracket(i, j, chi, lambda_matrix)
+            rows = []
+            for w in words:
+                row = {k: chi.entry(k).on_word(w) for k in range(m)}
+                row["rhs"] = -br.on_word(w)
+                rows.append(row)
+            piv, pivots = rref_sparse(rows, list(range(m)) + ["rhs"])
+            if "rhs" in pivots:
+                raise FunctionalError(
+                    "bracket [%d,%d] does not lie in the vector-field span"
+                    % (i, j))
+            for k, p in sorted(piv.items()):
+                if any(c not in (k, "rhs") for c in p):
+                    raise FunctionalError(
+                        "structure constants underdetermined at (%d,%d,%d)"
+                        % (i, j, k))
+                if "rhs" in p:
+                    table[(i, j, k)] = -p["rhs"]
+    return table
 
 
 class TestTraceCharacter:

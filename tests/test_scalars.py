@@ -333,6 +333,41 @@ class TestRepresentationInvariants:
         assert s.num == poly({1: 1, -1: 2})
 
 
+def general_product(a, b):
+    """The double-loop product of two LaurentPolys, with no fast path."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(terms)
+
+
+mixed_exps = st.one_of(exps, wide_exps)
+mixed_coeffs = st.one_of(coeffs, wide_coeffs).filter(bool)
+mixed_polys = st.dictionaries(mixed_exps, mixed_coeffs,
+                              max_size=4).map(LaurentPoly)
+single_terms = st.builds(lambda e, c: LaurentPoly({e: c}), mixed_exps,
+                         mixed_coeffs)
+
+
+class TestSingleTermProduct:
+    @given(mixed_polys, single_terms)
+    def test_matches_general_product(self, p, t):
+        want = general_product(p, t)
+        for got in (p * t, t * p):
+            assert got.terms == want.terms
+            for e, c in got.terms.items():
+                assert is_exact(c) and is_exact(e), (e, c)
+
+    def test_integral_fraction_coefficient_becomes_int(self):
+        p = LaurentPoly({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+        for got in (p * LaurentPoly({2: 2}), LaurentPoly({-1: -4}) * p):
+            assert all(type(c) is int for c in got.terms.values())
+        assert (p * LaurentPoly({2: 2})).terms == {2: 3, 3: -1}
+        assert (p * LaurentPoly({1: Fraction(2, 3)})).terms == \
+            {1: 1, 2: Fraction(-1, 3)}
+
+
 def test_operations_agree_with_sympy():
     """sympy's cancel is an independent normal form for Q(q)."""
     sympy = pytest.importorskip("sympy")

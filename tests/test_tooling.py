@@ -20,6 +20,9 @@ TEST_ONLY_API = {
     "quantum_determinant",
     # every functional of the dual structure, for whole-dual sweeps
     "all_functionals",
+    # the bracket as a sum of convolution products, one pair at a time: the
+    # reference that the structure constants are compared against
+    "q_lie_bracket",
 }
 
 
