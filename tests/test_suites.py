@@ -88,13 +88,13 @@ def corrupted(dual, kind):
     return "lam_matrix", LambdaMatrix(lam.N, rows)
 
 
-def session(n, calc, calc3):
+def calculus_for(n, calc, calc3):
     return calc if n == 2 else calc3
 
 
 @pytest.mark.parametrize("n, kind", sorted(EXPECTED))
 def test_corruption_found_where_it_was(n, kind, calc, calc3, monkeypatch):
-    c = session(n, calc, calc3)
+    c = calculus_for(n, calc, calc3)
     monkeypatch.setattr(c.dual, *corrupted(c.dual, kind))
     report = bicovariance_suite(c, DEGREE[n])
     got = {e.law: (e.status, e.witness) for e in report.entries
@@ -106,7 +106,7 @@ def test_corruption_found_where_it_was(n, kind, calc, calc3, monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_classical_limit_evaluates_nonzero_entries_only(n, calc, calc3,
                                                         monkeypatch):
-    c = session(n, calc, calc3)
+    c = calculus_for(n, calc, calc3)
     evaluate = Scalar.evaluate_at
     calls = []
 
