@@ -34,6 +34,13 @@ CASES = {
     "eval_dlt_mixed": ["eval", "dlt(t[2,1]*w[1,2] + t[1,1]*X)"],
     # N=3: coefficients with q^(1/3) exponents
     "eval_d_t11_slq3": ["--rmatrix", SLQ3, "--cap", "1", "eval", "d(t[1,1])"],
+    "eval_d_t23_slq3": ["--rmatrix", SLQ3, "--cap", "1", "eval", "d(t[2,3])"],
+    "eval_del_mixed_slq3": ["--rmatrix", SLQ3, "--cap", "1", "eval",
+                            "del(t[2,1]*w[1,2] + t[1,1]*X)"],
+    "eval_dlt_mixed_slq3": ["--rmatrix", SLQ3, "--cap", "1", "eval",
+                            "dlt(t[2,1]*w[1,2] + t[1,1]*X)"],
+    # N=2: a scalar whose exponents lie in steps of 1/2, 1/3 and 1/6
+    "eval_mixed_exponents": ["eval", "(q^(1/2) + q^(1/3))/(1 - q^(1/6))"],
 }
 
 
