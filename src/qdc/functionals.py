@@ -11,7 +11,6 @@ everything.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
 from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
@@ -192,7 +191,7 @@ def make_L(qg, sign, normalized=True):
     n = qg.N
     r = qg.R
     if normalized:
-        scale = Scalar.q_power(Fraction(-sign, n))
+        scale = Scalar.q_power(-sign, D=n)
     else:
         scale = ONE
     val = r.val if sign > 0 else r.val_minus
@@ -336,7 +335,11 @@ class LambdaMatrix:
         return cols
 
     def braid_defect(self):
-        """None if the braid relation holds; else a witness index pair."""
+        """None if the braid relation holds; else a witness index pair.
+
+        With Q = (1 x Lam)(Lam x 1) the two sides are (Lam x 1) Q and
+        Q (1 x Lam): three sparse products.
+        """
         m = self.M
         mm = m * m
         def tens(left):
@@ -350,8 +353,8 @@ class LambdaMatrix:
                         out.setdefault(k * mm + i, {})[k * mm + j] = v
             return out
         b1, b2 = tens(True), tens(False)
-        lhs = _sp_mul(_sp_mul(b1, b2), b1)
-        rhs = _sp_mul(_sp_mul(b2, b1), b2)
+        q = _sp_mul(b2, b1)
+        lhs, rhs = _sp_mul(b1, q), _sp_mul(q, b2)
         for i in set(lhs) | set(rhs):
             ri, rj = lhs.get(i, {}), rhs.get(i, {})
             for j in set(ri) | set(rj):
@@ -549,6 +552,14 @@ def make_C(lambda_matrix, lam, chi):
                 v = combine(combo, i, j)
                 if not v.is_zero():
                     table[(i, j, k)] = v
+    # a chi_k without a pivot row is zero on the unit and every generator,
+    # so no bracket value fixes C_{ij}^k; a family zero on all of them
+    # vanishes identically (chi(xy) = eps(x) chi(y) + chi(x) f(y)), as at
+    # N=1, and its C is 0
+    if 0 < len(solved) < m:
+        k = min(set(range(m)) - set(piv))
+        raise FunctionalError(
+            "structure constants underdetermined at (0,0,%d)" % k)
     return StructureConstants(chi.N, table)
 
 
@@ -625,9 +636,6 @@ class ConvCombo:
 
     def __add__(self, other):
         return ConvCombo(self.qg, self.terms + other.terms)
-
-    def scaled(self, s):
-        return ConvCombo(self.qg, [(c * s, fs) for c, fs in self.terms])
 
 
 def q_lie_bracket(i, j, chi, lambda_matrix):

@@ -3,9 +3,16 @@
 A Scalar is a reduced fraction of Laurent polynomials in the deformation
 parameter q with rational coefficients.  Everything is exact; there is no
 floating point anywhere.  A coefficient is an int when it is integral and a
-Fraction only when it is not.  Exponents are normally integers, but
-fractional exponents (stored as Fraction) are supported so that
-q^(1/N)-normalized functional tables stay representable.
+Fraction only when it is not.
+
+Exponents live on one integer lattice per polynomial: a LaurentPoly keeps
+an int D >= 1 and int keys k, the key k standing for q^(k/D), so the
+q^(1/N)-normalized functional tables stay representable without Fraction
+exponents.  D is minimal (gcd(D, every key) = 1): it is 1 for every
+polynomial with integer exponents, and equal polynomials have equal keys
+and D.  Operands on the same lattice touch only ints; operands on two
+lattices are lifted to the lcm once, and a result with D > 1 is brought
+back to its minimal D by one gcd pass.
 
 Reduction takes the gcd of numerator and denominator over the integers,
 from primitive parts and pseudo-remainders (Gauss's lemma; Knuth, TAOCP
@@ -67,17 +74,42 @@ def _quo(a, b):
 
 
 def _pruned(terms):
-    """terms without its zero coefficients; integral Fractions, whether
-    coefficients or exponents, become ints."""
+    """terms without its zero coefficients; integral Fraction coefficients
+    become ints."""
     out = {}
     for e, c in terms.items():
         if c:
             if type(c) is not int and c.denominator == 1:
                 c = c.numerator
-            if type(e) is not int and e.denominator == 1:
-                e = e.numerator
             out[e] = c
     return out
+
+
+def _scaled(terms, c):
+    """terms with every coefficient times the nonzero coefficient c."""
+    return _pruned({e: cc * c for e, cc in terms.items()})
+
+
+def _lattice(terms, D):
+    """The LaurentPoly whose key k means q^(k/D), on its minimal lattice:
+    D is divided by the gcd of D and every key.  terms has int keys and
+    no zero coefficients."""
+    if D != 1:
+        g = D
+        for k in terms:
+            g = gcd(g, k)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {k // g: c for k, c in terms.items()}
+            D //= g
+    return _make(terms, D)
+
+
+def _lift(p, D):
+    """A new dict of p's terms read on the lattice D, which p.D divides."""
+    m = D // p.D
+    return {k * m: c for k, c in p.terms.items()}
 
 
 _new = object.__new__
@@ -85,20 +117,40 @@ _ONE_TERMS = {0: 1}
 
 
 class LaurentPoly:
-    """Laurent polynomial in q: a map exponent -> nonzero rational."""
+    """Laurent polynomial in q^(1/D): a map int key k -> nonzero rational,
+    the key k standing for q^(k/D).
 
-    __slots__ = ("terms", "_hash")
+    D is minimal, gcd(D, every key) = 1, so it is 1 for zero, constants and
+    every polynomial with integer exponents, and equal polynomials have
+    equal (terms, D).
+    """
+
+    __slots__ = ("terms", "D", "_hash")
 
     def __init__(self, terms=None):
-        terms = terms or {}
-        self.terms = _pruned({e: _coef(c) for e, c in terms.items()})
-        self._hash = None
+        """terms maps exponents, ints or Fractions, to rationals."""
+        out, D = {}, 1
+        for e, c in (terms or {}).items():
+            c = _coef(c)
+            if c:
+                if type(e) is not int:
+                    e = Fraction(e)
+                    if e.denominator == 1:
+                        e = e.numerator
+                    else:
+                        D = lcm(D, e.denominator)
+                out[e] = c
+        if D != 1:
+            # the lcm of reduced denominators is already minimal
+            out = {int(e * D): c for e, c in out.items()}
+        self.terms, self.D, self._hash = out, D, None
 
     @staticmethod
-    def _make(terms):
-        """Trusted constructor: terms is already as _pruned returns it."""
+    def _make(terms, D=1):
+        """Trusted constructor: terms is already as _lattice returns it."""
         p = _new(LaurentPoly)
         p.terms = terms
+        p.D = D
         p._hash = None
         return p
 
@@ -128,33 +180,34 @@ class LaurentPoly:
     def is_one(self):
         return self.terms == _ONE_TERMS
 
+    def _exponent(self, k):
+        """The true exponent k/D of the key k: an int when it is integral."""
+        e, r = divmod(k, self.D)
+        return Fraction(k, self.D) if r else e
+
     def min_exp(self):
-        return min(self.terms)
+        return self._exponent(min(self.terms))
 
     def max_exp(self):
-        return max(self.terms)
+        return self._exponent(max(self.terms))
 
     def leading_coeff(self):
-        return self.terms[self.max_exp()]
+        return self.terms[max(self.terms)]
 
     def has_fractional_exponents(self):
-        return any(isinstance(e, Fraction) for e in self.terms)
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        if not self.terms or k == 0:
-            return self
-        if type(k) is int:
-            return _make({e + k: c for e, c in self.terms.items()})
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
-
-    def scale_exponents(self, r):
-        """Substitute q -> q^r (exponents multiplied by r)."""
-        return _make(_pruned({e * r: c for e, c in self.terms.items()}))
+        return self.D != 1
 
     def __add__(self, other):
-        terms = self.terms.copy()
-        for e, c in other.terms.items():
+        D = self.D
+        b = other.terms
+        if D == other.D:
+            terms = self.terms.copy()
+        else:
+            D = lcm(D, other.D)
+            terms = _lift(self, D)
+            if D != other.D:
+                b = _lift(other, D)
+        for e, c in b.items():
             s = terms.get(e, 0) + c
             if not s:
                 del terms[e]
@@ -162,54 +215,57 @@ class LaurentPoly:
                 terms[e] = s
             else:
                 terms[e] = s.numerator
-        return _make(terms)
+        return _make(terms) if D == 1 else _lattice(terms, D)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return _make({e: -c for e, c in self.terms.items()})
+        return _make({e: -c for e, c in self.terms.items()}, self.D)
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
         if not a or not b:
             return _make({})
+        D = self.D
+        if D != other.D:
+            D = lcm(D, other.D)
+            if D != self.D:
+                a = _lift(self, D)
+            if D != other.D:
+                b = _lift(other, D)
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
-            # a single term c q^e with e an int shifts and scales the other
-            # factor: exponents stay distinct and no product vanishes
+            # a single term c q^e shifts and scales the other factor:
+            # exponents stay distinct and no product vanishes
             (e, c), = b.items()
-            if type(e) is int:
-                if c == 1:
-                    return _make({e1 + e: c1 for e1, c1 in a.items()})
+            if c == 1:
+                terms = {e1 + e: c1 for e1, c1 in a.items()}
+            else:
                 terms = {}
                 for e1, c1 in a.items():
                     p = c1 * c
                     if type(p) is not int and p.denominator == 1:
                         p = p.numerator
                     terms[e1 + e] = p
-                return _make(terms)
-        terms = {}
-        get = terms.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                terms[e] = get(e, 0) + c1 * c2
-        return _make(_pruned(terms))
-
-    def scalar_mul(self, c):
-        c = _coef(c)
-        if c == 1:
-            return self
-        return _make(_pruned({e: cc * c for e, cc in self.terms.items()}))
+        else:
+            terms = {}
+            get = terms.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    terms[e] = get(e, 0) + c1 * c2
+            terms = _pruned(terms)
+        return _make(terms) if D == 1 else _lattice(terms, D)
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return (isinstance(other, LaurentPoly) and self.D == other.D
+                and self.terms == other.terms)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.D, frozenset(self.terms.items())))
         return self._hash
 
     def evaluate(self, q0):
@@ -219,29 +275,6 @@ class LaurentPoly:
         if self.has_fractional_exponents():
             raise SpecializationError("fractional q-exponents have no rational value")
         return sum((c * q0 ** e for e, c in self.terms.items()), Fraction(0))
-
-    # polynomial helpers; these require integer exponents >= 0
-
-    def _polydiv(self, other):
-        assert other.terms
-        rem = dict(self.terms)
-        quo = {}
-        dmax = other.max_exp()
-        dlead = other.terms[dmax]
-        while rem:
-            rmax = max(rem)
-            if rmax < dmax:
-                break
-            f = _quo(rem[rmax], dlead)
-            k = rmax - dmax
-            quo[k] = f
-            for e, c in other.terms.items():
-                s = rem.get(e + k, 0) - f * c
-                if s:
-                    rem[e + k] = s
-                else:
-                    rem.pop(e + k, None)
-        return LaurentPoly(quo), LaurentPoly(rem)
 
     def __str__(self):
         return render_poly(self)
@@ -254,11 +287,36 @@ _ZERO_POLY = _make({})
 _ONE_POLY = _make({0: 1})
 
 
+# polynomial helpers: dicts of int keys >= 0 on one lattice, read as
+# polynomials in s = q^(1/D)
+
+def _divide(a, b):
+    """The quotient a / b of two polynomials when b divides a."""
+    rem = dict(a)
+    quo = {}
+    dmax = max(b)
+    dlead = b[dmax]
+    while rem:
+        rmax = max(rem)
+        if rmax < dmax:
+            break
+        f = _quo(rem[rmax], dlead)
+        k = rmax - dmax
+        quo[k] = f
+        for e, c in b.items():
+            s = rem.get(e + k, 0) - f * c
+            if s:
+                rem[e + k] = s
+            else:
+                rem.pop(e + k, None)
+    return quo
+
+
 def _dense(p):
-    """Coefficients of p (integer exponents >= 0), highest exponent first."""
-    top = max(p.terms)
+    """Coefficients of the polynomial p, highest exponent first."""
+    top = max(p)
     cs = [0] * (top + 1)
-    for e, c in p.terms.items():
+    for e, c in p.items():
         cs[top - e] = c
     return cs
 
@@ -299,8 +357,8 @@ def _pseudo_remainder(a, b):
 
 
 def _poly_gcd(a, b):
-    """Gcd of two nonzero polynomials (integer exponents >= 0): integer
-    coefficients, content 1 and a positive leading coefficient."""
+    """Gcd of two nonzero polynomials: integer coefficients, content 1 and
+    a positive leading coefficient."""
     a, b = _primitive(_dense(a)), _primitive(_dense(b))
     if len(a) < len(b):
         a, b = b, a
@@ -310,19 +368,9 @@ def _poly_gcd(a, b):
             break
         a, b = b, _primitive(r)
     else:
-        return _ONE_POLY
+        return _ONE_TERMS
     top = len(b) - 1
-    return _make({top - i: c for i, c in enumerate(b) if c})
-
-
-def _common_exponent_scale(*polys):
-    """Smallest r such that every exponent times r is an integer."""
-    r = 1
-    for p in polys:
-        for e in p.terms:
-            if type(e) is not int:
-                r = lcm(r, e.denominator)
-    return r
+    return {top - i: c for i, c in enumerate(b) if c}
 
 
 def _scalar(num, den):
@@ -372,11 +420,14 @@ class Scalar:
         return cls.from_rational(n)
 
     @classmethod
-    def q_power(cls, exp, coeff=1):
+    def q_power(cls, exp, coeff=1, D=1):
+        """coeff q^(exp/D): exp is an int, or with D = 1 also a Fraction."""
         coeff = _coef(coeff)
         if not coeff:
             return _ZERO
-        return _scalar(LaurentPoly.monomial(exp, coeff), _ONE_POLY)
+        if D == 1:
+            return _scalar(LaurentPoly.monomial(exp, coeff), _ONE_POLY)
+        return _scalar(_lattice({exp: coeff}, D), _ONE_POLY)
 
     def is_zero(self):
         return not self.num.terms
@@ -457,7 +508,7 @@ class Scalar:
 
 def _sum(an, ad, bn, bd):
     """an/ad + bn/bd for reduced fractions, bn nonzero."""
-    if ad.terms == bd.terms:
+    if ad.D == bd.D and ad.terms == bd.terms:
         num = an + bn
         if not num.terms:
             return _ZERO
@@ -483,7 +534,7 @@ def _mul(a, b):
         return b
     if bn.terms == _ONE_TERMS and bd.terms == _ONE_TERMS:
         return a
-    if ad.terms == bd.terms:
+    if ad.D == bd.D and ad.terms == bd.terms:
         return _scalar(an * bn, ad if ad.terms == _ONE_TERMS else ad * bd)
     if bd.terms != _ONE_TERMS:
         an, bd = _normalize(an, bd)
@@ -495,10 +546,9 @@ def _mul(a, b):
 def _inverse(a):
     """1/a for a nonzero Scalar; a reduced fraction needs no gcd here."""
     num, den = a.num, a.den
-    low = min(num.terms)
-    inv = _quo(1, num.terms[max(num.terms)])
-    return _scalar(den.shift(-low).scalar_mul(inv),
-                   num.shift(-low).scalar_mul(inv))
+    # c q^(-low/D) takes num to lowest exponent 0 and leading coefficient 1
+    t = _lattice({-min(num.terms): _quo(1, num.terms[max(num.terms)])}, num.D)
+    return _scalar(den * t, num * t)
 
 
 def _normalize(num, den):
@@ -509,7 +559,7 @@ def _normalize(num, den):
         return _ZERO_POLY, _ONE_POLY
     if len(den.terms) == 1:
         (e, c), = den.terms.items()
-        return num.scalar_mul(_quo(1, c)).shift(-e), _ONE_POLY
+        return num * _lattice({-e: _quo(1, c)}, den.D), _ONE_POLY
     key = (num, den)
     out = _REDUCED.get(key)
     if out is None:
@@ -523,30 +573,27 @@ _REDUCED = {}
 
 
 def _reduce(num, den):
-    """Canonical num/den by the gcd: num nonzero, den of two or more terms."""
-    r = _common_exponent_scale(num, den)
-    if r != 1:
-        num = num.scale_exponents(r)
-        den = den.scale_exponents(r)
-    sn, sd = num.min_exp(), den.min_exp()
-    num = num.shift(-sn)
-    den = den.shift(-sd)
-    if len(num.terms) > 1:
-        g = _poly_gcd(num, den)
-        if not g.is_one():
-            num, _ = num._polydiv(g)
-            den, _ = den._polydiv(g)
-    lead = den.leading_coeff()
+    """Canonical num/den by the gcd: num nonzero, den of two or more terms.
+    Both are read on their common lattice, where every exponent is an int."""
+    D = num.D
+    if D == den.D:
+        a, b = num.terms, den.terms
+    else:
+        D = lcm(D, den.D)
+        a, b = _lift(num, D), _lift(den, D)
+    sn, sd = min(a), min(b)
+    a = {e - sn: c for e, c in a.items()}
+    b = {e - sd: c for e, c in b.items()}
+    if len(a) > 1:
+        g = _poly_gcd(a, b)
+        if g != _ONE_TERMS:
+            a, b = _divide(a, g), _divide(b, g)
+    lead = b[max(b)]
     if lead != 1:
         inv = _quo(1, lead)
-        num = num.scalar_mul(inv)
-        den = den.scalar_mul(inv)
-    num = num.shift(sn - sd)
-    if r != 1:
-        inv = Fraction(1, r)
-        num = num.scale_exponents(inv)
-        den = den.scale_exponents(inv)
-    return num, den
+        a, b = _scaled(a, inv), _scaled(b, inv)
+    shift = sn - sd
+    return _lattice({e + shift: c for e, c in a.items()}, D), _lattice(b, D)
 
 
 ZERO = _ZERO = _scalar(_ZERO_POLY, _ONE_POLY)
@@ -562,10 +609,12 @@ def qlambda():
 # ---------------------------------------------------------------------------
 # rendering
 
-def _render_exp(e):
-    if isinstance(e, Fraction):
-        return "(%d/%d)" % (e.numerator, e.denominator)
-    return str(e)
+def _render_exp(k, D):
+    """The exponent k/D, reduced."""
+    g = gcd(k, D)
+    if g == D:
+        return str(k // D)
+    return "(%d/%d)" % (k // g, D // g)
 
 
 def _render_coeff(c):
@@ -578,12 +627,13 @@ def render_poly(p):
     if p.is_zero():
         return "0"
     parts = []
+    D = p.D
     for e in sorted(p.terms, reverse=True):
         c = p.terms[e]
         if e == 0:
             body = _render_coeff(abs(c))
         else:
-            base = "q" if e == 1 else "q^%s" % _render_exp(e)
+            base = "q" if e == D else "q^%s" % _render_exp(e, D)
             body = base if abs(c) == 1 else "%s*%s" % (_render_coeff(abs(c)), base)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
@@ -609,7 +659,8 @@ def scalar_power(s, e):
             e = e.numerator
         elif (s.den.is_one() and len(s.num.terms) == 1
               and s.num.leading_coeff() == 1):
-            return Scalar.q_power(s.num.max_exp() * e)
+            (k,) = s.num.terms
+            return Scalar.q_power(k * e.numerator, D=s.num.D * e.denominator)
         else:
             raise ScalarError("fractional powers only apply to powers of q")
     return s ** e

@@ -354,6 +354,22 @@ class TestStructureConstants:
         assert str(got.value) == str(want.value) == message
 
 
+    def test_zero_chi_column_is_underdetermined(self, dual):
+        # chi[1,2] zeroed on the unit and every generator: no bracket value
+        # fixes C_{ij}^{(1,2)}, which used to come out as 0 without an error
+        tables = {g: [list(row) for row in t]
+                  for g, t in dual.chi.ext.gen_tables.items()}
+        k = flatten_pair(1, 2, 2)
+        for t in tables.values():
+            t[0][1 + k] = ZERO
+        ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
+        chi = VectorFieldFamily(dual.qg, ext, dual.f, dual.lam)
+        with pytest.raises(FunctionalError) as err:
+            make_C(dual.lam_matrix, dual.lam, chi)
+        assert str(err.value) == \
+            "structure constants underdetermined at (0,0,%d)" % k
+
+
 def per_pair_C(lambda_matrix, chi):
     """C solved pair by pair, one q_lie_bracket and one elimination each:
     the reference for make_C's single shared elimination."""

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from qdc.scalars import (LaurentPoly, Scalar, ZERO, ONE, Q, qlambda,
                          parse_scalar, render_scalar, ScalarDivisionError,
                          PoleError, SpecializationError, ScalarParseError)
 from qdc.scalars import _poly_gcd, _normalize, _reduce, _REDUCED
+from qdc.algebra import AlgebraElement
 from qdc.cli import parse, evaluate_ast, render_value
 
 
@@ -222,24 +223,41 @@ def is_exact(x):
 
 
 def assert_exact_types(s):
-    """Every coefficient and every exponent of num and den is exact."""
+    """Every coefficient of num and den is exact and every key an int."""
     for p in (s.num, s.den):
         assert isinstance(p, LaurentPoly)
         for e, c in p.terms.items():
-            assert is_exact(c) and is_exact(e), (e, c)
+            assert is_exact(c) and type(e) is int, (e, c)
+
+
+def assert_lattice(p):
+    """p's int keys k mean q^(k/D) on the minimal lattice: gcd(D, keys) = 1,
+    so D is 1 for zero and every integer-exponent polynomial."""
+    assert type(p.D) is int and p.D >= 1
+    assert all(type(k) is int for k in p.terms), p.terms
+    assert gcd(p.D, *p.terms) == 1, (p.terms, p.D)
+
+
+def on_lattice(p, D):
+    """p's terms with keys read on the finer lattice D."""
+    return {k * (D // p.D): c for k, c in p.terms.items()}
 
 
 def assert_normal_form(s):
-    """Monic denominator with lowest exponent 0, coprime to the numerator."""
+    """Monic denominator with lowest exponent 0, coprime to the numerator,
+    both on their minimal exponent lattices."""
+    assert_lattice(s.num)
+    assert_lattice(s.den)
     assert s.den.min_exp() == 0
     assert s.den.leading_coeff() == 1
     if s.is_zero():
         assert s.den.is_one()
         return
-    r = lcm(1, *(Fraction(e).denominator
-                 for p in (s.num, s.den) for e in p.terms))
-    num, den = s.num.scale_exponents(r), s.den.scale_exponents(r)
-    assert _poly_gcd(num.shift(-num.min_exp()), den).is_one()
+    # coprime as polynomials in s = q^(1/D) on the common lattice
+    D = lcm(s.num.D, s.den.D)
+    num, den = on_lattice(s.num, D), on_lattice(s.den, D)
+    low = min(num)
+    assert _poly_gcd({k - low: c for k, c in num.items()}, den) == {0: 1}
 
 
 def operation_results(a, b, n):
@@ -310,6 +328,7 @@ class TestRepresentationInvariants:
         for s in operation_results(a, b, n):
             assert_exact_types(s)
             assert_normal_form(s)
+            assert s.num.D == s.den.D == 1
 
     @given(wide_scalars, wide_scalars, small_powers)
     def test_fractional_exponents(self, a, b, n):
@@ -331,14 +350,126 @@ class TestRepresentationInvariants:
         s = Scalar(poly({3: 2, 1: 4}), poly({2: 2}))
         assert s.den.is_one()
         assert s.num == poly({1: 1, -1: 2})
+        # a monomial denominator on another lattice: q / q^(1/3) = q^(2/3)
+        s = Scalar(poly({1: 1}), LaurentPoly({Fraction(1, 3): 1}))
+        assert s.den.is_one()
+        assert (s.num.terms, s.num.D) == ({2: 1}, 3)
+
+
+# Exponents in steps of 1/2, 1/3 and 1/6: every lattice that the q^(1/N)
+# tables of N = 2 and N = 3 can mix.
+
+lattice_exps = st.sampled_from([1, 2, 3, 6]).flatmap(
+    lambda d: st.builds(Fraction, st.integers(min_value=-3 * d,
+                                              max_value=3 * d), st.just(d)))
+lattice_polys = st.dictionaries(lattice_exps, coeffs,
+                                max_size=3).map(LaurentPoly)
+lattice_scalars = st.builds(Scalar, lattice_polys,
+                            lattice_polys.filter(lambda p: not p.is_zero()))
+SIXTH_ROOT = Scalar.q_power(Fraction(1, 6))
+
+
+class TestExponentLattice:
+    @given(lattice_scalars, lattice_scalars, small_powers)
+    def test_minimal_after_every_operation(self, a, b, n):
+        # + - * / **, inverse and parse_scalar
+        for s in operation_results(a, b, n):
+            assert_exact_types(s)
+            assert_normal_form(s)
+
+    @given(lattice_scalars, lattice_scalars)
+    def test_equal_values_hash_equal(self, a, b):
+        r = SIXTH_ROOT
+        pairs = [(a * b, b * a), (a + b, b + a), ((a + b) - b, a),
+                 (a * r / r, a), ((a + r) - r, a), (a * r * r.inverse(), a),
+                 (Scalar(a.num, a.den), a)]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert (x.num.D, x.den.D) == (y.num.D, y.den.D)
+
+    def test_cube_roots_multiply_to_q(self):
+        x = parse_scalar("q^(1/3)") * parse_scalar("q^(2/3)")
+        assert x == Q and hash(x) == hash(Q)
+        assert (x.num.terms, x.num.D) == ({1: 1}, 1)
+        p = LaurentPoly({Fraction(1, 3): 1}) * LaurentPoly({Fraction(2, 3): 1})
+        assert (p.terms, p.D) == ({1: 1}, 1)
+
+    def test_cancelled_fractional_terms_drop_to_integer_lattice(self):
+        s = parse_scalar("1 + q^(1/3) + q^(1/2)") + \
+            parse_scalar("q - q^(1/3) - q^(1/2)")
+        assert s == parse_scalar("1 + q")
+        assert (s.num.terms, s.num.D) == ({0: 1, 1: 1}, 1)
+        p = LaurentPoly({0: 1, Fraction(1, 3): 2}) + \
+            LaurentPoly({Fraction(1, 3): -2, 2: 1})
+        assert (p.terms, p.D) == ({0: 1, 2: 1}, 1)
+
+    def test_mixed_lattices_lift_to_the_lcm(self):
+        half, third = LaurentPoly({Fraction(1, 2): 1}), \
+            LaurentPoly({Fraction(1, 3): 1})
+        assert ((half + third).terms, (half + third).D) == ({3: 1, 2: 1}, 6)
+        assert ((half * third).terms, (half * third).D) == ({5: 1}, 6)
+        s = parse_scalar("(q^(1/2) + q^(1/3))/(1 - q^(1/6))")
+        assert (s.num.D, s.den.D) == (6, 6)
+        assert render_scalar(s) == "(-q^(1/2) - q^(1/3))/(q^(1/6) - 1)"
+
+    def test_keys_and_true_exponents(self):
+        p = LaurentPoly({Fraction(1, 2): 1, Fraction(-1, 3): 4, 1: -1,
+                         Fraction(4, 2): 0})
+        assert (p.terms, p.D) == ({3: 1, -2: 4, 6: -1}, 6)
+        assert p.min_exp() == Fraction(-1, 3)
+        assert p.max_exp() == 1 and type(p.max_exp()) is int
+        for p in (LaurentPoly(), LaurentPoly({0: 5}),
+                  LaurentPoly({Fraction(6, 3): 1, -1: 2})):
+            assert p.D == 1 and all(type(k) is int for k in p.terms)
+
+
+def scalars_in(x):
+    """Every Scalar inside nested dicts, lists, tuples and .terms maps."""
+    if isinstance(x, Scalar):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from scalars_in(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from scalars_in(v)
+    elif hasattr(x, "terms"):
+        yield from scalars_in(x.terms)
+
+
+def test_sl3_calculus_exponent_keys_are_ints(calc3):
+    """Every exponent key of an assembled N=3 calculus is an int on a
+    minimal lattice, q^(1/3) tables included."""
+    rs = calc3.qg.rs
+    for g in rs.gens:
+        calc3.d(AlgebraElement.generator(rs, *g))
+    dual = calc3.dual
+    parts = {"Lambda": dual.lam_matrix.rows,
+             "L+": dual.lplus.family.gen_tables,
+             "L-": dual.lminus.family.gen_tables,
+             "f": dual.f.family.gen_tables,
+             "chi": dual.chi.ext.gen_tables,
+             "C": dual.C.table,
+             "d memo": calc3._d_cache}
+    lattices = set()
+    for name, part in parts.items():
+        found = list(scalars_in(part))
+        assert found, name
+        for s in found:
+            for p in (s.num, s.den):
+                assert_lattice(p)
+                lattices.add(p.D)
+    assert lattices == {1, 3}
 
 
 def general_product(a, b):
-    """The double-loop product of two LaurentPolys, with no fast path."""
+    """The double-loop product of two LaurentPolys over their true
+    exponents k/D, with no fast path."""
     terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            e = Fraction(k1, a.D) + Fraction(k2, b.D)
+            terms[e] = terms.get(e, 0) + c1 * c2
     return LaurentPoly(terms)
 
 
@@ -355,7 +486,7 @@ class TestSingleTermProduct:
     def test_matches_general_product(self, p, t):
         want = general_product(p, t)
         for got in (p * t, t * p):
-            assert got.terms == want.terms
+            assert (got.terms, got.D) == (want.terms, want.D)
             for e, c in got.terms.items():
                 assert is_exact(c) and is_exact(e), (e, c)
 
@@ -369,24 +500,28 @@ class TestSingleTermProduct:
 
 
 def test_operations_agree_with_sympy():
-    """sympy's cancel is an independent normal form for Q(q)."""
+    """sympy's cancel is an independent normal form for Q(q).  Exponents in
+    steps of 1/2, 1/3 and 1/6 become integers by substituting q = s^D, D the
+    common lattice of both operands."""
     sympy = pytest.importorskip("sympy")
-    q = sympy.Symbol("q")
+    root = sympy.Symbol("s", positive=True)
 
-    def to_sympy(s):
+    def to_sympy(s, q):
         return sympy.sympify(render_scalar(s).replace("^", "**"),
                              locals={"q": q})
 
     @settings(max_examples=60, deadline=None)
-    @given(scalars, scalars, small_powers)
+    @given(st.one_of(scalars, lattice_scalars),
+           st.one_of(scalars, lattice_scalars), small_powers)
     def check(a, b, n):
-        x, y = to_sympy(a), to_sympy(b)
+        q = root ** lcm(a.num.D, a.den.D, b.num.D, b.den.D)
+        x, y = to_sympy(a, q), to_sympy(b, q)
         cases = [(x + y, a + b), (x - y, a - b), (x * y, a * b)]
         if not b.is_zero():
             cases.append((x / y, a / b))
         if n >= 0 or not a.is_zero():
             cases.append((x ** n, a ** n))
         for expected, got in cases:
-            assert sympy.cancel(expected) == sympy.cancel(to_sympy(got))
+            assert sympy.cancel(expected) == sympy.cancel(to_sympy(got, q))
 
     check()
