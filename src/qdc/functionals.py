@@ -11,6 +11,7 @@ everything.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
 from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
@@ -191,7 +192,7 @@ def make_L(qg, sign, normalized=True):
     n = qg.N
     r = qg.R
     if normalized:
-        scale = Scalar.q_power(-sign, D=n)
+        scale = Scalar.q_power(Fraction(-sign, n))
     else:
         scale = ONE
     val = r.val if sign > 0 else r.val_minus
@@ -338,7 +339,9 @@ class LambdaMatrix:
         """None if the braid relation holds; else a witness index pair.
 
         With Q = (1 x Lam)(Lam x 1) the two sides are (Lam x 1) Q and
-        Q (1 x Lam): three sparse products.
+        Q (1 x Lam): three sparse products.  The witness is the first
+        mismatch in sorted (row, column) order, which does not depend on
+        how the products are grouped.
         """
         m = self.M
         mm = m * m
@@ -355,9 +358,9 @@ class LambdaMatrix:
         b1, b2 = tens(True), tens(False)
         q = _sp_mul(b2, b1)
         lhs, rhs = _sp_mul(b1, q), _sp_mul(q, b2)
-        for i in set(lhs) | set(rhs):
+        for i in sorted(lhs.keys() | rhs.keys()):
             ri, rj = lhs.get(i, {}), rhs.get(i, {})
-            for j in set(ri) | set(rj):
+            for j in sorted(ri.keys() | rj.keys()):
                 if ri.get(j, ZERO) != rj.get(j, ZERO):
                     return (i, j)
         return None

@@ -180,16 +180,11 @@ class LaurentPoly:
     def is_one(self):
         return self.terms == _ONE_TERMS
 
-    def _exponent(self, k):
-        """The true exponent k/D of the key k: an int when it is integral."""
+    def max_exp(self):
+        """The true highest exponent k/D: an int when it is integral."""
+        k = max(self.terms)
         e, r = divmod(k, self.D)
         return Fraction(k, self.D) if r else e
-
-    def min_exp(self):
-        return self._exponent(min(self.terms))
-
-    def max_exp(self):
-        return self._exponent(max(self.terms))
 
     def leading_coeff(self):
         return self.terms[max(self.terms)]
@@ -420,14 +415,11 @@ class Scalar:
         return cls.from_rational(n)
 
     @classmethod
-    def q_power(cls, exp, coeff=1, D=1):
-        """coeff q^(exp/D): exp is an int, or with D = 1 also a Fraction."""
+    def q_power(cls, exp, coeff=1):
         coeff = _coef(coeff)
         if not coeff:
             return _ZERO
-        if D == 1:
-            return _scalar(LaurentPoly.monomial(exp, coeff), _ONE_POLY)
-        return _scalar(_lattice({exp: coeff}, D), _ONE_POLY)
+        return _scalar(LaurentPoly.monomial(exp, coeff), _ONE_POLY)
 
     def is_zero(self):
         return not self.num.terms
@@ -659,8 +651,7 @@ def scalar_power(s, e):
             e = e.numerator
         elif (s.den.is_one() and len(s.num.terms) == 1
               and s.num.leading_coeff() == 1):
-            (k,) = s.num.terms
-            return Scalar.q_power(k * e.numerator, D=s.num.D * e.denominator)
+            return Scalar.q_power(s.num.max_exp() * e)
         else:
             raise ScalarError("fractional powers only apply to powers of q")
     return s ** e

@@ -23,10 +23,6 @@ TEST_ONLY_API = {
     # the bracket as a sum of convolution products, one pair at a time: the
     # reference that the structure constants are compared against
     "q_lie_bracket",
-    # the true lowest and highest exponent of a LaurentPoly, which its
-    # lattice keys k (standing for q^(k/D)) do not give directly
-    "min_exp",
-    "max_exp",
 }
 
 
