@@ -8,10 +8,11 @@ order, and the Hopf structure maps (coproduct, counit, antipode).
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .scalars import Scalar, ZERO, ONE, parse_scalar, render_scalar
 from .linalg import (mat_inverse, mat_mul, rref_sparse, add_term, add_scaled,
-                     sparse_sum, sparse_diff)
+                     LinearCombination)
 
 
 # Memo tables (rewrites, coproducts, antipodes, commutation and convolution
@@ -258,7 +259,7 @@ class RewriteSystem:
     def reduce_terms(self, terms):
         out = {}
         for w, c in terms.items():
-            if not c.is_zero():
+            if c:
                 add_scaled(out, self.reduce_word(w), c)
         return out
 
@@ -341,72 +342,51 @@ def derive_relations(r, sl_mode=True):
 # ---------------------------------------------------------------------------
 # algebra elements
 
-class AlgebraElement:
-    """Normal-form noncommutative polynomial in the generators."""
+class AlgebraElement(LinearCombination):
+    """Normal-form noncommutative polynomial in the generators: terms maps
+    normal words to Scalars."""
 
-    __slots__ = ("rs", "terms", "_hash")
+    __slots__ = ("rs",)
 
-    def __init__(self, rs, terms, reduce=True):
-        if reduce:
-            terms = rs.reduce_terms(terms)
+    _scale = staticmethod(operator.mul)
+
+    def __init__(self, rs, terms):
         self.rs = rs
         self.terms = terms
         self._hash = None
 
+    def _with(self, terms):
+        return AlgebraElement(self.rs, terms)
+
     @classmethod
     def zero(cls, rs):
-        return cls(rs, {}, reduce=False)
+        return cls(rs, {})
 
     @classmethod
     def one(cls, rs):
-        return cls(rs, {(): ONE}, reduce=False)
+        return cls(rs, {(): ONE})
 
     @classmethod
     def from_scalar(cls, rs, s):
-        if s.is_zero():
-            return cls.zero(rs)
-        return cls(rs, {(): s}, reduce=False)
+        return cls(rs, {(): s} if s else {})
 
     @classmethod
     def generator(cls, rs, a, b):
         if not (1 <= a <= rs.N and 1 <= b <= rs.N):
             raise AlgebraError("unknown generator t[%d,%d] for N=%d"
                                % (a, b, rs.N))
-        return cls(rs, {((a, b),): ONE})
+        return cls.from_word(rs, ((a, b),))
 
     @classmethod
     def from_word(cls, rs, word):
-        return cls(rs, {tuple(word): ONE})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        return AlgebraElement(self.rs, sparse_sum(self.terms, other.terms),
-                              reduce=False)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.rs, sparse_diff(self.terms, other.terms),
-                              reduce=False)
-
-    def __neg__(self):
-        return AlgebraElement(self.rs, {w: -c for w, c in self.terms.items()},
-                              reduce=False)
+        return cls(rs, rs.reduce_terms({tuple(word): ONE}))
 
     def __mul__(self, other):
         raw = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 add_term(raw, w1 + w2, c1 * c2)
-        return AlgebraElement(self.rs, raw)
-
-    def scalar_mul(self, s):
-        if s.is_zero():
-            return AlgebraElement.zero(self.rs)
-        if s.is_one():
-            return self
-        return AlgebraElement(self.rs, {w: c * s for w, c in self.terms.items()},
-                              reduce=False)
+        return AlgebraElement(self.rs, self.rs.reduce_terms(raw))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -415,14 +395,6 @@ class AlgebraElement:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: self.rs.word_key(wc[0]))
@@ -465,63 +437,6 @@ def render_element(e):
 # ---------------------------------------------------------------------------
 # the Hopf structure
 
-class TensorElement:
-    """Element of a tensor power of the algebra, legs in normal form."""
-
-    __slots__ = ("rs", "arity", "terms")
-
-    def __init__(self, rs, arity, terms):
-        self.rs = rs
-        self.arity = arity
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    @classmethod
-    def unit(cls, rs, arity):
-        return cls(rs, arity, {((),) * arity: ONE})
-
-    def leg_mul_generator(self, leg, gen):
-        """Right-multiply one leg by a generator, renormalizing that leg."""
-        rs = self.rs
-        out = {}
-        for key, c in self.terms.items():
-            for w, rc in rs.reduce_word(key[leg] + (gen,)).items():
-                add_term(out, key[:leg] + (w,) + key[leg + 1:], c * rc)
-        return TensorElement(rs, self.arity, out)
-
-    def __add__(self, other):
-        return TensorElement(self.rs, self.arity,
-                             sparse_sum(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return TensorElement(self.rs, self.arity,
-                             sparse_diff(self.terms, other.terms))
-
-    def scalar_mul(self, s):
-        if s.is_one():
-            return self
-        return TensorElement(self.rs, self.arity,
-                             {k: v * s for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: tuple(map(self.rs.word_key, k))):
-            c = self.terms[key]
-            body = " (x) ".join(render_word(w) for w in key)
-            parts.append("%s[%s]" % (_coeff_prefix(c), body))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
 class QuantumGroup:
     """Bundles the R-matrix, rewrite system and Hopf maps of one quantum group."""
 
@@ -540,7 +455,9 @@ class QuantumGroup:
     # -- coproduct ----------------------------------------------------------
 
     def coproduct_word(self, word, arity=2):
-        """Iterated coproduct of a monomial as a TensorElement (memoized)."""
+        """Iterated coproduct of a monomial, as a dict from tuples of arity
+        normal words to Scalars; memoized, so shared: read it, never mutate
+        it."""
         key = (word, arity)
         cached = self._cop_cache.get(key)
         if cached is not None:
@@ -549,16 +466,25 @@ class QuantumGroup:
         if word:
             head = self.coproduct_word(word[:-1], arity)
             (a, b) = word[-1]
-            out = TensorElement(rs, arity, {})
+            out = {}
             mids = itertools.product(range(1, self.N + 1), repeat=arity - 1)
             for mid in mids:
                 chain = (a,) + tuple(mid) + (b,)
                 piece = head
+                # right-multiply each leg by its generator, renormalizing
+                # that leg
                 for leg in range(arity):
-                    piece = piece.leg_mul_generator(leg, (chain[leg], chain[leg + 1]))
-                out = out + piece
+                    gen = (chain[leg], chain[leg + 1])
+                    nxt = {}
+                    for legs, c in piece.items():
+                        for w, rc in rs.reduce_word(legs[leg] + (gen,)).items():
+                            add_term(nxt, legs[:leg] + (w,) + legs[leg + 1:],
+                                     c * rc)
+                    piece = nxt
+                for legs, c in piece.items():
+                    add_term(out, legs, c)
         else:
-            out = TensorElement.unit(rs, arity)
+            out = {((),) * arity: ONE}
         if len(word) <= MEMO_MAX_WORD_LENGTH:
             self._cop_cache[key] = out
         return out
@@ -566,8 +492,8 @@ class QuantumGroup:
     def coproduct(self, elem, arity=2):
         terms = {}
         for w, c in elem.terms.items():
-            add_scaled(terms, self.coproduct_word(w, arity).terms, c)
-        return TensorElement(self.rs, arity, terms)
+            add_scaled(terms, self.coproduct_word(w, arity), c)
+        return terms
 
     # -- counit -------------------------------------------------------------
 
@@ -631,7 +557,7 @@ class QuantumGroup:
                     c = sol[(g, w)]
                     if not c.is_zero():
                         terms[w] = c
-                table[(a, g)] = AlgebraElement(rs, terms, reduce=False)
+                table[(a, g)] = AlgebraElement(rs, terms)
         return table
 
     def _check_antipode_axiom(self):
@@ -665,26 +591,25 @@ class QuantumGroup:
         terms = {}
         for w, c in elem.terms.items():
             add_scaled(terms, self.antipode_word(w).terms, c)
-        return AlgebraElement(self.rs, terms, reduce=False)
+        return AlgebraElement(self.rs, terms)
 
     # -- adjoint ------------------------------------------------------------
 
     def adjoint(self, elem):
-        """ad(a): the middle coproduct leg tensor antipode(first) * third."""
-        triple = self.coproduct(elem, arity=3)
-        out = TensorElement(self.rs, 2, {})
-        for (w1, w2, w3), c in triple.terms.items():
+        """ad(a): the middle coproduct leg tensor antipode(first) * third,
+        as a dict from pairs of normal words to Scalars."""
+        out = {}
+        for (w1, w2, w3), c in self.coproduct(elem, arity=3).items():
             right = self.antipode_word(w1) * AlgebraElement.from_word(self.rs, w3)
-            terms = {}
             for u, cu in right.terms.items():
-                terms[(w2, u)] = c * cu
-            out = out + TensorElement(self.rs, 2, terms)
+                add_term(out, (w2, u), c * cu)
         return out
 
     # -- helpers ------------------------------------------------------------
 
     def quantum_determinant(self):
-        return AlgebraElement(self.rs, dict(quantum_determinant_terms(self.N)))
+        return AlgebraElement(self.rs,
+                              self.rs.reduce_terms(quantum_determinant_terms(self.N)))
 
     def generator(self, a, b):
         return AlgebraElement.generator(self.rs, a, b)

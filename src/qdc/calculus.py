@@ -221,8 +221,7 @@ class Calculus:
         self.projectors = ProjectorPair(self.grid.data(1)["p1"], self.space.M)
         self.f00_choice = f00_choice
         self.f00 = self.resolve_f00(f00_choice)
-        co = left_coaction(self.space, self.X)
-        if co.terms != {(): self.X}:
+        if left_coaction(self.space, self.X) != {(): self.X}:
             raise CalculusError("canonical element is not left invariant")
 
     def resolve_f00(self, choice):
@@ -259,8 +258,7 @@ class Calculus:
         hit = self._d_cache.get(key)
         if hit is None:
             e = FormElement(self.space,
-                            {w: AlgebraElement(self.qg.rs, {mon: ONE},
-                                               reduce=False)})
+                            {w: AlgebraElement(self.qg.rs, {mon: ONE})})
             left = self.X.wedge(e)
             right = e.wedge(self.X)
             piece = (left + right) if len(w) % 2 else (left - right)
@@ -308,7 +306,7 @@ class Calculus:
                 c = Scalar.from_int(rng.randrange(-3, 4))
                 if c.is_zero():
                     continue
-                terms[w] = AlgebraElement(self.qg.rs, {mon: c}, reduce=False)
+                terms[w] = AlgebraElement(self.qg.rs, {mon: c})
         return FormElement(self.space, terms)
 
 
@@ -397,11 +395,11 @@ class OuterCalculus:
 def convolve_combo(qg, combo, a):
     """(xi * a) for a formal combination xi of functionals (left side)."""
     terms = {}
-    for (w1, w2), c in qg.coproduct(a).terms.items():
+    for (w1, w2), c in qg.coproduct(a).items():
         v = combo.on_word(w2)
-        if not v.is_zero():
+        if v:
             add_term(terms, w1, c * v)
-    return AlgebraElement(qg.rs, terms, reduce=False)
+    return AlgebraElement(qg.rs, terms)
 
 
 class ExtendedCalculus:

@@ -57,7 +57,7 @@ def evaluate_ast(ast, calc):
                             pos)
         return sp.one_form(sp.basis.index(a, b))
     if kind == "neg":
-        return evaluate_ast(ast[1], calc).negate()
+        return -evaluate_ast(ast[1], calc)
     if kind in ("+", "-"):
         x = evaluate_ast(ast[1], calc)
         y = evaluate_ast(ast[2], calc)
@@ -274,7 +274,7 @@ def cmd_relations(args, out):
     payload = {"algebra_rules": [], "bimodule": [], "vector_fields": [],
                "wedge": {}}
     for lhs in sorted(qg.rs.rules, key=qg.rs.word_key):
-        rhs = AlgebraElement(qg.rs, qg.rs.rules[lhs], reduce=False)
+        rhs = AlgebraElement(qg.rs, qg.rs.rules[lhs])
         payload["algebra_rules"].append([render_word(lhs), render_element(rhs)])
     for label, gen, v in calc.dual.f.generator_table():
         payload["bimodule"].append([label, gen, render_scalar(v)])

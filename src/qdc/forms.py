@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .scalars import Scalar, ZERO, ONE
 from .linalg import (rref_sparse, kernel_basis, rank_at_specializations,
-                     add_term, add_scaled, sparse_sum, sparse_diff)
+                     add_term, add_scaled, LinearCombination)
 from .algebra import AlgebraElement, render_element, MEMO_MAX_WORD_LENGTH
 from .functionals import convolve, flatten_pair
 
@@ -165,13 +165,11 @@ class FormSpace:
         return FormElement(self, {})
 
     def from_algebra(self, a):
-        if a.is_zero():
-            return self.zero()
-        return FormElement(self, {(): a})
+        return FormElement(self, {(): a} if a else {})
 
     def one_form(self, i, coeff=None):
         c = coeff if coeff is not None else AlgebraElement.one(self.qg.rs)
-        return FormElement(self, {(i,): c})
+        return FormElement(self, {(i,): c} if c else {})
 
     def _pass_letter_word(self, letter, mon):
         """omega_letter times a monomial: cached map j -> coefficient."""
@@ -209,41 +207,30 @@ def _add_reduced(out, reduced, c, passed):
             add_term(out, wr, cp.scalar_mul(sc))
 
 
-class FormElement:
-    """Graded element: reduced wedge words with left algebra coefficients."""
+class FormElement(LinearCombination):
+    """Graded element: terms maps reduced wedge words (tuples of one-form
+    indices) to left algebra coefficients."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
+
+    _scale = staticmethod(AlgebraElement.scalar_mul)
 
     def __init__(self, space, terms):
         self.space = space
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        self.terms = terms
+        self._hash = None
 
-    def is_zero(self):
-        return not self.terms
+    def _with(self, terms):
+        return FormElement(self.space, terms)
 
     def grades(self):
         return sorted({len(w) for w in self.terms})
 
-    def __add__(self, other):
-        return FormElement(self.space, sparse_sum(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return FormElement(self.space, sparse_diff(self.terms, other.terms))
-
-    def negate(self):
-        return FormElement(self.space, {w: -c for w, c in self.terms.items()})
-
-    __neg__ = negate
-
-    def scalar_mul(self, s):
-        if s.is_one():
-            return self
-        return FormElement(self.space,
-                           {w: c.scalar_mul(s) for w, c in self.terms.items()})
-
     def algebra_mul_left(self, a):
-        return FormElement(self.space,
-                           {w: a * c for w, c in self.terms.items()})
+        out = {}
+        for w, c in self.terms.items():
+            add_term(out, w, a * c)
+        return FormElement(self.space, out)
 
     def algebra_mul_right(self, a):
         """Commute a past every wedge word; exact bimodule action."""
@@ -273,12 +260,6 @@ class FormElement:
                     _add_reduced(out, space.table.reduce_word(w1p + w2),
                                  c1, passed)
         return FormElement(space, out)
-
-    def __eq__(self, other):
-        return isinstance(other, FormElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, c) for w, c in self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
@@ -312,40 +293,19 @@ def _needs_parens(s):
     return ("+" in s[1:]) or ("-" in s[1:]) or ("*" in s) or ("/" in s)
 
 
-class CoactionElement:
-    """Element of (algebra) (x) (forms): left leg is a normal monomial."""
-
-    def __init__(self, space, terms):
-        self.space = space
-        self.terms = {w: fe for w, fe in terms.items() if not fe.is_zero()}
-
-    def __add__(self, other):
-        return CoactionElement(self.space, sparse_sum(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return CoactionElement(self.space, sparse_diff(self.terms, other.terms))
-
-    def __eq__(self, other):
-        return isinstance(other, CoactionElement) and self.terms == other.terms
-
-    def map_right(self, fn):
-        return CoactionElement(self.space,
-                               {w: fn(fe) for w, fe in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-
 def left_coaction(space, x):
-    """phi_Gamma(a.w) = phi(a) (1 (x) w); basis words are left invariant."""
+    """phi_Gamma(a.w) = phi(a) (1 (x) w); basis words are left invariant.
+
+    The image in A (x) Gamma is a dict from normal words (the left leg) to
+    forms.
+    """
     qg = space.qg
     out = {}
     for w, c in x.terms.items():
-        tc = qg.coproduct(c)
-        for (w1, w2), sc in tc.terms.items():
+        for (w1, w2), sc in qg.coproduct(c).items():
             add_term(out, w1, FormElement(space, {w: AlgebraElement(
-                qg.rs, {w2: sc}, reduce=False)}))
-    return CoactionElement(space, out)
+                qg.rs, {w2: sc})}))
+    return out
 
 
 def z_form_comparison(lambda_matrix, inverse):

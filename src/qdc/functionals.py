@@ -82,7 +82,7 @@ class CorepFamily:
         """First (rule, row, col) where the family value differs across a rule."""
         for lhs, rhs in self.qg.rs.rules.items():
             lv = self.word_matrix(lhs)
-            rv = self.on_element(AlgebraElement(self.qg.rs, rhs, reduce=False))
+            rv = self.on_element(AlgebraElement(self.qg.rs, rhs))
             for i in range(self.size):
                 for j in range(self.size):
                     if lv[i][j] != rv[i][j]:
@@ -506,7 +506,7 @@ def make_C(lambda_matrix, lam, chi):
     qg = chi.qg
     m = chi.size
     words = [()] + [((a, b),) for (a, b) in qg.rs.gens]
-    cop = {w: list(qg.coproduct_word(w).terms.items()) for w in words}
+    cop = {w: list(qg.coproduct_word(w).items()) for w in words}
     legs = {leg for w in words for pair, _ in cop[w] for leg in pair}
     x = {w: chi.values(w) for w in legs.union(words)}
     lam_cols = lambda_matrix.by_lower_pair()
@@ -574,7 +574,7 @@ def convolve(f, a, side="left"):
     out = {}
     for w0, c in a.terms.items():
         add_scaled(out, _convolve_word(f, w0, side), c)
-    return AlgebraElement(f.family.qg.rs, out, reduce=False)
+    return AlgebraElement(f.family.qg.rs, out)
 
 
 def _convolve_word(f, word, side):
@@ -585,7 +585,7 @@ def _convolve_word(f, word, side):
         return hit
     qg = f.family.qg
     out = {}
-    for (w1, w2), c in qg.coproduct_word(word).terms.items():
+    for (w1, w2), c in qg.coproduct_word(word).items():
         w, leg = (w1, w2) if side == "left" else (w2, w1)
         v = f.on_word(leg)
         if not v.is_zero():
@@ -615,7 +615,7 @@ class ConvCombo:
                         total = total + c * v
                 continue
             tc = self.qg.coproduct_word(word, arity=arity)
-            for key, cc in tc.terms.items():
+            for key, cc in tc.items():
                 for c, fs in group:
                     p = cc * c
                     dead = False

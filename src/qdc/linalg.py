@@ -1,14 +1,15 @@
 """Exact linear algebra over Q(q) (or any exact field via duck typing).
 
 Rows are dicts mapping column keys to field elements; dense matrices are
-lists of lists.  Field elements must support +, -, *, / and an is_zero test
-(Scalar has .is_zero(); Fractions compare to 0).
+lists of lists.  Field elements must support +, -, *, / and a truth value
+that means "nonzero", as int, Fraction and Scalar have.
 
 The sparse accumulate kernel (add_term, add_scaled, sparse_sum,
 sparse_diff) is the one place where a linear combination stored as a dict
-key -> coefficient gains a term; every sparse object of the engine (rows,
-algebra elements, tensor legs, forms, coaction terms) accumulates through
-it, so no stored coefficient is ever zero.
+key -> coefficient gains a term, so no stored coefficient is ever zero.
+LinearCombination wraps such a dict with the vector-space operations;
+algebra elements and forms are its subclasses, while rows, coproducts and
+coaction images stay plain dicts.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE
-
-
-def _iszero(x):
-    if type(x) in (int, Fraction):
-        return x == 0
-    return x.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -32,10 +27,10 @@ def add_term(terms, key, value):
     cur = terms.get(key)
     if cur is not None:
         value = cur + value
-    if _iszero(value):
-        terms.pop(key, None)
-    else:
+    if value:
         terms[key] = value
+    else:
+        terms.pop(key, None)
 
 
 def add_scaled(terms, other, factor, skip=None):
@@ -61,6 +56,51 @@ def sparse_diff(a, b):
     return out
 
 
+class LinearCombination:
+    """A finite linear combination: terms maps keys to nonzero coefficients.
+
+    Constructors trust their terms: whoever builds the dict keeps zeros out
+    of it, through the kernel above.  An element never mutates its terms,
+    so they may be a memo's shared dict.  A subclass adds its context slot,
+    _with (a sibling with other terms) and _scale (a coefficient times a
+    Scalar).
+    """
+
+    __slots__ = ("terms", "_hash")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        return self._with(sparse_sum(self.terms, other.terms))
+
+    def __sub__(self, other):
+        return self._with(sparse_diff(self.terms, other.terms))
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def scalar_mul(self, s):
+        """s * self for a Scalar s; scaling by one returns self."""
+        if s.is_one():
+            return self
+        if not s:
+            return self._with({})
+        scale = self._scale
+        return self._with({k: scale(c, s) for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+
 def rref_sparse(rows, column_order):
     """Reduced row echelon form of sparse rows.
 
@@ -73,7 +113,7 @@ def rref_sparse(rows, column_order):
     pivot_rows = {}
     work = []
     for r in rows:
-        r = {c: v for c, v in r.items() if not _iszero(v)}
+        r = {c: v for c, v in r.items() if v}
         if r:
             work.append(r)
 
@@ -134,10 +174,10 @@ def mat_mul(a, b):
             acc = None
             for t in range(k):
                 x = ai[t]
-                if _iszero(x):
+                if not x:
                     continue
                 y = b[t][j]
-                if _iszero(y):
+                if not y:
                     continue
                 p = x * y
                 acc = p if acc is None else acc + p
@@ -147,7 +187,7 @@ def mat_mul(a, b):
 
 
 def mat_eq_zero(a):
-    return all(_iszero(x) for row in a for x in row)
+    return not any(x for row in a for x in row)
 
 
 def mat_inverse(a):
@@ -162,7 +202,7 @@ def mat_inverse(a):
     for col in range(n):
         piv = None
         for r in range(col, n):
-            if not _iszero(aug[r][col]):
+            if aug[r][col]:
                 piv = r
                 break
         if piv is None:
@@ -174,7 +214,7 @@ def mat_inverse(a):
             if r == col:
                 continue
             f = aug[r][col]
-            if _iszero(f):
+            if not f:
                 continue
             aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
@@ -185,7 +225,7 @@ def kernel_basis(a):
     if not a:
         return []
     n_cols = len(a[0])
-    rows = [{j: x for j, x in enumerate(row) if not _iszero(x)} for row in a]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
     pivot_rows, pivots = rref_sparse(rows, list(range(n_cols)))
     pivot_set = set(pivots)
     one = _one_like(a[0][0]) if a[0] else Fraction(1)
@@ -198,7 +238,7 @@ def kernel_basis(a):
         v[free] = one
         for p, row in pivot_rows.items():
             c = row.get(free)
-            if c is not None and not _iszero(c):
+            if c:
                 v[p] = -c
         basis.append(v)
     return basis

@@ -424,6 +424,9 @@ class Scalar:
     def is_zero(self):
         return not self.num.terms
 
+    def __bool__(self):
+        return bool(self.num.terms)
+
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
 

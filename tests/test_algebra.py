@@ -5,8 +5,9 @@ import pytest
 
 from qdc.scalars import ZERO, ONE, Q, qlambda
 from qdc.algebra import (RMatrixError, load_rmatrix, dump_rmatrix,
-                         QuantumGroup, AlgebraElement, TensorElement,
+                         QuantumGroup, AlgebraElement,
                          quantum_determinant_terms)
+from qdc.linalg import sparse_sum
 from qdc.calculus import DEFAULT_RMATRIX
 
 
@@ -233,28 +234,27 @@ class TestDeterminant:
 class TestHopf:
     def test_coproduct_on_generators(self, qg):
         t = qg.coproduct(qg.generator(1, 1))
-        assert t.terms == {(((1, 1),), ((1, 1),)): ONE,
+        assert t == {(((1, 1),), ((1, 1),)): ONE,
                            (((1, 2),), ((2, 1),)): ONE}
 
     def test_unit_grouplike(self, qg):
         t = qg.coproduct(qg.one())
-        assert t.terms == {((), ()): ONE}
+        assert t == {((), ()): ONE}
 
     def test_counit_values(self, qg):
         assert qg.counit(qg.generator(1, 2)).is_zero()
         assert qg.counit(qg.one()).is_one()
-        det = AlgebraElement(qg.rs, dict(quantum_determinant_terms(2)),
-                             reduce=False)
+        det = AlgebraElement(qg.rs, dict(quantum_determinant_terms(2)))
         assert qg.counit(det).is_one()
 
     def test_counit_axiom_random_degree_three(self, qg):
         for w in qg.rs.normal_words(3):
             elem = AlgebraElement.from_word(qg.rs, w)
             acc = AlgebraElement.zero(qg.rs)
-            for (w1, w2), c in qg.coproduct_word(w).terms.items():
+            for (w1, w2), c in qg.coproduct_word(w).items():
                 e = qg.counit_word(w1)
                 if not e.is_zero():
-                    acc = acc + AlgebraElement(qg.rs, {w2: c * e}, reduce=False)
+                    acc = acc + AlgebraElement(qg.rs, {w2: c * e})
             assert acc == elem
 
     def test_antipode_table(self, qg):
@@ -282,14 +282,14 @@ class TestHopf:
 class TestAdjoint:
     def test_unit(self, qg):
         t = qg.adjoint(qg.one())
-        assert t.terms == {((), ()): ONE}
+        assert t == {((), ()): ONE}
 
     def test_counit_collapse(self, qg):
         for w in qg.rs.normal_words(2):
             elem = AlgebraElement.from_word(qg.rs, w)
             t = qg.adjoint(elem)
             total = ZERO
-            for (w1, w2), c in t.terms.items():
+            for (w1, w2), c in t.items():
                 e = qg.counit_word(w1) * qg.counit_word(w2)
                 if not e.is_zero():
                     total = total + c * e
@@ -298,11 +298,11 @@ class TestAdjoint:
     def test_generator_expansion_leg_by_leg(self, qg):
         a = qg.generator(1, 1)
         triple = qg.coproduct(a, arity=3)
-        expected = TensorElement(qg.rs, 2, {})
-        for (w1, w2, w3), c in triple.terms.items():
+        expected = {}
+        for (w1, w2, w3), c in triple.items():
             right = qg.antipode_word(w1) * AlgebraElement.from_word(qg.rs, w3)
             piece = {}
             for u, cu in right.terms.items():
                 piece[(w2, u)] = c * cu
-            expected = expected + TensorElement(qg.rs, 2, piece)
+            expected = sparse_sum(expected, piece)
         assert qg.adjoint(a) == expected

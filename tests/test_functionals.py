@@ -231,7 +231,7 @@ class TestBraiding:
         # chi_k f^n_l = Lam^{ij}_{kl} f^n_i chi_j on generators
         for g in qg.rs.gens:
             elem = AlgebraElement.generator(qg.rs, *g)
-            tc = list(qg.coproduct(elem).terms.items())
+            tc = list(qg.coproduct(elem).items())
             for n in range(4):
                 for k in range(4):
                     for l in range(4):
