@@ -58,10 +58,13 @@ class CheckReport:
         self.entries = []
 
     def add(self, law, description, ok, witness=None, gating=True):
-        status = "pass" if ok else "fail"
-        if not ok and witness is None:
+        """Record one law; a witness is kept only when the law fails."""
+        if ok:
+            witness = None
+        elif witness is None:
             witness = "(no witness recorded)"
-        self.entries.append(CheckEntry(law, description, status, witness, gating))
+        self.entries.append(CheckEntry(law, description,
+                                       "pass" if ok else "fail", witness, gating))
 
     def passed(self):
         return all(e.ok() for e in self.entries if e.gating)

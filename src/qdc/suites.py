@@ -205,7 +205,8 @@ def bicovariance_suite(calc, degree=None):
 
     # the braiding at q0 = 1 is the flip (a, b) (c, d) -> (b, a) (d, c): the
     # nonzero entries are evaluated and each flip position must be among
-    # them, in row-major order as a dense sweep would meet them
+    # them, in row-major order as a dense sweep would meet them; the
+    # witness is the first (row, column) that differs
     flips = {(i, (i % m) * m + i // m) for i in range(m * m)}
 
     def classical_limit():
@@ -213,12 +214,12 @@ def bicovariance_suite(calc, degree=None):
             v = lam_sparse.get(key)
             got = 0 if v is None else v.evaluate_at(1)
             if got != (1 if key in flips else 0):
-                return False
-        return True
+                yield str(key)
 
+    wit = first_witness(classical_limit())
     report.add("braiding-classical-limit",
                "at q0 = 1 the braiding specializes to the flip",
-               classical_limit())
+               wit is None, wit)
 
     # bracket relation: chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l = C_{ij}^k chi_k
     def bracket_structure_constants():

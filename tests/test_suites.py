@@ -5,7 +5,9 @@ expected status and witness of every law that reads them were recorded from
 the suite as it was before those laws were rewritten over precomputed
 indices (braiding-braid-relation: before it took three sparse products
 instead of four), so a rewrite that changes what a law finds, or where it
-first finds it, fails here.
+first finds it, fails here.  braiding-classical-limit names the first
+(row, column) whose value at q0 = 1 differs from the flip, and a passing
+law carries no witness.
 """
 
 import pytest
@@ -25,7 +27,7 @@ EXPECTED = {
         "q-jacobi": ("fail", "(i,j,k)=(1,3,2) on t[1,1]"),
         "braiding-f-exchange": ("pass", None),
         "braiding-classical-limit": ("pass", None),
-        "braiding-braid-relation": ("pass", "None"),
+        "braiding-braid-relation": ("pass", None),
     },
     (2, "Lam+1"): {
         "bracket-structure-constants":
@@ -33,7 +35,7 @@ EXPECTED = {
         "mixed-exchange": ("fail", "(i,j,k)=(3,3,3) on t[1,1]"),
         "q-jacobi": ("fail", "(i,j,k)=(0,0,3) on t[1,1]"),
         "braiding-f-exchange": ("fail", "t[1,1]"),
-        "braiding-classical-limit": ("fail", "(no witness recorded)"),
+        "braiding-classical-limit": ("fail", "(15, 15)"),
         "braiding-braid-relation": ("fail", "(27, 60)"),
     },
     (2, "Lam+1@zero"): {
@@ -42,7 +44,7 @@ EXPECTED = {
         "mixed-exchange": ("fail", "(i,j,k)=(3,3,2) on t[1,1]"),
         "q-jacobi": ("fail", "(i,j,k)=(0,0,2) on t[1,1]"),
         "braiding-f-exchange": ("fail", "t[1,1]"),
-        "braiding-classical-limit": ("fail", "(no witness recorded)"),
+        "braiding-classical-limit": ("fail", "(15, 14)"),
         "braiding-braid-relation": ("fail", "(15, 56)"),
     },
     (3, "C*q"): {
@@ -52,7 +54,7 @@ EXPECTED = {
         "q-jacobi": ("fail", "(i,j,k)=(3,8,7) on t[1,3]"),
         "braiding-f-exchange": ("pass", None),
         "braiding-classical-limit": ("pass", None),
-        "braiding-braid-relation": ("pass", "None"),
+        "braiding-braid-relation": ("pass", None),
     },
     (3, "Lam+1"): {
         "bracket-structure-constants":
@@ -60,7 +62,7 @@ EXPECTED = {
         "mixed-exchange": ("fail", "(i,j,k)=(8,8,8) on t[1,1]"),
         "q-jacobi": ("fail", "(i,j,k)=(0,0,8) on t[1,1]"),
         "braiding-f-exchange": ("fail", "t[1,1]"),
-        "braiding-classical-limit": ("fail", "(no witness recorded)"),
+        "braiding-classical-limit": ("fail", "(80, 80)"),
         "braiding-braid-relation": ("fail", "(224, 720)"),
     },
     (3, "Lam+1@zero"): {
@@ -69,7 +71,7 @@ EXPECTED = {
         "mixed-exchange": ("fail", "(i,j,k)=(8,8,7) on t[1,1]"),
         "q-jacobi": ("fail", "(i,j,k)=(0,0,7) on t[1,1]"),
         "braiding-f-exchange": ("fail", "t[1,1]"),
-        "braiding-classical-limit": ("fail", "(no witness recorded)"),
+        "braiding-classical-limit": ("fail", "(80, 79)"),
         "braiding-braid-relation": ("fail", "(161, 712)"),
     },
 }
