@@ -12,6 +12,25 @@ from qdc.calculus import (assemble, canonical_element, map_in_to_out,
                           map_out_to_in, roundtrip_check, CalculusError)
 
 
+def assert_no_zero_coefficient(x):
+    """No stored coefficient of x, nor of its algebra coefficients, is zero."""
+    for c in x.terms.values():
+        assert not c.is_zero()
+        if isinstance(c, AlgebraElement):
+            assert not any(v.is_zero() for v in c.terms.values())
+
+
+def _d_memo(c):
+    """A deep copy of d's memo: an entry that a caller mutated differs from
+    its copy."""
+    return {key: {w: dict(a.terms) for w, a in image.items()}
+            for key, image in c._d_cache.items()}
+
+
+def _cop_memo(qg):
+    return {key: dict(terms) for key, terms in qg._cop_cache.items()}
+
+
 class TestCanonicalElement:
     def test_trace_form(self, calc):
         X = canonical_element(calc.space)
@@ -73,20 +92,69 @@ class TestInnerDifferential:
         assert not any(len(mon) > MEMO_MAX_WORD_LENGTH
                        for mon, _ in calc._d_cache)
 
-    def test_shared_images_stay_intact(self, calc, qg):
-        x = calc.space.one_form(2, qg.generator(1, 2)) + \
-            calc.space.from_algebra(qg.generator(2, 1) * qg.generator(1, 1))
-        before = calc.d(x).render()
-        dx = calc.d(x)
-        assert dx.scalar_mul(ONE) is dx
-        derived = [dx.scalar_mul(Q), dx + dx, dx - dx,
-                   dx.algebra_mul_right(qg.generator(2, 2)),
-                   calc.X.wedge(dx), dx.wedge(calc.X),
-                   calc.space.one_form(0).wedge(dx)]
-        assert all(isinstance(y, FormElement) for y in derived)
-        assert dx.render() == before
-        assert calc.d(x).render() == before
-        assert calc.d(calc.d(x)).is_zero()
+    def test_shared_images_stay_intact(self, calc, calc3):
+        for c in (calc, calc3):
+            qg = c.qg
+            x = c.space.one_form(2, qg.generator(1, 2)) + \
+                c.space.from_algebra(qg.generator(2, 1) * qg.generator(1, 1))
+            before = c.d(x).render()
+            memo = _d_memo(c)
+            dx = c.d(x)
+            assert dx.scalar_mul(ONE) is dx
+            derived = [dx.scalar_mul(Q), dx + dx, dx - dx, -dx,
+                       dx.scalar_mul(ZERO), dx.algebra_mul_left(qg.generator(1, 1)),
+                       dx.algebra_mul_right(qg.generator(2, 2)),
+                       c.X.wedge(dx), dx.wedge(c.X),
+                       c.space.one_form(0).wedge(dx), c.partial(x), c.delta(x),
+                       *c.grid.split_component(dx)]
+            assert all(isinstance(y, FormElement) for y in derived)
+            for y in derived:
+                assert_no_zero_coefficient(y)
+            assert dx.render() == before
+            assert c.d(x).render() == before
+            assert c.d(c.d(x)).is_zero()
+            assert _d_memo(c).items() >= memo.items()
+
+    def test_random_forms_keep_the_contract(self, calc, calc3):
+        # constructors trust their terms: every operation that builds terms
+        # must keep zero coefficients out and leave shared memos alone
+        s = Q + ONE
+        for c, seed in ((calc, 13), (calc3, 17)):
+            rng = random.Random(seed)
+            qg, space = c.qg, c.space
+            words = qg.rs.normal_words(2)
+            for _ in range(3):
+                x, y = c.random_form(rng, 1), c.random_form(rng, 1)
+                b = AlgebraElement.from_word(
+                    qg.rs, words[rng.randrange(len(words))]).scalar_mul(s)
+                a = b + qg.generator(1, 1) - qg.generator(1, 1) * b
+                c.d(x)
+                d_memo, cop_memo = _d_memo(c), _cop_memo(qg)
+                algebra = [a + a, a - a, -a, a.scalar_mul(s),
+                           a.scalar_mul(ZERO), a * a, a * -a]
+                forms = [x + y, x - y, x - x, -x, x.scalar_mul(s),
+                         x.scalar_mul(ZERO), x.algebra_mul_left(a),
+                         x.algebra_mul_right(a), x.algebra_mul_left(a - a),
+                         x.algebra_mul_right(a - a), x.wedge(y),
+                         space.from_algebra(a).wedge(x), c.d(x), c.d(a),
+                         c.partial(x), c.delta(x),
+                         *c.grid.split_component(x + space.from_algebra(a))]
+                for z in algebra + forms:
+                    assert_no_zero_coefficient(z)
+                    assert bool(z) is not z.is_zero()
+                    assert z == -(-z) and hash(z) == hash(-(-z))
+                    assert (z - z).is_zero() and not (z - z)
+                    assert z + z == z.scalar_mul(Scalar.from_int(2))
+                assert x + y == y + x and hash(x + y) == hash(y + x)
+                assert x != space.from_algebra(a) or not x
+                for e in (a, b):
+                    assert all(v for v in qg.coproduct(e).values())
+                co = left_coaction(space, x.algebra_mul_left(a))
+                for fe in co.values():
+                    assert_no_zero_coefficient(fe)
+                    assert fe
+                assert _d_memo(c).items() >= d_memo.items()
+                assert _cop_memo(qg).items() >= cop_memo.items()
 
     def test_d_at_the_top_grade_hits_the_cap(self, calc3):
         # the cartan sweep skips an element whose d leaves the wedge table

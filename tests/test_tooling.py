@@ -120,16 +120,21 @@ def test_no_helper_only_tests_reach():
         "reached outside tests: %s" % ", ".join(sorted(TEST_ONLY_API - test_only))
 
 
+def _load_spans():
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_traced_names_resolve():
     """Every (module, attribute) that perfbench/spans.py traces exists in qdc.
 
     The tracer wraps these names by string, so a rename in qdc would
     otherwise only show up as a failing traced benchmark run.
     """
-    path = ROOT / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_spans()
     missing = []
     for module, attribute, _, _ in spans.TARGETS:
         obj = importlib.import_module("qdc." + module)
@@ -138,6 +143,37 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append("qdc.%s.%s" % (module, attribute))
     assert not missing, "traced names missing from qdc: %s" % ", ".join(missing)
+
+
+def test_traced_session_reads_its_metrics():
+    """A traced session: perfbench's tracer installed on a fresh N=2
+    calculus, hopf at degree 1, then every per-layer metric read.
+
+    metrics() reads caches by attribute name (the rewrite memo, the pass
+    memo, each family's convolution memo, the families that
+    CorepFamily.__init__ registers), so renaming one fails here.
+    """
+    spans = _load_spans()
+    mods = {name: importlib.import_module("qdc." + name)
+            for name in spans.LAYERS}
+    tracer = spans.Tracer(mods, sample_seed=1)
+    tracer.install()
+    try:
+        calc = mods["calculus"].assemble()
+        reports = tracer.call("suites.hopf", "suites", mods["cli"].run_suite,
+                              calc, "hopf", 1)
+    finally:
+        tracer.uninstall()
+    gating = sum(e.gating for r in reports for e in r.entries)
+    values = tracer.metrics(calc, gating, {"mul": 0.0, "add": 0.0})
+    assert set(values) == {name for name, _, _ in spans.METRICS} - \
+        {"trace.overhead_ratio"}
+    assert all(r.passed() for r in reports)
+    assert values["suites.gating_laws"] == 3
+    assert values["algebra.coproduct_word_calls"] > 0
+    assert values["algebra.rewrite_cache_entries"] > 0
+    assert calc.dual.f.family in tracer.families
+    assert values["suites.hopf_s"] > 0
 
 
 def _load_tool(name):
