@@ -57,9 +57,6 @@ class RMatrix:
     def val(self, a, c, b, d):
         return self.entries.get((a, c, b, d), ZERO)
 
-    def val_inv(self, a, c, b, d):
-        return self.inv_entries.get((a, c, b, d), ZERO)
-
     def val_minus(self, a, c, b, d):
         return self.rminus_entries.get((a, c, b, d), ZERO)
 
@@ -93,36 +90,14 @@ class RMatrix:
             raise RMatrixError(
                 "series %r is reserved and not implemented" % self.series)
         rng = range(1, n + 1)
-        # Yang-Baxter, all n^6 component equations
-        for a1, a2, a3, c1, c2, c3 in itertools.product(rng, repeat=6):
-            lhs = ZERO
-            for x, y, z in itertools.product(rng, repeat=3):
-                p = self.val(a1, a2, x, y)
-                if p.is_zero():
-                    continue
-                p2 = self.val(x, a3, c1, z)
-                if p2.is_zero():
-                    continue
-                p3 = self.val(y, z, c2, c3)
-                if p3.is_zero():
-                    continue
-                lhs = lhs + p * p2 * p3
-            rhs = ZERO
-            for x, y, z in itertools.product(rng, repeat=3):
-                p = self.val(a2, a3, x, y)
-                if p.is_zero():
-                    continue
-                p2 = self.val(a1, y, z, c3)
-                if p2.is_zero():
-                    continue
-                p3 = self.val(z, x, c1, c2)
-                if p3.is_zero():
-                    continue
-                rhs = rhs + p * p2 * p3
-            if lhs != rhs:
-                raise RMatrixError(
-                    "Yang-Baxter equation fails at indices %r"
-                    % ((a1, a2, a3, c1, c2, c3),))
+        # Yang-Baxter, all n^6 component equations; components that both
+        # sides leave out are 0 = 0
+        lhs, rhs = self._yang_baxter_sides()
+        bad = [k for k in lhs.keys() | rhs.keys()
+               if lhs.get(k, ZERO) != rhs.get(k, ZERO)]
+        if bad:
+            raise RMatrixError("Yang-Baxter equation fails at indices %r"
+                               % (min(bad),))
         # Hecke condition on the braided form (A series)
         braid = {}
         for (a, c, b, d), v in self.entries.items():
@@ -142,6 +117,33 @@ class RMatrix:
                     raise RMatrixError(
                         "Hecke condition fails at braided entry %r -> %r"
                         % (pairs[i], pairs[j]))
+
+    def _yang_baxter_sides(self):
+        """R12 R13 R23 and R23 R13 R12 as dicts (a1, a2, a3, c1, c2, c3) ->
+        component, contracted over the nonzero entries only."""
+        entries = self.entries.items()
+        by_upper = {}    # a -> [(c, b, d, R^{ac}_{bd})]
+        by_second = {}   # c -> [(a, b, d, R^{ac}_{bd})]
+        by_pair = {}     # (a, c) -> [(b, d, R^{ac}_{bd})]
+        for (a, c, b, d), v in entries:
+            by_upper.setdefault(a, []).append((c, b, d, v))
+            by_second.setdefault(c, []).append((a, b, d, v))
+            by_pair.setdefault((a, c), []).append((b, d, v))
+        lhs = {}
+        # sum over x, y, z of R^{a1 a2}_{x y} R^{x a3}_{c1 z} R^{y z}_{c2 c3}
+        for (a1, a2, x, y), p in entries:
+            for a3, c1, z, p2 in by_upper.get(x, ()):
+                pp = p * p2
+                for c2, c3, p3 in by_pair.get((y, z), ()):
+                    add_term(lhs, (a1, a2, a3, c1, c2, c3), pp * p3)
+        rhs = {}
+        # sum over x, y, z of R^{a2 a3}_{x y} R^{a1 y}_{z c3} R^{z x}_{c1 c2}
+        for (a2, a3, x, y), p in entries:
+            for a1, z, c3, p2 in by_second.get(y, ()):
+                pp = p * p2
+                for c1, c2, p3 in by_pair.get((z, x), ()):
+                    add_term(rhs, (a1, a2, a3, c1, c2, c3), pp * p3)
+        return lhs, rhs
 
 
 def load_rmatrix(text):
@@ -517,46 +519,52 @@ class QuantumGroup:
 
         The values kappa(t^a_g) are found as linear combinations of normal
         monomials of degree <= N-1 (degree <= N in SL mode covers N=1).
+        The coefficient rows do not depend on the row index a, so all N
+        systems are one elimination, with a right-hand-side column per a
+        after the unknowns.
         """
         rs = self.rs
         n = self.N
+        rng = range(1, n + 1)
         ansatz_deg = max(n - 1, 1)
         words = rs.normal_words(ansatz_deg)
+        rows = {}
+        for g in rng:
+            for w in words:
+                for b in rng:
+                    red = rs.reduce_word(w + ((g, b),))
+                    for u, c in red.items():
+                        add_term(rows.setdefault((b, u), {}), (g, w), c)
+        # system a asks for the unit coefficient delta_{ab} in row (b, ())
+        rhs_cols = [("rhs", a) for a in rng]
+        for a, col in zip(rng, rhs_cols):
+            row = rows.get((a, ()))
+            if row is not None:
+                row[col] = -ONE
+        unknowns = sorted({(g, w) for g in rng for w in words},
+                          key=lambda gw: (gw[0], rs.word_key(gw[1])))
+        pivot_rows, _ = rref_sparse(list(rows.values()), unknowns + rhs_cols)
+        # a right-hand side is a pivot iff some system is inconsistent; the
+        # first one's is iff system a=1 is, which is reported before the
+        # a-independent underdetermination
+        if rhs_cols[0] in pivot_rows:
+            raise PresentationError("antipode equations are inconsistent")
+        rhs_set = set(rhs_cols)
+        for p, row in pivot_rows.items():
+            if p not in rhs_set and any(c != p and c not in rhs_set
+                                        for c in row):
+                raise PresentationError("antipode is not uniquely determined")
+        if rhs_set.intersection(pivot_rows):
+            raise PresentationError("antipode equations are inconsistent")
         table = {}
-        for a in range(1, n + 1):
-            rows = {}
-            for g in range(1, n + 1):
-                for w in words:
-                    for b in range(1, n + 1):
-                        red = rs.reduce_word(w + ((g, b),))
-                        for u, c in red.items():
-                            add_term(rows.setdefault((b, u), {}), (g, w), c)
-            rhs_key = "__rhs__"
-            all_rows = []
-            for (b, u), row in rows.items():
-                r = dict(row)
-                target = ONE if (b == a and u == ()) else ZERO
-                if not target.is_zero():
-                    r[rhs_key] = -target
-                all_rows.append(r)
-            unknowns = sorted({(g, w) for g in range(1, n + 1) for w in words},
-                              key=lambda gw: (gw[0], rs.word_key(gw[1])))
-            order = unknowns + [rhs_key]
-            pivot_rows, pivots = rref_sparse(all_rows, order)
-            if rhs_key in pivots:
-                raise PresentationError("antipode equations are inconsistent")
-            sol = {u: ZERO for u in unknowns}
-            for p, row in pivot_rows.items():
-                free = [c for c in row if c != p and c != rhs_key]
-                if free:
-                    raise PresentationError("antipode is not uniquely determined")
-                sol[p] = -row.get(rhs_key, ZERO)
-            for g in range(1, n + 1):
+        for a, col in zip(rng, rhs_cols):
+            for g in rng:
                 terms = {}
                 for w in words:
-                    c = sol[(g, w)]
-                    if not c.is_zero():
-                        terms[w] = c
+                    row = pivot_rows.get((g, w))
+                    c = row.get(col) if row is not None else None
+                    if c:
+                        terms[w] = -c
                 table[(a, g)] = AlgebraElement(rs, terms)
         return table
 

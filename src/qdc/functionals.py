@@ -385,17 +385,21 @@ def make_lambda(r):
 
     Uses the leg-swapped R (matching the relation orientation of
     derive_relations) and the A-series weights q^{2a-1}; validity is
-    certified by braid_defect and the exchange law tests.
+    certified by braid_defect and the exchange law tests.  The contraction
+    runs over the nonzero entries of R and R^-1 only, each factor looked up
+    by the indices it shares with the factors before it.
     """
     n = r.N
     m = n * n
     rng = range(1, n + 1)
-
-    def rv(a, b, c, d):
-        return r.val(b, a, d, c)
-
-    def rinv(a, b, c, d):
-        return r.val_inv(b, a, d, c)
+    # the leg-swapped factors: rv(a, b, c, d) = R^{ba}_{dc}, rinv from R^-1
+    rv = {(b, a, d, c): v for (a, b, c, d), v in r.entries.items()}
+    rinv_by_second = {}   # b -> [(a, c, d, rinv(a, b, c, d))]
+    for (b, a, d, c), v in r.inv_entries.items():
+        rinv_by_second.setdefault(b, []).append((a, c, d, v))
+    rv_by_ends = {}       # (a, d) -> [(b, c, rv(a, b, c, d))]
+    for (a, b, c, d), v in rv.items():
+        rv_by_ends.setdefault((a, d), []).append((b, c, v))
 
     def fl(a, b):
         return flatten_pair(a, b, n)
@@ -403,31 +407,22 @@ def make_lambda(r):
     # the weight q^{2f-1} / q^{2c-1} of each (f2, c2), divided once
     weight = {(f, c): Scalar.q_power(2 * f - 1) / Scalar.q_power(2 * c - 1)
               for f in rng for c in rng}
+    acc = {}
+    # Lam[(a1,a2),(d1,d2)][(c1,c2),(b1,b2)] = sum over f2, g1, e1, g2 of
+    # w(f2,c2) rv(f2,b1,c2,g1) rinv(c1,g1,e1,a1) rinv(a2,e1,g2,d1) rv(g2,d2,b2,f2)
+    for (f2, b1, c2, g1), x1 in rv.items():
+        p1 = weight[(f2, c2)] * x1
+        for c1, e1, a1, x2 in rinv_by_second.get(g1, ()):
+            p2 = p1 * x2
+            for a2, g2, d1, x3 in rinv_by_second.get(e1, ()):
+                p3 = p2 * x3
+                row = fl(a1, a2) * m
+                for d2, b2, x4 in rv_by_ends.get((g2, f2), ()):
+                    add_term(acc, (row + fl(d1, d2), fl(c1, c2) * m + fl(b1, b2)),
+                             p3 * x4)
     rows = [[ZERO] * (m * m) for _ in range(m * m)]
-    for a1, a2 in itertools.product(rng, repeat=2):
-        for d1, d2 in itertools.product(rng, repeat=2):
-            for c1, c2 in itertools.product(rng, repeat=2):
-                for b1, b2 in itertools.product(rng, repeat=2):
-                    acc = ZERO
-                    for f2 in rng:
-                        w = weight[(f2, c2)]
-                        for g1 in rng:
-                            x1 = rv(f2, b1, c2, g1)
-                            if x1.is_zero():
-                                continue
-                            for e1 in rng:
-                                x2 = rinv(c1, g1, e1, a1)
-                                if x2.is_zero():
-                                    continue
-                                for g2 in rng:
-                                    x3 = rinv(a2, e1, g2, d1)
-                                    if x3.is_zero():
-                                        continue
-                                    x4 = rv(g2, d2, b2, f2)
-                                    if x4.is_zero():
-                                        continue
-                                    acc = acc + w * x1 * x2 * x3 * x4
-                    rows[fl(a1, a2) * m + fl(d1, d2)][fl(c1, c2) * m + fl(b1, b2)] = acc
+    for (i, j), v in acc.items():
+        rows[i][j] = v
     return LambdaMatrix(n, rows)
 
 

@@ -14,7 +14,9 @@ coaction images stay plain dicts.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import Scalar, ZERO, ONE
 
@@ -140,11 +142,6 @@ def rref_sparse(rows, column_order):
     return pivot_rows, sorted(pivot_rows, key=lambda c: col_rank[c])
 
 
-def sparse_rank(rows, column_order):
-    _, pivots = rref_sparse(rows, column_order)
-    return len(pivots)
-
-
 # ---------------------------------------------------------------------------
 # dense helpers (small matrices)
 
@@ -248,20 +245,70 @@ def rank_at_specializations(rows, column_order, points):
     """Rank of the same sparse system with q specialized to each point.
 
     Entries must be Scalars without poles at the points; returns a dict
-    point -> rank computed with plain Fraction arithmetic.
+    point -> rank.  Each evaluated row is scaled to integers by the lcm of
+    its denominators and the rank taken by fraction-free elimination.
     """
+    col_rank = {c: k for k, c in enumerate(column_order)}
+    index = {}   # rows repeat few distinct entries
+    coded = [[(c, index.setdefault(v, len(index))) for c, v in r.items()]
+             for r in rows]
     out = {}
     for q0 in points:
-        values = {}   # rows repeat few distinct entries
-        frows = []
-        for r in rows:
-            fr = {}
-            for c, v in r.items():
-                x = values.get(v)
-                if x is None:
-                    x = values[v] = v.evaluate_at(q0)
-                if x:
-                    fr[c] = x
-            frows.append(fr)
-        out[q0] = sparse_rank(frows, column_order)
+        at = [v.evaluate_at(q0) for v in index]
+        int_rows = []
+        for r in coded:
+            fr = [(c, at[i]) for c, i in r if at[i]]
+            if fr:
+                den = lcm(*(x.denominator for _, x in fr))
+                int_rows.append({c: x.numerator * (den // x.denominator)
+                                 for c, x in fr})
+        out[q0] = _integer_rank(int_rows, col_rank)
     return out
+
+
+def _integer_rank(rows, col_rank):
+    """Rank of rows of nonzero ints by fraction-free forward elimination.
+
+    A pivot row holds no pivot column created before its own, so clearing
+    a row's pivot columns in creation order never brings back one that is
+    already cleared; what is left of the row, if anything, becomes a pivot
+    row at its earliest column.  Rows are consumed.
+    """
+    created = []   # pivot columns in creation order
+    pivots = {}    # pivot column -> (creation index, row)
+    for row in rows:
+        _divide_content(row)
+        pending = [pivots[c][0] for c in row if c in pivots]
+        heapq.heapify(pending)
+        while pending and row:
+            c = created[heapq.heappop(pending)]
+            b = row.get(c)
+            if b is None:
+                continue
+            prow = pivots[c][1]
+            a = prow[c]
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in prow.items():
+                x = row.get(k, 0) - b * v
+                if x:
+                    if k not in row and k in pivots:
+                        heapq.heappush(pending, pivots[k][0])
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+            _divide_content(row)
+        if row:
+            piv = min(row, key=col_rank.__getitem__)
+            pivots[piv] = (len(created), row)
+            created.append(piv)
+    return len(created)
+
+
+def _divide_content(row):
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g

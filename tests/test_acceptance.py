@@ -14,7 +14,7 @@ from qdc.calculus import (DEFAULT_RMATRIX, map_in_to_out, map_out_to_in,
 from qdc.functionals import convolve, scalar_functional, InvalidFunctionalError
 from qdc.bicomplex import build_grid, cartan_check, grid_check
 from qdc.suites import hopf_suite, bicovariance_suite, leibniz_suite
-from qdc.linalg import sparse_rank
+from qdc.linalg import rref_sparse
 import random
 
 DEGREE = 3
@@ -199,7 +199,7 @@ def test_criterion_09_bicomplex_grid(calc):
                 if x:
                     row[c] = x
         rows.append(row)
-    rank1 = sparse_rank(rows, list(range(16)))
+    rank1 = len(rref_sparse(rows, list(range(16)))[1])
     classical_ok = (16 - rank1) == 6
     record(9, dims_ok and k1_ok and classical_ok,
            "grid dimensions split additively through grade 3; classical "
@@ -226,7 +226,7 @@ def test_criterion_10_specialization_oracle(calc, qg, dual):
                 if x:
                     row[j] = x
             rows.append(row)
-        numeric_fixed = mm - sparse_rank(rows, list(range(mm)))
+        numeric_fixed = mm - len(rref_sparse(rows, list(range(mm)))[1])
         agree = agree and numeric_fixed == len(table.relation_vectors)
 
     # grid cell dimensions re-derived by numeric elimination
@@ -239,7 +239,7 @@ def test_criterion_10_specialization_oracle(calc, qg, dual):
                 vecs.append({i: col[i].evaluate_at(q0) for i in cols
                              if not col[i].is_zero()
                              and col[i].evaluate_at(q0) != 0})
-            r_all = sparse_rank(vecs, cols)
+            r_all = len(rref_sparse(vecs, cols)[1])
             agree = agree and r_all == sum(d["dims"])
     record(10, agree,
            "every symbolic rank agrees with exact numeric elimination at "

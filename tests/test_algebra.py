@@ -1,14 +1,24 @@
 import itertools
+import os
+import re
 from fractions import Fraction
 
 import pytest
 
 from qdc.scalars import ZERO, ONE, Q, qlambda
-from qdc.algebra import (RMatrixError, load_rmatrix, dump_rmatrix,
-                         QuantumGroup, AlgebraElement,
+from qdc import algebra
+from qdc.algebra import (RMatrixError, PresentationError, load_rmatrix,
+                         dump_rmatrix, QuantumGroup, AlgebraElement,
                          quantum_determinant_terms)
-from qdc.linalg import sparse_sum
+from qdc.linalg import add_term, rref_sparse, sparse_sum
 from qdc.calculus import DEFAULT_RMATRIX
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def read_config(name):
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def gen(rs, a, b):
@@ -80,6 +90,40 @@ class TestRMatrixGate:
         with pytest.raises(RMatrixError) as err:
             load_rmatrix(bad)
         assert "reserved" in str(err.value)
+
+    # Each refusal names the lexicographically first failing component, as
+    # the sweep over all n^6 index tuples in itertools.product order did;
+    # the texts were recorded from that sweep.
+    @pytest.mark.parametrize("old, new, message", [
+        ("entry 2 3 3 2 q - q^-1", "entry 2 3 3 2 q - q^-2",
+         "Yang-Baxter equation fails at indices (1, 2, 3, 2, 3, 1)"),
+        ("entry 1 3 1 3 1", "entry 1 3 1 3 2",
+         "Yang-Baxter equation fails at indices (1, 1, 3, 3, 1, 1)"),
+        ("entry 2 2 2 2 q", "entry 2 2 2 2 q^2",
+         "Yang-Baxter equation fails at indices (1, 2, 2, 2, 2, 1)"),
+        ("entry 3 3 3 3 q", "entry 3 3 3 3 q\nentry 1 2 3 3 1",
+         "Yang-Baxter equation fails at indices (1, 1, 2, 1, 3, 3)"),
+        ("entry 1 2 2 1 q - q^-1\n", "",
+         "Yang-Baxter equation fails at indices (1, 2, 3, 3, 1, 2)"),
+        ("entry 1 2 2 1 q - q^-1", "entry 1 2 2 1 q - q^-1\n"
+         "entry 2 1 1 2 q - q^-1",
+         "Yang-Baxter equation fails at indices (1, 1, 2, 1, 2, 1)"),
+    ])
+    def test_perturbed_sl3_refused_at_first_component(self, old, new, message):
+        text = read_config("slq3.rmatrix")
+        assert old in text
+        with pytest.raises(RMatrixError) as err:
+            load_rmatrix(text.replace(old, new))
+        assert str(err.value) == message
+
+    def test_scaled_sl3_passes_yang_baxter_and_fails_hecke(self):
+        # R -> 2R keeps the cubic Yang-Baxter equation and breaks Hecke
+        scaled = re.sub(r"entry (\d \d \d \d) (.*)", r"entry \1 2*(\2)",
+                        read_config("slq3.rmatrix"))
+        with pytest.raises(RMatrixError) as err:
+            load_rmatrix(scaled)
+        assert str(err.value) == \
+            "Hecke condition fails at braided entry (1, 1) -> (1, 1)"
 
     def test_config_round_trip_bit_exact(self):
         r = load_rmatrix(DEFAULT_RMATRIX)
@@ -277,6 +321,87 @@ class TestHopf:
         b = qg.generator(1, 2)
         assert qg.antipode(qg.antipode(b)) == b.scalar_mul(ONE / (Q * Q))
         assert qg.antipode(qg.one()) == qg.one()
+
+
+class TestAntipodeSolve:
+    """The single elimination against a per-row reference: one solve for
+    each row index a, with the right-hand side (b == a, u == ())."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_elimination_matches_per_row_solve(self, n, calc, calc3,
+                                                   monkeypatch):
+        qg = (calc if n == 2 else calc3).qg
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rref_sparse(*args)
+
+        monkeypatch.setattr(algebra, "rref_sparse", counted)
+        table = qg._solve_antipode()
+        assert len(calls) == 1      # was one per row index a
+        assert table == per_row_antipode(qg) == qg.antipode_table
+
+    # N=2 ansatz edits: without t[2,2] (t[1,1]) the system of row a=1
+    # (a=2) is inconsistent, as S(t[1,1]) = t[2,2] and S(t[2,2]) = t[1,1];
+    # t[1,2]*t[1,1] = q^-1 t[1,1]*t[1,2] makes two unknowns of one column,
+    # so every system is underdetermined.  The per-row solve reports the
+    # first defect of the first row.
+    NON_NORMAL = [((1, 1), (1, 2)), ((1, 2), (1, 1))]
+
+    @pytest.mark.parametrize("drop, add, message", [
+        (((2, 2),), [], "antipode equations are inconsistent"),
+        (((1, 1),), [], "antipode equations are inconsistent"),
+        (None, NON_NORMAL, "antipode is not uniquely determined"),
+        (((2, 2),), NON_NORMAL, "antipode equations are inconsistent"),
+        (((1, 1),), NON_NORMAL, "antipode is not uniquely determined"),
+    ])
+    def test_error_branches_match_per_row_solve(self, qg, drop, add, message,
+                                                monkeypatch):
+        ansatz = [w for w in qg.rs.normal_words(1) if w != drop] + add
+        monkeypatch.setattr(qg.rs, "normal_words", lambda degree: ansatz)
+        with pytest.raises(PresentationError) as want:
+            per_row_antipode(qg)
+        with pytest.raises(PresentationError) as got:
+            qg._solve_antipode()
+        assert str(got.value) == str(want.value) == message
+
+
+def per_row_antipode(qg):
+    """kappa(t^a_g) solved with one elimination per row index a."""
+    rs = qg.rs
+    n = qg.N
+    rng = range(1, n + 1)
+    words = rs.normal_words(max(n - 1, 1))
+    rows = {}
+    for g in rng:
+        for w in words:
+            for b in rng:
+                for u, c in rs.reduce_word(w + ((g, b),)).items():
+                    add_term(rows.setdefault((b, u), {}), (g, w), c)
+    unknowns = sorted({(g, w) for g in rng for w in words},
+                      key=lambda gw: (gw[0], rs.word_key(gw[1])))
+    table = {}
+    for a in rng:
+        system = []
+        for (b, u), row in rows.items():
+            r = dict(row)
+            if b == a and u == ():
+                r["rhs"] = -ONE
+            system.append(r)
+        pivot_rows, pivots = rref_sparse(system, unknowns + ["rhs"])
+        if "rhs" in pivots:
+            raise PresentationError("antipode equations are inconsistent")
+        sol = {}
+        for p, row in pivot_rows.items():
+            if any(c not in (p, "rhs") for c in row):
+                raise PresentationError("antipode is not uniquely determined")
+            if "rhs" in row:
+                sol[p] = -row["rhs"]
+        for g in rng:
+            table[(a, g)] = AlgebraElement(rs, {w: sol[(g, w)] for w in words
+                                                if (g, w) in sol})
+    return table
 
 
 class TestAdjoint:

@@ -9,7 +9,7 @@ from qdc.algebra import AlgebraElement, load_rmatrix
 from qdc.forms import (FormElement, GradeCapError, WedgeTable, left_coaction,
                        z_form_comparison)
 from qdc.functionals import convolve, make_lambda
-from qdc.linalg import sparse_rank
+from qdc.linalg import rref_sparse
 
 
 class TestWedgeTable:
@@ -36,7 +36,7 @@ class TestWedgeTable:
                     row[divmod(c, 4)] = v[c].evaluate_at(1)
             rows.append({k: x for k, x in row.items() if x})
         cols = [(i, j) for i in range(4) for j in range(4)]
-        rank = sparse_rank(rows, cols)
+        rank = len(rref_sparse(rows, cols)[1])
         assert rank == 10
         assert 16 - rank == 6
 

@@ -207,6 +207,11 @@ class TestBraiding:
         assert len(calls) <= n * n     # was N^8 * N = 19,683 at N=3
         assert lam.sparse == c.dual.lam_matrix.sparse
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sparse_contraction_matches_dense_sweep(self, n, calc, calc3):
+        r = (calc if n == 2 else calc3).qg.R
+        assert make_lambda(r).rows == dense_lambda_rows(r)
+
     def test_invertible(self, dual):
         inv = dual.lam_matrix.inverse()
         assert len(inv) == 16
@@ -368,6 +373,36 @@ class TestStructureConstants:
             make_C(dual.lam_matrix, dual.lam, chi)
         assert str(err.value) == \
             "structure constants underdetermined at (0,0,%d)" % k
+
+
+def dense_lambda_rows(r):
+    """The braiding by a sweep over all N^12 index tuples, skipping zero
+    factors: the reference for make_lambda's sparse contraction."""
+    n = r.N
+    m = n * n
+    rng = range(1, n + 1)
+
+    def rv(a, b, c, d):
+        return r.val(b, a, d, c)
+
+    def rinv(a, b, c, d):
+        return r.inv_entries.get((b, a, d, c), ZERO)
+
+    rows = [[ZERO] * (m * m) for _ in range(m * m)]
+    for a1, a2, d1, d2, c1, c2, b1, b2 in itertools.product(rng, repeat=8):
+        acc = ZERO
+        for f2, g1, e1, g2 in itertools.product(rng, repeat=4):
+            x1 = rv(f2, b1, c2, g1)
+            x2 = rinv(c1, g1, e1, a1)
+            x3 = rinv(a2, e1, g2, d1)
+            x4 = rv(g2, d2, b2, f2)
+            if x1 and x2 and x3 and x4:
+                w = Scalar.q_power(2 * f2 - 1) / Scalar.q_power(2 * c2 - 1)
+                acc = acc + w * x1 * x2 * x3 * x4
+        i = flatten_pair(a1, a2, n) * m + flatten_pair(d1, d2, n)
+        j = flatten_pair(c1, c2, n) * m + flatten_pair(b1, b2, n)
+        rows[i][j] = acc
+    return rows
 
 
 def per_pair_C(lambda_matrix, chi):
