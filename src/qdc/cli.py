@@ -21,7 +21,7 @@ from .algebra import (AlgebraElement, dump_rmatrix,
 from .functionals import FunctionalError
 from .calculus import (assemble, map_in_to_out, map_out_to_in,
                        roundtrip_check, DEFAULT_RMATRIX, CalculusError)
-from .forms import FormsError
+from .forms import FormElement, FormsError
 from .bicomplex import build_grid, cartan_check, grid_check
 from .suites import hopf_suite, bicovariance_suite, leibniz_suite
 
@@ -280,18 +280,18 @@ def cmd_relations(args, out):
         payload["bimodule"].append([label, gen, render_scalar(v)])
     for label, gen, v in calc.dual.chi.generator_table():
         payload["vector_fields"].append([label, gen, render_scalar(v)])
-    table = calc.space.table
+    space = calc.space
+    table = space.table
     for k in range(2, min(table.max_grade, RELATIONS_MAX_GRADE) + 1):
         basis = set(table.basis[k])
         rows = []
         for w in itertools.product(range(table.M), repeat=k):
             if w in basis:
                 continue
-            red = table.reduce_word(w)
-            rows.append([_wedge_word_str(calc, w),
-                         " + ".join("%s %s" % (render_scalar(c),
-                                               _wedge_word_str(calc, u))
-                                    for u, c in sorted(red.items())) or "0"])
+            red = FormElement(space, {
+                u: AlgebraElement.from_scalar(qg.rs, c)
+                for u, c in table.reduce_word(w).items()})
+            rows.append([_wedge_word_str(calc, w), red.render()])
         payload["wedge"][str(k)] = {
             "dimension": table.dimension(k),
             "basis": [_wedge_word_str(calc, w) for w in table.basis[k]],
