@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdc.scalars import ZERO, ONE, Q, qlambda
+from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
 from qdc import algebra
 from qdc.algebra import (RMatrixError, PresentationError, load_rmatrix,
                          dump_rmatrix, QuantumGroup, AlgebraElement,
@@ -365,6 +365,51 @@ class TestAntipodeSolve:
         with pytest.raises(PresentationError) as got:
             qg._solve_antipode()
         assert str(got.value) == str(want.value) == message
+
+
+class TestQuantumCofactorAntipode:
+    """The solved antipode against the quantum cofactor formula
+    (Faddeev-Reshetikhin-Takhtajan 1990; Klimyk-Schmuedgen 1997, 9.2):
+
+        S(t[i,j]) = (-q)^(i-j) * det_q(T without row j and column i),
+
+    with det_q of rows r1 < ... < rk and columns c1 < ... < ck the sum over
+    permutations s of (-q)^inv(s) t[r1,c_s(1)] ... t[rk,c_s(k)], the order
+    of quantum_determinant_terms.  The exponent i - j, not j - i, is fixed
+    at N=2, where S(t[1,2]) = -q^-1 t[1,2] and S(t[2,1]) = -q t[2,1].  The
+    minors have degree N-1, below the determinant rule, so only the
+    quadratic rules reduce them.
+    """
+
+    @staticmethod
+    def cofactor(qg, i, j):
+        n = qg.N
+        rows = [r for r in range(1, n + 1) if r != j]
+        cols = [c for c in range(1, n + 1) if c != i]
+        terms = {}
+        for perm in itertools.permutations(cols):
+            inv = sum(1 for x, y in itertools.combinations(perm, 2) if x > y)
+            add_term(terms, tuple(zip(rows, perm)), minus_q_power(inv))
+        minor = AlgebraElement(qg.rs, qg.rs.reduce_terms(terms))
+        return minor.scalar_mul(minus_q_power(i - j))
+
+    def test_convention_fixed_at_n2(self, qg):
+        assert self.cofactor(qg, 1, 2) == \
+            qg.generator(1, 2).scalar_mul(ZERO - ONE / Q)
+        assert self.cofactor(qg, 2, 1) == qg.generator(2, 1).scalar_mul(ZERO - Q)
+        for g, s in qg.antipode_table.items():
+            assert self.cofactor(qg, *g) == s
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_solved_table_matches_cofactors(self, n, calc3, calc4):
+        qg = (calc3 if n == 3 else calc4).qg
+        for (i, j), s in qg.antipode_table.items():
+            assert s == self.cofactor(qg, i, j), (i, j)
+
+
+def minus_q_power(k):
+    """(-q)^k for an integer k."""
+    return Scalar.q_power(k, -1 if k % 2 else 1)
 
 
 def per_row_antipode(qg):

@@ -1,7 +1,7 @@
 """CLI dumps compared byte for byte with recorded golden outputs.
 
 Each file in tests/data/golden is the standard output of one command on the
-default N=2 session (or, where named, the N=1 or N=3 config in tests/data),
+default N=2 session (or, where named, the N=1, N=3 or N=4 config in tests/data),
 recorded before the engine's internals were refactored; any change in a
 printed normal form, table or verdict shows up here.
 """
@@ -17,6 +17,7 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
 SLQ1 = os.path.join(DATA_DIR, "slq1.rmatrix")
 SLQ3 = os.path.join(DATA_DIR, "slq3.rmatrix")
+SLQ4 = os.path.join(DATA_DIR, "slq4.rmatrix")
 
 CASES = {
     "relations": ["relations"],
@@ -39,6 +40,8 @@ CASES = {
                             "del(t[2,1]*w[1,2] + t[1,1]*X)"],
     "eval_dlt_mixed_slq3": ["--rmatrix", SLQ3, "--cap", "1", "eval",
                             "dlt(t[2,1]*w[1,2] + t[1,1]*X)"],
+    # N=4 at degree 1, below the quartic determinant rule
+    "eval_d_t11_slq4": ["--rmatrix", SLQ4, "--cap", "1", "eval", "d(t[1,1])"],
     # N=2: a scalar whose exponents lie in steps of 1/2, 1/3 and 1/6
     "eval_mixed_exponents": ["eval", "(q^(1/2) + q^(1/3))/(1 - q^(1/6))"],
 }

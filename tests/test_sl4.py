@@ -1,0 +1,40 @@
+"""SL_q(4) as a third instance, at grade cap 1 and degree bound 1.
+
+Degree 1 stays below the quartic determinant rule, so every check here
+runs where only the quadratic RTT rules act.
+"""
+
+import math
+
+from qdc.algebra import AlgebraElement
+from qdc.functionals import convolve
+from qdc.suites import hopf_suite
+
+
+def test_wedge_dimensions_are_binomial(calc4):
+    assert calc4.space.table.dimensions() == [math.comb(16, k) for k in range(4)]
+
+
+def test_symbolic_rank_equals_numeric_rank_at_every_point(calc4):
+    table = calc4.space.table
+    assert sorted(table.spec_ranks) == [2, 3]
+    for k, info in table.spec_ranks.items():
+        assert set(info["numeric"]) == {2, 3, 5}
+        for q0, rank in info["numeric"].items():
+            assert rank == info["symbolic"], (k, q0)
+    assert table.warnings == []
+
+
+def test_hopf_suite_passes_at_degree_one(calc4):
+    report = hopf_suite(calc4, degree=1)
+    assert report.passed(), report.render()
+
+
+def test_d_expands_through_the_vector_fields_on_generators(calc4):
+    qg, chi = calc4.qg, calc4.dual.chi
+    for g in qg.rs.gens:
+        a = AlgebraElement.generator(qg.rs, *g)
+        coeffs = calc4.expand_d_in_basis(a)
+        assert len(coeffs) == 16
+        for i in range(16):
+            assert coeffs[i] == convolve(chi.entry(i), a, side="left"), (g, i)
