@@ -544,9 +544,10 @@ class QuantumGroup:
         unknowns = sorted({(g, w) for g in rng for w in words},
                           key=lambda gw: (gw[0], rs.word_key(gw[1])))
         pivot_rows, _ = rref_sparse(list(rows.values()), unknowns + rhs_cols)
-        # a right-hand side is a pivot iff some system is inconsistent; the
-        # first one's is iff system a=1 is, which is reported before the
-        # a-independent underdetermination
+        # errors come in the order of solving a = 1, 2, ... in turn: the
+        # first right-hand side is a pivot iff system a=1 is inconsistent,
+        # underdetermination is the same for every a, and some right-hand
+        # side is a pivot iff some system is inconsistent
         if rhs_cols[0] in pivot_rows:
             raise PresentationError("antipode equations are inconsistent")
         rhs_set = set(rhs_cols)
