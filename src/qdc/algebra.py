@@ -535,12 +535,12 @@ class QuantumGroup:
                     red = rs.reduce_word(w + ((g, b),))
                     for u, c in red.items():
                         add_term(rows.setdefault((b, u), {}), (g, w), c)
-        # system a asks for the unit coefficient delta_{ab} in row (b, ())
+        # system a asks for the unit coefficient delta_{ab} in row (b, ());
+        # without any unknown there the row reads 0 = 1, and system a is
+        # inconsistent
         rhs_cols = [("rhs", a) for a in rng]
         for a, col in zip(rng, rhs_cols):
-            row = rows.get((a, ()))
-            if row is not None:
-                row[col] = -ONE
+            rows.setdefault((a, ()), {})[col] = -ONE
         unknowns = sorted({(g, w) for g in rng for w in words},
                           key=lambda gw: (gw[0], rs.word_key(gw[1])))
         pivot_rows, _ = rref_sparse(list(rows.values()), unknowns + rhs_cols)

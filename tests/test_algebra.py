@@ -366,6 +366,22 @@ class TestAntipodeSolve:
             qg._solve_antipode()
         assert str(got.value) == str(want.value) == message
 
+    def test_missing_unit_row_is_inconsistent(self, calc3, monkeypatch):
+        """At N=3 only the cubic determinant rule reaches the unit, so an
+        ansatz cut to degree <= 1 gives no row (a, ()) at all: each system
+        asks for unit coefficient 1 where no unknown can supply it, and
+        the solve itself refuses it rather than returning kappa = 0."""
+        qg = calc3.qg
+        ansatz = qg.rs.normal_words(1)
+        monkeypatch.setattr(qg.rs, "normal_words", lambda degree: ansatz)
+        axiom = []
+        monkeypatch.setattr(qg, "_check_antipode_axiom",
+                            lambda: axiom.append(True))
+        with pytest.raises(PresentationError,
+                           match="^antipode equations are inconsistent$"):
+            qg._solve_antipode()
+        assert not axiom
+
 
 class TestQuantumCofactorAntipode:
     """The solved antipode against the quantum cofactor formula
