@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
 from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
-                     add_scaled)
+                     add_scaled, ValueNumbers)
 from .algebra import AlgebraElement, MEMO_MAX_WORD_LENGTH
 
 
@@ -54,10 +54,15 @@ class CorepFamily:
     def word_matrix(self, word):
         m = self._cache.get(word)
         if m is None:
-            seq = reversed(word) if self.reversed else word
-            m = identity(self.size)
-            for g in seq:
-                m = mat_mul(m, self.gen_tables[g])
+            # one product with the cached prefix: F(w g) = F(w) F(g), or
+            # F(g) F(w) for a reversed family
+            last = self.gen_tables[word[-1]]
+            if len(word) == 1:
+                m = last
+            else:
+                prefix = self.word_matrix(word[:-1])
+                m = (mat_mul(last, prefix) if self.reversed
+                     else mat_mul(prefix, last))
             self._cache[word] = m
         return m
 
@@ -311,16 +316,23 @@ def make_chi(qg, lplus, lminus, lam, f_matrix=None):
 class LambdaMatrix:
     """The braiding on invariant one-forms, rows = upper pair (I,J), cols = lower."""
 
-    def __init__(self, n, rows):
+    def __init__(self, n, rows, sparse=None):
         self.N = n
         self.M = n * n
         self.rows = rows          # dense (M^2) x (M^2)
-        self.sparse = {}
-        mm = self.M * self.M
-        for i in range(mm):
-            for j in range(mm):
-                if not rows[i][j].is_zero():
-                    self.sparse[(i, j)] = rows[i][j]
+        if sparse is None:
+            sparse = {(i, j): v for i, row in enumerate(rows)
+                      for j, v in enumerate(row) if v}
+        self.sparse = sparse      # (row, col) -> nonzero, in row-major order
+
+    @classmethod
+    def from_sparse(cls, n, entries):
+        """The matrix whose nonzero entries are entries {(row, col): value}."""
+        mm = n ** 4
+        rows = [[ZERO] * mm for _ in range(mm)]
+        for (i, j), v in entries.items():
+            rows[i][j] = v
+        return cls(n, rows, dict(sorted(entries.items())))
 
     def entry(self, i, j, k, l):
         return self.rows[i * self.M + j][k * self.M + l]
@@ -339,45 +351,28 @@ class LambdaMatrix:
         """None if the braid relation holds; else a witness index pair.
 
         With Q = (1 x Lam)(Lam x 1) the two sides are (Lam x 1) Q and
-        Q (1 x Lam): three sparse products.  The witness is the first
-        mismatch in sorted (row, column) order, which does not depend on
-        how the products are grouped.
+        Q (1 x Lam): three sparse products, run over the numbers of the
+        few distinct entry values.  The witness is the first mismatch in
+        sorted (row, column) order, which does not depend on how the
+        products are grouped.
         """
         m = self.M
         mm = m * m
-        def tens(left):
-            out = {}
-            for (i, j), v in self.sparse.items():
-                if left:
-                    for k in range(m):
-                        out.setdefault(i * m + k, {})[j * m + k] = v
-                else:
-                    for k in range(m):
-                        out.setdefault(k * mm + i, {})[k * mm + j] = v
-            return out
-        b1, b2 = tens(True), tens(False)
-        q = _sp_mul(b2, b1)
-        lhs, rhs = _sp_mul(b1, q), _sp_mul(q, b2)
+        vn = ValueNumbers()
+        b1, b2 = {}, {}
+        for (i, j), v in self.sparse.items():
+            v = vn.number(v)
+            for k in range(m):
+                b1.setdefault(i * m + k, {})[j * m + k] = v
+                b2.setdefault(k * mm + i, {})[k * mm + j] = v
+        q = vn.sp_mul(b2, b1)
+        lhs, rhs = vn.sp_mul(b1, q), vn.sp_mul(q, b2)
         for i in sorted(lhs.keys() | rhs.keys()):
             ri, rj = lhs.get(i, {}), rhs.get(i, {})
             for j in sorted(ri.keys() | rj.keys()):
-                if ri.get(j, ZERO) != rj.get(j, ZERO):
+                if ri.get(j, 0) != rj.get(j, 0):
                     return (i, j)
         return None
-
-
-def _sp_mul(a, b):
-    out = {}
-    for i, row in a.items():
-        acc = {}
-        for k, v in row.items():
-            br = b.get(k)
-            if not br:
-                continue
-            add_scaled(acc, br, v)
-        if acc:
-            out[i] = acc
-    return out
 
 
 def make_lambda(r):
@@ -420,10 +415,7 @@ def make_lambda(r):
                 for d2, b2, x4 in rv_by_ends.get((g2, f2), ()):
                     add_term(acc, (row + fl(d1, d2), fl(c1, c2) * m + fl(b1, b2)),
                              p3 * x4)
-    rows = [[ZERO] * (m * m) for _ in range(m * m)]
-    for (i, j), v in acc.items():
-        rows[i][j] = v
-    return LambdaMatrix(n, rows)
+    return LambdaMatrix.from_sparse(n, acc)
 
 
 class StructureConstants:

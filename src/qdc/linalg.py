@@ -103,6 +103,77 @@ class LinearCombination:
         return self._hash
 
 
+class ValueNumbers:
+    """The distinct values of one sweep, numbered 0 (zero), 1, 2, ...
+
+    Field elements must be canonical: equal values compare and hash
+    equal, as Scalars do.  Then two numbers are equal exactly when their
+    values are, so a sweep that repeats a few values many times can
+    compare ints, and mul and add run each distinct product and sum of
+    the field once.  One instance serves one sweep; nothing is shared
+    between instances.
+    """
+
+    def __init__(self, zero=ZERO):
+        self.values = [zero]
+        self._numbers = {zero: 0}
+        self._mul = {}
+        self._add = {}
+
+    def number(self, value):
+        """The number of value, numbering it if it is new."""
+        n = self._numbers.get(value)
+        if n is None:
+            n = self._numbers[value] = len(self.values)
+            self.values.append(value)
+        return n
+
+    def mul(self, a, b):
+        """The number of values[a] * values[b]."""
+        if not a or not b:
+            return 0
+        key = (a, b) if a <= b else (b, a)
+        n = self._mul.get(key)
+        if n is None:
+            n = self._mul[key] = self.number(self.values[a] * self.values[b])
+        return n
+
+    def add(self, a, b):
+        """The number of values[a] + values[b]."""
+        if not a:
+            return b
+        if not b:
+            return a
+        key = (a, b) if a <= b else (b, a)
+        n = self._add.get(key)
+        if n is None:
+            n = self._add[key] = self.number(self.values[a] + self.values[b])
+        return n
+
+    def add_term(self, terms, key, n):
+        """terms[key] += values[n] over numbers, as add_term does on values."""
+        cur = terms.get(key)
+        if cur is not None:
+            n = self.add(cur, n)
+        if n:
+            terms[key] = n
+        else:
+            terms.pop(key, None)
+
+    def sp_mul(self, a, b):
+        """The product of number-valued sparse rows {i: {j: number}}."""
+        mul, add_term = self.mul, self.add_term
+        out = {}
+        for i, row in a.items():
+            acc = {}
+            for k, v in row.items():
+                for j, w in b.get(k, {}).items():
+                    add_term(acc, j, mul(v, w))
+            if acc:
+                out[i] = acc
+        return out
+
+
 def rref_sparse(rows, column_order):
     """Reduced row echelon form of sparse rows.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .scalars import ZERO, ONE
-from .linalg import kernel_basis, add_term
+from .linalg import kernel_basis, add_term, ValueNumbers
 from .algebra import AlgebraElement, render_element, render_word
 from .functionals import convolve, unflatten_pair, bracket_table
 from .forms import left_coaction, z_form_comparison
@@ -80,7 +80,12 @@ def hopf_suite(calc, degree=None):
 # bicovariance suite
 
 class _Tables:
-    """Per-monomial caches: coproduct pairs, f matrices, chi vectors."""
+    """Per-monomial caches: coproduct pairs, f matrices, chi vectors, and
+    the f f, f chi and chi f tables that the exchange laws sum over.
+
+    Those three tables hold numbers of vn, one ValueNumbers for the whole
+    suite run, and are built once per word.
+    """
 
     def __init__(self, dual, words):
         self.dual = dual
@@ -100,6 +105,14 @@ class _Tables:
         self.eps = {w: dual.qg.counit_word(w) for w in legs}
         self.lam_cols = dual.lam_matrix.by_lower_pair()
         self._bracket = {}
+        self.vn = ValueNumbers()
+        num = self.vn.number
+        # the nonzero f entries ((i, j), number) and chi entries (k, number)
+        self.f_nz = {w: [((i, j), num(v)) for i, row in enumerate(self.F[w])
+                         for j, v in enumerate(row) if v] for w in legs}
+        self.x_nz = {w: [(k, num(v)) for k, v in enumerate(self.x[w]) if v]
+                     for w in legs}
+        self._pair_tables = {}
 
     def bracket(self, w):
         """T[i][j] = [chi_i, chi_j](w)."""
@@ -109,54 +122,38 @@ class _Tables:
                                                  self.lam_cols, self.dual.M)
         return t
 
-    def ff_sparse(self, w):
-        """K[(i,j),(p,q)] = (f^i_p f^j_q)(w), sparse."""
-        m = self.dual.M
-        out = {}
-        for (w1, w2), c in self.cop[w]:
-            f1, f2 = self.F[w1], self.F[w2]
-            nz1 = [(i, p, f1[i][p]) for i in range(m) for p in range(m)
-                   if not f1[i][p].is_zero()]
-            nz2 = [(j, q, f2[j][q]) for j in range(m) for q in range(m)
-                   if not f2[j][q].is_zero()]
-            for i, p, a in nz1:
-                ca = c * a
-                for j, q, b in nz2:
-                    add_term(out, (i * m + j, p * m + q), ca * b)
+    def _pair_table(self, kind, w, left, right, key):
+        """The sum over the coproduct pairs (w1, w2) of w of c * x * y, for
+        each x of left[w1] and y of right[w2], at key(x's index, y's)."""
+        out = self._pair_tables.get((kind, w))
+        if out is None:
+            vn = self.vn
+            mul, add_term = vn.mul, vn.add_term
+            out = self._pair_tables[(kind, w)] = {}
+            for (w1, w2), c in self.cop[w]:
+                c = vn.number(c)
+                r = right[w2]
+                for a, x in left[w1]:
+                    cx = mul(c, x)
+                    for b, y in r:
+                        add_term(out, key(a, b), mul(cx, y))
         return out
+
+    def ff(self, w):
+        """K[(i*M + j, p*M + q)] = (f^i_p f^j_q)(w), as numbers."""
+        m = self.dual.M
+        return self._pair_table("ff", w, self.f_nz, self.f_nz,
+                                lambda a, b: (a[0] * m + b[0], a[1] * m + b[1]))
 
     def fx(self, w):
-        """H[(i,j)][k] = (f^i_j chi_k)(w)."""
-        m = self.dual.M
-        out = {}
-        for (w1, w2), c in self.cop[w]:
-            f1, x2 = self.F[w1], self.x[w2]
-            for i in range(m):
-                for j in range(m):
-                    a = f1[i][j]
-                    if a.is_zero():
-                        continue
-                    ca = c * a
-                    for k in range(m):
-                        if not x2[k].is_zero():
-                            add_term(out, (i, j, k), ca * x2[k])
-        return out
+        """H[(i, j, k)] = (f^i_j chi_k)(w), as numbers."""
+        return self._pair_table("fx", w, self.f_nz, self.x_nz,
+                                lambda a, b: a + (b,))
 
     def xf(self, w):
-        """Hp[k][(i,j)] = (chi_k f^i_j)(w)."""
-        m = self.dual.M
-        out = {}
-        for (w1, w2), c in self.cop[w]:
-            x1, f2 = self.x[w1], self.F[w2]
-            for k in range(m):
-                if x1[k].is_zero():
-                    continue
-                ca = c * x1[k]
-                for i in range(m):
-                    for j in range(m):
-                        if not f2[i][j].is_zero():
-                            add_term(out, (k, i, j), ca * f2[i][j])
-        return out
+        """Hp[(k, i, j)] = (chi_k f^i_j)(w), as numbers."""
+        return self._pair_table("xf", w, self.x_nz, self.f_nz,
+                                lambda a, b: (a,) + b)
 
 
 def bicovariance_suite(calc, degree=None):
@@ -242,21 +239,30 @@ def bicovariance_suite(calc, degree=None):
                "the vector-field bracket expands over the structure constants",
                wit is None, wit)
 
+    # the exchange laws sum over the numbers of tabs.vn
+    vn = tabs.vn
+    num, mul, add = vn.number, vn.mul, vn.add
+    lam_n = [(a, b, num(v)) for (a, b), v in lam_sparse.items()]
+    lam_cols_n = {col: [(k, l, num(v)) for k, l, v in e]
+                  for col, e in lam_cols.items()}
+    c_lower_n = {ij: [(k, num(v)) for k, v in e] for ij, e in c_lower.items()}
+    c_upper_n = {k: [(ij, num(v)) for ij, v in e] for k, e in c_upper.items()}
+
     # exchange: Lam f f = f f Lam  (commutant identity per monomial)
     def braiding_f_exchange():
         for w in words:
             by_row, by_col = {}, {}
-            for (ij, pq), kv in tabs.ff_sparse(w).items():
+            for (ij, pq), kv in tabs.ff(w).items():
                 by_row.setdefault(ij, []).append((pq, kv))
                 by_col.setdefault(pq, []).append((ij, kv))
             lhs, rhs = {}, {}
-            for (a, b), v in lam_sparse.items():
+            for a, b, v in lam_n:
                 # lhs[(nm),(pq)] += Lam[(nm),(ij)] K[(ij),(pq)], and
                 # rhs[(ij),(pq)] += K[(ij),(nm)] Lam[(nm),(pq)]
                 for pq, kv in by_row.get(b, ()):
-                    add_term(lhs, (a, pq), v * kv)
+                    vn.add_term(lhs, (a, pq), mul(v, kv))
                 for ij, kv in by_col.get(a, ()):
-                    add_term(rhs, (ij, b), kv * v)
+                    vn.add_term(rhs, (ij, b), mul(kv, v))
             if lhs != rhs:
                 yield render_word(w)
 
@@ -268,29 +274,27 @@ def bicovariance_suite(calc, degree=None):
     # mixed exchange: C f f + f chi = Lam chi f + C f
     def mixed_exchange():
         for w in words:
-            K = tabs.ff_sparse(w)
+            K = tabs.ff(w)
             H = tabs.fx(w)
             Hp = tabs.xf(w)
-            Fw = tabs.F[w]
+            Fw = dict(tabs.f_nz[w])
             for i in range(m):
                 for j in range(m):
                     for k in range(m):
-                        lhs = ZERO
-                        for mn, cc in c_upper.get(i, ()):
+                        lhs = H.get((i, j, k), 0)
+                        for mn, cc in c_upper_n.get(i, ()):
                             kv = K.get((mn, j * m + k))
                             if kv is not None:
-                                lhs = lhs + cc * kv
-                        hv = H.get((i, j, k))
-                        if hv is not None:
-                            lhs = lhs + hv
-                        rhs = ZERO
-                        for p, qq, v in lam_cols.get(j * m + k, ()):
+                                lhs = add(lhs, mul(cc, kv))
+                        rhs = 0
+                        for p, qq, v in lam_cols_n.get(j * m + k, ()):
                             hp = Hp.get((p, i, qq))
                             if hp is not None:
-                                rhs = rhs + v * hp
-                        for l, cc in c_lower.get(j * m + k, ()):
-                            if not Fw[i][l].is_zero():
-                                rhs = rhs + cc * Fw[i][l]
+                                rhs = add(rhs, mul(v, hp))
+                        for l, cc in c_lower_n.get(j * m + k, ()):
+                            fv = Fw.get((i, l))
+                            if fv is not None:
+                                rhs = add(rhs, mul(cc, fv))
                         if lhs != rhs:
                             yield "(i,j,k)=(%d,%d,%d) on %s" % (
                                 i, j, k, render_word(w))
@@ -308,12 +312,12 @@ def bicovariance_suite(calc, degree=None):
             for n in range(m):
                 for k in range(m):
                     for l in range(m):
-                        rhs = ZERO
-                        for i, j, v in lam_cols.get(k * m + l, ()):
+                        rhs = 0
+                        for i, j, v in lam_cols_n.get(k * m + l, ()):
                             hv = H.get((n, i, j))
                             if hv is not None:
-                                rhs = rhs + v * hv
-                        if Hp.get((k, n, l), ZERO) != rhs:
+                                rhs = add(rhs, mul(v, hv))
+                        if Hp.get((k, n, l), 0) != rhs:
                             yield "(k,l,n)=(%d,%d,%d) on %s" % (
                                 k, l, n, render_word(w))
 

@@ -9,9 +9,9 @@ from qdc import functionals
 from qdc.functionals import (make_chi, make_C, make_lambda, convolve,
                              q_lie_bracket, flatten_pair, scalar_functional,
                              validate_scalar_functional, CorepFamily,
-                             VectorFieldFamily, FunctionalError,
+                             VectorFieldFamily, FunctionalError, LambdaMatrix,
                              DegenerateParameterError, InvalidFunctionalError)
-from qdc.linalg import kernel_basis, rref_sparse
+from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul
 
 
 HALF = Fraction(1, 2)
@@ -82,6 +82,33 @@ class TestCharacteristicFunctionals:
                     for k in range(4):
                         acc = acc + m1[i][k] * m2[k][j]
                     assert m[i][j] == acc
+
+    @pytest.mark.parametrize("antipode", [False, True])
+    def test_word_matrix_is_one_product_per_new_word(self, antipode, dual, qg,
+                                                    monkeypatch):
+        """A new word's matrix is its cached prefix's times the last
+        generator's table, on the left for the reversed family kd(f); the
+        result is the product over the whole word from the identity."""
+        base = dual.f.family.compose_antipode() if antipode else dual.f.family
+        fam = CorepFamily(qg, base.size, base.gen_tables, base.reversed)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(functionals, "mat_mul", counted)
+        word = ((1, 2), (2, 1), (1, 1), (2, 2))
+        assert fam.word_matrix(word[:1]) is base.gen_tables[word[0]]
+        assert not calls
+        assert len(fam.word_matrix(word)) == fam.size
+        assert len(calls) == 3
+        fam.word_matrix(word + ((1, 2),))
+        assert len(calls) == 4
+        want = identity(fam.size)
+        for g in (reversed(word) if fam.reversed else word):
+            want = mat_mul(want, base.gen_tables[g])
+        assert fam.word_matrix(word) == want
 
     def test_column_concentration_at_last_diagonal(self, dual, qg):
         last = flatten_pair(2, 2, 2)
@@ -206,6 +233,12 @@ class TestBraiding:
         lam = make_lambda(c.qg.R)
         assert len(calls) <= n * n     # was N^8 * N = 19,683 at N=3
         assert lam.sparse == c.dual.lam_matrix.sparse
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_handed_over_entries_match_a_dense_rebuild(self, n, calc, calc3):
+        lam = make_lambda((calc if n == 2 else calc3).qg.R)
+        dense = LambdaMatrix(n, lam.rows)
+        assert list(lam.sparse.items()) == list(dense.sparse.items())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sparse_contraction_matches_dense_sweep(self, n, calc, calc3):

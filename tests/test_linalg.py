@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qdc.scalars import Scalar
-from qdc.linalg import add_scaled, rank_at_specializations, rref_sparse
+from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
+from qdc.linalg import (add_scaled, rank_at_specializations, rref_sparse,
+                        ValueNumbers, mat_mul)
 
 
 COLUMNS = 8
@@ -48,3 +50,75 @@ class TestRankAtSpecializations:
         copies = [dict(r) for r in rows]
         assert rank_at_specializations(rows, [0, 1], (2, 3)) == {2: 1, 3: 2}
         assert rows == copies
+
+
+def cube_root_values():
+    """Values on the q^(1/3) lattice, some reached in two ways."""
+    z = Scalar.q_power(Fraction(1, 3))
+    return [ZERO, ONE, Q, z, z * z, z ** 3, Scalar.q_power(Fraction(2, 3)),
+            (ONE - z * z) / (ONE - z), ONE + z, qlambda(), Q - Q,
+            z.inverse(), Scalar.q_power(Fraction(-1, 3)), ONE / Q,
+            Scalar.from_rational(Fraction(-2, 3)) * z]
+
+
+class TestValueNumbers:
+    def test_equal_numbers_exactly_for_equal_values(self):
+        vn = ValueNumbers()
+        values = cube_root_values()
+        numbers = [vn.number(v) for v in values]
+        for a, na in zip(values, numbers):
+            for b, nb in zip(values, numbers):
+                assert (na == nb) == (a == b), (a, b)
+            assert vn.values[na] == a
+        assert len(set(numbers)) == len(set(values)) < len(values)
+
+    def test_zero_is_zero(self):
+        vn = ValueNumbers()
+        z = Scalar.q_power(Fraction(1, 3))
+        assert vn.number(ZERO) == vn.number(z - z) == 0
+        n = vn.number(z)
+        assert vn.mul(0, n) == vn.mul(n, 0) == 0
+        assert vn.add(0, n) == vn.add(n, 0) == n
+        assert vn.add(n, vn.number(-z)) == 0
+
+    def test_mul_and_add_agree_with_scalar_arithmetic(self):
+        rng = random.Random(20261018)
+        pool = cube_root_values() + [
+            Scalar.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            * Scalar.q_power(Fraction(rng.randint(-6, 6), 3))
+            for _ in range(12)]
+        vn = ValueNumbers()
+        for _ in range(300):
+            a, b = rng.choice(pool), rng.choice(pool)
+            na, nb = vn.number(a), vn.number(b)
+            assert vn.values[vn.mul(na, nb)] == a * b
+            assert vn.values[vn.add(na, nb)] == a + b
+            assert vn.mul(na, nb) == vn.mul(nb, na) == vn.number(a * b)
+            assert vn.add(na, nb) == vn.add(nb, na) == vn.number(a + b)
+
+    def test_sparse_product_matches_dense_product(self):
+        rng = random.Random(7)
+        pool = cube_root_values()
+        size = 6
+
+        def dense():
+            return [[rng.choice(pool) if rng.random() < 0.4 else ZERO
+                     for _ in range(size)] for _ in range(size)]
+
+        vn = ValueNumbers()
+
+        def numbered(m):
+            out = {}
+            for i, row in enumerate(m):
+                r = {j: vn.number(v) for j, v in enumerate(row) if v}
+                if r:
+                    out[i] = r
+            return out
+
+        for _ in range(10):
+            a, b = dense(), dense()
+            want = {i: {j: v for j, v in enumerate(row) if v}
+                    for i, row in enumerate(mat_mul(a, b)) if any(row)}
+            got = vn.sp_mul(numbered(a), numbered(b))
+            assert {i: {j: vn.values[n] for j, n in row.items()}
+                    for i, row in got.items()} == want

@@ -38,3 +38,8 @@ def test_d_expands_through_the_vector_fields_on_generators(calc4):
         assert len(coeffs) == 16
         for i in range(16):
             assert coeffs[i] == convolve(chi.entry(i), a, side="left"), (g, i)
+
+
+def test_braiding_satisfies_the_braid_relation(calc4):
+    # three 4,096 x 4,096 sparse products, run over value numbers
+    assert calc4.dual.lam_matrix.braid_defect() is None
