@@ -104,19 +104,18 @@ class LinearCombination:
 
 
 class ValueNumbers:
-    """The distinct values of one sweep, numbered 0 (zero), 1, 2, ...
+    """The distinct Scalars of one sweep, numbered 0 (zero), 1, 2, ...
 
-    Field elements must be canonical: equal values compare and hash
-    equal, as Scalars do.  Then two numbers are equal exactly when their
-    values are, so a sweep that repeats a few values many times can
-    compare ints, and mul and add run each distinct product and sum of
-    the field once.  One instance serves one sweep; nothing is shared
-    between instances.
+    Scalars are canonical: equal values compare and hash equal.  So two
+    numbers are equal exactly when their values are, a sweep that repeats
+    a few values many times can compare ints, and mul and add run each
+    distinct product and sum of Q(q) once.  One instance serves one
+    sweep; nothing is shared between instances.
     """
 
-    def __init__(self, zero=ZERO):
-        self.values = [zero]
-        self._numbers = {zero: 0}
+    def __init__(self):
+        self.values = [ZERO]
+        self._numbers = {ZERO: 0}
         self._mul = {}
         self._add = {}
 
