@@ -40,6 +40,9 @@ CASES = {
                             "del(t[2,1]*w[1,2] + t[1,1]*X)"],
     "eval_dlt_mixed_slq3": ["--rmatrix", SLQ3, "--cap", "1", "eval",
                             "dlt(t[2,1]*w[1,2] + t[1,1]*X)"],
+    "check_sl3_bicov_d1": ["--rmatrix", SLQ3, "--cap", "1", "--degree", "1",
+                           "--format", "structured", "check", "--suite",
+                           "bicovariance"],
     # N=4 at degree 1, below the quartic determinant rule
     "eval_d_t11_slq4": ["--rmatrix", SLQ4, "--cap", "1", "eval", "d(t[1,1])"],
     # N=2: a scalar whose exponents lie in steps of 1/2, 1/3 and 1/6
