@@ -60,28 +60,21 @@ class RMatrix:
     def val_minus(self, a, c, b, d):
         return self.rminus_entries.get((a, c, b, d), ZERO)
 
-    def _as_matrix(self, entries):
-        n = self.N
-        idx = {(a, c): (a - 1) * n + (c - 1)
-               for a in range(1, n + 1) for c in range(1, n + 1)}
-        m = [[ZERO] * (n * n) for _ in range(n * n)]
-        for (a, c, b, d), v in entries.items():
-            m[idx[(a, c)]][idx[(b, d)]] = v
-        return m
-
     def _invert(self):
         n = self.N
+        rows = [{} for _ in range(n * n)]
+        for (a, c, b, d), v in self.entries.items():
+            rows[(a - 1) * n + c - 1][(b - 1) * n + d - 1] = v
         try:
-            inv = mat_inverse(self._as_matrix(self.entries))
+            inv = mat_inverse(rows, n * n)
         except ValueError:
             raise RMatrixError("R-matrix is singular")
         out = {}
         for i, row in enumerate(inv):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    a, c = divmod(i, n)
-                    b, d = divmod(j, n)
-                    out[(a + 1, c + 1, b + 1, d + 1)] = v
+            a, c = divmod(i, n)
+            for j in sorted(row):
+                b, d = divmod(j, n)
+                out[(a + 1, c + 1, b + 1, d + 1)] = row[j]
         return out
 
     def _validate(self):

@@ -171,14 +171,16 @@ class GridSplit:
             raise CalculusError(
                 "grade %d does not split: %d + %d != %d" % (k, d0, d1, dim))
         cols = [[v.get(w, ZERO) for w in basis_words] for _, _, v in chosen]
-        binv = mat_inverse([[cols[j][i] for j in range(dim)]
-                            for i in range(dim)])
+        brows = [{j: c[i] for j, c in enumerate(cols) if c[i]}
+                 for i in range(dim)]
+        binv = mat_inverse(brows, dim)
         p1 = {}
         for i, w in enumerate(basis_words):
             image = {}
             for slot in range(d0, dim):
-                if not binv[slot][i].is_zero():
-                    add_scaled(image, chosen[slot][2], binv[slot][i])
+                c = binv[slot].get(i)
+                if c is not None:
+                    add_scaled(image, chosen[slot][2], c)
             if image:
                 p1[w] = image
         return {"basis_words": basis_words, "u0_words": u0_words,

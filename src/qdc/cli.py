@@ -12,8 +12,7 @@ import json
 import os
 import sys
 
-# tokenize is not used here; importing it keeps qdc.cli.tokenize working
-from .expr import ExprError, parse, print_ast, tokenize
+from .expr import ExprError, parse, print_ast
 from .scalars import (Scalar, ONE, ZERO, render_scalar, scalar_power,
                       ScalarError)
 from .algebra import (AlgebraElement, dump_rmatrix,

@@ -9,8 +9,8 @@ grade, with reduction rows kept per grade for exact normal forms.
 from __future__ import annotations
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import (rref_sparse, kernel_basis, rank_at_specializations,
-                     add_term, add_scaled, LinearCombination)
+from .linalg import (rref_sparse, rank_at_specializations, add_term,
+                     add_scaled, LinearCombination)
 from .algebra import AlgebraElement, render_element, MEMO_MAX_WORD_LENGTH
 from .functionals import convolve, flatten_pair
 
@@ -63,7 +63,9 @@ class WedgeTable:
             raise FormsError("wedge table needs max_grade >= 2")
         self.M = lambda_matrix.M
         self.max_grade = max_grade
-        self.relation_vectors = _relation_vectors(lambda_matrix)
+        # the quadratic wedge relations: fixed vectors of the braiding acting
+        # on coefficient rows, i.e. the kernel of (transposed Lam) - id
+        self.relation_vectors = lambda_matrix.fixed_vectors(transposed=True)
         self.basis = {0: [()], 1: [(i,) for i in range(self.M)]}
         self.pivot_rows = {0: {}, 1: {}}
         self.spec_ranks = {}
@@ -78,9 +80,7 @@ class WedgeTable:
         for u in self.basis[k - 2]:
             for v in self.relation_vectors:
                 row = {}
-                for c, coeff in enumerate(v):
-                    if coeff.is_zero():
-                        continue
+                for c, coeff in v.items():
                     a, b = divmod(c, m)
                     for w, sc in self._reduce(u + (a,)).items():
                         add_term(row, w + (b,), sc * coeff)
@@ -308,48 +308,37 @@ def left_coaction(space, x):
     return out
 
 
-def z_form_comparison(lambda_matrix, inverse):
+def z_form_comparison(lambda_matrix, inverse, relation_vectors):
     """Compare the alternative quadratic-relation rule with the braid kernel.
 
     The alternative rule generates relations e_{ij} + Z^{kl}_{ij} e_{kl} with
     Z = (Lam - Lam^-1)/(q^2 - q^-2); returns dimensions and whether the two
     relation subspaces agree (they are expected to differ off the series the
     rule was stated for, and the discrepancy is reported, not hidden).
-    inverse is Lam^-1, as LambdaMatrix.inverse() returns it.
+    inverse is Lam^-1, as LambdaMatrix.inverse() returns it, and
+    relation_vectors is the wedge table's basis of the braid kernel.
     """
-    m = lambda_matrix.M
-    mm = m * m
+    mm = lambda_matrix.M * lambda_matrix.M
     q2 = Scalar.q_power(2)
     denom = q2 - (ONE / q2)
+    diff = [{} for _ in range(mm)]
+    for (k, i), v in lambda_matrix.sparse.items():
+        add_term(diff[i], k, v)
+    for (k, i), v in inverse.items():
+        add_term(diff[i], k, -v)
     rows_z = []
-    for i in range(mm):
-        row = {}
-        for k in range(mm):
-            v = (lambda_matrix.rows[k][i] - inverse[k][i]) / denom
-            if k == i:
-                v = v + ONE
-            if not v.is_zero():
-                row[k] = v
+    for i, d in enumerate(diff):
+        row = {k: v / denom for k, v in d.items()}
+        add_term(row, i, ONE)
         rows_z.append(row)
-    cols = list(range(mm))
-    _, zp = rref_sparse(rows_z, cols)
-    smat_rows = [{c: v[c] for c in cols if not v[c].is_zero()}
-                 for v in _relation_vectors(lambda_matrix)]
-    _, kp = rref_sparse(smat_rows, cols)
-    both = rows_z + smat_rows
-    _, bp = rref_sparse(both, cols)
+    cols = range(mm)
+    z_pivots, zp = rref_sparse(rows_z, cols)
+    # the rule's pivot rows span its relations, so they stand in for them
+    _, bp = rref_sparse(list(z_pivots.values()) + relation_vectors, cols)
+    kernel_rank = len(relation_vectors)
     return {
         "z_rank": len(zp),
-        "kernel_rank": len(kp),
+        "kernel_rank": kernel_rank,
         "union_rank": len(bp),
-        "equal": len(zp) == len(kp) == len(bp),
+        "equal": len(zp) == kernel_rank == len(bp),
     }
-
-
-def _relation_vectors(lambda_matrix):
-    """The quadratic wedge relations: fixed vectors of the braiding acting
-    on coefficient rows, i.e. the kernel of (transposed Lam) - id."""
-    mm = lambda_matrix.M * lambda_matrix.M
-    rows = lambda_matrix.rows
-    return kernel_basis([[rows[j][i] - (ONE if i == j else ZERO)
-                          for j in range(mm)] for i in range(mm)])

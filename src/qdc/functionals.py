@@ -14,8 +14,8 @@ import itertools
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
-from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
-                     add_scaled, ValueNumbers)
+from .linalg import (mat_mul, mat_inverse, identity, kernel_basis,
+                     rref_sparse, add_term, add_scaled, ValueNumbers)
 from .algebra import AlgebraElement, MEMO_MAX_WORD_LENGTH
 
 
@@ -316,29 +316,32 @@ def make_chi(qg, lplus, lminus, lam, f_matrix=None):
 class LambdaMatrix:
     """The braiding on invariant one-forms, rows = upper pair (I,J), cols = lower."""
 
-    def __init__(self, n, rows, sparse=None):
+    def __init__(self, n, sparse):
         self.N = n
         self.M = n * n
-        self.rows = rows          # dense (M^2) x (M^2)
-        if sparse is None:
-            sparse = {(i, j): v for i, row in enumerate(rows)
-                      for j, v in enumerate(row) if v}
         self.sparse = sparse      # (row, col) -> nonzero, in row-major order
 
-    @classmethod
-    def from_sparse(cls, n, entries):
-        """The matrix whose nonzero entries are entries {(row, col): value}."""
-        mm = n ** 4
-        rows = [[ZERO] * mm for _ in range(mm)]
-        for (i, j), v in entries.items():
+    def _sparse_rows(self, transposed):
+        rows = [{} for _ in range(self.M * self.M)]
+        for (i, j), v in self.sparse.items():
+            if transposed:
+                i, j = j, i
             rows[i][j] = v
-        return cls(n, rows, dict(sorted(entries.items())))
-
-    def entry(self, i, j, k, l):
-        return self.rows[i * self.M + j][k * self.M + l]
+        return rows
 
     def inverse(self):
-        return mat_inverse(self.rows)
+        """Lam^-1 as {(row, col): value}; raises ValueError if Lam is singular."""
+        mm = self.M * self.M
+        inv = mat_inverse(self._sparse_rows(False), mm)
+        return {(i, j): row[j] for i, row in enumerate(inv) for j in sorted(row)}
+
+    def fixed_vectors(self, transposed):
+        """Basis of ker(Lam - 1), or of ker(Lam^T - 1) if transposed, as
+        sparse vectors {column: value}."""
+        rows = self._sparse_rows(transposed)
+        for i, row in enumerate(rows):
+            add_term(row, i, -ONE)
+        return kernel_basis(rows, len(rows))
 
     def by_lower_pair(self):
         """Lam^{kl}_{ij} by lower pair: column i*M + j -> [(k, l, value), ...]."""
@@ -415,7 +418,7 @@ def make_lambda(r):
                 for d2, b2, x4 in rv_by_ends.get((g2, f2), ()):
                     add_term(acc, (row + fl(d1, d2), fl(c1, c2) * m + fl(b1, b2)),
                              p3 * x4)
-    return LambdaMatrix.from_sparse(n, acc)
+    return LambdaMatrix(n, dict(sorted(acc.items())))
 
 
 class StructureConstants:
@@ -635,10 +638,9 @@ def q_lie_bracket(i, j, chi, lambda_matrix):
     col = i * m + j
     for k in range(m):
         for l in range(m):
-            coef = lambda_matrix.rows[k * m + l][col]
-            if coef.is_zero():
-                continue
-            terms.append((-coef, (chi.entry(k), chi.entry(l))))
+            coef = lambda_matrix.sparse.get((k * m + l, col))
+            if coef is not None:
+                terms.append((-coef, (chi.entry(k), chi.entry(l))))
     return ConvCombo(chi.qg, terms)
 
 

@@ -1,7 +1,8 @@
 """Exact linear algebra over Q(q) (or any exact field via duck typing).
 
-Rows are dicts mapping column keys to field elements; dense matrices are
-lists of lists.  Field elements must support +, -, *, / and a truth value
+Rows are dicts mapping column keys to field elements, and rref_sparse is
+the one elimination over them; the small dense products are lists of
+lists.  Field elements must support +, -, *, / and a truth value
 that means "nonzero", as int, Fraction and Scalar have.
 
 The sparse accumulate kernel (add_term, add_scaled, sparse_sum,
@@ -257,57 +258,43 @@ def mat_eq_zero(a):
     return not any(x for row in a for x in row)
 
 
-def mat_inverse(a):
-    """Exact inverse via Gauss-Jordan; raises ValueError if singular."""
-    n = len(a)
+def mat_inverse(rows, n):
+    """Inverse of the n x n matrix with sparse rows, as sparse rows.
+
+    One rref_sparse of (A | 1): A is invertible exactly when the pivots
+    are its own n columns, and then each pivot row carries a row of A^-1
+    in the identity's columns.  Raises ValueError if A is singular.
+    """
     if n == 0:
         return []
-    one = _one_like(a[0][0])
-    zero = _zero_like(a[0][0])
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if not f:
-                continue
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    one = next((_one_like(v) for r in rows for v in r.values() if v), None)
+    if one is None:
+        raise ValueError("matrix is singular")
+    aug = [dict(r) for r in rows]
+    for i, r in enumerate(aug):
+        r[n + i] = one
+    pivot_rows, pivots = rref_sparse(aug, range(2 * n))
+    if pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    return [{c - n: v for c, v in pivot_rows[i].items() if c >= n}
+            for i in range(n)]
 
 
-def kernel_basis(a):
-    """Basis of the right kernel {v : a v = 0} of a dense matrix."""
-    if not a:
-        return []
-    n_cols = len(a[0])
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    pivot_rows, pivots = rref_sparse(rows, list(range(n_cols)))
-    pivot_set = set(pivots)
-    one = _one_like(a[0][0]) if a[0] else Fraction(1)
-    zero = _zero_like(a[0][0]) if a[0] else Fraction(0)
+def kernel_basis(rows, n_cols):
+    """Basis of the right kernel {v : A v = 0} of sparse rows over n_cols
+    columns: one sparse vector per free column, 1 there, in column order."""
+    pivot_rows, _ = rref_sparse(rows, range(n_cols))
+    one = next((_one_like(v) for r in rows for v in r.values() if v), ONE)
     basis = []
     for free in range(n_cols):
-        if free in pivot_set:
+        if free in pivot_rows:
             continue
-        v = [zero] * n_cols
-        v[free] = one
+        v = {free: one}
         for p, row in pivot_rows.items():
             c = row.get(free)
             if c:
                 v[p] = -c
-        basis.append(v)
+        basis.append(dict(sorted(v.items())))
     return basis
 
 

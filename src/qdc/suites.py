@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .scalars import ZERO, ONE
-from .linalg import kernel_basis, add_term, ValueNumbers
+from .linalg import add_term, ValueNumbers
 from .algebra import AlgebraElement, render_element, render_word
 from .functionals import convolve, unflatten_pair, bracket_table
 from .forms import left_coaction, z_form_comparison
@@ -165,7 +165,6 @@ def bicovariance_suite(calc, degree=None):
     words = qg.rs.normal_words(degree)
     tabs = _Tables(dual, words)
     lam_sparse = dual.lam_matrix.sparse
-    lam_rows = dual.lam_matrix.rows
     lam_cols = tabs.lam_cols
     c_lower = dual.C.by_lower_pair()
     c_upper = dual.C.by_upper_index()
@@ -375,18 +374,16 @@ def bicovariance_suite(calc, degree=None):
                "kappa-dual f is the convolution inverse of f", wit is None, wit)
 
     # invariant combinations annihilate under the bracket
-    fixed = kernel_basis([[lam_rows[i][j] - (ONE if i == j else ZERO)
-                           for j in range(m * m)] for i in range(m * m)])
+    fixed = dual.lam_matrix.fixed_vectors(transposed=False)
 
     def symmetric_vanishing():
         for v in fixed:
             for w in words:
                 t = tabs.bracket(w)
                 total = ZERO
-                for c in range(m * m):
-                    if not v[c].is_zero():
-                        k, l = divmod(c, m)
-                        total = total + v[c] * t[k][l]
+                for c, coeff in v.items():
+                    k, l = divmod(c, m)
+                    total = total + coeff * t[k][l]
                 if not total.is_zero():
                     yield render_word(w)
 
@@ -439,7 +436,8 @@ def bicovariance_suite(calc, degree=None):
                    witness="the rule needs Lam^-1 and the braiding is singular",
                    gating=False)
     else:
-        zf = z_form_comparison(dual.lam_matrix, lam_inv)
+        zf = z_form_comparison(dual.lam_matrix, lam_inv,
+                               calc.space.table.relation_vectors)
         report.add("alt-quadratic-rule", desc, zf["equal"],
                    witness="dims: rule %d, kernel %d, union %d"
                            % (zf["z_rank"], zf["kernel_rank"], zf["union_rank"]),

@@ -193,11 +193,10 @@ def test_criterion_09_bicomplex_grid(calc):
     rows = []
     for v in calc.space.table.relation_vectors:
         row = {}
-        for c in range(16):
-            if not v[c].is_zero():
-                x = v[c].evaluate_at(1)
-                if x:
-                    row[c] = x
+        for c, coeff in v.items():
+            x = coeff.evaluate_at(1)
+            if x:
+                row[c] = x
         rows.append(row)
     rank1 = len(rref_sparse(rows, list(range(16)))[1])
     classical_ok = (16 - rank1) == 6
@@ -221,7 +220,7 @@ def test_criterion_10_specialization_oracle(calc, qg, dual):
         for i in range(mm):
             row = {}
             for j in range(mm):
-                v = dual.lam_matrix.rows[j][i]
+                v = dual.lam_matrix.sparse.get((j, i), ZERO)
                 x = v.evaluate_at(q0) - (1 if i == j else 0)
                 if x:
                     row[j] = x

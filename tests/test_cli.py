@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from qdc.cli import (parse, print_ast, tokenize, evaluate_ast, render_value,
+from qdc.cli import (parse, print_ast, evaluate_ast, render_value,
                      run, ExprError, read_session)
+from qdc.expr import tokenize
 from qdc.calculus import DEFAULT_RMATRIX
 
 

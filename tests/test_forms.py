@@ -31,9 +31,8 @@ class TestWedgeTable:
         rows = []
         for v in table.relation_vectors:
             row = {}
-            for c in range(16):
-                if not v[c].is_zero():
-                    row[divmod(c, 4)] = v[c].evaluate_at(1)
+            for c, coeff in v.items():
+                row[divmod(c, 4)] = coeff.evaluate_at(1)
             rows.append({k: x for k, x in row.items() if x})
         cols = [(i, j) for i in range(4) for j in range(4)]
         rank = len(rref_sparse(rows, cols)[1])
@@ -50,24 +49,20 @@ class TestWedgeTable:
         table = calc.space.table
         v = table.relation_vectors[0]
         out = {}
-        for c in range(16):
-            if v[c].is_zero():
-                continue
+        for c, coeff in v.items():
             for w, sc in table.reduce_word(divmod(c, 4)).items():
-                out[w] = out.get(w, ZERO) + v[c] * sc
+                out[w] = out.get(w, ZERO) + coeff * sc
         assert all(x.is_zero() for x in out.values())
 
     def test_braiding_stability_of_relations(self, calc, dual):
         # fixed vectors stay fixed: sigma(v) = v entrywise
-        rows = dual.lam_matrix.rows
+        lam = dual.lam_matrix.sparse
         for v in calc.space.table.relation_vectors:
             for kl in range(16):
                 acc = ZERO
-                for ij in range(16):
-                    if v[ij].is_zero():
-                        continue
-                    acc = acc + rows[ij][kl] * v[ij]
-                assert acc == v[kl]
+                for ij, coeff in v.items():
+                    acc = acc + lam.get((ij, kl), ZERO) * coeff
+                assert acc == v.get(kl, ZERO)
 
     def test_first_empty_grade(self, calc):
         assert calc.space.table.first_empty_grade() == 5
@@ -205,7 +200,12 @@ class TestLeftCoaction:
 
 
 class TestAlternativeRule:
-    def test_reported_dimensions(self, dual):
-        out = z_form_comparison(dual.lam_matrix, dual.lam_matrix.inverse())
-        assert out == {"z_rank": 13, "kernel_rank": 10, "union_rank": 16,
-                       "equal": False}
+    @pytest.mark.parametrize("n, dims", [(2, (13, 10, 16)), (3, (63, 45, 78)),
+                                         (4, (196, 136, 238))])
+    def test_reported_dimensions(self, n, dims, calc, calc3, calc4):
+        c = {2: calc, 3: calc3, 4: calc4}[n]
+        lam = c.dual.lam_matrix
+        out = z_form_comparison(lam, lam.inverse(),
+                                c.space.table.relation_vectors)
+        assert out == {"z_rank": dims[0], "kernel_rank": dims[1],
+                       "union_rank": dims[2], "equal": False}

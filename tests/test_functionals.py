@@ -11,7 +11,7 @@ from qdc.functionals import (make_chi, make_C, make_lambda, convolve,
                              validate_scalar_functional, CorepFamily,
                              VectorFieldFamily, FunctionalError, LambdaMatrix,
                              DegenerateParameterError, InvalidFunctionalError)
-from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul
+from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul, add_term
 
 
 HALF = Fraction(1, 2)
@@ -236,18 +236,29 @@ class TestBraiding:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_handed_over_entries_match_a_dense_rebuild(self, n, calc, calc3):
-        lam = make_lambda((calc if n == 2 else calc3).qg.R)
-        dense = LambdaMatrix(n, lam.rows)
-        assert list(lam.sparse.items()) == list(dense.sparse.items())
+        r = (calc if n == 2 else calc3).qg.R
+        dense = [((i, j), v) for i, row in enumerate(dense_lambda_rows(r))
+                 for j, v in enumerate(row) if v]
+        assert list(make_lambda(r).sparse.items()) == dense
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sparse_contraction_matches_dense_sweep(self, n, calc, calc3):
         r = (calc if n == 2 else calc3).qg.R
-        assert make_lambda(r).rows == dense_lambda_rows(r)
+        assert make_lambda(r).sparse == {
+            (i, j): v for i, row in enumerate(dense_lambda_rows(r))
+            for j, v in enumerate(row) if v}
 
-    def test_invertible(self, dual):
-        inv = dual.lam_matrix.inverse()
-        assert len(inv) == 16
+    def test_invertible(self, dual, calc4):
+        # Lam Lam^-1 = 1 exactly, at N=2 and at N=4 (a 256 x 256 matrix)
+        for lam in (dual.lam_matrix, calc4.dual.lam_matrix):
+            by_col = {}
+            for (i, k), v in lam.sparse.items():
+                by_col.setdefault(k, []).append((i, v))
+            prod = {}
+            for (k, j), w in lam.inverse().items():
+                for i, v in by_col.get(k, ()):
+                    add_term(prod, (i, j), v * w)
+            assert prod == {(i, i): ONE for i in range(lam.M * lam.M)}
 
     def test_classical_limit_is_flip(self, dual):
         m = 4
@@ -256,14 +267,14 @@ class TestBraiding:
                 a, b = divmod(i, m)
                 c, d = divmod(j, m)
                 want = 1 if (a == d and b == c) else 0
-                assert dual.lam_matrix.rows[i][j].evaluate_at(1) == want
+                v = dual.lam_matrix.sparse.get((i, j), ZERO)
+                assert v.evaluate_at(1) == want
 
     def test_fixed_space_dimension(self, dual):
-        rows = dual.lam_matrix.rows
-        mat = [[rows[i][k] for i in range(16)] for k in range(16)]
-        mat = [[mat[i][j] - (ONE if i == j else ZERO) for j in range(16)]
-               for i in range(16)]
-        assert len(kernel_basis(mat)) == 10
+        mat = [{i: -ONE} for i in range(16)]
+        for (i, k), v in dual.lam_matrix.sparse.items():
+            add_term(mat[k], i, v)
+        assert len(kernel_basis(mat, 16)) == 10
 
     def test_exchange_with_vector_fields(self, dual, qg):
         # chi_k f^n_l = Lam^{ij}_{kl} f^n_i chi_j on generators
@@ -326,15 +337,14 @@ class TestStructureConstants:
         assert any(v != 0 for v in values.values())
 
     def test_symmetric_combinations_annihilate(self, dual, qg):
-        rows = dual.lam_matrix.rows
-        mat = [[rows[i][j] - (ONE if i == j else ZERO) for j in range(16)]
-               for i in range(16)]
-        fixed = kernel_basis(mat)
+        mat = [{i: -ONE} for i in range(16)]
+        for (i, j), v in dual.lam_matrix.sparse.items():
+            add_term(mat[i], j, v)
+        fixed = kernel_basis(mat, 16)
         assert fixed
         words = qg.rs.normal_words(2)
         for v in fixed:
-            combos = [(divmod(c, 4), v[c]) for c in range(16)
-                      if not v[c].is_zero()]
+            combos = [(divmod(c, 4), coeff) for c, coeff in v.items()]
             for w in words:
                 total = ZERO
                 for (k, l), coeff in combos:

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
-from qdc.linalg import (add_scaled, rank_at_specializations, rref_sparse,
-                        ValueNumbers, mat_mul)
+from qdc.linalg import (add_scaled, add_term, kernel_basis, mat_inverse,
+                        rank_at_specializations, rref_sparse, ValueNumbers,
+                        mat_mul)
 
 
 COLUMNS = 8
@@ -50,6 +52,58 @@ class TestRankAtSpecializations:
         copies = [dict(r) for r in rows]
         assert rank_at_specializations(rows, [0, 1], (2, 3)) == {2: 1, 3: 2}
         assert rows == copies
+
+
+def sparse_product(a, b):
+    """a * b for lists of sparse rows, as a list of sparse rows."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            add_scaled(acc, b[k], x)
+        out.append(acc)
+    return out
+
+
+class TestElimination:
+    @settings(deadline=None)
+    @given(base_rows, combos, st.integers(0, COLUMNS), st.booleans())
+    def test_inverse_exactly_when_full_rank(self, base, derived, n, diagonal):
+        rows = (scalar_rows(base, derived) + [{}] * COLUMNS)[:n]
+        rows = [{c: v for c, v in r.items() if c < n} for r in rows]
+        if diagonal:   # most such matrices are invertible
+            for i, r in enumerate(rows):
+                add_term(r, i, Scalar.q_power(i))
+        copies = [dict(r) for r in rows]
+        rank = len(rref_sparse(rows, range(n))[1])
+        if rank < n:
+            with pytest.raises(ValueError):
+                mat_inverse(rows, n)
+        else:
+            inv = mat_inverse(rows, n)
+            assert sparse_product(rows, inv) == [{i: ONE} for i in range(n)]
+        assert rows == copies
+
+    def test_empty_inverse(self):
+        assert mat_inverse([], 0) == []
+
+    @settings(deadline=None)
+    @given(base_rows, combos)
+    def test_kernel_basis(self, base, derived):
+        rows = scalar_rows(base, derived)
+        pivots = rref_sparse(rows, range(COLUMNS))[1]
+        free = [c for c in range(COLUMNS) if c not in pivots]
+        basis = kernel_basis(rows, COLUMNS)
+        assert len(basis) == COLUMNS - len(pivots)
+        for f, v in zip(free, basis):
+            assert v[f] == ONE
+            assert not any(c in v for c in free if c != f)
+            for r in rows:
+                acc = {}
+                for c, x in r.items():
+                    if c in v:
+                        add_term(acc, 0, x * v[c])
+                assert acc == {}
 
 
 def cube_root_values():

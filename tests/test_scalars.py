@@ -431,7 +431,7 @@ def test_sl3_calculus_exponent_keys_are_ints(calc3):
     for g in rs.gens:
         calc3.d(AlgebraElement.generator(rs, *g))
     dual = calc3.dual
-    parts = {"Lambda": dual.lam_matrix.rows,
+    parts = {"Lambda": dual.lam_matrix.sparse,
              "L+": dual.lplus.family.gen_tables,
              "L-": dual.lminus.family.gen_tables,
              "f": dual.f.family.gen_tables,

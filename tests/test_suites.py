@@ -12,9 +12,10 @@ law carries no witness.
 
 import pytest
 
-from qdc.scalars import Scalar, ZERO, ONE, Q
+from qdc.scalars import Scalar, ONE, Q
 from qdc.functionals import LambdaMatrix, StructureConstants
 from qdc.suites import bicovariance_suite
+from qdc.linalg import add_term
 
 DEGREE = {2: 2, 3: 1}
 
@@ -92,9 +93,9 @@ def corrupted(dual, kind):
     else:
         i, j = max((i, j) for i in range(mm) for j in range(mm)
                    if (i, j) not in lam.sparse)
-    rows = [list(r) for r in lam.rows]
-    rows[i][j] = rows[i][j] + ONE
-    return "lam_matrix", LambdaMatrix(lam.N, rows)
+    sparse = dict(lam.sparse)
+    add_term(sparse, (i, j), ONE)
+    return "lam_matrix", LambdaMatrix(lam.N, dict(sorted(sparse.items())))
 
 
 def calculus_for(n, calc, calc3):
@@ -132,10 +133,10 @@ def test_classical_limit_evaluates_nonzero_entries_only(n, calc, calc3,
 
 def test_singular_braiding_is_reported(calc, monkeypatch):
     lam = calc.dual.lam_matrix
-    rows = [list(r) for r in lam.rows]
-    last = len(rows) - 1
-    rows[last] = [ZERO] * len(rows)     # drops the flip entry of that row
-    monkeypatch.setattr(calc.dual, "lam_matrix", LambdaMatrix(lam.N, rows))
+    last = lam.M * lam.M - 1
+    # zeroing the last row drops the flip entry of that row
+    sparse = {k: v for k, v in lam.sparse.items() if k[0] != last}
+    monkeypatch.setattr(calc.dual, "lam_matrix", LambdaMatrix(lam.N, sparse))
     report = bicovariance_suite(calc, 1)
     status = {e.law: e.status for e in report.entries}
     assert status["braiding-invertible"] == "fail"
