@@ -332,7 +332,7 @@ class LambdaMatrix:
     def inverse(self):
         """Lam^-1 as {(row, col): value}; raises ValueError if Lam is singular."""
         mm = self.M * self.M
-        inv = mat_inverse(self._sparse_rows(False), mm)
+        inv = mat_inverse(self._sparse_rows(transposed=False), mm)
         return {(i, j): row[j] for i, row in enumerate(inv) for j in sorted(row)}
 
     def fixed_vectors(self, transposed):

@@ -200,12 +200,15 @@ class TestLeftCoaction:
 
 
 class TestAlternativeRule:
-    @pytest.mark.parametrize("n, dims", [(2, (13, 10, 16)), (3, (63, 45, 78)),
-                                         (4, (196, 136, 238))])
-    def test_reported_dimensions(self, n, dims, calc, calc3, calc4):
+    # N -> (rule rank, kernel rank, union rank)
+    DIMS = {2: (13, 10, 16), 3: (63, 45, 78), 4: (196, 136, 238)}
+
+    @pytest.mark.parametrize("n", sorted(DIMS))
+    def test_reported_dimensions(self, n, calc, calc3, calc4):
         c = {2: calc, 3: calc3, 4: calc4}[n]
         lam = c.dual.lam_matrix
         out = z_form_comparison(lam, lam.inverse(),
                                 c.space.table.relation_vectors)
-        assert out == {"z_rank": dims[0], "kernel_rank": dims[1],
-                       "union_rank": dims[2], "equal": False}
+        z_rank, kernel_rank, union_rank = self.DIMS[n]
+        assert out == {"z_rank": z_rank, "kernel_rank": kernel_rank,
+                       "union_rank": union_rank, "equal": False}
