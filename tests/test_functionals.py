@@ -9,7 +9,7 @@ from qdc import functionals
 from qdc.functionals import (make_chi, make_C, make_lambda, convolve,
                              q_lie_bracket, flatten_pair, scalar_functional,
                              validate_scalar_functional, CorepFamily,
-                             VectorFieldFamily, FunctionalError, LambdaMatrix,
+                             VectorFieldFamily, FunctionalError,
                              DegenerateParameterError, InvalidFunctionalError)
 from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul, add_term
 
