@@ -70,6 +70,21 @@ class TestRMatrixGate:
             load_rmatrix(text)
         assert "Hecke" in str(err.value)
 
+    # The Hecke refusal names the first nonzero entry of the braided
+    # product in row-major order; the texts were recorded from the dense
+    # product.
+    @pytest.mark.parametrize("entries, message", [
+        (["1 1 1 1 1", "1 2 1 2 1", "2 1 2 1 1", "2 2 2 2 1"],
+         "Hecke condition fails at braided entry (1, 1) -> (1, 1)"),
+        (["1 1 1 1 q", "1 2 1 2 1", "2 1 2 1 1", "2 2 2 2 q"],
+         "Hecke condition fails at braided entry (1, 2) -> (2, 1)"),
+    ])
+    def test_hecke_refusal_names_first_entry(self, entries, message):
+        text = "\n".join(["N 2"] + ["entry " + e for e in entries])
+        with pytest.raises(RMatrixError) as err:
+            load_rmatrix(text)
+        assert str(err.value) == message
+
     def test_perturbed_entry_fails_with_witness(self):
         bad = DEFAULT_RMATRIX.replace("entry 1 2 2 1 q - q^-1",
                                       "entry 1 2 2 1 q - q^-1 + 1")

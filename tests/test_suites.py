@@ -10,10 +10,13 @@ first finds it, fails here.  braiding-classical-limit names the first
 law carries no witness.
 """
 
+import copy
+
 import pytest
 
 from qdc.scalars import Scalar, ONE, Q
-from qdc.functionals import LambdaMatrix, StructureConstants
+from qdc.functionals import (LambdaMatrix, StructureConstants, CorepFamily,
+                             Functional)
 from qdc.suites import bicovariance_suite
 from qdc.linalg import add_term
 
@@ -142,4 +145,85 @@ def test_singular_braiding_is_reported(calc, monkeypatch):
     assert status["braiding-invertible"] == "fail"
     assert status["braiding-classical-limit"] == "fail"
     assert status["alt-quadratic-rule"] == "fail"
+    assert not report.passed()
+
+
+# Every law of one suite run on a family with one corrupted generator entry:
+# (N, family) -> law -> (status, witness), recorded from the dense word
+# matrices that came before the sparse rows.
+_PASS = ("pass", None)
+_BICOV_LAWS = ("well-defined-L+", "well-defined-L-", "well-defined-f",
+               "well-defined-chi", "well-defined-eps", "unit-values",
+               "braiding-braid-relation", "braiding-invertible",
+               "braiding-classical-limit", "bracket-structure-constants",
+               "braiding-f-exchange", "mixed-exchange", "chi-f-exchange",
+               "antipode-of-chi", "f-inverse-law", "symmetric-vanishing",
+               "symmetric-space-dim", "q-jacobi")
+_ALT = {2: ("fail", "dims: rule 13, kernel 10, union 16"),
+        3: ("fail", "dims: rule 63, kernel 45, union 78")}
+
+
+def _expected(n, failing):
+    out = dict.fromkeys(_BICOV_LAWS, _PASS)
+    out.update({law: ("fail", w) for law, w in failing.items()})
+    out["alt-quadratic-rule"] = _ALT[n]
+    return out
+
+
+EXPECTED_FAMILY = {
+    (2, "f"): _expected(2, {
+        "well-defined-f": "rule ((2, 2), (1, 1)) entry (3, 3)",
+        "braiding-f-exchange": "t[1,2]",
+        "mixed-exchange": "(i,j,k)=(1,0,3) on t[1,2]",
+        "chi-f-exchange": "(k,l,n)=(2,3,3) on t[1,2]",
+        "antipode-of-chi": "i=3 on t[1,1]",
+        "f-inverse-law": "(k,i)=(3,3) on t[1,1]",
+    }),
+    (2, "chi"): _expected(2, {
+        "well-defined-chi": "rule ((2, 2), (1, 1)) entry (0, 4)",
+        "bracket-structure-constants":
+            "(i,j)=((2, 1), (1, 1)) on t[1,1]*t[1,2]",
+        "mixed-exchange": "(i,j,k)=(1,0,3) on t[1,1]*t[1,2]",
+        "chi-f-exchange": "(k,l,n)=(3,0,1) on t[1,1]*t[1,2]",
+        "antipode-of-chi": "i=3 on t[1,1]*t[1,1]",
+        "q-jacobi": "(i,j,k)=(0,2,0) on t[1,1]*t[1,2]",
+    }),
+    (3, "f"): _expected(3, {
+        "well-defined-f": "rule ((3, 3), (1, 3)) entry (8, 6)",
+        "braiding-f-exchange": "t[1,3]",
+        "mixed-exchange": "(i,j,k)=(2,0,8) on t[1,3]",
+        "chi-f-exchange": "(k,l,n)=(6,8,8) on t[1,3]",
+        "antipode-of-chi": "i=8 on t[1,1]",
+        "f-inverse-law": "(k,i)=(8,8) on t[1,1]",
+    }),
+    (3, "chi"): _expected(3, {
+        "well-defined-chi": "rule ((3, 3), (1, 1)) entry (0, 9)",
+        "antipode-of-chi": "i=8 on t[1,1]",
+    }),
+}
+
+
+def corrupted_family(fam):
+    """A fresh copy of fam whose last nonzero entry (row-major) of the last
+    generator's table is multiplied by q."""
+    g = fam.qg.rs.gens[-1]
+    i, j = [(i, j) for i in range(fam.size) for j in range(fam.size)
+            if Functional(fam, i, j, "corep", "x").on_generator(*g)][-1]
+    table = [copy.copy(row) for row in fam.gen_tables[g]]
+    table[i][j] = table[i][j] * Q
+    tables = dict(fam.gen_tables)
+    tables[g] = table
+    return CorepFamily(fam.qg, fam.size, tables, fam.reversed, fam.name)
+
+
+@pytest.mark.parametrize("n, kind", sorted(EXPECTED_FAMILY))
+def test_corrupted_family_found_where_it_was(n, kind, calc, calc3,
+                                             monkeypatch):
+    c = calculus_for(n, calc, calc3)
+    holder, attr = ((c.dual.f, "family") if kind == "f"
+                    else (c.dual.chi, "ext"))
+    monkeypatch.setattr(holder, attr, corrupted_family(getattr(holder, attr)))
+    report = bicovariance_suite(c, DEGREE[n])
+    got = {e.law: (e.status, e.witness) for e in report.entries}
+    assert got == EXPECTED_FAMILY[(n, kind)]
     assert not report.passed()
