@@ -57,9 +57,6 @@ class RMatrix:
     def val(self, a, c, b, d):
         return self.entries.get((a, c, b, d), ZERO)
 
-    def val_minus(self, a, c, b, d):
-        return self.rminus_entries.get((a, c, b, d), ZERO)
-
     def _invert(self):
         n = self.N
         rows = [{} for _ in range(n * n)]
@@ -91,25 +88,23 @@ class RMatrix:
         if bad:
             raise RMatrixError("Yang-Baxter equation fails at indices %r"
                                % (min(bad),))
-        # Hecke condition on the braided form (A series)
-        braid = {}
-        for (a, c, b, d), v in self.entries.items():
-            braid[((c, a), (b, d))] = v
+        # Hecke condition on the braided form (A series): the braided
+        # entry (c, a) -> (b, d) is R^{ac}_{bd}
         pairs = [(a, c) for a in rng for c in rng]
-        m = [[braid.get((p, r), ZERO) for r in pairs] for p in pairs]
+        left = [{} for _ in pairs]
+        for (a, c, b, d), v in self.entries.items():
+            left[(c - 1) * n + a - 1][(b - 1) * n + d - 1] = v
+        right = [dict(row) for row in left]
         q = Scalar.q()
         qinv = ONE / q
-        left = [[m[i][j] - (q if i == j else ZERO) for j in range(len(pairs))]
-                for i in range(len(pairs))]
-        right = [[m[i][j] + (qinv if i == j else ZERO) for j in range(len(pairs))]
-                 for i in range(len(pairs))]
-        prod = mat_mul(left, right)
         for i in range(len(pairs)):
-            for j in range(len(pairs)):
-                if not prod[i][j].is_zero():
-                    raise RMatrixError(
-                        "Hecke condition fails at braided entry %r -> %r"
-                        % (pairs[i], pairs[j]))
+            add_term(left[i], i, -q)
+            add_term(right[i], i, qinv)
+        for i, row in enumerate(mat_mul(left, right)):
+            if row:
+                raise RMatrixError(
+                    "Hecke condition fails at braided entry %r -> %r"
+                    % (pairs[i], pairs[min(row)]))
 
     def _yang_baxter_sides(self):
         """R12 R13 R23 and R23 R13 R12 as dicts (a1, a2, a3, c1, c2, c3) ->

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 
-from .scalars import Scalar, ZERO, ONE, qlambda, render_scalar
-from .linalg import (mat_mul, mat_inverse, identity, mat_eq_zero, rref_sparse,
-                     add_term, add_scaled)
+from .scalars import Scalar, ONE, qlambda, render_scalar
+from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
+                     add_scaled, sparse_sum, sparse_diff)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element, MEMO_MAX_WORD_LENGTH)
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
@@ -101,26 +101,23 @@ def first_witness(witnesses):
 class ProjectorPair:
     """J projects onto the canonical line along the stable complement.
 
-    J is the grade-1 row-1 projector of the grid split, as a matrix.
+    J is the grade-1 row-1 projector of the grid split, as sparse rows:
+    column j of J is the image of the one-form j.
     """
 
     def __init__(self, p1, m):
         self.M = m
-        self.J = [[p1.get((j,), {}).get((i,), ZERO) for j in range(m)]
-                  for i in range(m)]
-        self.Jperp = [[(ONE if i == j else ZERO) - self.J[i][j]
-                       for j in range(m)] for i in range(m)]
+        self.J = [{} for _ in range(m)]
+        for (j,), image in p1.items():
+            for (i,), v in image.items():
+                self.J[i][j] = v
+        self.Jperp = [sparse_diff(e, j) for e, j in zip(identity(m), self.J)]
 
     def laws_exact(self):
-        m = self.M
-        jj = mat_mul(self.J, self.J)
-        jp = mat_mul(self.J, self.Jperp)
-        ident = identity(m)
-        s = [[self.J[i][j] + self.Jperp[i][j] for j in range(m)] for i in range(m)]
-        return (mat_eq_zero([[jj[i][j] - self.J[i][j] for j in range(m)]
-                             for i in range(m)]),
-                mat_eq_zero(jp),
-                all(s[i][j] == ident[i][j] for i in range(m) for j in range(m)))
+        return (mat_mul(self.J, self.J) == self.J,
+                not any(mat_mul(self.J, self.Jperp)),
+                [sparse_sum(a, b) for a, b in zip(self.J, self.Jperp)]
+                == identity(self.M))
 
 
 class GridSplit:
@@ -170,9 +167,12 @@ class GridSplit:
         if d0 + d1 != dim:
             raise CalculusError(
                 "grade %d does not split: %d + %d != %d" % (k, d0, d1, dim))
-        cols = [[v.get(w, ZERO) for w in basis_words] for _, _, v in chosen]
-        brows = [{j: c[i] for j, c in enumerate(cols) if c[i]}
-                 for i in range(dim)]
+        cols = [v for _, _, v in chosen]
+        index = {w: i for i, w in enumerate(basis_words)}
+        brows = [{} for _ in range(dim)]
+        for j, v in enumerate(cols):
+            for w, c in v.items():
+                brows[index[w]][j] = c
         binv = mat_inverse(brows, dim)
         p1 = {}
         for i, w in enumerate(basis_words):
@@ -346,8 +346,8 @@ class OuterCalculus:
         tables = {}
         for g in qg.rs.gens:
             src = f.family.gen_tables[g]
-            t = [[src[i][j] for j in self.letters] for i in self.letters]
-            tables[g] = t
+            tables[g] = [{pos[j]: v for j, v in src[i].items() if j in pos}
+                         for i in self.letters]
         fam = CorepFamily(qg, self.rank, tables, name="f-outer")
         self.commutation = FunctionalMatrix(fam, qg.N, doubled=False,
                                             kind="corep", name="f'")

@@ -10,7 +10,6 @@ everything.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
@@ -40,7 +39,12 @@ def unflatten_pair(i, n):
 
 
 class CorepFamily:
-    """A matrix family F with F(xy) = F(x)F(y) (or the reversed law)."""
+    """A matrix family F with F(xy) = F(x)F(y) (or the reversed law).
+
+    Generator tables and word matrices are lists of size sparse rows
+    {col: nonzero}, the format of linalg; a word matrix is cached as the
+    product of its cached prefix and its last generator's table.
+    """
 
     def __init__(self, qg, size, gen_tables, reversed=False, name="F"):
         self.qg = qg
@@ -67,13 +71,10 @@ class CorepFamily:
         return m
 
     def on_element(self, elem):
-        out = [[ZERO] * self.size for _ in range(self.size)]
+        out = [{} for _ in range(self.size)]
         for w, c in elem.terms.items():
-            m = self.word_matrix(w)
-            for i in range(self.size):
-                for j in range(self.size):
-                    if not m[i][j].is_zero():
-                        out[i][j] = out[i][j] + m[i][j] * c
+            for acc, row in zip(out, self.word_matrix(w)):
+                add_scaled(acc, row, c)
         return out
 
     def compose_antipode(self):
@@ -84,14 +85,15 @@ class CorepFamily:
                            name="kd(%s)" % self.name)
 
     def check_rewrite_invariance(self):
-        """First (rule, row, col) where the family value differs across a rule."""
+        """First (rule, row, col), in row-major order, where the family
+        value differs across a rule."""
         for lhs, rhs in self.qg.rs.rules.items():
             lv = self.word_matrix(lhs)
             rv = self.on_element(AlgebraElement(self.qg.rs, rhs))
-            for i in range(self.size):
-                for j in range(self.size):
-                    if lv[i][j] != rv[i][j]:
-                        return (lhs, i, j)
+            for i, (a, b) in enumerate(zip(lv, rv)):
+                if a != b:
+                    return (lhs, i, min(j for j in a.keys() | b.keys()
+                                        if a.get(j) != b.get(j)))
         return None
 
 
@@ -106,7 +108,7 @@ class Functional:
         self.label = label
 
     def on_word(self, word):
-        return self.family.word_matrix(word)[self.row][self.col]
+        return self.family.word_matrix(word)[self.row].get(self.col, ZERO)
 
     def value(self, elem):
         total = ZERO
@@ -117,7 +119,7 @@ class Functional:
         return total
 
     def on_generator(self, a, b):
-        return self.family.gen_tables[(a, b)][self.row][self.col]
+        return self.family.gen_tables[(a, b)][self.row].get(self.col, ZERO)
 
     def on_unit(self):
         return ONE if self.row == self.col else ZERO
@@ -127,14 +129,15 @@ class Functional:
 
 
 def counit_functional(qg):
-    tables = {g: [[ONE if g[0] == g[1] else ZERO]] for g in qg.rs.gens}
+    tables = {g: [{0: ONE} if g[0] == g[1] else {}] for g in qg.rs.gens}
     fam = CorepFamily(qg, 1, tables, name="eps")
     return Functional(fam, 0, 0, "counit", "eps")
 
 
 def scalar_functional(qg, gen_values, name):
     """A 1x1 corep family (an algebra character candidate) from generator values."""
-    tables = {g: [[gen_values.get(g, ZERO)]] for g in qg.rs.gens}
+    tables = {g: [{0: gen_values[g]} if gen_values.get(g) else {}]
+              for g in qg.rs.gens}
     fam = CorepFamily(qg, 1, tables, name=name)
     return Functional(fam, 0, 0, "corep", name)
 
@@ -195,21 +198,14 @@ def make_L(qg, sign, normalized=True):
     not (a negative control for the normalization).
     """
     n = qg.N
-    r = qg.R
     if normalized:
         scale = Scalar.q_power(Fraction(-sign, n))
     else:
         scale = ONE
-    val = r.val if sign > 0 else r.val_minus
-    tables = {}
-    for (c, d) in qg.rs.gens:
-        m = [[ZERO] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                v = val(a, c, b, d)
-                if not v.is_zero():
-                    m[a - 1][b - 1] = v * scale
-        tables[(c, d)] = m
+    entries = qg.R.entries if sign > 0 else qg.R.rminus_entries
+    tables = {g: [{} for _ in range(n)] for g in qg.rs.gens}
+    for (a, c, b, d), v in entries.items():
+        tables[(c, d)][a - 1][b - 1] = v * scale
     name = "L+" if sign > 0 else "L-"
     fam = CorepFamily(qg, n, tables, name=name)
     return FunctionalMatrix(fam, n, doubled=False, kind="corep", name=name)
@@ -223,19 +219,15 @@ def make_f(qg, lplus, lminus):
     lm = lminus.family
     tables = {}
     for (c, d) in qg.rs.gens:
-        t = [[ZERO] * m for _ in range(m)]
-        for a1, a2 in itertools.product(range(1, n + 1), repeat=2):
-            for b1, b2 in itertools.product(range(1, n + 1), repeat=2):
-                acc = ZERO
-                for g in range(1, n + 1):
-                    x = kd.gen_tables[(c, g)][b1 - 1][a1 - 1]
-                    if x.is_zero():
-                        continue
-                    y = lm.gen_tables[(g, d)][a2 - 1][b2 - 1]
-                    if y.is_zero():
-                        continue
-                    acc = acc + x * y
-                t[flatten_pair(a1, a2, n)][flatten_pair(b1, b2, n)] = acc
+        t = [{} for _ in range(m)]
+        # sum over g of kd(L+)(t_cg)[b1][a1] (L-)(t_gd)[a2][b2], 0-based
+        for g in range(1, n + 1):
+            lt = lm.gen_tables[(g, d)]
+            for b1, row in enumerate(kd.gen_tables[(c, g)]):
+                for a1, x in row.items():
+                    for a2, lrow in enumerate(lt):
+                        for b2, y in lrow.items():
+                            add_term(t[a1 * n + a2], b1 * n + b2, x * y)
         tables[(c, d)] = t
     fam = CorepFamily(qg, m, tables, name="f")
     return FunctionalMatrix(fam, n, doubled=True, kind="corep", name="f")
@@ -257,9 +249,9 @@ class VectorFieldFamily:
         return Functional(self.ext, 0, 1 + i, "deriv", label)
 
     def values(self, word):
-        """[chi_1(w), ..., chi_M(w)] for one word w."""
-        row = self.ext.word_matrix(word)[0]
-        return row[1:1 + self.size]
+        """{k: chi_k(w)} over the nonzero values on one word w."""
+        return {j - 1: v for j, v in self.ext.word_matrix(word)[0].items()
+                if j}
 
     def generator_table(self):
         rows = []
@@ -288,27 +280,24 @@ def make_chi(qg, lplus, lminus, lam, f_matrix=None):
     lm = lminus.family
     ext_tables = {}
     for (c, d) in qg.rs.gens:
-        t = [[ZERO] * (1 + m) for _ in range(1 + m)]
-        t[0][0] = ONE if c == d else ZERO
-        for c1, c2 in itertools.product(range(1, n + 1), repeat=2):
-            acc = ZERO
-            for b in range(1, n + 1):
-                for g in range(1, n + 1):
-                    x = kd.gen_tables[(c, g)][c1 - 1][b - 1]
-                    if x.is_zero():
-                        continue
-                    y = lm.gen_tables[(g, d)][b - 1][c2 - 1]
-                    if y.is_zero():
-                        continue
-                    acc = acc + x * y
-            if c1 == c2 and c == d:
-                acc = acc - ONE
-            t[0][1 + flatten_pair(c1, c2, n)] = acc / lam
-        ft = f_matrix.family.gen_tables[(c, d)]
-        for i in range(m):
-            for j in range(m):
-                t[1 + i][1 + j] = ft[i][j]
-        ext_tables[(c, d)] = t
+        # sum over g and b of kd(L+)(t_cg)[c1][b] (L-)(t_gd)[b][c2], 0-based
+        acc = {}
+        for g in range(1, n + 1):
+            lt = lm.gen_tables[(g, d)]
+            for c1, row in enumerate(kd.gen_tables[(c, g)]):
+                for b, x in row.items():
+                    for c2, y in lt[b].items():
+                        add_term(acc, c1 * n + c2, x * y)
+        top = {}
+        if c == d:
+            top[0] = ONE
+            for c1 in range(n):
+                add_term(acc, c1 * n + c1, -ONE)
+        top.update((1 + k, v / lam) for k, v in acc.items())
+        # the f block is f's rows shifted by 1
+        ext_tables[(c, d)] = [top] + [
+            {1 + j: v for j, v in row.items()}
+            for row in f_matrix.family.gen_tables[(c, d)]]
     ext = CorepFamily(qg, 1 + m, ext_tables, name="[[eps,chi],[0,f]]")
     return VectorFieldFamily(qg, ext, f_matrix, lam)
 
@@ -459,17 +448,12 @@ def bracket_table(pairs, x, lam_cols, m):
     """
     B = [[ZERO] * m for _ in range(m)]
     for (w1, w2), c in pairs:
-        x1, x2 = x[w1], x[w2]
-        for i in range(m):
-            a = x1[i]
-            if a.is_zero():
-                continue
+        x2 = x[w2]
+        for i, a in x[w1].items():
             ca = c * a
             row = B[i]
-            for j in range(m):
-                b = x2[j]
-                if not b.is_zero():
-                    row[j] = row[j] + ca * b
+            for j, b in x2.items():
+                row[j] = row[j] + ca * b
     t = [[ZERO] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
@@ -504,7 +488,7 @@ def make_C(lambda_matrix, lam, chi):
     # column m + n records the row operations applied to word n
     rows = []
     for n, w in enumerate(words):
-        row = {k: v for k, v in enumerate(x[w]) if not v.is_zero()}
+        row = dict(x[w])
         row[m + n] = ONE
         rows.append(row)
     piv, _ = rref_sparse(rows, list(range(m + len(words))))

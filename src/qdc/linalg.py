@@ -1,8 +1,8 @@
 """Exact linear algebra over Q(q) (or any exact field via duck typing).
 
-Rows are dicts mapping column keys to field elements, and rref_sparse is
-the one elimination over them; the small dense products are lists of
-lists.  Field elements must support +, -, *, / and a truth value
+A matrix is a list of sparse rows, dicts mapping column keys to nonzero
+field elements; rref_sparse is the one elimination over them and mat_mul
+their product.  Field elements must support +, -, *, / and a truth value
 that means "nonzero", as int, Fraction and Scalar have.
 
 The sparse accumulate kernel (add_term, add_scaled, sparse_sum,
@@ -214,7 +214,7 @@ def rref_sparse(rows, column_order):
 
 
 # ---------------------------------------------------------------------------
-# dense helpers (small matrices)
+# matrices as lists of sparse rows
 
 def _one_like(x):
     if isinstance(x, Scalar):
@@ -222,40 +222,20 @@ def _one_like(x):
     return Fraction(1)
 
 
-def _zero_like(x):
-    if isinstance(x, Scalar):
-        return ZERO
-    return Fraction(0)
-
-
 def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [{i: ONE} for i in range(n)]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    """The product of two matrices of sparse rows, as sparse rows."""
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                x = ai[t]
-                if not x:
-                    continue
-                y = b[t][j]
-                if not y:
-                    continue
-                p = x * y
-                acc = p if acc is None else acc + p
-            row.append(acc if acc is not None else _zero_like(ai[0]))
-        out.append(row)
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                add_term(acc, j, x * y)
+        out.append(acc)
     return out
-
-
-def mat_eq_zero(a):
-    return not any(x for row in a for x in row)
 
 
 def mat_inverse(rows, n):

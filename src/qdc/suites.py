@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .scalars import ZERO, ONE
-from .linalg import add_term, ValueNumbers
+from .linalg import add_term, add_scaled, mat_mul, ValueNumbers
 from .algebra import AlgebraElement, render_element, render_word
 from .functionals import convolve, unflatten_pair, bracket_table
 from .forms import left_coaction, z_form_comparison
@@ -109,8 +109,8 @@ class _Tables:
         num = self.vn.number
         # the nonzero f entries ((i, j), number) and chi entries (k, number)
         self.f_nz = {w: [((i, j), num(v)) for i, row in enumerate(self.F[w])
-                         for j, v in enumerate(row) if v] for w in legs}
-        self.x_nz = {w: [(k, num(v)) for k, v in enumerate(self.x[w]) if v]
+                         for j, v in row.items()] for w in legs}
+        self.x_nz = {w: [(k, num(v)) for k, v in self.x[w].items()]
                      for w in legs}
         self._pair_tables = {}
 
@@ -226,8 +226,9 @@ def bicovariance_suite(calc, degree=None):
                 for j in range(m):
                     rhs = ZERO
                     for k, cc in c_lower.get(i * m + j, ()):
-                        if not xw[k].is_zero():
-                            rhs = rhs + cc * xw[k]
+                        xk = xw.get(k)
+                        if xk is not None:
+                            rhs = rhs + cc * xk
                     if t[i][j] != rhs:
                         yield "(i,j)=%r on %s" % (
                             (unflatten_pair(i, qg.N), unflatten_pair(j, qg.N)),
@@ -331,16 +332,14 @@ def bicovariance_suite(calc, degree=None):
 
     def antipode_of_chi():
         for w in words:
-            mk = kd_ext.word_matrix(w)
+            rhs = {}
+            for (w1, w2), c in tabs.cop[w]:
+                f2 = kd_f.word_matrix(w2)
+                for j, x in tabs.x[w1].items():
+                    add_scaled(rhs, f2[j], -c * x)
+            mk = kd_ext.word_matrix(w)[0]
             for i in range(m):
-                rhs = ZERO
-                for (w1, w2), c in tabs.cop[w]:
-                    x1 = tabs.x[w1]
-                    f2 = kd_f.word_matrix(w2)
-                    for j in range(m):
-                        if not x1[j].is_zero() and not f2[j][i].is_zero():
-                            rhs = rhs - c * x1[j] * f2[j][i]
-                if mk[0][1 + i] != rhs:
+                if mk.get(1 + i, ZERO) != rhs.get(i, ZERO):
                     yield "i=%d on %s" % (i, render_word(w))
 
     wit = first_witness(antipode_of_chi())
@@ -349,24 +348,26 @@ def bicovariance_suite(calc, degree=None):
                wit is None, wit)
 
     # inverse law: kd(f^k_j) f^j_i = delta eps = f^k_j kd(f^j_i)
+    f_word = dual.f.family.word_matrix
+
+    def convolved(w, left, right):
+        """The sum over the coproduct pairs (w1, w2) of w of
+        c * left(w1) right(w2), as sparse rows."""
+        out = [{} for _ in range(m)]
+        for (w1, w2), c in tabs.cop[w]:
+            for acc, row in zip(out, mat_mul(left(w1), right(w2))):
+                add_scaled(acc, row, c)
+        return out
+
     def f_inverse_law():
         for w in words:
+            left = convolved(w, kd_f.word_matrix, f_word)
+            right = convolved(w, f_word, kd_f.word_matrix)
             for k in range(m):
                 for i in range(m):
-                    left = ZERO
-                    right = ZERO
-                    for (w1, w2), c in tabs.cop[w]:
-                        m1k = kd_f.word_matrix(w1)
-                        m2 = tabs.F[w2]
-                        m1 = tabs.F[w1]
-                        m2k = kd_f.word_matrix(w2)
-                        for j in range(m):
-                            if not m1k[k][j].is_zero() and not m2[j][i].is_zero():
-                                left = left + c * m1k[k][j] * m2[j][i]
-                            if not m1[k][j].is_zero() and not m2k[j][i].is_zero():
-                                right = right + c * m1[k][j] * m2k[j][i]
                     want = tabs.eps[w] if k == i else ZERO
-                    if left != want or right != want:
+                    if (left[k].get(i, ZERO) != want
+                            or right[k].get(i, ZERO) != want):
                         yield "(k,i)=(%d,%d) on %s" % (k, i, render_word(w))
 
     wit = first_witness(f_inverse_law())

@@ -232,13 +232,11 @@ def test_criterion_10_specialization_oracle(calc, qg, dual):
     data = {k: calc.grid.data(k) for k in range(1, GRADE_CAP + 1)}
     for q0 in points:
         for k, d in data.items():
-            cols = list(range(len(d["basis_words"])))
             vecs = []
             for col in d["cols"]:
-                vecs.append({i: col[i].evaluate_at(q0) for i in cols
-                             if not col[i].is_zero()
-                             and col[i].evaluate_at(q0) != 0})
-            r_all = len(rref_sparse(vecs, cols)[1])
+                vecs.append({w: c.evaluate_at(q0) for w, c in col.items()
+                             if c.evaluate_at(q0) != 0})
+            r_all = len(rref_sparse(vecs, d["basis_words"])[1])
             agree = agree and r_all == sum(d["dims"])
     record(10, agree,
            "every symbolic rank agrees with exact numeric elimination at "

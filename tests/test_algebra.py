@@ -78,6 +78,11 @@ class TestRMatrixGate:
          "Hecke condition fails at braided entry (1, 1) -> (1, 1)"),
         (["1 1 1 1 q", "1 2 1 2 1", "2 1 2 1 1", "2 2 2 2 q"],
          "Hecke condition fails at braided entry (1, 2) -> (2, 1)"),
+        # the standard R times -q^-2 keeps Yang-Baxter; the braided row
+        # (1, 1) of the product vanishes and row (1, 2) has two entries
+        (["1 1 1 1 -q^-1", "1 2 1 2 -q^-2", "1 2 2 1 -q^-1 + q^-3",
+          "2 1 2 1 -q^-2", "2 2 2 2 -q^-1"],
+         "Hecke condition fails at braided entry (1, 2) -> (1, 2)"),
     ])
     def test_hecke_refusal_names_first_entry(self, entries, message):
         text = "\n".join(["N 2"] + ["entry " + e for e in entries])

@@ -195,6 +195,18 @@ class TestProjectors:
     def test_laws(self, calc):
         assert calc.projectors.laws_exact() == (True, True, True)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_columns_are_row1_parts(self, n, calc, calc3):
+        # the three laws hold for J transposed too; this fixes J's
+        # orientation: column j is the row-1 part of the one-form j
+        c = calc if n == 2 else calc3
+        space, J = c.space, c.projectors.J
+        for j in range(space.M):
+            col = {(i,): AlgebraElement.from_scalar(c.qg.rs, row[j])
+                   for i, row in enumerate(J) if j in row}
+            assert c.grid.split_component(space.one_form(j))[1] == \
+                FormElement(space, col)
+
     def test_on_canonical_element(self, calc):
         row0, row1 = calc.grid.split_component(calc.X)
         assert row1 == calc.X

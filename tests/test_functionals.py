@@ -1,3 +1,4 @@
+import copy
 import itertools
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from qdc import functionals
 from qdc.functionals import (make_chi, make_C, make_lambda, convolve,
                              q_lie_bracket, flatten_pair, scalar_functional,
                              validate_scalar_functional, CorepFamily,
-                             VectorFieldFamily, FunctionalError,
+                             VectorFieldFamily, Functional, FunctionalError,
                              DegenerateParameterError, InvalidFunctionalError)
 from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul, add_term
+from qdc.calculus import OuterCalculus
+from qdc.suites import bicovariance_suite
 
 
 HALF = Fraction(1, 2)
@@ -26,7 +29,7 @@ class TestRegularFunctionals:
             assert dual.lplus.entry(a - 1, b - 1).on_generator(c, d) == \
                 r.val(a, c, b, d) * scale_p
             assert dual.lminus.entry(a - 1, b - 1).on_generator(c, d) == \
-                r.val_minus(a, c, b, d) * scale_m
+                r.rminus_entries.get((a, c, b, d), ZERO) * scale_m
 
     def test_unit_values(self, dual):
         for i in range(2):
@@ -55,6 +58,24 @@ class TestRegularFunctionals:
         raw = make_L(qg, +1, normalized=False)
         assert raw.family.check_rewrite_invariance() is not None
 
+    def test_rewrite_witness_is_first_differing_entry(self, dual, qg):
+        # the counit entry of the chi family on t[2,2] times q: row 0 then
+        # differs across the rule t22 t11 -> ... at columns 0, 1 and 4, and
+        # the witness is the first of them in row-major order
+        ext = dual.chi.ext
+        g = (2, 2)
+        table = [copy.copy(row) for row in ext.gen_tables[g]]
+        table[0][0] = table[0][0] * Q
+        tables = dict(ext.gen_tables)
+        tables[g] = table
+        fam = CorepFamily(qg, ext.size, tables, ext.reversed, ext.name)
+        lhs = (g, (1, 1))
+        rhs = AlgebraElement(qg.rs, qg.rs.rules[lhs])
+        row = [Functional(fam, 0, j, "corep", "x") for j in range(fam.size)]
+        assert [j for j, f in enumerate(row)
+                if f.on_word(lhs) != f.value(rhs)] == [0, 1, 4]
+        assert fam.check_rewrite_invariance() == (lhs, 0, 0)
+
 
 class TestCharacteristicFunctionals:
     def test_unit_is_kronecker(self, dual):
@@ -67,7 +88,7 @@ class TestCharacteristicFunctionals:
         for g in qg.rs.gens:
             t = dual.f.family.gen_tables[g]
             for row in t:
-                for v in row:
+                for v in row.values():
                     assert not v.has_fractional_exponents()
 
     def test_product_law_on_words(self, dual, qg):
@@ -80,8 +101,8 @@ class TestCharacteristicFunctionals:
                 for j in range(4):
                     acc = ZERO
                     for k in range(4):
-                        acc = acc + m1[i][k] * m2[k][j]
-                    assert m[i][j] == acc
+                        acc = acc + m1[i].get(k, ZERO) * m2[k].get(j, ZERO)
+                    assert m[i].get(j, ZERO) == acc
 
     @pytest.mark.parametrize("antipode", [False, True])
     def test_word_matrix_is_one_product_per_new_word(self, antipode, dual, qg,
@@ -116,7 +137,7 @@ class TestCharacteristicFunctionals:
             t = dual.f.family.gen_tables[g]
             for i in range(4):
                 if i != last:
-                    assert t[i][last].is_zero()
+                    assert t[i].get(last, ZERO).is_zero()
 
 
 CHI_TABLE = {
@@ -157,7 +178,8 @@ class TestVectorFields:
         for (c, d) in qg.rs.gens:
             lp[(c, d)] = [[r.val(a, c, b, d).evaluate_at(q0)
                            for b in (1, 2)] for a in (1, 2)]
-            lm[(c, d)] = [[r.val_minus(a, c, b, d).evaluate_at(q0)
+            lm[(c, d)] = [[r.rminus_entries.get((a, c, b, d), ZERO)
+                           .evaluate_at(q0)
                            for b in (1, 2)] for a in (1, 2)]
         kappa = {g: {w: c.evaluate_at(q0)
                      for w, c in qg.antipode_table[g].terms.items()}
@@ -289,7 +311,8 @@ class TestBraiding:
                         for (w1, w2), c in tc:
                             x1 = dual.chi.ext.word_matrix(w1)
                             f2 = dual.f.family.word_matrix(w2)
-                            lhs = lhs + c * x1[0][1 + k] * f2[n][l]
+                            lhs = lhs + c * x1[0].get(1 + k, ZERO) * \
+                                f2[n].get(l, ZERO)
                         for (row, col), v in dual.lam_matrix.sparse.items():
                             if col != k * 4 + l:
                                 continue
@@ -297,7 +320,8 @@ class TestBraiding:
                             for (w1, w2), c in tc:
                                 f1 = dual.f.family.word_matrix(w1)
                                 x2 = dual.chi.ext.word_matrix(w2)
-                                rhs = rhs + v * c * f1[n][i] * x2[0][1 + j]
+                                rhs = rhs + v * c * f1[n].get(i, ZERO) * \
+                                    x2[0].get(1 + j, ZERO)
                         assert lhs == rhs
 
 
@@ -378,19 +402,21 @@ class TestStructureConstants:
     def _chi_copy_column(tables):
         # chi[2,1] takes the values of chi[2,2]: C_{11}^{(2,1)} is not fixed
         for t in tables.values():
-            t[0][3] = t[0][4]
+            t[0].pop(3, None)
+            if 4 in t[0]:
+                t[0][3] = t[0][4]
 
     @staticmethod
     def _chi_copy_row(tables):
         # chi on t[2,1] takes its values on t[1,2]: a bracket leaves the span
-        tables[(2, 1)][0] = list(tables[(1, 2)][0])
+        tables[(2, 1)][0] = dict(tables[(1, 2)][0])
 
     @pytest.mark.parametrize("edit, message", [
         ("_chi_copy_column", "structure constants underdetermined at (0,0,2)"),
         ("_chi_copy_row", "bracket [0,2] does not lie in the vector-field span"),
     ])
     def test_error_branches_match_per_pair_solve(self, dual, edit, message):
-        tables = {g: [list(row) for row in t]
+        tables = {g: [dict(row) for row in t]
                   for g, t in dual.chi.ext.gen_tables.items()}
         getattr(self, edit)(tables)
         ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
@@ -405,11 +431,11 @@ class TestStructureConstants:
     def test_zero_chi_column_is_underdetermined(self, dual):
         # chi[1,2] zeroed on the unit and every generator: no bracket value
         # fixes C_{ij}^{(1,2)}, which used to come out as 0 without an error
-        tables = {g: [list(row) for row in t]
+        tables = {g: [dict(row) for row in t]
                   for g, t in dual.chi.ext.gen_tables.items()}
         k = flatten_pair(1, 2, 2)
         for t in tables.values():
-            t[0][1 + k] = ZERO
+            t[0].pop(1 + k, None)
         ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
         chi = VectorFieldFamily(dual.qg, ext, dual.f, dual.lam)
         with pytest.raises(FunctionalError) as err:
@@ -475,6 +501,35 @@ def per_pair_C(lambda_matrix, chi):
                 if "rhs" in p:
                     table[(i, j, k)] = -p["rhs"]
     return table
+
+
+class TestSparseRowFormat:
+    """Every generator table and cached word matrix is size sparse rows with
+    int columns in range(size) and no stored zero: the sparse equality in
+    check_rewrite_invariance compares rows as dicts."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tables_and_word_matrices_are_sparse_rows(self, n, calc, calc3):
+        c = calc if n == 2 else calc3
+        bicovariance_suite(c, 1)
+        dual = c.dual
+        made = [dual.f.family.compose_antipode(),
+                dual.trace_functional().family,
+                OuterCalculus(c).commutation.family]
+        for fam in made:
+            for w in c.qg.rs.normal_words(2):
+                fam.word_matrix(w)
+        for fam in [dual.lplus.family, dual.lminus.family, dual.f.family,
+                    dual.chi.ext, dual.eps.family] + made:
+            mats = list(fam.gen_tables.values()) + list(fam._cache.values())
+            assert len(fam._cache) > len(fam.gen_tables), fam.name
+            for mat in mats:
+                assert type(mat) is list and len(mat) == fam.size
+                for row in mat:
+                    assert type(row) is dict
+                    for j, v in row.items():
+                        assert type(j) is int and 0 <= j < fam.size
+                        assert v, (fam.name, j)
 
 
 class TestTraceCharacter:
