@@ -80,8 +80,9 @@ def hopf_suite(calc, degree=None):
 # bicovariance suite
 
 class _Tables:
-    """Per-monomial caches: coproduct pairs, f matrices, chi vectors, and
-    the f f, f chi and chi f tables that the exchange laws sum over.
+    """Per-monomial caches: coproduct pairs, the nonzero f entries and chi
+    values, and the f f, f chi and chi f tables that the exchange laws sum
+    over.
 
     Those three tables hold numbers of vn, one ValueNumbers for the whole
     suite run, and are built once per word.
@@ -100,7 +101,6 @@ class _Tables:
                 legs.add(w1)
                 legs.add(w2)
         legs.update(self.words)
-        self.F = {w: dual.f.family.word_matrix(w) for w in legs}
         self.x = {w: dual.chi.values(w) for w in legs}
         self.eps = {w: dual.qg.counit_word(w) for w in legs}
         self.lam_cols = dual.lam_matrix.by_lower_pair()
@@ -108,7 +108,8 @@ class _Tables:
         self.vn = ValueNumbers()
         num = self.vn.number
         # the nonzero f entries ((i, j), number) and chi entries (k, number)
-        self.f_nz = {w: [((i, j), num(v)) for i, row in enumerate(self.F[w])
+        f_word = dual.f.family.word_matrix
+        self.f_nz = {w: [((i, j), num(v)) for i, row in enumerate(f_word(w))
                          for j, v in row.items()] for w in legs}
         self.x_nz = {w: [(k, num(v)) for k, v in self.x[w].items()]
                      for w in legs}
