@@ -6,9 +6,7 @@ evaluated here against an assembled calculus.
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -246,6 +244,12 @@ def build_calculus(cfg):
 # ---------------------------------------------------------------------------
 # commands
 
+def _write_json(out, payload):
+    """The structured form of a command's output."""
+    import json
+    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def cmd_init(args, out):
     cfg = resolve_config(args)
     calc = build_calculus(cfg)   # assembles and validates before persisting
@@ -255,7 +259,7 @@ def cmd_init(args, out):
                "one_form_dimension": calc.space.M,
                "wedge_dimensions": calc.space.table.dimensions()}
     if args.format == "structured":
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(out, payload)
     else:
         out.write("descriptor written to %s (N=%d, wedge dimensions %s)\n"
                   % (path, calc.qg.N, payload["wedge_dimensions"]))
@@ -297,7 +301,7 @@ def cmd_relations(args, out):
             "rules": rows,
         }
     if args.format == "structured":
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(out, payload)
     else:
         out.write("algebra rewrite rules:\n")
         for lhs, rhs in payload["algebra_rules"]:
@@ -328,9 +332,7 @@ def cmd_eval(args, out):
     calc = build_calculus(cfg)
     rendered = render_value(evaluate_ast(ast, calc))
     if args.format == "structured":
-        out.write(json.dumps({"expression": print_ast(ast),
-                              "value": rendered}, sort_keys=True,
-                             indent=2) + "\n")
+        _write_json(out, {"expression": print_ast(ast), "value": rendered})
     else:
         out.write(rendered + "\n")
     return 0
@@ -372,8 +374,7 @@ def cmd_check(args, out):
     for name in names:
         reports.extend(run_suite(calc, name, cfg["degree"]))
     if args.format == "structured":
-        out.write(json.dumps([r.as_dict() for r in reports],
-                             sort_keys=True, indent=2) + "\n")
+        _write_json(out, [r.as_dict() for r in reports])
     else:
         for r in reports:
             out.write(r.render() + "\n")
@@ -399,7 +400,7 @@ def cmd_maps(args, out):
         "roundtrip": [r.as_dict() for r in reports],
     }
     if args.format == "structured":
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(out, payload)
     else:
         out.write("inner calculus: %d one-forms\n" % calc.space.M)
         out.write("quotient (outer) calculus: rank %d, basis %s\n"
@@ -416,7 +417,7 @@ def cmd_bicomplex(args, out):
     calc = build_calculus(cfg)
     grid = build_grid(calc, cfg["cap"])
     if args.format == "structured":
-        out.write(json.dumps(grid.as_dict(), sort_keys=True, indent=2) + "\n")
+        _write_json(out, grid.as_dict())
     else:
         out.write(grid.render() + "\n")
         out.write(grid_check(calc, cfg["cap"]).render() + "\n")
@@ -441,6 +442,7 @@ def _add_shared(parser, suffix):
 
 
 def make_parser():
+    import argparse
     p = argparse.ArgumentParser(
         prog="qdc",
         description="exact bicovariant differential calculus engine")

@@ -44,9 +44,9 @@ def tokenize(text):
             toks.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("int", int(text[i:j]), i))
             i = j

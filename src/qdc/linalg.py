@@ -181,36 +181,43 @@ def rref_sparse(rows, column_order):
     earliest independent set in that order.  Returns (pivot_rows, pivot_cols)
     where pivot_rows[c] is the fully reduced row with leading 1 at column c,
     expressed over non-pivot columns only.
+
+    A new pivot is eliminated only from the pivot rows that hold its
+    column, found through an index from each non-pivot column to the
+    creation numbers of the pivot rows that may hold it (a row that lost
+    the column through cancellation stays listed and is passed over).
     """
     col_rank = {c: k for k, c in enumerate(column_order)}
     pivot_rows = {}
-    work = []
+    created = []   # pivot rows in creation order
+    holders = {}   # non-pivot column -> creation numbers of rows holding it
     for r in rows:
-        r = {c: v for c, v in r.items() if v}
-        if r:
-            work.append(r)
-
-    def reduce_row(row):
+        row = {c: v for c, v in r.items() if v}
         # pivot rows only reach non-pivot columns, so one pass clears them all
         for c in [c for c in row if c in pivot_rows]:
             add_scaled(row, pivot_rows[c], -row.pop(c), skip=c)
-        return row
-
-    for row in work:
-        row = reduce_row(row)
         if not row:
             continue
-        piv = min(row, key=lambda c: col_rank[c])
-        pv = row[piv]
-        newrow = {c: v / pv for c, v in row.items()}
-        newrow[piv] = _one_like(pv)
-        # eliminate the new pivot from existing pivot rows
-        for p in pivot_rows.values():
+        piv = min(row, key=col_rank.__getitem__)
+        one = _one_like(row[piv])
+        inv = one / row[piv]
+        newrow = {c: v * inv for c, v in row.items()}
+        newrow[piv] = one
+        others = [c for c in newrow if c != piv]
+        stale = holders.pop(piv, ())
+        for c in others:
+            holders.setdefault(c, set()).add(len(created))
+        created.append(newrow)
+        # eliminate the new pivot from the pivot rows that hold it
+        for k in sorted(stale):
+            p = created[k]
             f = p.pop(piv, None)
             if f is not None:
                 add_scaled(p, newrow, -f, skip=piv)
+                for c in others:
+                    holders[c].add(k)
         pivot_rows[piv] = newrow
-    return pivot_rows, sorted(pivot_rows, key=lambda c: col_rank[c])
+    return pivot_rows, sorted(pivot_rows, key=col_rank.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,28 @@ class LaurentPoly:
             raise SpecializationError("cannot specialize at q0 = 0")
         if self.has_fractional_exponents():
             raise SpecializationError("fractional q-exponents have no rational value")
-        return sum((c * q0 ** e for e, c in self.terms.items()), Fraction(0))
+        # with q0 = a/b the value is (sum of c a^(e-lo) b^(hi-e)) a^lo / b^hi:
+        # the sum is taken in ints over the coefficients' common denominator
+        # and one Fraction is built at the end
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        a, b = q0.numerator, q0.denominator
+        lo, hi = min(terms), max(terms)
+        den = lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+        num = 0
+        for e, c in terms.items():
+            c = c * den if type(c) is int else c.numerator * (den // c.denominator)
+            num += c * a ** (e - lo) * b ** (hi - e)
+        if lo >= 0:
+            num *= a ** lo
+        else:
+            den *= a ** -lo
+        if hi >= 0:
+            den *= b ** hi
+        else:
+            num *= b ** -hi
+        return Fraction(num, den)
 
     def __str__(self):
         return render_poly(self)

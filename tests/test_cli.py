@@ -238,3 +238,11 @@ def test_eval_parses_before_assembling(monkeypatch, capsys):
     monkeypatch.setattr("qdc.cli.build_calculus", no_assembly)
     assert run(["eval", "t[1,"]) == 2
     assert capsys.readouterr().err.startswith("error: unexpected end of input")
+
+
+@pytest.mark.parametrize("text, position", [("2²", 1), ("q^²", 2)])
+def test_superscript_digit_is_an_unexpected_character(text, position, capsys):
+    # str.isdigit accepts '²', which int() rejects
+    assert run(["eval", text]) == 2
+    assert capsys.readouterr().err == (
+        "error: unexpected character '²' (at position %d)\n" % position)

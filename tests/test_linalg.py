@@ -1,9 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdc import algebra, calculus, forms, functionals, linalg
 from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
 from qdc.linalg import (add_scaled, add_term, kernel_basis, mat_inverse,
                         rank_at_specializations, rref_sparse, ValueNumbers,
@@ -179,3 +181,83 @@ class TestValueNumbers:
             got = vn.sp_mul(numbered(a), numbered(b))
             assert {i: {j: vn.values[n] for j, n in row.items()}
                     for i, row in got.items()} == want
+
+
+def eager_rref(rows, column_order):
+    """rref_sparse as it was before its column index: each new pivot is
+    eliminated from every pivot row, in creation order, and the new pivot
+    row is divided entry by entry by its pivot."""
+    col_rank = {c: k for k, c in enumerate(column_order)}
+    pivot_rows = {}
+    for r in rows:
+        row = {c: v for c, v in r.items() if v}
+        for c in [c for c in row if c in pivot_rows]:
+            add_scaled(row, pivot_rows[c], -row.pop(c), skip=c)
+        if not row:
+            continue
+        piv = min(row, key=lambda c: col_rank[c])
+        pv = row[piv]
+        newrow = {c: v / pv for c, v in row.items()}
+        newrow[piv] = ONE
+        for p in pivot_rows.values():
+            f = p.pop(piv, None)
+            if f is not None:
+                add_scaled(p, newrow, -f, skip=piv)
+        pivot_rows[piv] = newrow
+    return pivot_rows, sorted(pivot_rows, key=lambda c: col_rank[c])
+
+
+def recorded_systems(monkeypatch):
+    """A list that gains (rows, column order) for each rref_sparse call the
+    engine makes from now on, mat_inverse and kernel_basis included."""
+    systems = []
+
+    def recording(rows, column_order):
+        rows = [dict(r) for r in rows]
+        systems.append((rows, list(column_order)))
+        return rref_sparse(rows, column_order)
+
+    for module in (linalg, algebra, calculus, forms, functionals):
+        monkeypatch.setattr(module, "rref_sparse", recording)
+    return systems
+
+
+class TestColumnIndexedElimination:
+    """rref_sparse gives the eager loop's pivot rows on the engine's own
+    systems: the same values, pivot order and key order in each row."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+
+    def assert_same_as_eager(self, systems):
+        for rows, order in systems:
+            got, got_pivots = rref_sparse(rows, order)
+            want, want_pivots = eager_rref(rows, order)
+            assert got_pivots == want_pivots
+            assert [(p, list(r.items())) for p, r in got.items()] == \
+                [(p, list(r.items())) for p, r in want.items()]
+
+    @pytest.mark.parametrize("config, kwargs", [
+        (None, {}), ("slq3.rmatrix", {"grade_cap": 1})], ids=["N2", "N3-cap1"])
+    def test_assembly_braiding_inverse_and_z_forms(self, config, kwargs,
+                                                   monkeypatch):
+        text = calculus.DEFAULT_RMATRIX
+        if config is not None:
+            with open(os.path.join(self.DATA, config), encoding="utf-8") as fh:
+                text = fh.read()
+        systems = recorded_systems(monkeypatch)
+        calc = calculus.assemble(text, **kwargs)
+        lam = calc.dual.lam_matrix
+        forms.z_form_comparison(lam, lam.inverse(),
+                                calc.space.table.relation_vectors)
+        monkeypatch.undo()
+        # the antipode, the wedge grades, the structure constants, R^-1,
+        # the grid bases, ker(Lambda^T - 1), Lambda^-1 and the z-forms
+        assert len(systems) > 8
+        self.assert_same_as_eager(systems)
+
+    def test_n4_antipode(self, calc4, monkeypatch):
+        systems = recorded_systems(monkeypatch)
+        calc4.qg._solve_antipode()
+        monkeypatch.undo()
+        assert len(systems) == 1
+        self.assert_same_as_eager(systems)

@@ -159,6 +159,58 @@ class TestEvaluation:
             Scalar.q_power(Fraction(1, 2)).evaluate_at(4)
 
 
+rational_coeffs = st.one_of(
+    coeffs, st.fractions(min_value=-6, max_value=6, max_denominator=7))
+points = st.one_of(st.sampled_from([1, -1]),
+                   st.integers(min_value=-9, max_value=9).filter(bool),
+                   st.fractions(min_value=-9, max_value=9,
+                                max_denominator=9).filter(bool))
+
+
+def fraction_sum(p, q0):
+    """p(q0) summed term by term in Fractions."""
+    q0 = Fraction(q0)
+    return sum((Fraction(c) * q0 ** e for e, c in p.terms.items()),
+               Fraction(0))
+
+
+class TestIntegerEvaluation:
+    @given(st.dictionaries(st.integers(min_value=-6, max_value=6),
+                           rational_coeffs, max_size=5), points)
+    def test_equals_fraction_sum(self, terms, q0):
+        p = LaurentPoly(terms)
+        got = p.evaluate(q0)
+        assert type(got) is Fraction and got == fraction_sum(p, q0)
+
+    @given(scalars, points)
+    def test_scalar_value_is_quotient_of_sums(self, s, q0):
+        den = fraction_sum(s.den, q0)
+        if den == 0:
+            with pytest.raises(PoleError):
+                s.evaluate_at(q0)
+        else:
+            assert s.evaluate_at(q0) == fraction_sum(s.num, q0) / den
+
+    @pytest.mark.parametrize("value, q0, error, text", [
+        (Q, 0, SpecializationError, "cannot specialize at q0 = 0"),
+        (Q.num, 0, SpecializationError, "cannot specialize at q0 = 0"),
+        (Scalar.q_power(Fraction(1, 2)), 4, SpecializationError,
+         "fractional q-exponents have no rational value"),
+        (LaurentPoly({Fraction(1, 3): 1, 1: 2}), 8, SpecializationError,
+         "fractional q-exponents have no rational value"),
+        (Scalar(poly({0: 1}), poly({1: 1, 0: -2})), 2, PoleError,
+         "pole at q0 = 2"),
+        (Scalar(poly({0: 1}), poly({1: 2, 0: -1})), Fraction(1, 2), PoleError,
+         "pole at q0 = 1/2"),
+    ])
+    def test_errors_keep_their_texts(self, value, q0, error, text):
+        evaluate = (value.evaluate_at if isinstance(value, Scalar)
+                    else value.evaluate)
+        with pytest.raises(error) as info:
+            evaluate(q0)
+        assert str(info.value) == text
+
+
 class TestFractionalExponents:
     def test_square_root_squares_to_q(self):
         h = Scalar.q_power(Fraction(1, 2))

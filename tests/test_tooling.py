@@ -4,7 +4,10 @@ import ast
 import json
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qdc"
@@ -240,3 +243,27 @@ def test_bench_record_from_two_runs(tmp_path, monkeypatch):
     other.write_text(_canned_run("o" * 40, 8, 1.0, 1.0))
     assert tool.main(args + [str(change), str(parent), str(other)]) == 2
     assert tool.main(args + [str(change)]) == 2
+
+
+def _python(*args):
+    """Standard output of a fresh interpreter on the engine's source, with
+    the packaged default R-matrix."""
+    env = {k: v for k, v in os.environ.items() if k != "QDC_DEFAULT_RMATRIX"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True).stdout
+
+
+def test_cli_import_leaves_argparse_and_json_out():
+    """Sessions import qdc.cli for run_suite and the evaluator; only the
+    command line needs argparse, and only structured output needs json."""
+    loaded = _python("-c", "import sys, qdc.cli; "
+                     "print(sorted({'argparse', 'json'} & set(sys.modules)))")
+    assert loaded == b"[]\n"
+
+
+def test_structured_check_from_the_command_line_matches_golden():
+    out = _python("-m", "qdc.cli", "--degree", "2", "--format", "structured",
+                  "check")
+    golden = ROOT / "tests" / "data" / "golden" / "check_d2_structured.txt"
+    assert out == golden.read_bytes()
