@@ -89,6 +89,15 @@ class TestElimination:
     def test_empty_inverse(self):
         assert mat_inverse([], 0) == []
 
+    def test_int_rows_stay_exact(self):
+        # dividing by an int pivot entry by entry made floats
+        rows = [{0: 2, 1: 3}, {0: 4, 1: 5, 2: 1}]
+        pivot_rows, _ = rref_sparse(rows, [0, 1, 2])
+        assert pivot_rows == {0: {0: 1, 2: Fraction(3, 2)}, 1: {1: 1, 2: -1}}
+        assert kernel_basis(rows[:1], 2) == [{0: Fraction(-3, 2), 1: 1}]
+        values = [v for r in pivot_rows.values() for v in r.values()]
+        assert all(type(v) is Fraction for v in values)
+
     @settings(deadline=None)
     @given(base_rows, combos)
     def test_kernel_basis(self, base, derived):

@@ -257,7 +257,8 @@ def _python(*args):
 def test_cli_import_leaves_argparse_and_json_out():
     """Sessions import qdc.cli for run_suite and the evaluator; only the
     command line needs argparse, and only structured output needs json."""
-    loaded = _python("-c", "import sys, qdc.cli; "
+    # -S: no site hook may load either module first
+    loaded = _python("-S", "-c", "import sys, qdc.cli; "
                      "print(sorted({'argparse', 'json'} & set(sys.modules)))")
     assert loaded == b"[]\n"
 
