@@ -90,7 +90,8 @@ class TestElimination:
         assert mat_inverse([], 0) == []
 
     def test_int_rows_stay_exact(self):
-        # dividing by an int pivot entry by entry made floats
+        # an int pivot must not turn the row into floats, which compare
+        # equal to the exact values
         rows = [{0: 2, 1: 3}, {0: 4, 1: 5, 2: 1}]
         pivot_rows, _ = rref_sparse(rows, [0, 1, 2])
         assert pivot_rows == {0: {0: 1, 2: Fraction(3, 2)}, 1: {1: 1, 2: -1}}
