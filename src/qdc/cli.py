@@ -7,6 +7,7 @@ evaluated here against an assembled calculus.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import sys
 
@@ -246,7 +247,6 @@ def build_calculus(cfg):
 
 def _write_json(out, payload):
     """The structured form of a command's output."""
-    import json
     out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 

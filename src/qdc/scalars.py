@@ -277,11 +277,11 @@ class LaurentPoly:
             return Fraction(0)
         a, b = q0.numerator, q0.denominator
         lo, hi = min(terms), max(terms)
-        den = lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+        den = lcm(*(c.denominator for c in terms.values()))
         num = 0
         for e, c in terms.items():
-            c = c * den if type(c) is int else c.numerator * (den // c.denominator)
-            num += c * a ** (e - lo) * b ** (hi - e)
+            num += (c.numerator * (den // c.denominator)
+                    * a ** (e - lo) * b ** (hi - e))
         if lo >= 0:
             num *= a ** lo
         else:

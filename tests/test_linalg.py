@@ -208,7 +208,7 @@ def eager_rref(rows, column_order):
         piv = min(row, key=lambda c: col_rank[c])
         pv = row[piv]
         newrow = {c: v / pv for c, v in row.items()}
-        newrow[piv] = ONE
+        newrow[piv] = linalg._one_like(pv)
         for p in pivot_rows.values():
             f = p.pop(piv, None)
             if f is not None:

@@ -254,17 +254,10 @@ def _python(*args):
                           capture_output=True).stdout
 
 
-def test_cli_import_leaves_argparse_and_json_out():
+def test_cli_import_leaves_argparse_out():
     """Sessions import qdc.cli for run_suite and the evaluator; only the
-    command line needs argparse, and only structured output needs json."""
-    # -S: no site hook may load either module first
+    command line needs argparse."""
+    # -S: no site hook may load it first
     loaded = _python("-S", "-c", "import sys, qdc.cli; "
-                     "print(sorted({'argparse', 'json'} & set(sys.modules)))")
-    assert loaded == b"[]\n"
-
-
-def test_structured_check_from_the_command_line_matches_golden():
-    out = _python("-m", "qdc.cli", "--degree", "2", "--format", "structured",
-                  "check")
-    golden = ROOT / "tests" / "data" / "golden" / "check_d2_structured.txt"
-    assert out == golden.read_bytes()
+                     "print('argparse' in sys.modules)")
+    assert loaded == b"False\n"
