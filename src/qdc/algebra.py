@@ -199,8 +199,10 @@ class RewriteSystem:
     """Oriented rewriting rules for the RTT ideal (plus determinant = 1).
 
     Rules map a leading word to a strictly smaller normal element under the
-    degree-lexicographic order, so rewriting terminates; confluence is
-    checked empirically by the test suite up to a degree bound.
+    degree-lexicographic order, so rewriting terminates.  Confluence is not
+    certified: the tests probe all words of length 4 at N=2 only, and at
+    N=3 the cubic determinant rule leaves it non-confluent above degree 1
+    (ROADMAP item 2).
     """
 
     def __init__(self, n, rules):

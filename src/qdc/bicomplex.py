@@ -81,27 +81,17 @@ def build_grid(calc, cap=None):
     return BicomplexGrid(calc, cap if cap is not None else calc.grade_cap)
 
 
-def cartan_check(calc, degree=None, f00_choice="trace", samples=0, seed=20260809,
-                 swap_projectors=False):
+def cartan_check(calc, degree=None, f00_choice="trace", samples=0,
+                 seed=20260809):
     """The split conditions: total, square of each part, anticommutation.
 
     With the counit sector choice the one-dimensional differential is the
-    zero map and the conditions degenerate accordingly.  swap_projectors
-    deliberately misassembles the splitting (negative control).
+    zero map and the conditions degenerate accordingly.
     """
     degree = degree if degree is not None else calc.degree_bound
     report = CheckReport("cartan", degree)
     rng = random.Random(seed)
-    if swap_projectors:
-        # misassembled splitting: project with J and Jperp exchanged and
-        # without the row bookkeeping; the squares must then fail
-        def part(x):
-            return calc.grid.split_component(calc.d(x))[1]
-
-        def delt(x):
-            return calc.grid.split_component(calc.d(x))[0]
-        total = calc.d
-    elif f00_choice == "counit":
+    if f00_choice == "counit":
         part = total = calc.partial
 
         def delt(x):

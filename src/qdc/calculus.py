@@ -10,16 +10,16 @@ implemented as explicit descriptor maps with an exact round-trip check.
 from __future__ import annotations
 
 import itertools
+import os
 
-from .scalars import Scalar, ONE, qlambda, render_scalar
+from .scalars import Scalar, ONE, render_scalar
 from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
                      add_scaled, sparse_sum, sparse_diff)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element, MEMO_MAX_WORD_LENGTH)
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
                           ConvCombo, convolve, counit_functional,
-                          validate_scalar_functional, InvalidFunctionalError,
-                          DegenerateParameterError)
+                          validate_scalar_functional, InvalidFunctionalError)
 from .forms import FormSpace, FormElement, left_coaction
 
 
@@ -205,26 +205,20 @@ class Calculus:
 
     mode = "inner"
 
-    def __init__(self, qg, lam=None, grade_cap=3, degree_bound=3,
-                 f00_choice="trace"):
-        if lam is None:
-            lam = qlambda()
-        if lam.is_zero():
-            raise DegenerateParameterError("normalization constant is zero")
+    def __init__(self, qg, grade_cap=3, degree_bound=3, f00_choice="trace"):
         self.qg = qg
         self.R = qg.R
-        self.lam = lam
-        self._inv_lam = ONE / lam
         self._d_cache = {}
         self.degree_bound = degree_bound
         self.grade_cap = grade_cap
-        self.dual = DualStructure(qg, lam)
+        self.dual = DualStructure(qg)
+        self.lam = self.dual.lam
+        self._inv_lam = ONE / self.lam
         self.space = FormSpace(qg, self.dual.f, self.dual.lam_matrix,
                                max_grade=grade_cap + 2)
         self.X = canonical_element(self.space)
         self.grid = GridSplit(self)
         self.projectors = ProjectorPair(self.grid.data(1)["p1"], self.space.M)
-        self.f00_choice = f00_choice
         self.f00 = self.resolve_f00(f00_choice)
         if left_coaction(self.space, self.X) != {(): self.X}:
             raise CalculusError("canonical element is not left invariant")
@@ -333,7 +327,6 @@ class OuterCalculus:
     mode = "outer"
 
     def __init__(self, inner):
-        self.inner = inner
         qg = inner.qg
         basis = inner.space.basis
         self.qg = qg
@@ -341,7 +334,6 @@ class OuterCalculus:
         self.rank = len(self.letters)
         self.labels = [basis.label(i) for i in self.letters]
         pos = {g: p for p, g in enumerate(self.letters)}
-        m = inner.space.M
         f = inner.dual.f
         tables = {}
         for g in qg.rs.gens:
@@ -367,7 +359,6 @@ class OuterCalculus:
                 terms.append((-ratio, (chi.entry(rm),)))
             self.partial_coeffs.append(ConvCombo(qg, terms))
         self.twist = inner.dual.trace_functional()
-        self._pos = pos
 
     def partial_table(self, a):
         """Coefficients of the outer differential over the complement basis."""
@@ -425,8 +416,7 @@ class ExtendedCalculus:
 
     def delta_coeff(self, a):
         """delta(a) = ((f00 - eps) * a) X, as the X-sector coefficient."""
-        return (convolve(self.f00, a, side="left")
-                - convolve(self.eps, a, side="left"))
+        return convolve(self.f00, a) - convolve(self.eps, a)
 
     def restrict_to_outer(self):
         return self.outer
@@ -484,23 +474,18 @@ def roundtrip_check(outer, f00, degree):
 # ---------------------------------------------------------------------------
 # assembly
 
-DEFAULT_RMATRIX = """\
-# standard A-series R-matrix, N=2
-N 2
-series A
-entry 1 1 1 1 q
-entry 1 2 1 2 1
-entry 1 2 2 1 q - q^-1
-entry 2 1 2 1 1
-entry 2 2 2 2 q
-"""
+# the packaged standard SL_q(2) config, read with a plain open so that
+# importing qdc loads no importlib.resources
+with open(os.path.join(os.path.dirname(__file__), "data", "slq2.rmatrix"),
+          encoding="utf-8") as _fh:
+    DEFAULT_RMATRIX = _fh.read()
 
 
-def assemble(config_text=None, lam=None, grade_cap=3, degree_bound=3,
+def assemble(config_text=None, grade_cap=3, degree_bound=3,
              f00_choice="trace"):
     """Build the full inner-calculus descriptor from an R-matrix config."""
     text = config_text if config_text is not None else DEFAULT_RMATRIX
     r = load_rmatrix(text)
     qg = QuantumGroup(r)
-    return Calculus(qg, lam=lam, grade_cap=grade_cap,
-                    degree_bound=degree_bound, f00_choice=f00_choice)
+    return Calculus(qg, grade_cap=grade_cap, degree_bound=degree_bound,
+                    f00_choice=f00_choice)

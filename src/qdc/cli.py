@@ -6,6 +6,7 @@ evaluated here against an assembled calculus.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -149,80 +150,79 @@ def write_session(path, r, f00, degree, cap):
              "begin rmatrix"]
     lines.append(dump_rmatrix(r).rstrip("\n"))
     lines.append("end rmatrix")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as err:
+        raise CliError("cannot write descriptor %s: %s" % (path, err.strerror))
+
+
+def _read_config(path, kind):
+    """The text of a config file; an unreadable or non-UTF-8 file is a
+    CliError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise CliError("cannot read %s %s: %s" % (kind, path, err.strerror))
+    except UnicodeDecodeError as err:
+        raise CliError("cannot read %s %s: not UTF-8 (%s at byte %d)"
+                       % (kind, path, err.reason, err.start))
 
 
 def read_session(path):
     cfg = {}
     rmatrix_lines = []
     in_rmatrix = False
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.strip() == "begin rmatrix":
-                in_rmatrix = True
-                continue
-            if line.strip() == "end rmatrix":
-                in_rmatrix = False
-                continue
-            if in_rmatrix:
-                rmatrix_lines.append(line)
-                continue
-            parts = line.split(None, 1)
-            if not parts:
-                continue
-            key, rest = parts[0], parts[1] if len(parts) > 1 else ""
-            if key == "format" and rest != SESSION_FORMAT:
-                raise CliError("unsupported session format %r" % rest)
-            if key == "f00":
-                cfg["f00"] = rest.strip()
-            elif key in ("degree", "cap"):
-                try:
-                    cfg[key] = int(rest)
-                except ValueError:
-                    raise CliError("session file %s: bad %s %r"
-                                   % (path, key, rest.strip()))
+    for raw in io.StringIO(_read_config(path, "descriptor")):
+        line = raw.rstrip("\n")
+        if line.strip() == "begin rmatrix":
+            in_rmatrix = True
+            continue
+        if line.strip() == "end rmatrix":
+            in_rmatrix = False
+            continue
+        if in_rmatrix:
+            rmatrix_lines.append(line)
+            continue
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        key, rest = parts[0], parts[1] if len(parts) > 1 else ""
+        if key == "format" and rest != SESSION_FORMAT:
+            raise CliError("unsupported session format %r" % rest)
+        if key == "f00":
+            cfg["f00"] = rest.strip()
+        elif key in ("degree", "cap"):
+            try:
+                cfg[key] = int(rest)
+            except ValueError:
+                raise CliError("session file %s: bad %s %r"
+                               % (path, key, rest.strip()))
     if not rmatrix_lines:
         raise CliError("session file %s carries no R-matrix block" % path)
     cfg["rmatrix"] = "\n".join(rmatrix_lines) + "\n"
     return cfg
 
 
-def _packaged_default_rmatrix():
-    try:
-        from importlib import resources
-        return (resources.files("qdc") / "data" / "slq2.rmatrix").read_text()
-    except Exception:
-        return DEFAULT_RMATRIX
-
-
 CONFIG_DEFAULTS = {"f00": "trace", "degree": 3, "cap": 3}
-
-
-def _read_rmatrix_file(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as err:
-        raise CliError("cannot read R-matrix config %s: %s"
-                       % (path, err.strerror))
 
 
 def resolve_config(args):
     """The session config: flags override the descriptor, which overrides
     CONFIG_DEFAULTS; degree and cap must be at least 1."""
     if args.rmatrix:
-        cfg = {"rmatrix": _read_rmatrix_file(args.rmatrix)}
+        cfg = {"rmatrix": _read_config(args.rmatrix, "R-matrix config")}
     elif args.descriptor:
         if not os.path.exists(args.descriptor):
             raise CliError("descriptor %s is missing (run qdc init first)"
                            % args.descriptor)
         cfg = read_session(args.descriptor)
     elif os.environ.get("QDC_DEFAULT_RMATRIX"):
-        cfg = {"rmatrix": _read_rmatrix_file(os.environ["QDC_DEFAULT_RMATRIX"])}
+        cfg = {"rmatrix": _read_config(os.environ["QDC_DEFAULT_RMATRIX"],
+                                       "R-matrix config")}
     else:
-        cfg = {"rmatrix": _packaged_default_rmatrix()}
+        cfg = {"rmatrix": DEFAULT_RMATRIX}
     for key, default in CONFIG_DEFAULTS.items():
         flag = getattr(args, key)
         if flag is not None:

@@ -179,7 +179,7 @@ class FormSpace:
             elem = AlgebraElement.from_word(self.qg.rs, mon)
             hit = {}
             for j in range(self.M):
-                c = convolve(self.f.entry(letter, j), elem, side="left")
+                c = convolve(self.f.entry(letter, j), elem)
                 if not c.is_zero():
                     hit[j] = c
             if len(mon) <= MEMO_MAX_WORD_LENGTH:

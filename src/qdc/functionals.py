@@ -22,10 +22,6 @@ class FunctionalError(Exception):
     pass
 
 
-class DegenerateParameterError(FunctionalError):
-    """The normalization constant vanished (q specialized to a root of it)."""
-
-
 class InvalidFunctionalError(FunctionalError):
     """A scalar functional violates the product/unit laws on the relations."""
 
@@ -190,18 +186,14 @@ class FunctionalMatrix:
         return rows
 
 
-def make_L(qg, sign, normalized=True):
+def make_L(qg, sign):
     """Regular functional family: (L+)(t^c_d) = c+ R^{ac}_{bd}, (L-) from R21^-1.
 
     The normalization c+- = q^{-+1/N} makes the family well defined on the
-    determinant relation; normalized=False gives the raw tables, which are
-    not (a negative control for the normalization).
+    determinant relation.
     """
     n = qg.N
-    if normalized:
-        scale = Scalar.q_power(Fraction(-sign, n))
-    else:
-        scale = ONE
+    scale = Scalar.q_power(Fraction(-sign, n))
     entries = qg.R.entries if sign > 0 else qg.R.rminus_entries
     tables = {g: [{} for _ in range(n)] for g in qg.rs.gens}
     for (a, c, b, d), v in entries.items():
@@ -236,11 +228,9 @@ def make_f(qg, lplus, lminus):
 class VectorFieldFamily:
     """The chi column inside the extended family [[eps, chi], [0, f]]."""
 
-    def __init__(self, qg, ext_family, f_matrix, lam):
+    def __init__(self, qg, ext_family):
         self.qg = qg
         self.ext = ext_family
-        self.f_matrix = f_matrix
-        self.lam = lam
         self.N = qg.N
         self.size = qg.N * qg.N
 
@@ -264,42 +254,36 @@ class VectorFieldFamily:
         return rows
 
 
-def make_chi(qg, lplus, lminus, lam, f_matrix=None):
-    """Vector fields chi^{c1}_{c2} = (1/lam){kd(L+)^{c1}_b (L-)^b_{c2} - delta eps}.
+def make_chi(f_matrix, lam):
+    """Vector fields chi_i = (1/lam)(sum_b f^{(b,b)}_i - delta_i eps).
 
-    Returns the family packaged with its companion f so that the twisted
-    product law is one matrix multiplication.
+    The inner calculus is generated by X = sum_b omega_bb with
+    d a = (1/lam)[X, a], and omega_j a = sum_i (f^j_i * a) omega_i, so the
+    vector fields are read off the diagonal rows of f.  Returns the family
+    packaged with f so that the twisted product law is one matrix
+    multiplication.
     """
-    if lam.is_zero():
-        raise DegenerateParameterError("normalization constant is zero")
+    fam = f_matrix.family
+    qg = fam.qg
     n = qg.N
-    m = n * n
-    if f_matrix is None:
-        f_matrix = make_f(qg, lplus, lminus)
-    kd = lplus.family.compose_antipode()
-    lm = lminus.family
+    diagonal = [b * n + b for b in range(n)]
     ext_tables = {}
-    for (c, d) in qg.rs.gens:
-        # sum over g and b of kd(L+)(t_cg)[c1][b] (L-)(t_gd)[b][c2], 0-based
+    for (c, d), table in fam.gen_tables.items():
         acc = {}
-        for g in range(1, n + 1):
-            lt = lm.gen_tables[(g, d)]
-            for c1, row in enumerate(kd.gen_tables[(c, g)]):
-                for b, x in row.items():
-                    for c2, y in lt[b].items():
-                        add_term(acc, c1 * n + c2, x * y)
+        for i in diagonal:
+            for k, v in table[i].items():
+                add_term(acc, k, v)
         top = {}
         if c == d:
             top[0] = ONE
-            for c1 in range(n):
-                add_term(acc, c1 * n + c1, -ONE)
+            for i in diagonal:
+                add_term(acc, i, -ONE)
         top.update((1 + k, v / lam) for k, v in acc.items())
         # the f block is f's rows shifted by 1
         ext_tables[(c, d)] = [top] + [
-            {1 + j: v for j, v in row.items()}
-            for row in f_matrix.family.gen_tables[(c, d)]]
-    ext = CorepFamily(qg, 1 + m, ext_tables, name="[[eps,chi],[0,f]]")
-    return VectorFieldFamily(qg, ext, f_matrix, lam)
+            {1 + j: v for j, v in row.items()} for row in table]
+    ext = CorepFamily(qg, 1 + fam.size, ext_tables, name="[[eps,chi],[0,f]]")
+    return VectorFieldFamily(qg, ext)
 
 
 class LambdaMatrix:
@@ -464,7 +448,7 @@ def bracket_table(pairs, x, lam_cols, m):
     return t
 
 
-def make_C(lambda_matrix, lam, chi):
+def make_C(lambda_matrix, chi):
     """Structure constants solved from [chi_i, chi_j] = C_{ij}^k chi_k.
 
     The bracket is chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l (convolution
@@ -475,8 +459,6 @@ def make_C(lambda_matrix, lam, chi):
     each word's row operations recorded in a column of its own, and the
     recorded combinations are then applied to every bracket.
     """
-    if lam.is_zero():
-        raise DegenerateParameterError("normalization constant is zero")
     qg = chi.qg
     m = chi.size
     words = [()] + [((a, b),) for (a, b) in qg.rs.gens]
@@ -543,27 +525,26 @@ def make_C(lambda_matrix, lam, chi):
 # ---------------------------------------------------------------------------
 # convolution machinery
 
-def convolve(f, a, side="left"):
-    """(f * a) = (id (x) f) o phi(a) for side='left'; (a * f) for side='right'."""
+def convolve(f, a):
+    """(f * a) = (id (x) f) o phi(a)."""
     out = {}
     for w0, c in a.terms.items():
-        add_scaled(out, _convolve_word(f, w0, side), c)
+        add_scaled(out, _convolve_word(f, w0), c)
     return AlgebraElement(f.family.qg.rs, out)
 
 
-def _convolve_word(f, word, side):
+def _convolve_word(f, word):
     cache = f.family._conv_cache
-    key = (f.row, f.col, word, side)
+    key = (f.row, f.col, word)
     hit = cache.get(key)
     if hit is not None:
         return hit
     qg = f.family.qg
     out = {}
     for (w1, w2), c in qg.coproduct_word(word).items():
-        w, leg = (w1, w2) if side == "left" else (w2, w1)
-        v = f.on_word(leg)
+        v = f.on_word(w2)
         if not v.is_zero():
-            add_term(out, w, c * v)
+            add_term(out, w1, c * v)
     if len(word) <= MEMO_MAX_WORD_LENGTH:
         cache[key] = out
     return out
@@ -634,21 +615,17 @@ def q_lie_bracket(i, j, chi, lambda_matrix):
 class DualStructure:
     """All functional families of one calculus, built from the same R."""
 
-    def __init__(self, qg, lam=None):
-        if lam is None:
-            lam = qlambda()
-        if lam.is_zero():
-            raise DegenerateParameterError("normalization constant is zero")
+    def __init__(self, qg):
         self.qg = qg
-        self.lam = lam
+        self.lam = qlambda()
         self.N = qg.N
         self.M = qg.N * qg.N
         self.lplus = make_L(qg, +1)
         self.lminus = make_L(qg, -1)
         self.f = make_f(qg, self.lplus, self.lminus)
-        self.chi = make_chi(qg, self.lplus, self.lminus, lam, f_matrix=self.f)
+        self.chi = make_chi(self.f, self.lam)
         self.lam_matrix = make_lambda(qg.R)
-        self.C = make_C(self.lam_matrix, lam, self.chi)
+        self.C = make_C(self.lam_matrix, self.chi)
         self.eps = counit_functional(qg)
 
     def trace_functional(self):

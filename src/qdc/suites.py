@@ -450,12 +450,12 @@ def bicovariance_suite(calc, degree=None):
 # ---------------------------------------------------------------------------
 # leibniz / inner-structure suite
 
-def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
+def leibniz_suite(calc, degree=None, samples=6):
     qg = calc.qg
     space = calc.space
     degree = degree if degree is not None else calc.degree_bound
     report = CheckReport("leibniz", degree)
-    rng = random.Random(seed)
+    rng = random.Random(20260809)
     words = qg.rs.normal_words(degree)
     elems = [AlgebraElement.from_word(qg.rs, w) for w in words]
     pairs = [(a, b) for a in elems for b in elems]
@@ -496,10 +496,9 @@ def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
 
     def leibniz_sector(f00):
         for a, b in pairs:
-            lhs = convolve(f00, a * b, side="left") - (a * b)
-            rhs = (convolve(f00, a, side="left") - a) * \
-                convolve(f00, b, side="left") + \
-                a * (convolve(f00, b, side="left") - b)
+            lhs = convolve(f00, a * b) - (a * b)
+            rhs = (convolve(f00, a) - a) * convolve(f00, b) + \
+                a * (convolve(f00, b) - b)
             if lhs != rhs:
                 yield pair_str(a, b)
 
@@ -517,7 +516,7 @@ def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
     def leibniz_partial_rows():
         partials = [calc.partial(e) for e in elems]
         for a, pa in zip(elems, partials):
-            twist = space.from_algebra(convolve(trace, a, side="left"))
+            twist = space.from_algebra(convolve(trace, a))
             row_failures = []
             for b, pb in zip(elems, partials):
                 lhs = calc.partial(a * b)
@@ -571,7 +570,7 @@ def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
         u0, u1 = calc.grid.split_component(X.algebra_mul_right(a))
         if not u0.is_zero() and wit_span is None:
             wit_span = "X %s has complement part %s" % (render_word(w), u0.render())
-        if u1 != X.algebra_mul_left(convolve(trace, a, side="left")):
+        if u1 != X.algebra_mul_left(convolve(trace, a)):
             wit_rule = render_word(w)
     report.add("canonical-line-submodule",
                "the canonical line is a right submodule (measured; fails for "
@@ -634,7 +633,7 @@ def leibniz_suite(calc, degree=None, samples=6, seed=20260809):
             a = AlgebraElement.from_word(qg.rs, w)
             coeffs = calc.expand_d_in_basis(a)
             for i in range(space.M):
-                if coeffs[i] != convolve(calc.dual.chi.entry(i), a, side="left"):
+                if coeffs[i] != convolve(calc.dual.chi.entry(i), a):
                     yield "i=%d on %s" % (i, render_word(w))
 
     wit = first_witness(d_chi_expansion())

@@ -116,7 +116,7 @@ def test_criterion_05_differential_tie_in(calc, qg, dual):
         a = AlgebraElement.from_word(qg.rs, w)
         coeffs = calc.expand_d_in_basis(a)
         for i in range(calc.space.M):
-            if coeffs[i] != convolve(dual.chi.entry(i), a, side="left"):
+            if coeffs[i] != convolve(dual.chi.entry(i), a):
                 ok = False
     record(5, ok,
            "basis expansion of d equals the vector-field convolutions, "

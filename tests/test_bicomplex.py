@@ -61,7 +61,7 @@ class TestCartan:
             {"d-squared", "partial-squared", "delta-squared", "anticommute"}
 
     def test_negative_control_breaks(self, calc):
-        report = cartan_check(calc, degree=1, samples=0, swap_projectors=True)
+        report = cartan_check(SwappedRows(calc), degree=1, samples=0)
         assert not report.passed()
         failing = [e for e in report.entries if e.status == "fail"]
         assert failing and all(e.witness for e in failing)
@@ -90,3 +90,21 @@ class AtGradeCap:
         raise GradeCapError("every input is at the grade cap")
 
     partial = delta = d
+
+
+class SwappedRows:
+    """A misassembled splitting: partial and delta take row 1 and row 0 of
+    d(x), with J and Jperp exchanged and without the row bookkeeping; the
+    squares must then fail."""
+
+    def __init__(self, calc):
+        self._calc = calc
+
+    def __getattr__(self, name):
+        return getattr(self._calc, name)
+
+    def partial(self, x):
+        return self.grid.split_component(self.d(x))[1]
+
+    def delta(self, x):
+        return self.grid.split_component(self.d(x))[0]

@@ -8,8 +8,8 @@ from qdc.algebra import AlgebraElement, MEMO_MAX_WORD_LENGTH
 from qdc.forms import FormElement, GradeCapError, left_coaction
 from qdc.functionals import (ConvCombo, convolve, InvalidFunctionalError,
                              scalar_functional)
-from qdc.calculus import (assemble, canonical_element, map_in_to_out,
-                          map_out_to_in, roundtrip_check, CalculusError)
+from qdc.calculus import (canonical_element, map_in_to_out, map_out_to_in,
+                          roundtrip_check, CalculusError)
 
 
 def assert_no_zero_coefficient(x):
@@ -164,11 +164,6 @@ class TestInnerDifferential:
         with pytest.raises(GradeCapError):
             calc3.d(x)
 
-    def test_degenerate_parameter(self, qg):
-        from qdc.functionals import DegenerateParameterError
-        with pytest.raises(DegenerateParameterError):
-            assemble(lam=ZERO)
-
 
 class TestBasisExpansion:
     def test_unit_gives_zeros(self, calc, qg):
@@ -179,7 +174,7 @@ class TestBasisExpansion:
             a = AlgebraElement.from_word(qg.rs, w)
             coeffs = calc.expand_d_in_basis(a)
             for i in range(4):
-                assert coeffs[i] == convolve(dual.chi.entry(i), a, side="left")
+                assert coeffs[i] == convolve(dual.chi.entry(i), a)
 
     def test_linearity(self, calc, qg):
         a = qg.generator(1, 1)
@@ -257,7 +252,7 @@ class TestSplit:
         for g in qg.rs.gens:
             a = qg.generator(*g)
             _, dl = calc.grid.split_component(calc.d(a))
-            coeff = convolve(dual.chi.entry(3), a, side="left")
+            coeff = convolve(dual.chi.entry(3), a)
             assert dl == calc.X.algebra_mul_left(coeff)
 
     def test_partial_image_avoids_canonical_line(self, calc, qg):

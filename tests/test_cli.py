@@ -86,7 +86,7 @@ class TestEvaluation:
         a = calc.qg.generator(1, 1)
         expected = calc.space.zero()
         for i in range(4):
-            c = convolve(calc.dual.chi.entry(i), a, side="left")
+            c = convolve(calc.dual.chi.entry(i), a)
             if not c.is_zero():
                 expected = expected + calc.space.one_form(i).algebra_mul_left(c)
         assert value == expected
@@ -191,15 +191,32 @@ class TestErrorSurface:
         (None, ["eval", "q^(1/0)"]),
         (DEFAULT_RMATRIX.replace("entry 1 1 1 1 q\n",
                                  "entry 1 1 1 1 t[1,1]\n"), ["eval", "q"]),
+        (b"N 2\xff\n", ["eval", "q"]),
+        (b"N 2\xff\n", ["QDC_DEFAULT_RMATRIX={config}", "eval", "q"]),
+        (None, ["--descriptor", "{tmp}", "eval", "q"]),
+        (b"format qdc-session 1\xff\n",
+         ["--descriptor", "{config}", "eval", "q"]),
+        (None, ["init", "--out", "{tmp}/missing/x.qdc"]),
     ], ids=["missing-rmatrix", "n-zero", "zero-denominator-exponent",
             "duplicate-entry", "negative-cap", "zero-denominator-expression",
-            "generator-in-entry"])
-    def test_bad_input_exits_2(self, config, argv, tmp_path, capsys):
+            "generator-in-entry", "non-utf8-rmatrix",
+            "non-utf8-default-rmatrix", "directory-descriptor",
+            "non-utf8-descriptor", "unwritable-out"])
+    def test_bad_input_exits_2(self, config, argv, tmp_path, capsys,
+                               monkeypatch):
+        # config is written to {config}, which is the --rmatrix unless argv
+        # names it; leading NAME=value items set the environment, as in sh
+        path = tmp_path / "r.rmatrix"
         if config is not None:
-            path = tmp_path / "r.rmatrix"
-            path.write_text(config)
-            argv = ["--rmatrix", str(path)] + argv
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+            path.write_bytes(config if isinstance(config, bytes)
+                             else config.encode("utf-8"))
+            if not any("{config}" in a for a in argv):
+                argv = ["--rmatrix", "{config}"] + argv
+        argv = [a.replace("{tmp}", str(tmp_path))
+                .replace("{config}", str(path)) for a in argv]
+        while "=" in argv[0]:
+            name, _, value = argv.pop(0).partition("=")
+            monkeypatch.setenv(name, value)
         code, text = out_of(argv)
         err = capsys.readouterr().err
         assert code == 2 and text == ""

@@ -93,7 +93,7 @@ class TestBimodule:
         got = calc.space.pass_algebra_through((0,), a)
         expected = {}
         for j in range(4):
-            c = convolve(dual.f.entry(0, j), a, side="left")
+            c = convolve(dual.f.entry(0, j), a)
             if not c.is_zero():
                 expected[(j,)] = c
         assert got == expected
@@ -148,7 +148,7 @@ class TestWedgeProduct:
             calc.space.one_form(j, coeff=b))
         expected = calc.space.zero()
         for k in range(4):
-            c = convolve(dual.f.entry(i, k), b, side="left")
+            c = convolve(dual.f.entry(i, k), b)
             if c.is_zero():
                 continue
             piece = FormElement(calc.space, {

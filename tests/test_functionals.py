@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from qdc.scalars import Scalar, ZERO, ONE, Q, parse_scalar
+from qdc.scalars import Scalar, ZERO, ONE, Q, parse_scalar, qlambda
 from qdc.algebra import AlgebraElement
 from qdc import functionals
-from qdc.functionals import (make_chi, make_C, make_lambda, convolve,
+from qdc.functionals import (make_C, make_lambda, convolve,
                              q_lie_bracket, flatten_pair, scalar_functional,
                              validate_scalar_functional, CorepFamily,
                              VectorFieldFamily, Functional, FunctionalError,
-                             DegenerateParameterError, InvalidFunctionalError)
+                             InvalidFunctionalError)
 from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul, add_term
 from qdc.calculus import OuterCalculus
 from qdc.suites import bicovariance_suite
@@ -54,9 +54,12 @@ class TestRegularFunctionals:
         assert dual.lminus.family.check_rewrite_invariance() is None
 
     def test_unnormalized_tables_fail_on_determinant(self, qg):
-        from qdc.functionals import make_L
-        raw = make_L(qg, +1, normalized=False)
-        assert raw.family.check_rewrite_invariance() is not None
+        # (L+)(t^c_d) = R^{ac}_{bd}, without the q^(-1/N) scale
+        tables = {g: [{} for _ in range(qg.N)] for g in qg.rs.gens}
+        for (a, c, b, d), v in qg.R.entries.items():
+            tables[(c, d)][a - 1][b - 1] = v
+        raw = CorepFamily(qg, qg.N, tables, name="L+")
+        assert raw.check_rewrite_invariance() is not None
 
     def test_rewrite_witness_is_first_differing_entry(self, dual, qg):
         # the counit entry of the chi family on t[2,2] times q: row 0 then
@@ -216,6 +219,17 @@ class TestVectorFields:
                 got = dual.chi.entry(i).on_generator(c, d).evaluate_at(q0)
                 assert got == expected, (i, c, d)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_match_contraction(self, n, calc, calc3, calc4):
+        # the chi row of the extended family, read off f, against the
+        # contraction kd(L+) L- it stands for: values and key order
+        dual = {2: calc, 3: calc3, 4: calc4}[n].dual
+        want = chi_rows_by_contraction(dual)
+        got = {g: t[0] for g, t in dual.chi.ext.gen_tables.items()}
+        assert list(got) == list(want)
+        for g, row in want.items():
+            assert list(got[g].items()) == list(row.items()), g
+
     def test_twisted_derivation_law(self, dual, qg):
         # chi(ab) = chi_j(a) f^j_i(b) + eps(a) chi_i(b) on random pairs
         words = qg.rs.normal_words(2)
@@ -232,9 +246,32 @@ class TestVectorFields:
                             dual.f.entry(j, i).value(b)
                     assert lhs == rhs
 
-    def test_degenerate_parameter_rejected(self, qg, dual):
-        with pytest.raises(DegenerateParameterError):
-            make_chi(qg, dual.lplus, dual.lminus, ZERO)
+
+def chi_rows_by_contraction(dual):
+    """Row 0 of the extended family [[eps, chi], [0, f]] on each generator
+    t_cd: (sum over g, b of kd(L+)(t_cg)[c1][b] (L-)(t_gd)[b][c2], minus
+    delta_cd delta_{c1 c2}) / lam, summed in that order."""
+    qg = dual.qg
+    n = qg.N
+    kd = dual.lplus.family.compose_antipode()
+    lm = dual.lminus.family
+    rows = {}
+    for (c, d) in qg.rs.gens:
+        acc = {}
+        for g in range(1, n + 1):
+            lt = lm.gen_tables[(g, d)]
+            for c1, row in enumerate(kd.gen_tables[(c, g)]):
+                for b, x in row.items():
+                    for c2, y in lt[b].items():
+                        add_term(acc, c1 * n + c2, x * y)
+        top = {}
+        if c == d:
+            top[0] = ONE
+            for c1 in range(n):
+                add_term(acc, c1 * n + c1, -ONE)
+        top.update((1 + k, v / qlambda()) for k, v in acc.items())
+        rows[(c, d)] = top
+    return rows
 
 
 class TestBraiding:
@@ -376,12 +413,8 @@ class TestStructureConstants:
                     total = total + coeff * br.on_word(w)
                 assert total.is_zero()
 
-    def test_degenerate_parameter_rejected(self, dual):
-        with pytest.raises(DegenerateParameterError):
-            make_C(dual.lam_matrix, ZERO, dual.chi)
-
     def test_matches_per_pair_solve(self, dual):
-        assert make_C(dual.lam_matrix, dual.lam, dual.chi).table == \
+        assert make_C(dual.lam_matrix, dual.chi).table == \
             per_pair_C(dual.lam_matrix, dual.chi)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -394,7 +427,7 @@ class TestStructureConstants:
             return rref_sparse(*args)
 
         monkeypatch.setattr(functionals, "rref_sparse", counted)
-        got = make_C(dual.lam_matrix, dual.lam, dual.chi)
+        got = make_C(dual.lam_matrix, dual.chi)
         assert len(calls) == 1      # was M^2 = 81 at N=3
         assert got.table == dual.C.table
 
@@ -420,11 +453,11 @@ class TestStructureConstants:
                   for g, t in dual.chi.ext.gen_tables.items()}
         getattr(self, edit)(tables)
         ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
-        chi = VectorFieldFamily(dual.qg, ext, dual.f, dual.lam)
+        chi = VectorFieldFamily(dual.qg, ext)
         with pytest.raises(FunctionalError) as want:
             per_pair_C(dual.lam_matrix, chi)
         with pytest.raises(FunctionalError) as got:
-            make_C(dual.lam_matrix, dual.lam, chi)
+            make_C(dual.lam_matrix, chi)
         assert str(got.value) == str(want.value) == message
 
 
@@ -437,9 +470,9 @@ class TestStructureConstants:
         for t in tables.values():
             t[0].pop(1 + k, None)
         ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
-        chi = VectorFieldFamily(dual.qg, ext, dual.f, dual.lam)
+        chi = VectorFieldFamily(dual.qg, ext)
         with pytest.raises(FunctionalError) as err:
-            make_C(dual.lam_matrix, dual.lam, chi)
+            make_C(dual.lam_matrix, chi)
         assert str(err.value) == \
             "structure constants underdetermined at (0,0,%d)" % k
 
@@ -566,20 +599,17 @@ class TestConvolution:
     def test_counit_convolution_is_identity(self, dual, qg):
         for w in qg.rs.normal_words(3):
             a = AlgebraElement.from_word(qg.rs, w)
-            assert convolve(dual.eps, a, side="left") == a
-            assert convolve(dual.eps, a, side="right") == a
+            assert convolve(dual.eps, a) == a
 
     def test_on_unit(self, dual, qg):
         one = qg.one()
         f = dual.f.entry(1, 2)
-        assert convolve(f, one, side="left") == \
-            one.scalar_mul(f.on_unit())
+        assert convolve(f, one) == one.scalar_mul(f.on_unit())
 
     def test_vector_field_convolution_on_generators(self, dual, qg):
         for i in range(4):
             for (c, d) in qg.rs.gens:
-                got = convolve(dual.chi.entry(i), qg.generator(c, d),
-                               side="left")
+                got = convolve(dual.chi.entry(i), qg.generator(c, d))
                 expected = AlgebraElement.zero(qg.rs)
                 for g in (1, 2):
                     v = dual.chi.entry(i).on_generator(g, d)

@@ -29,6 +29,20 @@ TEST_ONLY_API = {
 }
 
 
+# Defaulted parameters that no call in src/ or perfbench/ passes, kept on
+# purpose: (function, parameter) -> reason.  A constructor is named by its
+# class.
+TEST_ONLY_PARAMS = {
+    ("QuantumGroup", "sl_mode"):
+        "the GL presentation, which ROADMAP item 10 builds the SL quotient "
+        "on or deletes",
+    ("cartan_check", "seed"): "tests size their random sweeps",
+    ("leibniz_suite", "samples"): "tests size their random sweeps",
+    ("one_form", "coeff"): "tests build one-forms with algebra coefficients",
+    ("run", "out"): "the seam through which tests capture output",
+}
+
+
 def _trees(*dirs):
     for d in dirs:
         for p in sorted((ROOT / d).rglob("*.py")):
@@ -121,6 +135,69 @@ def test_no_helper_only_tests_reach():
         "only tests reach: %s" % ", ".join(sorted(test_only - TEST_ONLY_API))
     assert TEST_ONLY_API <= test_only, \
         "reached outside tests: %s" % ", ".join(sorted(TEST_ONLY_API - test_only))
+
+
+def _defaulted_parameters():
+    """(function, parameter, position) of each parameter with a default of a
+    function or method in src/qdc.  A constructor is named by its class;
+    position counts the arguments after self, and is None for a keyword-only
+    parameter."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(item): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name, args = node.name, node.args
+            if name.startswith("__") and name != "__init__":
+                continue
+            positional = args.posonlyargs + args.args
+            if id(node) in owner and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in node.decorator_list):
+                positional = positional[1:]
+            if name == "__init__":
+                name = owner[id(node)]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _calls(*dirs):
+    """callee name -> [(positional count, has *args, keyword names)] of
+    each call in dirs; a **kwargs shows as the keyword name None."""
+    calls = {}
+    for tree in _trees(*dirs):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or \
+                    getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append((
+                    len(node.args),
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_no_parameter_only_tests_pass():
+    """A defaulted parameter that no call in src/ or perfbench/ passes, by
+    position or by keyword, is a constant or is named in TEST_ONLY_PARAMS;
+    a name there that such a call does pass is stale."""
+    calls = _calls("src", "perfbench")
+    unpassed = set()
+    for name, param, pos in _defaulted_parameters():
+        if not any((pos is not None and (n > pos or star))
+                   or param in keywords or None in keywords
+                   for n, star, keywords in calls.get(name, ())):
+            unpassed.add((name, param))
+    assert unpassed <= TEST_ONLY_PARAMS.keys(), \
+        "only tests pass: %s" % sorted(unpassed - TEST_ONLY_PARAMS.keys())
+    assert TEST_ONLY_PARAMS.keys() <= unpassed, \
+        "stale: %s" % sorted(TEST_ONLY_PARAMS.keys() - unpassed)
 
 
 def _load_spans():
