@@ -15,11 +15,6 @@ from .linalg import (mat_inverse, mat_mul, rref_sparse, add_term, add_scaled,
                      LinearCombination)
 
 
-# Memo tables (rewrites, coproducts, antipodes, commutation and convolution
-# of words) keep only words up to this length.
-MEMO_MAX_WORD_LENGTH = 8
-
-
 class AlgebraError(Exception):
     pass
 
@@ -244,8 +239,7 @@ class RewriteSystem:
             pre, post = w[:i], w[i + ln:]
             for rw, rc in rhs.items():
                 stack.append((pre + rw + post, coeff * rc))
-        if len(word) <= MEMO_MAX_WORD_LENGTH:
-            self._cache[word] = result
+        self._cache[word] = result
         return result
 
     def reduce_terms(self, terms):
@@ -477,8 +471,7 @@ class QuantumGroup:
                     add_term(out, legs, c)
         else:
             out = {((),) * arity: ONE}
-        if len(word) <= MEMO_MAX_WORD_LENGTH:
-            self._cop_cache[key] = out
+        self._cop_cache[key] = out
         return out
 
     def coproduct(self, elem, arity=2):
@@ -582,8 +575,7 @@ class QuantumGroup:
         out = AlgebraElement.one(self.rs)
         for g in reversed(word):
             out = out * self.antipode_table[g]
-        if len(word) <= MEMO_MAX_WORD_LENGTH:
-            self._antipode_cache[word] = out
+        self._antipode_cache[word] = out
         return out
 
     def antipode(self, elem):

@@ -15,8 +15,7 @@ import os
 from .scalars import Scalar, ONE, render_scalar
 from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
                      add_scaled, sparse_sum, sparse_diff)
-from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
-                      render_element, MEMO_MAX_WORD_LENGTH)
+from .algebra import QuantumGroup, AlgebraElement, load_rmatrix, render_element
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
                           ConvCombo, convolve, counit_functional,
                           validate_scalar_functional, InvalidFunctionalError)
@@ -262,8 +261,7 @@ class Calculus:
             right = e.wedge(self.X)
             piece = (left + right) if len(w) % 2 else (left - right)
             hit = piece.scalar_mul(self._inv_lam).terms
-            if len(mon) <= MEMO_MAX_WORD_LENGTH:
-                self._d_cache[key] = hit
+            self._d_cache[key] = hit
         return hit
 
     def expand_d_in_basis(self, a):

@@ -140,6 +140,7 @@ def render_value(x):
 # session handling
 
 SESSION_FORMAT = "qdc-session 1"
+F00_CHOICES = ("trace", "counit")
 
 
 def write_session(path, r, f00, degree, cap):
@@ -174,7 +175,8 @@ def read_session(path):
     cfg = {}
     rmatrix_lines = []
     in_rmatrix = False
-    for raw in io.StringIO(_read_config(path, "descriptor")):
+    for lineno, raw in enumerate(io.StringIO(_read_config(path, "descriptor")),
+                                 1):
         line = raw.rstrip("\n")
         if line.strip() == "begin rmatrix":
             in_rmatrix = True
@@ -189,9 +191,13 @@ def read_session(path):
         if not parts:
             continue
         key, rest = parts[0], parts[1] if len(parts) > 1 else ""
-        if key == "format" and rest != SESSION_FORMAT:
-            raise CliError("unsupported session format %r" % rest)
-        if key == "f00":
+        if key == "format":
+            if rest != SESSION_FORMAT:
+                raise CliError("unsupported session format %r" % rest)
+        elif key == "f00":
+            if rest.strip() not in F00_CHOICES:
+                raise CliError("session file %s: bad f00 %r"
+                               % (path, rest.strip()))
             cfg["f00"] = rest.strip()
         elif key in ("degree", "cap"):
             try:
@@ -199,6 +205,9 @@ def read_session(path):
             except ValueError:
                 raise CliError("session file %s: bad %s %r"
                                % (path, key, rest.strip()))
+        else:
+            raise CliError("session file %s: unknown key %r on line %d"
+                           % (path, key, lineno))
     if not rmatrix_lines:
         raise CliError("session file %s carries no R-matrix block" % path)
     cfg["rmatrix"] = "\n".join(rmatrix_lines) + "\n"
@@ -235,11 +244,8 @@ def resolve_config(args):
 
 
 def build_calculus(cfg):
-    f00 = {"trace": "trace", "counit": "counit"}.get(cfg["f00"])
-    if f00 is None:
-        raise CliError("unknown f00 choice %r" % cfg["f00"])
     return assemble(cfg["rmatrix"], grade_cap=cfg["cap"],
-                    degree_bound=cfg["degree"], f00_choice=f00)
+                    degree_bound=cfg["degree"], f00_choice=cfg["f00"])
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +361,13 @@ def run_suite(calc, name, degree):
     if name == "cartan":
         reports = [cartan_check(calc, degree, f00_choice=c,
                                 samples=CARTAN_SAMPLES)
-                   for c in ("trace", "counit")]
+                   for c in F00_CHOICES]
         reports.append(grid_check(calc))
         return reports
     if name == "roundtrip":
         outer = map_in_to_out(calc)
         return [roundtrip_check(outer, calc.resolve_f00(c), degree)
-                for c in ("trace", "counit")]
+                for c in F00_CHOICES]
     raise CliError("unknown suite %r (expected one of %s)"
                    % (name, ", ".join(SUITES)))
 
@@ -388,7 +394,7 @@ def cmd_maps(args, out):
     f00 = calc.f00
     ext = map_out_to_in(outer, f00)
     reports = [roundtrip_check(outer, calc.resolve_f00(c), cfg["degree"])
-               for c in ("trace", "counit")]
+               for c in F00_CHOICES]
     payload = {
         "inner": {"mode": calc.mode, "one_form_dimension": calc.space.M},
         "outer": {"mode": outer.mode, "rank": outer.rank,
@@ -429,7 +435,7 @@ SHARED_FLAGS = [
     ("--descriptor", {"help": "session descriptor written by init"}),
     ("--degree", {"type": int, "help": "degree bound for checks"}),
     ("--cap", {"type": int, "help": "grade cap for forms"}),
-    ("--f00", {"choices": ("trace", "counit"),
+    ("--f00", {"choices": F00_CHOICES,
                "help": "one-dimensional sector functional"}),
     ("--format", {"choices": ("text", "structured")}),
 ]

@@ -11,8 +11,8 @@ from __future__ import annotations
 from .scalars import Scalar, ZERO, ONE
 from .linalg import (rref_sparse, rank_at_specializations, add_term,
                      add_scaled, LinearCombination)
-from .algebra import AlgebraElement, render_element, MEMO_MAX_WORD_LENGTH
-from .functionals import convolve, flatten_pair
+from .algebra import AlgebraElement, render_element
+from .functionals import flatten_pair
 
 
 class FormsError(Exception):
@@ -172,18 +172,20 @@ class FormSpace:
         return FormElement(self, {(i,): c} if c else {})
 
     def _pass_letter_word(self, letter, mon):
-        """omega_letter times a monomial: cached map j -> coefficient."""
+        """omega_letter times a monomial: cached map j -> coefficient, the
+        convolutions f^letter_j * mon read off row letter of f's word
+        matrices in one sweep of the coproduct."""
         key = (letter, mon)
         hit = self._pass_cache.get(key)
         if hit is None:
-            elem = AlgebraElement.from_word(self.qg.rs, mon)
-            hit = {}
-            for j in range(self.M):
-                c = convolve(self.f.entry(letter, j), elem)
-                if not c.is_zero():
-                    hit[j] = c
-            if len(mon) <= MEMO_MAX_WORD_LENGTH:
-                self._pass_cache[key] = hit
+            word_matrix = self.f.family.word_matrix
+            terms = {}
+            for (w1, w2), c in self.qg.coproduct_word(mon).items():
+                for j, v in word_matrix(w2)[letter].items():
+                    add_term(terms.setdefault(j, {}), w1, c * v)
+            hit = {j: AlgebraElement(self.qg.rs, terms[j])
+                   for j in sorted(terms) if terms[j]}
+            self._pass_cache[key] = hit
         return hit
 
     def pass_algebra_through(self, word, a):

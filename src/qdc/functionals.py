@@ -15,7 +15,7 @@ from fractions import Fraction
 from .scalars import Scalar, ZERO, ONE, qlambda
 from .linalg import (mat_mul, mat_inverse, identity, kernel_basis,
                      rref_sparse, add_term, add_scaled, ValueNumbers)
-from .algebra import AlgebraElement, MEMO_MAX_WORD_LENGTH
+from .algebra import AlgebraElement
 
 
 class FunctionalError(Exception):
@@ -545,8 +545,7 @@ def _convolve_word(f, word):
         v = f.on_word(w2)
         if not v.is_zero():
             add_term(out, w1, c * v)
-    if len(word) <= MEMO_MAX_WORD_LENGTH:
-        cache[key] = out
+    cache[key] = out
     return out
 
 

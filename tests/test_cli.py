@@ -197,11 +197,16 @@ class TestErrorSurface:
         (b"format qdc-session 1\xff\n",
          ["--descriptor", "{config}", "eval", "q"]),
         (None, ["init", "--out", "{tmp}/missing/x.qdc"]),
+        ("format qdc-session 1\ndegre 1\nbegin rmatrix\n" + DEFAULT_RMATRIX
+         + "end rmatrix\n", ["--descriptor", "{config}", "eval", "q"]),
+        ("format qdc-session 1\nf00 trac\nbegin rmatrix\n" + DEFAULT_RMATRIX
+         + "end rmatrix\n", ["--descriptor", "{config}", "eval", "q"]),
     ], ids=["missing-rmatrix", "n-zero", "zero-denominator-exponent",
             "duplicate-entry", "negative-cap", "zero-denominator-expression",
             "generator-in-entry", "non-utf8-rmatrix",
             "non-utf8-default-rmatrix", "directory-descriptor",
-            "non-utf8-descriptor", "unwritable-out"])
+            "non-utf8-descriptor", "unwritable-out",
+            "unknown-descriptor-key", "unknown-descriptor-f00"])
     def test_bad_input_exits_2(self, config, argv, tmp_path, capsys,
                                monkeypatch):
         # config is written to {config}, which is the --rmatrix unless argv

@@ -6,6 +6,7 @@ import pytest
 
 from qdc.scalars import ZERO, ONE
 from qdc.algebra import AlgebraElement, load_rmatrix
+from qdc.calculus import assemble
 from qdc.forms import (FormElement, GradeCapError, WedgeTable, left_coaction,
                        z_form_comparison)
 from qdc.functionals import convolve, make_lambda
@@ -88,15 +89,36 @@ class TestBimodule:
         w = calc.space.one_form(2)
         assert w.algebra_mul_right(qg.one()) == w
 
-    def test_pass_algebra_through_expansion(self, calc, qg, dual):
-        a = qg.generator(1, 1)
-        got = calc.space.pass_algebra_through((0,), a)
-        expected = {}
-        for j in range(4):
-            c = convolve(dual.f.entry(0, j), a)
-            if not c.is_zero():
-                expected[(j,)] = c
-        assert got == expected
+    def test_pass_algebra_through_expansion(self, calc, calc3):
+        # omega_letter a = sum_j (f^letter_j * a) omega_j, j ascending, each
+        # coefficient's terms in the order convolve gives them
+        for c, degree in ((calc, 4), (calc3, 2)):
+            rs = c.qg.rs
+            for mon in rs.normal_words(degree):
+                a = AlgebraElement.from_word(rs, mon)
+                for letter in range(c.space.M):
+                    got = c.space.pass_algebra_through((letter,), a)
+                    expected = {}
+                    for j in range(c.space.M):
+                        v = convolve(c.dual.f.entry(letter, j), a)
+                        if not v.is_zero():
+                            expected[(j,)] = v
+                    assert got == expected, (letter, mon)
+                    assert list(got) == sorted(got)
+                    assert all(list(got[k].terms) == list(v.terms)
+                               for k, v in expected.items())
+
+    def test_pass_memo_is_the_only_commutation_memo(self):
+        # a fresh calculus, because the session fixtures share their memos
+        c = assemble()
+        rs = c.qg.rs
+        elems = [AlgebraElement.from_word(rs, w) for w in rs.normal_words(2)]
+        for a in elems:
+            for b in elems:
+                assert c.d(a * b) == c.d(a).algebra_mul_right(b) + \
+                    c.space.from_algebra(a).wedge(c.d(b))
+        assert c.space._pass_cache
+        assert not c.dual.f.family._conv_cache
 
     def test_associativity(self, calc, qg):
         rng = random.Random(7)

@@ -137,6 +137,27 @@ def test_no_helper_only_tests_reach():
         "reached outside tests: %s" % ", ".join(sorted(TEST_ONLY_API - test_only))
 
 
+def test_every_module_import_is_read():
+    """Each name that a module-level import in src/qdc binds is read in that
+    module.  _references counts an import alias as a reference, so a stale
+    import would keep a dead helper alive past
+    test_every_helper_is_referenced."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unread.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not unread, "imported but never read: %s" % ", ".join(unread)
+
+
 def _defaulted_parameters():
     """(function, parameter, position) of each parameter with a default of a
     function or method in src/qdc.  A constructor is named by its class;
