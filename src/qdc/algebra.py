@@ -368,11 +368,19 @@ class AlgebraElement(LinearCombination):
         return cls(rs, rs.reduce_terms({tuple(word): ONE}))
 
     def __mul__(self, other):
-        raw = {}
+        """Each term pair's normal form is added straight into the result."""
+        reduce_word = self.rs.reduce_word
+        out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                add_term(raw, w1 + w2, c1 * c2)
-        return AlgebraElement(self.rs, self.rs.reduce_terms(raw))
+                w = w1 + w2
+                red = reduce_word(w)
+                if w in red:
+                    # a normal word reduces to itself with coefficient one
+                    add_term(out, w, c1 * c2)
+                else:
+                    add_scaled(out, red, c1 * c2)
+        return AlgebraElement(self.rs, out)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

@@ -85,19 +85,22 @@ def cartan_check(calc, degree=None, f00_choice="trace", samples=0,
                  seed=20260809):
     """The split conditions: total, square of each part, anticommutation.
 
-    With the counit sector choice the one-dimensional differential is the
-    zero map and the conditions degenerate accordingly.
+    Each input x is split three times: (partial x, delta x) = split_d(x),
+    then each part again; the four conditions read those four values, d o d
+    as their sum since d = partial + delta.  With the counit sector choice
+    the one-dimensional differential is the zero map and the conditions
+    degenerate accordingly.
     """
     degree = degree if degree is not None else calc.degree_bound
     report = CheckReport("cartan", degree)
     rng = random.Random(seed)
     if f00_choice == "counit":
-        part = total = calc.partial
+        zero = calc.space.zero()
 
-        def delt(x):
-            return calc.space.zero()
+        def split(x):
+            return calc.partial(x), zero
     else:
-        part, delt, total = calc.partial, calc.delta, calc.d
+        split = calc.split_d
 
     elements = []
     for w in calc.qg.rs.normal_words(degree):
@@ -114,25 +117,37 @@ def cartan_check(calc, degree=None, f00_choice="trace", samples=0,
             if not x.is_zero():
                 elements.append(("random grade-%d #%d" % (min(g, max_input), t), x))
 
+    # each law reads (partial partial x, delta partial x, partial delta x,
+    # delta delta x)
     checks = [
-        ("d-squared", "d o d = 0 (total differential)", lambda x: total(total(x))),
-        ("partial-squared", "partial o partial = 0", lambda x: part(part(x))),
-        ("delta-squared", "delta o delta = 0", lambda x: delt(delt(x))),
+        ("d-squared", "d o d = 0 (total differential)",
+         lambda pp, dp, pd, dd: pp + dp + pd + dd),
+        ("partial-squared", "partial o partial = 0", lambda pp, dp, pd, dd: pp),
+        ("delta-squared", "delta o delta = 0", lambda pp, dp, pd, dd: dd),
         ("anticommute", "partial delta + delta partial = 0",
-         lambda x: part(delt(x)) + delt(part(x))),
+         lambda pp, dp, pd, dd: pd + dp),
     ]
 
+    # index -> the four values, or None where a split left the grade range;
+    # filled as the laws first reach each input
+    parts = {}
+
     def witnesses(op, counts):
-        for name, x in elements:
+        for i, (name, x) in enumerate(elements):
             if max(x.grades(), default=0) > max_input:
                 counts["skipped"] += 1
                 continue
-            try:
-                val = op(x)
-            except GradeCapError:
+            if i not in parts:
+                try:
+                    px, dx = split(x)
+                    parts[i] = split(px) + split(dx)
+                except GradeCapError:
+                    parts[i] = None
+            if parts[i] is None:
                 counts["skipped"] += 1
                 continue
             counts["evaluated"] += 1
+            val = op(*parts[i])
             if not val.is_zero():
                 yield "%s -> %s" % (name, val.render())
 

@@ -275,7 +275,7 @@ class Calculus:
             out[w[0]] = c
         return out
 
-    def _split_d(self, x):
+    def split_d(self, x):
         """(partial x, delta x): d of each row of x, cut into the part that
         stays in that row and the part that moves to the other."""
         x0, x1 = self.grid.split_component(self.as_form(x))
@@ -285,11 +285,11 @@ class Calculus:
 
     def partial(self, x):
         """The part of d that keeps a form's row."""
-        return self._split_d(x)[0]
+        return self.split_d(x)[0]
 
     def delta(self, x):
         """The part of d that moves a form to the other row."""
-        return self._split_d(x)[1]
+        return self.split_d(x)[1]
 
     # -- random elements for property sweeps --------------------------------
 

@@ -70,12 +70,18 @@ def tokenize(text):
 
 _PREC = {"+": 0, "-": 0, "wedge": 1, "*": 2, "/": 2, "^": 3}
 
+# Deepest nesting parse accepts: each operator node, parenthesis and call
+# is one level.  Evaluating and printing a tree recurse once per level, so
+# a deeper tree would exhaust Python's recursion limit.
+MAX_DEPTH = 200
+
 
 class _Stream:
     def __init__(self, toks, text):
         self.toks = toks
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -95,10 +101,11 @@ class _Stream:
 
 
 def parse(text):
-    """Parse an expression; returns an AST of nested tuples."""
+    """Parse an expression; returns an AST of nested tuples.  A tree nested
+    deeper than MAX_DEPTH levels is refused."""
     toks = tokenize(text)
     stream = _Stream(toks, text)
-    ast = _parse_expr(stream, 0)
+    ast, _ = _parse_expr(stream, 0)
     rest = stream.peek()
     if rest is not None:
         raise ExprError("trailing input %r" % (rest[1],), rest[2])
@@ -106,23 +113,36 @@ def parse(text):
 
 
 def _parse_expr(s, min_prec):
-    lhs = _parse_atom(s)
+    """(tree, levels), levels being the tree's nesting depth.  s.depth
+    counts the calls still open, so deep nesting is refused before it
+    recurses further; levels catches a chain a + b + c + ..., which the
+    loop below builds without recursing."""
+    s.depth += 1
+    if s.depth > MAX_DEPTH:
+        t = s.peek()
+        raise ExprError("expression nested too deeply",
+                        t[2] if t else len(s.text))
+    lhs, levels = _parse_atom(s)
     while True:
         t = s.peek()
         if t is None or t[0] not in _PREC:
-            return lhs
+            break
         op = t[0]
         prec = _PREC[op]
         if prec < min_prec:
-            return lhs
+            break
         s.next()
         if op == "^":
-            rhs = _parse_exponent(s)
-            lhs = ("pow", lhs, rhs)
-            continue
-        rhs = _parse_expr(s, prec + 1)
-        lhs = (op if op != "wedge" else "wedge", lhs, rhs)
-    return lhs
+            lhs = ("pow", lhs, _parse_exponent(s))
+            levels += 1
+        else:
+            rhs, rhs_levels = _parse_expr(s, prec + 1)
+            lhs = (op, lhs, rhs)
+            levels = max(levels, rhs_levels) + 1
+        if levels > MAX_DEPTH:
+            raise ExprError("expression nested too deeply", t[2])
+    s.depth -= 1
+    return lhs, levels
 
 
 def _parse_exponent(s):
@@ -153,34 +173,36 @@ def _parse_signed_int(s):
 
 
 def _parse_atom(s):
+    """(tree, levels) of one operand, as _parse_expr returns them."""
     t = s.next()
     kind, val, pos = t
     if kind == "(":
-        inner = _parse_expr(s, 0)
+        inner, levels = _parse_expr(s, 0)
         s.expect(")")
-        return inner
+        return inner, levels + 1
     if kind == "-":
         # unary minus binds looser than exponentiation: -q^2 = -(q^2)
-        return ("neg", _parse_expr(s, _PREC["^"]))
+        inner, levels = _parse_expr(s, _PREC["^"])
+        return ("neg", inner), levels + 1
     if kind == "int":
-        return ("int", val)
+        return ("int", val), 1
     if kind == "name":
         if val == "q":
-            return ("q",)
+            return ("q",), 1
         if val == "X":
-            return ("X",)
+            return ("X",), 1
         if val in ("d", "del", "dlt"):
             s.expect("(")
-            inner = _parse_expr(s, 0)
+            inner, levels = _parse_expr(s, 0)
             s.expect(")")
-            return (val, inner)
+            return (val, inner), levels + 1
         if val in ("t", "w"):
             s.expect("[")
             a = _parse_signed_int(s)
             s.expect(",")
             b = _parse_signed_int(s)
             s.expect("]")
-            return (val, a, b, pos)
+            return (val, a, b, pos), 1
     raise ExprError("unexpected token %r" % (val,), pos)
 
 

@@ -201,12 +201,27 @@ class FormSpace:
         return segments
 
 
-def _add_reduced(out, reduced, c, passed):
-    """out += (c * passed) * reduced, with the product taken once."""
+def _accumulate(out, reduced, c, a):
+    """out[w] += s * (c * a) for each term s * w of reduced, the product
+    taken once; out maps wedge words to plain term dicts (see _form)."""
     if reduced:
-        cp = c * passed
-        for wr, sc in reduced.items():
-            add_term(out, wr, cp.scalar_mul(sc))
+        terms = (c * a).terms
+        for w, s in reduced.items():
+            acc = out.get(w)
+            if acc is None:
+                out[w] = acc = {}
+            if s.is_one():
+                for mon, v in terms.items():
+                    add_term(acc, mon, v)
+            else:
+                add_scaled(acc, terms, s)
+
+
+def _form(space, out):
+    """The form whose coefficients _accumulate gathered in out."""
+    rs = space.qg.rs
+    return FormElement(space, {w: AlgebraElement(rs, terms)
+                               for w, terms in out.items() if terms})
 
 
 class FormElement(LinearCombination):
@@ -240,11 +255,11 @@ class FormElement(LinearCombination):
         out = {}
         for w, c in self.terms.items():
             if not w:
-                add_term(out, w, c * a)
+                _accumulate(out, {w: ONE}, c, a)
                 continue
             for w2, passed in space.pass_algebra_through(w, a).items():
-                _add_reduced(out, space.table.reduce_word(w2), c, passed)
-        return FormElement(self.space, out)
+                _accumulate(out, space.table.reduce_word(w2), c, passed)
+        return _form(space, out)
 
     def wedge(self, other):
         space = self.space
@@ -256,12 +271,12 @@ class FormElement(LinearCombination):
                         "wedge of grades %d and %d beyond table cap %d"
                         % (len(w1), len(w2), space.table.max_grade))
                 if not w1:
-                    add_term(out, w2, c1 * c2)
+                    _accumulate(out, {w2: ONE}, c1, c2)
                     continue
                 for w1p, passed in space.pass_algebra_through(w1, c2).items():
-                    _add_reduced(out, space.table.reduce_word(w1p + w2),
-                                 c1, passed)
-        return FormElement(space, out)
+                    _accumulate(out, space.table.reduce_word(w1p + w2),
+                                c1, passed)
+        return _form(space, out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))

@@ -458,18 +458,22 @@ def leibniz_suite(calc, degree=None, samples=6):
     rng = random.Random(20260809)
     words = qg.rs.normal_words(degree)
     elems = [AlgebraElement.from_word(qg.rs, w) for w in words]
-    pairs = [(a, b) for a in elems for b in elems]
+    # the pair sweeps below read these, each computed once: products[i][j]
+    # is elems[i] * elems[j], and pairs run row by row in that order
+    products = [[a * b for b in elems] for a in elems]
+    d_elems = [calc.d(e) for e in elems]
 
     def pair_str(a, b):
         return "%s, %s" % (render_element(a), render_element(b))
 
     def leibniz_d():
-        for a, b in pairs:
-            lhs = calc.d(a * b)
-            rhs = calc.d(a).algebra_mul_right(b) + \
-                space.from_algebra(a).wedge(calc.d(b))
-            if lhs != rhs:
-                yield pair_str(a, b)
+        for a, da, row in zip(elems, d_elems, products):
+            fa = space.from_algebra(a)
+            for b, db, ab in zip(elems, d_elems, row):
+                lhs = calc.d(ab)
+                rhs = da.algebra_mul_right(b) + fa.wedge(db)
+                if lhs != rhs:
+                    yield pair_str(a, b)
 
     wit = first_witness(leibniz_d())
     report.add("leibniz-d", "d(ab) = (da) b + a (db) on monomial pairs",
@@ -493,17 +497,23 @@ def leibniz_suite(calc, degree=None, samples=6):
 
     trace = calc.dual.trace_functional()
     eps = calc.dual.eps
+    sectors = ((trace, "trace"), (eps, "counit"))
+    # tag -> [f00 * e for e in elems]
+    convolved = {tag: [convolve(f00, e) for e in elems]
+                 for f00, tag in sectors}
 
-    def leibniz_sector(f00):
-        for a, b in pairs:
-            lhs = convolve(f00, a * b) - (a * b)
-            rhs = (convolve(f00, a) - a) * convolve(f00, b) + \
-                a * (convolve(f00, b) - b)
-            if lhs != rhs:
-                yield pair_str(a, b)
+    def leibniz_sector(f00, conv):
+        # the sector differential e -> f00 * e - e
+        sector = [c - e for c, e in zip(conv, elems)]
+        for a, sa, row in zip(elems, sector, products):
+            for b, cb, sb, ab in zip(elems, conv, sector, row):
+                lhs = convolve(f00, ab) - ab
+                rhs = sa * cb + a * sb
+                if lhs != rhs:
+                    yield pair_str(a, b)
 
-    for f00, tag in ((trace, "trace"), (eps, "counit")):
-        wit = first_witness(leibniz_sector(f00))
+    for f00, tag in sectors:
+        wit = first_witness(leibniz_sector(f00, convolved[tag]))
         report.add("leibniz-sector-%s" % tag,
                    "the one-dimensional-sector differential obeys the "
                    "Leibniz rule (f00 = %s)" % tag, wit is None, wit)
@@ -515,13 +525,15 @@ def leibniz_suite(calc, degree=None, samples=6):
 
     def leibniz_partial_rows():
         partials = [calc.partial(e) for e in elems]
-        for a, pa in zip(elems, partials):
-            twist = space.from_algebra(convolve(trace, a))
+        for a, pa, ta, row in zip(elems, partials, convolved["trace"],
+                                   products):
+            twist = space.from_algebra(ta)
+            fa = space.from_algebra(a)
             row_failures = []
-            for b, pb in zip(elems, partials):
-                lhs = calc.partial(a * b)
+            for b, pb, ab in zip(elems, partials, row):
+                lhs = calc.partial(ab)
                 pa_b = pa.algebra_mul_right(b)
-                plain = pa_b + space.from_algebra(a).wedge(pb)
+                plain = pa_b + fa.wedge(pb)
                 twisted = pa_b + twist.wedge(pb)
                 if lhs != twisted:
                     row_failures.append(pair_str(a, b))

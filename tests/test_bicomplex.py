@@ -76,9 +76,26 @@ class TestCartan:
             [("fail", "no instance evaluated (%d skipped)" % inputs)] * 4
 
 
+    def test_three_splits_per_input(self, calc, monkeypatch):
+        # (partial x, delta x) from one split, then one split of each part:
+        # all four conditions read those values
+        calls = []
+        split_d = type(calc).split_d
+
+        def counted(self, x):
+            calls.append(x)
+            return split_d(self, x)
+
+        monkeypatch.setattr(type(calc), "split_d", counted)
+        report = cartan_check(calc, degree=2)
+        assert report.passed(), report.render()
+        inputs = len(calc.qg.rs.normal_words(2)) + calc.space.M
+        assert 0 < len(calls) <= 3 * inputs
+
+
 class AtGradeCap:
-    """A calculus whose d, partial and delta raise GradeCapError on every
-    input, so that no split condition evaluates anything."""
+    """A calculus whose d, partial, delta and split_d raise GradeCapError on
+    every input, so that no split condition evaluates anything."""
 
     def __init__(self, calc):
         self._calc = calc
@@ -89,7 +106,7 @@ class AtGradeCap:
     def d(self, x):
         raise GradeCapError("every input is at the grade cap")
 
-    partial = delta = d
+    partial = delta = split_d = d
 
 
 class SwappedRows:
@@ -102,6 +119,10 @@ class SwappedRows:
 
     def __getattr__(self, name):
         return getattr(self._calc, name)
+
+    def split_d(self, x):
+        row0, row1 = self.grid.split_component(self.d(x))
+        return row1, row0
 
     def partial(self, x):
         return self.grid.split_component(self.d(x))[1]

@@ -201,12 +201,20 @@ class TestErrorSurface:
          + "end rmatrix\n", ["--descriptor", "{config}", "eval", "q"]),
         ("format qdc-session 1\nf00 trac\nbegin rmatrix\n" + DEFAULT_RMATRIX
          + "end rmatrix\n", ["--descriptor", "{config}", "eval", "q"]),
+        (None, ["eval", "(" * 1200 + "q" + ")" * 1200]),
+        (None, ["eval", "--", "-" * 1200 + "q"]),
+        (None, ["eval", "+".join(["1"] * 3000)]),
+        (DEFAULT_RMATRIX.replace(
+            "entry 1 1 1 1 q\n",
+            "entry 1 1 1 1 %sq%s\n" % ("(" * 700, ")" * 700)), ["eval", "q"]),
     ], ids=["missing-rmatrix", "n-zero", "zero-denominator-exponent",
             "duplicate-entry", "negative-cap", "zero-denominator-expression",
             "generator-in-entry", "non-utf8-rmatrix",
             "non-utf8-default-rmatrix", "directory-descriptor",
             "non-utf8-descriptor", "unwritable-out",
-            "unknown-descriptor-key", "unknown-descriptor-f00"])
+            "unknown-descriptor-key", "unknown-descriptor-f00",
+            "nested-parentheses", "nested-unary-minus", "long-sum",
+            "nested-entry"])
     def test_bad_input_exits_2(self, config, argv, tmp_path, capsys,
                                monkeypatch):
         # config is written to {config}, which is the --rmatrix unless argv

@@ -10,7 +10,7 @@ from qdc.calculus import assemble
 from qdc.forms import (FormElement, GradeCapError, WedgeTable, left_coaction,
                        z_form_comparison)
 from qdc.functionals import convolve, make_lambda
-from qdc.linalg import rref_sparse
+from qdc.linalg import add_term, rref_sparse
 
 
 class TestWedgeTable:
@@ -234,3 +234,74 @@ class TestAlternativeRule:
         z_rank, kernel_rank, union_rank = self.DIMS[n]
         assert out == {"z_rank": z_rank, "kernel_rank": kernel_rank,
                        "union_rank": union_rank, "equal": False}
+
+
+# ---------------------------------------------------------------------------
+# the accumulate kernels against the raw-then-reduce code they replaced
+
+def raw_product(a, b):
+    """a * b: every term pair summed into a dict of raw words first, then
+    each raw word reduced."""
+    raw = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            add_term(raw, w1 + w2, c1 * c2)
+    return AlgebraElement(a.rs, a.rs.reduce_terms(raw))
+
+
+def _add_scaled_elements(out, reduced, c, passed):
+    """out += (c * passed) * reduced, out holding AlgebraElements."""
+    if reduced:
+        cp = raw_product(c, passed)
+        for wr, sc in reduced.items():
+            add_term(out, wr, cp.scalar_mul(sc))
+
+
+def raw_mul_right(x, a):
+    space = x.space
+    out = {}
+    for w, c in x.terms.items():
+        if not w:
+            add_term(out, w, raw_product(c, a))
+            continue
+        for w2, passed in space.pass_algebra_through(w, a).items():
+            _add_scaled_elements(out, space.table.reduce_word(w2), c, passed)
+    return FormElement(space, out)
+
+
+def raw_wedge(x, y):
+    space = x.space
+    out = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            if not w1:
+                add_term(out, w2, raw_product(c1, c2))
+                continue
+            for w1p, passed in space.pass_algebra_through(w1, c2).items():
+                _add_scaled_elements(out, space.table.reduce_word(w1p + w2),
+                                     c1, passed)
+    return FormElement(space, out)
+
+
+class TestAccumulateKernels:
+    """Products, right actions and wedges equal the raw-then-reduce values
+    on every pair of normal words, and on x = a + d(a) (grades 0 and 1)
+    against b and d(b)."""
+
+    @pytest.mark.parametrize("n, degree", [(2, 3), (3, 1)])
+    def test_equal_to_raw_then_reduce(self, n, degree, calc, calc3):
+        c = calc if n == 2 else calc3
+        rs = c.qg.rs
+        elems = [AlgebraElement.from_word(rs, w)
+                 for w in rs.normal_words(degree)]
+        d_elems = [c.d(e) for e in elems]
+        mixed = [c.space.from_algebra(e) + de for e, de in zip(elems, d_elems)]
+        for a, x in zip(elems, mixed):
+            for b, db in zip(elems, d_elems):
+                assert a * b == raw_product(a, b), (a, b)
+                assert x.algebra_mul_right(b) == raw_mul_right(x, b), (a, b)
+                assert x.wedge(db) == raw_wedge(x, db), (a, b)
+        for x in d_elems:
+            for coeff in x.terms.values():
+                for b in elems:
+                    assert coeff * b == raw_product(coeff, b), (coeff, b)

@@ -15,9 +15,11 @@ import copy
 import pytest
 
 from qdc.scalars import Scalar, ONE, Q
+from qdc.algebra import AlgebraElement, render_element
+from qdc.calculus import first_witness
 from qdc.functionals import (LambdaMatrix, StructureConstants, CorepFamily,
-                             Functional)
-from qdc.suites import bicovariance_suite
+                             Functional, convolve)
+from qdc.suites import bicovariance_suite, leibniz_suite
 from qdc.linalg import add_term
 
 DEGREE = {2: 2, 3: 1}
@@ -227,3 +229,114 @@ def test_corrupted_family_found_where_it_was(n, kind, calc, calc3,
     got = {e.law: (e.status, e.witness) for e in report.entries}
     assert got == EXPECTED_FAMILY[(n, kind)]
     assert not report.passed()
+
+
+# ---------------------------------------------------------------------------
+# the leibniz pair sweeps against a copy that recomputes every value
+
+PAIR_LAWS = ("leibniz-d", "leibniz-sector-trace", "leibniz-sector-counit",
+             "leibniz-partial-twisted", "leibniz-partial-plain")
+
+
+def recomputing_pair_rows(calc, degree):
+    """law -> (status, witness) of the four pair sweeps of leibniz_suite,
+    written so that each pair recomputes its products, d values and
+    convolutions where it reads them."""
+    qg, space = calc.qg, calc.space
+    elems = [AlgebraElement.from_word(qg.rs, w)
+             for w in qg.rs.normal_words(degree)]
+    pairs = [(a, b) for a in elems for b in elems]
+
+    def pair_str(a, b):
+        return "%s, %s" % (render_element(a), render_element(b))
+
+    def leibniz_d():
+        for a, b in pairs:
+            lhs = calc.d(a * b)
+            rhs = calc.d(a).algebra_mul_right(b) + \
+                space.from_algebra(a).wedge(calc.d(b))
+            if lhs != rhs:
+                yield pair_str(a, b)
+
+    def leibniz_sector(f00):
+        for a, b in pairs:
+            lhs = convolve(f00, a * b) - (a * b)
+            rhs = (convolve(f00, a) - a) * convolve(f00, b) + \
+                a * (convolve(f00, b) - b)
+            if lhs != rhs:
+                yield pair_str(a, b)
+
+    trace = calc.dual.trace_functional()
+    plain_failures = []
+
+    def leibniz_partial_rows():
+        partials = [calc.partial(e) for e in elems]
+        for a, pa in zip(elems, partials):
+            twist = space.from_algebra(convolve(trace, a))
+            row_failures = []
+            for b, pb in zip(elems, partials):
+                lhs = calc.partial(a * b)
+                pa_b = pa.algebra_mul_right(b)
+                plain = pa_b + space.from_algebra(a).wedge(pb)
+                twisted = pa_b + twist.wedge(pb)
+                if lhs != twisted:
+                    row_failures.append(pair_str(a, b))
+                if lhs != plain:
+                    plain_failures.append((a, b))
+            if row_failures:
+                yield row_failures[-1]
+
+    witnesses = {"leibniz-d": first_witness(leibniz_d()),
+                 "leibniz-sector-trace": first_witness(leibniz_sector(trace)),
+                 "leibniz-sector-counit":
+                     first_witness(leibniz_sector(calc.dual.eps)),
+                 "leibniz-partial-twisted":
+                     first_witness(leibniz_partial_rows())}
+    witnesses["leibniz-partial-plain"] = \
+        pair_str(*plain_failures[0]) if plain_failures else None
+    return {law: ("pass" if wit is None else "fail", wit)
+            for law, wit in witnesses.items()}
+
+
+class BentFunctional(Functional):
+    """The 1x1 functional f on a fresh copy of its family, so that its
+    convolution memo is its own, with one added to its value on the word
+    t[2,2]*t[2,2]; so it is no longer multiplicative."""
+
+    def __init__(self, f):
+        fam = f.family
+        super().__init__(CorepFamily(fam.qg, fam.size, fam.gen_tables,
+                                     fam.reversed, fam.name),
+                         f.row, f.col, f.kind, f.label)
+
+    def on_word(self, word):
+        value = super().on_word(word)
+        return value + ONE if word == ((2, 2), (2, 2)) else value
+
+
+def _pair_rows(calc, degree):
+    return {e.law: (e.status, e.witness)
+            for e in leibniz_suite(calc, degree, samples=0).entries
+            if e.law in PAIR_LAWS}
+
+
+def test_leibniz_sweeps_match_recomputing_copy(calc):
+    rows = _pair_rows(calc, 2)
+    assert rows == recomputing_pair_rows(calc, 2)
+    assert all(rows[law][0] == "pass" for law in PAIR_LAWS[:4])
+
+
+def test_leibniz_sweeps_keep_first_witnesses(calc, monkeypatch):
+    # d(t[2,1]*t[2,2]^3) doubled in the d memo, which two pairs of degree-2
+    # words read, and both sector functionals bent: the twisted rule first
+    # fails on a row with several failures, before those pairs
+    mon = ((2, 1), (2, 2), (2, 2), (2, 2))
+    image = calc._d_basis(mon, ())
+    monkeypatch.setitem(calc._d_cache, (mon, ()),
+                        {w: c + c for w, c in image.items()})
+    trace = BentFunctional(calc.dual.trace_functional())
+    monkeypatch.setattr(calc.dual, "trace_functional", lambda: trace)
+    monkeypatch.setattr(calc.dual, "eps", BentFunctional(calc.dual.eps))
+    rows = _pair_rows(calc, 2)
+    assert rows == recomputing_pair_rows(calc, 2)
+    assert all(rows[law][0] == "fail" for law in PAIR_LAWS[:4]), rows

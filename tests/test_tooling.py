@@ -158,6 +158,39 @@ def test_every_module_import_is_read():
     assert not unread, "imported but never read: %s" % ", ".join(unread)
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_attributes_stay_in_their_module():
+    """An underscore-prefixed attribute read of any object but self or cls
+    in a src/qdc module names something that module defines: a function or
+    method it defines, a name its class bodies assign, or an attribute it
+    stores.  Another module reaches that state through a public name."""
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Store):
+                own.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                own.add(node.id)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and _private(node.attr) and node.attr not in own
+                    and getattr(node.value, "id", None) not in ("self", "cls")):
+                foreign.append("%s:%d %s" % (path.name, node.lineno,
+                                              ast.unparse(node)))
+    assert not foreign, "private attributes read from another module: %s" \
+        % ", ".join(foreign)
+
+
 def _defaulted_parameters():
     """(function, parameter, position) of each parameter with a default of a
     function or method in src/qdc.  A constructor is named by its class;
