@@ -70,9 +70,9 @@ def tokenize(text):
 
 _PREC = {"+": 0, "-": 0, "wedge": 1, "*": 2, "/": 2, "^": 3}
 
-# Deepest nesting parse accepts: each operator node, parenthesis and call
-# is one level.  Evaluating and printing a tree recurse once per level, so
-# a deeper tree would exhaust Python's recursion limit.
+# Deepest nesting parse accepts.  Parsing, evaluating and printing a tree
+# recurse once or twice per level, so a deeper tree would exhaust Python's
+# recursion limit.
 MAX_DEPTH = 200
 
 
@@ -101,28 +101,39 @@ class _Stream:
 
 
 def parse(text):
-    """Parse an expression; returns an AST of nested tuples.  A tree nested
-    deeper than MAX_DEPTH levels is refused."""
+    """Parse an expression; returns an AST of nested tuples.  An expression
+    nested deeper than MAX_DEPTH levels is refused."""
     toks = tokenize(text)
     stream = _Stream(toks, text)
-    ast, _ = _parse_expr(stream, 0)
+    ast = _parse_expr(stream, 0)
     rest = stream.peek()
     if rest is not None:
         raise ExprError("trailing input %r" % (rest[1],), rest[2])
+    # each node takes at least one token, so only a long input can build a
+    # deep tree without deep recursion: a chain such as 1 + 1 + ... + 1
+    if len(toks) > MAX_DEPTH and _height(ast) > MAX_DEPTH:
+        raise ExprError("expression nested too deeply")
     return ast
 
 
+def _height(ast):
+    """The number of levels of a tree, counted without recursion."""
+    height, stack = 0, [(ast, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in node[1:]
+                     if isinstance(child, tuple))
+    return height
+
+
 def _parse_expr(s, min_prec):
-    """(tree, levels), levels being the tree's nesting depth.  s.depth
-    counts the calls still open, so deep nesting is refused before it
-    recurses further; levels catches a chain a + b + c + ..., which the
-    loop below builds without recursing."""
     s.depth += 1
     if s.depth > MAX_DEPTH:
         t = s.peek()
         raise ExprError("expression nested too deeply",
                         t[2] if t else len(s.text))
-    lhs, levels = _parse_atom(s)
+    lhs = _parse_atom(s)
     while True:
         t = s.peek()
         if t is None or t[0] not in _PREC:
@@ -133,16 +144,13 @@ def _parse_expr(s, min_prec):
             break
         s.next()
         if op == "^":
-            lhs = ("pow", lhs, _parse_exponent(s))
-            levels += 1
-        else:
-            rhs, rhs_levels = _parse_expr(s, prec + 1)
-            lhs = (op, lhs, rhs)
-            levels = max(levels, rhs_levels) + 1
-        if levels > MAX_DEPTH:
-            raise ExprError("expression nested too deeply", t[2])
+            rhs = _parse_exponent(s)
+            lhs = ("pow", lhs, rhs)
+            continue
+        rhs = _parse_expr(s, prec + 1)
+        lhs = (op if op != "wedge" else "wedge", lhs, rhs)
     s.depth -= 1
-    return lhs, levels
+    return lhs
 
 
 def _parse_exponent(s):
@@ -173,36 +181,34 @@ def _parse_signed_int(s):
 
 
 def _parse_atom(s):
-    """(tree, levels) of one operand, as _parse_expr returns them."""
     t = s.next()
     kind, val, pos = t
     if kind == "(":
-        inner, levels = _parse_expr(s, 0)
+        inner = _parse_expr(s, 0)
         s.expect(")")
-        return inner, levels + 1
+        return inner
     if kind == "-":
         # unary minus binds looser than exponentiation: -q^2 = -(q^2)
-        inner, levels = _parse_expr(s, _PREC["^"])
-        return ("neg", inner), levels + 1
+        return ("neg", _parse_expr(s, _PREC["^"]))
     if kind == "int":
-        return ("int", val), 1
+        return ("int", val)
     if kind == "name":
         if val == "q":
-            return ("q",), 1
+            return ("q",)
         if val == "X":
-            return ("X",), 1
+            return ("X",)
         if val in ("d", "del", "dlt"):
             s.expect("(")
-            inner, levels = _parse_expr(s, 0)
+            inner = _parse_expr(s, 0)
             s.expect(")")
-            return (val, inner), levels + 1
+            return (val, inner)
         if val in ("t", "w"):
             s.expect("[")
             a = _parse_signed_int(s)
             s.expect(",")
             b = _parse_signed_int(s)
             s.expect("]")
-            return (val, a, b, pos), 1
+            return (val, a, b, pos)
     raise ExprError("unexpected token %r" % (val,), pos)
 
 
