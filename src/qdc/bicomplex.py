@@ -12,7 +12,7 @@ import random
 
 from .algebra import AlgebraElement, render_word
 from .forms import GradeCapError
-from .calculus import CheckReport, first_witness
+from .calculus import CheckReport, SKIPPED
 
 
 class BicomplexGrid:
@@ -132,10 +132,10 @@ def cartan_check(calc, degree=None, f00_choice="trace", samples=0,
     # filled as the laws first reach each input
     parts = {}
 
-    def witnesses(op, counts):
+    def outcomes(op):
         for i, (name, x) in enumerate(elements):
             if max(x.grades(), default=0) > max_input:
-                counts["skipped"] += 1
+                yield SKIPPED
                 continue
             if i not in parts:
                 try:
@@ -144,20 +144,13 @@ def cartan_check(calc, degree=None, f00_choice="trace", samples=0,
                 except GradeCapError:
                     parts[i] = None
             if parts[i] is None:
-                counts["skipped"] += 1
+                yield SKIPPED
                 continue
-            counts["evaluated"] += 1
             val = op(*parts[i])
-            if not val.is_zero():
-                yield "%s -> %s" % (name, val.render())
+            yield None if val.is_zero() else "%s -> %s" % (name, val.render())
 
     for law, desc, op in checks:
-        counts = {"evaluated": 0, "skipped": 0}
-        wit = first_witness(witnesses(op, counts))
-        # a law that evaluated nothing has shown nothing, so it cannot pass
-        if wit is None and not counts["evaluated"]:
-            wit = "no instance evaluated (%d skipped)" % counts["skipped"]
-        report.add(law, desc, wit is None, witness=wit)
+        report.law(law, desc, outcomes(op))
     return report
 
 
@@ -166,10 +159,9 @@ def grid_check(calc, cap=None):
     grid = build_grid(calc, cap)
     report = CheckReport("bicomplex-grid", calc.degree_bound)
     for k in range(1, grid.cap + 1):
-        report.add("additivity-grade-%d" % k,
+        report.law("additivity-grade-%d" % k,
                    "wedge dimension at grade %d splits over the two rows" % k,
-                   grid.additivity_holds(k),
-                   witness="dim %d vs %d + %d"
-                           % (calc.space.table.dimension(k),
-                              grid.dim(0, k), grid.dim(1, k - 1)))
+                   [None if grid.additivity_holds(k) else "dim %d vs %d + %d"
+                    % (calc.space.table.dimension(k), grid.dim(0, k),
+                       grid.dim(1, k - 1))])
     return report

@@ -15,7 +15,8 @@ import os
 from .scalars import Scalar, ONE, render_scalar
 from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
                      add_scaled, sparse_sum, sparse_diff)
-from .algebra import QuantumGroup, AlgebraElement, load_rmatrix, render_element
+from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
+                      render_element, render_word)
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
                           ConvCombo, convolve, counit_functional,
                           validate_scalar_functional, InvalidFunctionalError)
@@ -30,7 +31,7 @@ class CalculusError(Exception):
 # check reports
 
 class CheckEntry:
-    def __init__(self, law, description, status, witness=None, gating=True):
+    def __init__(self, law, description, status, witness, gating):
         self.law = law
         self.description = description
         self.status = status          # "pass" | "fail"
@@ -48,6 +49,10 @@ class CheckEntry:
         return d
 
 
+# the outcome of an instance that a law did not evaluate
+SKIPPED = object()
+
+
 class CheckReport:
     """Suite outcome: one entry per identity, witnesses on failure."""
 
@@ -56,14 +61,28 @@ class CheckReport:
         self.degree = degree
         self.entries = []
 
-    def add(self, law, description, ok, witness=None, gating=True):
-        """Record one law; a witness is kept only when the law fails."""
-        if ok:
-            witness = None
-        elif witness is None:
-            witness = "(no witness recorded)"
-        self.entries.append(CheckEntry(law, description,
-                                       "pass" if ok else "fail", witness, gating))
+    def law(self, name, description, outcomes, gating=True):
+        """Record one law from its outcomes, one per instance: None where
+        the law holds, SKIPPED where it was not evaluated, or a witness
+        string where it fails.  The first witness fails the law and ends the
+        sweep, so a lazy generator evaluates no instance past it.  A gating
+        law that evaluated no instance has shown nothing, so it fails too.
+        """
+        evaluated = skipped = 0
+        witness = None
+        for outcome in outcomes:
+            if outcome is SKIPPED:
+                skipped += 1
+            elif outcome is None:
+                evaluated += 1
+            else:
+                witness = outcome
+                break
+        if witness is None and gating and not evaluated:
+            witness = "no instance evaluated (%d skipped)" % skipped
+        self.entries.append(CheckEntry(name, description,
+                                       "pass" if witness is None else "fail",
+                                       witness, gating))
 
     def passed(self):
         return all(e.ok() for e in self.entries if e.gating)
@@ -85,17 +104,18 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def first_witness(witnesses):
-    """The first witness a law's generator yields; None if the law holds.
-
-    A law is written as a generator over its instances that yields a witness
-    string for each failure, so taking the first stops the sweep there.
-    """
-    return next(iter(witnesses), None)
-
-
 # ---------------------------------------------------------------------------
 # projectors and the bidegree grid
+
+def _first_difference(a, b):
+    """The first (row, column) where two matrices of sparse rows differ, as
+    text; None if they are equal."""
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for j in sorted(ra.keys() | rb.keys()):
+            if ra.get(j) != rb.get(j):
+                return str((i, j))
+    return None
+
 
 class ProjectorPair:
     """J projects onto the canonical line along the stable complement.
@@ -112,11 +132,17 @@ class ProjectorPair:
                 self.J[i][j] = v
         self.Jperp = [sparse_diff(e, j) for e, j in zip(identity(m), self.J)]
 
+    def defects(self):
+        """(J o J = J, J o Jperp = 0, J + Jperp = id): None where a law holds,
+        else the first (row, column) where its two sides differ."""
+        complete = [sparse_sum(a, b) for a, b in zip(self.J, self.Jperp)]
+        return (_first_difference(mat_mul(self.J, self.J), self.J),
+                _first_difference(mat_mul(self.J, self.Jperp),
+                                  [{} for _ in range(self.M)]),
+                _first_difference(complete, identity(self.M)))
+
     def laws_exact(self):
-        return (mat_mul(self.J, self.J) == self.J,
-                not any(mat_mul(self.J, self.Jperp)),
-                [sparse_sum(a, b) for a, b in zip(self.J, self.Jperp)]
-                == identity(self.M))
+        return tuple(d is None for d in self.defects())
 
 
 class GridSplit:
@@ -440,32 +466,26 @@ def map_out_to_in(outer, f00):
 def roundtrip_check(outer, f00, degree):
     """Extend, restrict, and compare with the input; exact pass or witness."""
     report = CheckReport("roundtrip", degree)
+    valid = "the chosen sector functional satisfies the product/unit laws"
     try:
         ext = map_out_to_in(outer, f00)
     except InvalidFunctionalError as err:
-        report.add("extension-valid",
-                   "the chosen sector functional satisfies the product/unit laws",
-                   False, witness=str(err))
+        report.law("extension-valid", valid, [str(err)])
         return report
-    report.add("extension-valid",
-               "the chosen sector functional satisfies the product/unit laws",
-               True)
-    report.add("extension-rank",
-               "extended one-form rank is rank(outer) + 1",
-               ext.rank == outer.rank + 1,
-               witness="rank %d" % ext.rank)
-    recovered = ext.restrict_to_outer()
-    same, why = outer.same_as(recovered, degree)
-    report.add("roundtrip-identity",
+    report.law("extension-valid", valid, [None])
+    report.law("extension-rank", "extended one-form rank is rank(outer) + 1",
+               [None if ext.rank == outer.rank + 1 else "rank %d" % ext.rank])
+    _, why = outer.same_as(ext.restrict_to_outer(), degree)
+    report.law("roundtrip-identity",
                "restricting the extension returns the outer calculus exactly",
-               same, witness=why)
+               [why])
     if f00.label == "eps":
-        zero_delta = all(ext.delta_coeff(
-            AlgebraElement.from_word(outer.qg.rs, w)).is_zero()
-            for w in outer.qg.rs.normal_words(degree))
-        report.add("degenerate-sector",
+        rs = outer.qg.rs
+        report.law("degenerate-sector",
                    "the counit extension has vanishing sector differential",
-                   zero_delta)
+                   (None if ext.delta_coeff(AlgebraElement.from_word(rs, w))
+                    .is_zero() else render_word(w)
+                    for w in rs.normal_words(degree)))
     return report
 
 

@@ -9,7 +9,7 @@ from qdc.forms import FormElement, GradeCapError, left_coaction
 from qdc.functionals import (ConvCombo, convolve, InvalidFunctionalError,
                              scalar_functional)
 from qdc.calculus import (canonical_element, map_in_to_out, map_out_to_in,
-                          roundtrip_check, CalculusError)
+                          roundtrip_check, CalculusError, CheckReport, SKIPPED)
 
 
 def assert_no_zero_coefficient(x):
@@ -187,9 +187,49 @@ class TestBasisExpansion:
             assert cab[i] == ca[i] + cb[i]
 
 
+class TestCheckReport:
+    def _entry(self, outcomes, gating=True):
+        report = CheckReport("suite", 1)
+        report.law("law", "a law", outcomes, gating=gating)
+        (entry,) = report.entries
+        return entry.status, entry.witness
+
+    def test_gating_law_with_no_instance_fails(self):
+        assert self._entry([]) == ("fail", "no instance evaluated (0 skipped)")
+
+    def test_skipped_instances_are_counted(self):
+        assert self._entry([SKIPPED] * 3) == \
+            ("fail", "no instance evaluated (3 skipped)")
+        assert self._entry([SKIPPED, None, SKIPPED]) == ("pass", None)
+
+    def test_informative_law_with_no_instance_passes(self):
+        assert self._entry([], gating=False) == ("pass", None)
+
+    def test_first_witness_ends_the_sweep(self):
+        def outcomes():
+            yield None
+            yield "first"
+            raise AssertionError("advanced past the first witness")
+
+        assert self._entry(outcomes()) == ("fail", "first")
+        assert self._entry([None, "first", SKIPPED, "second"]) == \
+            ("fail", "first")
+
+
 class TestProjectors:
     def test_laws(self, calc):
         assert calc.projectors.laws_exact() == (True, True, True)
+
+    def test_defects_name_the_first_differing_entry(self, calc):
+        # at N=2 only column 3 of J is nonzero, and Jperp = 1 - J has no
+        # row 3; a stray entry J[0][1], with Jperp kept, breaks each law at
+        # (0, 1) first
+        pair = copy.copy(calc.projectors)
+        assert {j for row in pair.J for j in row} == {3}
+        pair.J = [dict(row) for row in pair.J]
+        pair.J[0][1] = ONE
+        assert pair.defects() == ("(0, 1)",) * 3
+        assert calc.projectors.defects() == (None, None, None)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_columns_are_row1_parts(self, n, calc, calc3):

@@ -254,12 +254,27 @@ class TestDegreeAndCap:
 class TestOneGenerator:
     DATA = os.path.join(os.path.dirname(__file__), "data")
 
-    @pytest.mark.parametrize("command", ["maps", "check", "bicomplex"])
+    @pytest.mark.parametrize("command", ["maps", "bicomplex"])
     def test_n1_commands_exit_zero(self, command):
         # rank-0 outer calculus and an empty grade 2: 0x0 matrices throughout
         code, text = out_of(["--rmatrix", os.path.join(self.DATA, "slq1.rmatrix"),
                              command])
         assert code == 0 and text
+
+    def test_n1_check_fails_the_laws_with_no_instance(self):
+        # every suite runs on the 0x0 matrices, but with M = 1 the Jacobi
+        # coefficient list and the complement of the canonical line are
+        # empty, so those two gating laws evaluate nothing and fail
+        code, text = out_of(["--rmatrix", os.path.join(self.DATA, "slq1.rmatrix"),
+                             "--format", "structured", "check"])
+        failing = {(r["suite"], e["law"]): e["witness"]
+                   for r in json.loads(text) for e in r["entries"]
+                   if e["gating"] and e["status"] == "fail"}
+        assert code == 1
+        assert failing == dict.fromkeys(
+            [("bicovariance", "q-jacobi"),
+             ("leibniz", "complement-right-stable")],
+            "no instance evaluated (0 skipped)")
 
 
 def test_eval_parses_before_assembling(monkeypatch, capsys):

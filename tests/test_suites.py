@@ -16,10 +16,9 @@ import pytest
 
 from qdc.scalars import Scalar, ONE, Q
 from qdc.algebra import AlgebraElement, render_element
-from qdc.calculus import first_witness
 from qdc.functionals import (LambdaMatrix, StructureConstants, CorepFamily,
                              Functional, convolve)
-from qdc.suites import bicovariance_suite, leibniz_suite
+from qdc.suites import hopf_suite, bicovariance_suite, leibniz_suite
 from qdc.linalg import add_term
 
 DEGREE = {2: 2, 3: 1}
@@ -145,6 +144,8 @@ def test_singular_braiding_is_reported(calc, monkeypatch):
     report = bicovariance_suite(calc, 1)
     status = {e.law: e.status for e in report.entries}
     assert status["braiding-invertible"] == "fail"
+    assert [e.witness for e in report.entries
+            if e.law == "braiding-invertible"] == ["matrix is singular"]
     assert status["braiding-classical-limit"] == "fail"
     assert status["alt-quadratic-rule"] == "fail"
     assert not report.passed()
@@ -218,6 +219,15 @@ def corrupted_family(fam):
     return CorepFamily(fam.qg, fam.size, tables, fam.reversed, fam.name)
 
 
+def test_bent_unit_value_is_named(calc, monkeypatch):
+    on_unit = Functional.on_unit
+    monkeypatch.setattr(Functional, "on_unit", lambda f: ONE
+                        if f.label == "L+[1;2]" else on_unit(f))
+    report = bicovariance_suite(calc, 1)
+    assert [(e.law, e.witness) for e in report.entries
+            if e.gating and not e.ok()] == [("unit-values", "L+[1;2]")]
+
+
 @pytest.mark.parametrize("n, kind", sorted(EXPECTED_FAMILY))
 def test_corrupted_family_found_where_it_was(n, kind, calc, calc3,
                                              monkeypatch):
@@ -286,12 +296,12 @@ def recomputing_pair_rows(calc, degree):
             if row_failures:
                 yield row_failures[-1]
 
-    witnesses = {"leibniz-d": first_witness(leibniz_d()),
-                 "leibniz-sector-trace": first_witness(leibniz_sector(trace)),
+    witnesses = {"leibniz-d": next(iter(leibniz_d()), None),
+                 "leibniz-sector-trace": next(iter(leibniz_sector(trace)), None),
                  "leibniz-sector-counit":
-                     first_witness(leibniz_sector(calc.dual.eps)),
+                     next(iter(leibniz_sector(calc.dual.eps)), None),
                  "leibniz-partial-twisted":
-                     first_witness(leibniz_partial_rows())}
+                     next(iter(leibniz_partial_rows()), None)}
     witnesses["leibniz-partial-plain"] = \
         pair_str(*plain_failures[0]) if plain_failures else None
     return {law: ("pass" if wit is None else "fail", wit)
@@ -340,3 +350,58 @@ def test_leibniz_sweeps_keep_first_witnesses(calc, monkeypatch):
     rows = _pair_rows(calc, 2)
     assert rows == recomputing_pair_rows(calc, 2)
     assert all(rows[law][0] == "fail" for law in PAIR_LAWS[:4]), rows
+
+
+def test_leibniz_graded_without_samples_fails(calc):
+    entries = {e.law: e for e in leibniz_suite(calc, 1, samples=0).entries}
+    assert (entries["leibniz-graded"].status,
+            entries["leibniz-graded"].witness) == \
+        ("fail", "no instance evaluated (0 skipped)")
+
+
+# ---------------------------------------------------------------------------
+# the hopf suite at N=2, degree 2, on a bent antipode or coproduct value:
+# mutant -> law -> (status, witness), recorded from the suite as it was
+# before its laws ran through CheckReport.law
+
+BENT = ((1, 2),)
+EXPECTED_HOPF = {
+    "kappa(t[1,2]) * q": {
+        "coassociativity": _PASS,
+        "counit": _PASS,
+        "antipode": ("fail", "t[1,1]"),
+    },
+    "phi(t[1,2]) term t[1,1] x t[1,2] * q": {
+        "coassociativity": ("fail", "t[1,1]"),
+        "counit": ("fail", "t[1,2]"),
+        "antipode": ("fail", "t[1,2]"),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_HOPF))
+def test_hopf_mutant_found_where_it_was(kind, calc, monkeypatch):
+    qg = calc.qg
+    if kind.startswith("kappa"):
+        antipode_word = qg.antipode_word
+        monkeypatch.setattr(qg, "antipode_word", lambda w: antipode_word(w)
+                            .scalar_mul(Q) if w == BENT else antipode_word(w))
+    else:
+        coproduct_word = qg.coproduct_word
+        term = (((1, 1),), BENT)
+
+        def bent(w, arity=2):
+            out = coproduct_word(w, arity)
+            if w == BENT and arity == 2:
+                out = dict(out)
+                out[term] = out[term] * Q
+            return out
+
+        # the coproducts of longer words are built from the bent one, so
+        # they go to a memo of their own
+        monkeypatch.setattr(qg, "_cop_cache", {})
+        monkeypatch.setattr(qg, "coproduct_word", bent)
+    report = hopf_suite(calc, 2)
+    assert {e.law: (e.status, e.witness) for e in report.entries} == \
+        EXPECTED_HOPF[kind]
+    assert not report.passed()

@@ -26,6 +26,9 @@ TEST_ONLY_API = {
     # the bracket as a sum of convolution products, one pair at a time: the
     # reference that the structure constants are compared against
     "q_lie_bracket",
+    # the three projector laws as booleans; the leibniz suite reports them
+    # through ProjectorPair.defects, which names where each fails
+    "laws_exact",
 }
 
 
@@ -392,3 +395,18 @@ def test_cli_import_leaves_argparse_out():
     loaded = _python("-S", "-c", "import sys, qdc.cli; "
                      "print('argparse' in sys.modules)")
     assert loaded == b"False\n"
+
+
+def test_one_law_driver():
+    """Every check entry is built by CheckReport.law: CheckEntry is
+    constructed at one site in src/qdc, and the per-law helpers it replaced
+    are gone."""
+    sites = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "CheckEntry"]
+    assert len(sites) == 1, sites
+    assert not hasattr(importlib.import_module("qdc.calculus").CheckReport,
+                       "add")
+    assert "first_witness" not in _function_names("src")
