@@ -54,6 +54,10 @@ class RMatrix:
 
     def _invert(self):
         n = self.N
+        # an invertible n^2 x n^2 matrix has a nonzero entry in every row;
+        # refusing fewer entries first keeps a huge N from allocating rows
+        if len(self.entries) < n * n:
+            raise RMatrixError("R-matrix is singular")
         rows = [{} for _ in range(n * n)]
         for (a, c, b, d), v in self.entries.items():
             rows[(a - 1) * n + c - 1][(b - 1) * n + d - 1] = v
@@ -448,44 +452,36 @@ class QuantumGroup:
 
     # -- coproduct ----------------------------------------------------------
 
-    def coproduct_word(self, word, arity=2):
-        """Iterated coproduct of a monomial, as a dict from tuples of arity
-        normal words to Scalars; memoized, so shared: read it, never mutate
-        it."""
-        key = (word, arity)
-        cached = self._cop_cache.get(key)
+    def coproduct_word(self, word):
+        """Coproduct of a monomial, as a dict from pairs of normal words to
+        Scalars; memoized, so shared: read it, never mutate it.
+
+        phi(w t_ab) = sum over g of phi(w) (t_ag (x) t_gb), each leg
+        renormalized.
+        """
+        cached = self._cop_cache.get(word)
         if cached is not None:
             return cached
-        rs = self.rs
         if word:
-            head = self.coproduct_word(word[:-1], arity)
-            (a, b) = word[-1]
+            reduce_word = self.rs.reduce_word
+            a, b = word[-1]
             out = {}
-            mids = itertools.product(range(1, self.N + 1), repeat=arity - 1)
-            for mid in mids:
-                chain = (a,) + tuple(mid) + (b,)
-                piece = head
-                # right-multiply each leg by its generator, renormalizing
-                # that leg
-                for leg in range(arity):
-                    gen = (chain[leg], chain[leg + 1])
-                    nxt = {}
-                    for legs, c in piece.items():
-                        for w, rc in rs.reduce_word(legs[leg] + (gen,)).items():
-                            add_term(nxt, legs[:leg] + (w,) + legs[leg + 1:],
-                                     c * rc)
-                    piece = nxt
-                for legs, c in piece.items():
-                    add_term(out, legs, c)
+            for (w1, w2), c in self.coproduct_word(word[:-1]).items():
+                for g in range(1, self.N + 1):
+                    right = reduce_word(w2 + ((g, b),))
+                    for u1, c1 in reduce_word(w1 + ((a, g),)).items():
+                        cc = c * c1
+                        for u2, c2 in right.items():
+                            add_term(out, (u1, u2), cc * c2)
         else:
-            out = {((),) * arity: ONE}
-        self._cop_cache[key] = out
+            out = {((), ()): ONE}
+        self._cop_cache[word] = out
         return out
 
-    def coproduct(self, elem, arity=2):
+    def coproduct(self, elem):
         terms = {}
         for w, c in elem.terms.items():
-            add_scaled(terms, self.coproduct_word(w, arity), c)
+            add_scaled(terms, self.coproduct_word(w), c)
         return terms
 
     # -- counit -------------------------------------------------------------
@@ -596,12 +592,15 @@ class QuantumGroup:
 
     def adjoint(self, elem):
         """ad(a): the middle coproduct leg tensor antipode(first) * third,
-        as a dict from pairs of normal words to Scalars."""
+        as a dict from pairs of normal words to Scalars.  The triple
+        coproduct is (phi (x) id) phi."""
         out = {}
-        for (w1, w2, w3), c in self.coproduct(elem, arity=3).items():
-            right = self.antipode_word(w1) * AlgebraElement.from_word(self.rs, w3)
-            for u, cu in right.terms.items():
-                add_term(out, (w2, u), c * cu)
+        for (w12, w3), c in self.coproduct(elem).items():
+            third = AlgebraElement.from_word(self.rs, w3)
+            for (w1, w2), c12 in self.coproduct_word(w12).items():
+                right = self.antipode_word(w1) * third
+                for u, cu in right.terms.items():
+                    add_term(out, (w2, u), c * c12 * cu)
         return out
 
     # -- helpers ------------------------------------------------------------

@@ -81,27 +81,19 @@ def build_grid(calc, cap=None):
     return BicomplexGrid(calc, cap if cap is not None else calc.grade_cap)
 
 
-def cartan_check(calc, degree=None, f00_choice="trace", samples=0,
-                 seed=20260809):
-    """The split conditions: total, square of each part, anticommutation.
+def cartan_check(calc, degree=None, samples=0, seed=20260809):
+    """The split conditions: total, square of each part, anticommutation,
+    as two reports, one per sector functional: trace, then counit.
 
     Each input x is split three times: (partial x, delta x) = split_d(x),
     then each part again; the four conditions read those four values, d o d
-    as their sum since d = partial + delta.  With the counit sector choice
-    the one-dimensional differential is the zero map and the conditions
-    degenerate accordingly.
+    as their sum since d = partial + delta.  With the counit the
+    one-dimensional differential is the zero map, so that report reads
+    (partial partial x, 0, 0, 0) from the same splits.  An input that a
+    split takes out of the grade range is skipped in both reports.
     """
     degree = degree if degree is not None else calc.degree_bound
-    report = CheckReport("cartan", degree)
     rng = random.Random(seed)
-    if f00_choice == "counit":
-        zero = calc.space.zero()
-
-        def split(x):
-            return calc.partial(x), zero
-    else:
-        split = calc.split_d
-
     elements = []
     for w in calc.qg.rs.normal_words(degree):
         elements.append(("monomial %s" % render_word(w),
@@ -131,27 +123,33 @@ def cartan_check(calc, degree=None, f00_choice="trace", samples=0,
     # index -> the four values, or None where a split left the grade range;
     # filled as the laws first reach each input
     parts = {}
+    zero = calc.space.zero()
 
-    def outcomes(op):
+    def outcomes(op, counit):
         for i, (name, x) in enumerate(elements):
             if max(x.grades(), default=0) > max_input:
                 yield SKIPPED
                 continue
             if i not in parts:
                 try:
-                    px, dx = split(x)
-                    parts[i] = split(px) + split(dx)
+                    px, dx = calc.split_d(x)
+                    parts[i] = calc.split_d(px) + calc.split_d(dx)
                 except GradeCapError:
                     parts[i] = None
             if parts[i] is None:
                 yield SKIPPED
                 continue
-            val = op(*parts[i])
+            values = (parts[i][0], zero, zero, zero) if counit else parts[i]
+            val = op(*values)
             yield None if val.is_zero() else "%s -> %s" % (name, val.render())
 
-    for law, desc, op in checks:
-        report.law(law, desc, outcomes(op))
-    return report
+    reports = []
+    for counit in (False, True):
+        report = CheckReport("cartan", degree)
+        for law, desc, op in checks:
+            report.law(law, desc, outcomes(op, counit))
+        reports.append(report)
+    return reports
 
 
 def grid_check(calc, cap=None):

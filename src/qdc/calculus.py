@@ -18,8 +18,8 @@ from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element, render_word)
 from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
-                          ConvCombo, convolve, counit_functional,
-                          validate_scalar_functional, InvalidFunctionalError)
+                          convolve, validate_scalar_functional,
+                          InvalidFunctionalError)
 from .forms import FormSpace, FormElement, left_coaction
 
 
@@ -141,9 +141,6 @@ class ProjectorPair:
                                   [{} for _ in range(self.M)]),
                 _first_difference(complete, identity(self.M)))
 
-    def laws_exact(self):
-        return tuple(d is None for d in self.defects())
-
 
 class GridSplit:
     """Per-grade row split and its row-1 projector P1.
@@ -237,6 +234,9 @@ class Calculus:
         self.degree_bound = degree_bound
         self.grade_cap = grade_cap
         self.dual = DualStructure(qg)
+        if f00_choice not in self.dual.sectors:
+            raise CalculusError("unknown f00 choice %r" % (f00_choice,))
+        self.f00 = self.dual.sectors[f00_choice]
         self.lam = self.dual.lam
         self._inv_lam = ONE / self.lam
         self.space = FormSpace(qg, self.dual.f, self.dual.lam_matrix,
@@ -244,16 +244,8 @@ class Calculus:
         self.X = canonical_element(self.space)
         self.grid = GridSplit(self)
         self.projectors = ProjectorPair(self.grid.data(1)["p1"], self.space.M)
-        self.f00 = self.resolve_f00(f00_choice)
         if left_coaction(self.space, self.X) != {(): self.X}:
             raise CalculusError("canonical element is not left invariant")
-
-    def resolve_f00(self, choice):
-        if choice == "trace":
-            return self.dual.trace_functional()
-        if choice == "counit":
-            return self.dual.eps
-        raise CalculusError("unknown f00 choice %r" % (choice,))
 
     # -- differentials ------------------------------------------------------
 
@@ -366,7 +358,7 @@ class OuterCalculus:
                          for i in self.letters]
         fam = CorepFamily(qg, self.rank, tables, name="f-outer")
         self.commutation = FunctionalMatrix(fam, qg.N, doubled=False,
-                                            kind="corep", name="f'")
+                                            name="f'")
         bad = fam.check_rewrite_invariance()
         if bad is not None:
             raise CalculusError(
@@ -375,19 +367,27 @@ class OuterCalculus:
         diag = [i for i, c in enumerate(basis.canonical_coeffs)
                 if not c.is_zero()]
         rm = basis.removed_index
+        # each complement coefficient of the outer differential is a sum of
+        # (chi entry, coefficient) convolutions
         self.partial_coeffs = []
         for g in self.letters:
-            terms = [(ONE, (chi.entry(g),))]
+            combo = [(chi.entry(g), ONE)]
             if g in diag:
                 ratio = basis.canonical_coeffs[g] / basis.canonical_coeffs[rm]
-                terms.append((-ratio, (chi.entry(rm),)))
-            self.partial_coeffs.append(ConvCombo(qg, terms))
-        self.twist = inner.dual.trace_functional()
+                combo.append((chi.entry(rm), -ratio))
+            self.partial_coeffs.append(combo)
+        self.sectors = inner.dual.sectors
+        self.twist = self.sectors["trace"]
 
     def partial_table(self, a):
         """Coefficients of the outer differential over the complement basis."""
-        return [convolve_combo(self.qg, combo, a)
-                for combo in self.partial_coeffs]
+        out = []
+        for combo in self.partial_coeffs:
+            total = AlgebraElement.zero(self.qg.rs)
+            for chi, c in combo:
+                total = total + convolve(chi, a).scalar_mul(c)
+            out.append(total)
+        return out
 
     def commutation_generator_table(self):
         out = {}
@@ -412,16 +412,6 @@ class OuterCalculus:
         return True, None
 
 
-def convolve_combo(qg, combo, a):
-    """(xi * a) for a formal combination xi of functionals (left side)."""
-    terms = {}
-    for (w1, w2), c in qg.coproduct(a).items():
-        v = combo.on_word(w2)
-        if v:
-            add_term(terms, w1, c * v)
-    return AlgebraElement(qg.rs, terms)
-
-
 class ExtendedCalculus:
     """An outer calculus completed by a one-dimensional sector."""
 
@@ -436,11 +426,10 @@ class ExtendedCalculus:
         self.f00 = f00
         self.rank = outer.rank + 1
         self.labels = ["X"] + list(outer.labels)
-        self.eps = counit_functional(self.qg)
 
     def delta_coeff(self, a):
-        """delta(a) = ((f00 - eps) * a) X, as the X-sector coefficient."""
-        return convolve(self.f00, a) - convolve(self.eps, a)
+        """delta(a) = (f00 * a - a) X, as the X-sector coefficient."""
+        return convolve(self.f00, a) - a
 
     def restrict_to_outer(self):
         return self.outer
@@ -479,7 +468,7 @@ def roundtrip_check(outer, f00, degree):
     report.law("roundtrip-identity",
                "restricting the extension returns the outer calculus exactly",
                [why])
-    if f00.label == "eps":
+    if f00 is outer.sectors["counit"]:
         rs = outer.qg.rs
         report.law("degenerate-sector",
                    "the counit extension has vanishing sector differential",

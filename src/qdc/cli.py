@@ -11,13 +11,14 @@ import itertools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .expr import ExprError, parse, print_ast
 from .scalars import (Scalar, ONE, ZERO, render_scalar, scalar_power,
                       ScalarError)
 from .algebra import (AlgebraElement, dump_rmatrix,
                       render_element, render_word, AlgebraError, RMatrixError)
-from .functionals import FunctionalError
+from .functionals import FunctionalError, SECTORS
 from .calculus import (assemble, map_in_to_out, map_out_to_in,
                        roundtrip_check, DEFAULT_RMATRIX, CalculusError)
 from .forms import FormElement, FormsError
@@ -85,6 +86,8 @@ def evaluate_ast(ast, calc):
         if s is not None:
             return calc.space.from_algebra(AlgebraElement.from_scalar(
                 calc.qg.rs, scalar_power(s, e)))
+        if isinstance(e, Fraction) and e.denominator == 1:
+            e = e.numerator
         alg = _as_algebra(x)
         if alg is None or not isinstance(e, int) or e < 0:
             raise CliError("powers of forms (or negative or fractional powers "
@@ -140,7 +143,6 @@ def render_value(x):
 # session handling
 
 SESSION_FORMAT = "qdc-session 1"
-F00_CHOICES = ("trace", "counit")
 
 
 def write_session(path, r, f00, degree, cap):
@@ -195,7 +197,7 @@ def read_session(path):
             if rest != SESSION_FORMAT:
                 raise CliError("unsupported session format %r" % rest)
         elif key == "f00":
-            if rest.strip() not in F00_CHOICES:
+            if rest.strip() not in SECTORS:
                 raise CliError("session file %s: bad f00 %r"
                                % (path, rest.strip()))
             cfg["f00"] = rest.strip()
@@ -359,15 +361,12 @@ def run_suite(calc, name, degree):
     if name == "leibniz":
         return [leibniz_suite(calc, degree)]
     if name == "cartan":
-        reports = [cartan_check(calc, degree, f00_choice=c,
-                                samples=CARTAN_SAMPLES)
-                   for c in F00_CHOICES]
-        reports.append(grid_check(calc))
-        return reports
+        return cartan_check(calc, degree, samples=CARTAN_SAMPLES) + \
+            [grid_check(calc)]
     if name == "roundtrip":
         outer = map_in_to_out(calc)
-        return [roundtrip_check(outer, calc.resolve_f00(c), degree)
-                for c in F00_CHOICES]
+        return [roundtrip_check(outer, f00, degree)
+                for f00 in calc.dual.sectors.values()]
     raise CliError("unknown suite %r (expected one of %s)"
                    % (name, ", ".join(SUITES)))
 
@@ -393,8 +392,8 @@ def cmd_maps(args, out):
     outer = map_in_to_out(calc)
     f00 = calc.f00
     ext = map_out_to_in(outer, f00)
-    reports = [roundtrip_check(outer, calc.resolve_f00(c), cfg["degree"])
-               for c in F00_CHOICES]
+    reports = [roundtrip_check(outer, f, cfg["degree"])
+               for f in calc.dual.sectors.values()]
     payload = {
         "inner": {"mode": calc.mode, "one_form_dimension": calc.space.M},
         "outer": {"mode": outer.mode, "rank": outer.rank,
@@ -435,7 +434,7 @@ SHARED_FLAGS = [
     ("--descriptor", {"help": "session descriptor written by init"}),
     ("--degree", {"type": int, "help": "degree bound for checks"}),
     ("--cap", {"type": int, "help": "grade cap for forms"}),
-    ("--f00", {"choices": F00_CHOICES,
+    ("--f00", {"choices": SECTORS,
                "help": "one-dimensional sector functional"}),
     ("--format", {"choices": ("text", "structured")}),
 ]

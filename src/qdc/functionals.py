@@ -18,6 +18,11 @@ from .linalg import (mat_mul, mat_inverse, identity, kernel_basis,
 from .algebra import AlgebraElement
 
 
+# the choices of the character f00 that parametrizes the one-dimensional
+# sector: the trace character and the counit
+SECTORS = ("trace", "counit")
+
+
 class FunctionalError(Exception):
     pass
 
@@ -96,11 +101,10 @@ class CorepFamily:
 class Functional:
     """One entry of a family: a linear functional on the quantum group."""
 
-    def __init__(self, family, row, col, kind, label):
+    def __init__(self, family, row, col, label):
         self.family = family
         self.row = row
         self.col = col
-        self.kind = kind
         self.label = label
 
     def on_word(self, word):
@@ -127,7 +131,7 @@ class Functional:
 def counit_functional(qg):
     tables = {g: [{0: ONE} if g[0] == g[1] else {}] for g in qg.rs.gens}
     fam = CorepFamily(qg, 1, tables, name="eps")
-    return Functional(fam, 0, 0, "counit", "eps")
+    return Functional(fam, 0, 0, "eps")
 
 
 def scalar_functional(qg, gen_values, name):
@@ -135,7 +139,7 @@ def scalar_functional(qg, gen_values, name):
     tables = {g: [{0: gen_values[g]} if gen_values.get(g) else {}]
               for g in qg.rs.gens}
     fam = CorepFamily(qg, 1, tables, name=name)
-    return Functional(fam, 0, 0, "corep", name)
+    return Functional(fam, 0, 0, name)
 
 
 def validate_scalar_functional(f):
@@ -153,17 +157,16 @@ def validate_scalar_functional(f):
 class FunctionalMatrix:
     """A square family with doubled-index bookkeeping (i = (a1-1)N + a2)."""
 
-    def __init__(self, family, n, doubled, kind, name):
+    def __init__(self, family, n, doubled, name):
         self.family = family
         self.N = n
         self.doubled = doubled
-        self.kind = kind
         self.name = name
         self.size = family.size
 
     def entry(self, i, j):
         label = "%s[%s;%s]" % (self.name, self._fmt(i), self._fmt(j))
-        return Functional(self.family, i, j, self.kind, label)
+        return Functional(self.family, i, j, label)
 
     def _fmt(self, i):
         if self.doubled:
@@ -200,7 +203,7 @@ def make_L(qg, sign):
         tables[(c, d)][a - 1][b - 1] = v * scale
     name = "L+" if sign > 0 else "L-"
     fam = CorepFamily(qg, n, tables, name=name)
-    return FunctionalMatrix(fam, n, doubled=False, kind="corep", name=name)
+    return FunctionalMatrix(fam, n, doubled=False, name=name)
 
 
 def make_f(qg, lplus, lminus):
@@ -222,7 +225,7 @@ def make_f(qg, lplus, lminus):
                             add_term(t[a1 * n + a2], b1 * n + b2, x * y)
         tables[(c, d)] = t
     fam = CorepFamily(qg, m, tables, name="f")
-    return FunctionalMatrix(fam, n, doubled=True, kind="corep", name="f")
+    return FunctionalMatrix(fam, n, doubled=True, name="f")
 
 
 class VectorFieldFamily:
@@ -236,7 +239,7 @@ class VectorFieldFamily:
 
     def entry(self, i):
         label = "chi[%d,%d]" % unflatten_pair(i, self.N)
-        return Functional(self.ext, 0, 1 + i, "deriv", label)
+        return Functional(self.ext, 0, 1 + i, label)
 
     def values(self, word):
         """{k: chi_k(w)} over the nonzero values on one word w."""
@@ -550,7 +553,8 @@ def _convolve_word(f, word):
 
 
 class ConvCombo:
-    """Formal sum of convolution products of functionals."""
+    """Formal sum of convolution products f g of two functionals, with
+    (f g)(w) = sum over the coproduct terms of w of f(w1) g(w2)."""
 
     def __init__(self, qg, terms):
         self.qg = qg
@@ -558,41 +562,14 @@ class ConvCombo:
 
     def on_word(self, word):
         total = ZERO
-        by_arity = {}
-        for c, fs in self.terms:
-            by_arity.setdefault(len(fs), []).append((c, fs))
-        for arity, group in by_arity.items():
-            if arity == 1:
-                for c, (f,) in group:
-                    v = f.on_word(word)
-                    if not v.is_zero():
-                        total = total + c * v
-                continue
-            tc = self.qg.coproduct_word(word, arity=arity)
-            for key, cc in tc.items():
-                for c, fs in group:
-                    p = cc * c
-                    dead = False
-                    for leg, f in zip(key, fs):
-                        v = f.on_word(leg)
-                        if v.is_zero():
-                            dead = True
-                            break
-                        p = p * v
-                    if not dead:
-                        total = total + p
+        for (w1, w2), cc in self.qg.coproduct_word(word).items():
+            for c, (f, g) in self.terms:
+                v1 = f.on_word(w1)
+                if not v1.is_zero():
+                    v2 = g.on_word(w2)
+                    if not v2.is_zero():
+                        total = total + cc * c * v1 * v2
         return total
-
-    def value(self, elem):
-        total = ZERO
-        for w, c in elem.terms.items():
-            v = self.on_word(w)
-            if not v.is_zero():
-                total = total + c * v
-        return total
-
-    def __add__(self, other):
-        return ConvCombo(self.qg, self.terms + other.terms)
 
 
 def q_lie_bracket(i, j, chi, lambda_matrix):
@@ -626,20 +603,18 @@ class DualStructure:
         self.lam_matrix = make_lambda(qg.R)
         self.C = make_C(self.lam_matrix, self.chi)
         self.eps = counit_functional(qg)
-
-    def trace_functional(self):
-        """The multiplicative trace character eps + lam * chi_(N,N)."""
-        n = self.N
-        idx = flatten_pair(n, n, n)
+        # the one-dimensional sector functionals f00 by SECTORS name: the
+        # multiplicative trace character eps + lam * chi_(N,N), and eps
+        idx = flatten_pair(self.N, self.N, self.N)
         vals = {}
-        for g in self.qg.rs.gens:
-            v = (ONE if g[0] == g[1] else ZERO) + \
+        for g in qg.rs.gens:
+            v = qg.counit_word((g,)) + \
                 self.lam * self.chi.entry(idx).on_generator(*g)
             if not v.is_zero():
                 vals[g] = v
-        f = scalar_functional(self.qg, vals, "trace-f")
-        validate_scalar_functional(f)
-        return f
+        trace = scalar_functional(qg, vals, "trace-f")
+        validate_scalar_functional(trace)
+        self.sectors = dict(zip(SECTORS, (trace, self.eps)))
 
     def all_functionals(self):
         out = [self.eps]

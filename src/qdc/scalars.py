@@ -155,14 +155,6 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
     def q(cls):
         return cls({1: 1})
 
@@ -411,14 +403,6 @@ class Scalar:
             den = _ONE_POLY
         self.num, self.den = _normalize(num, den)
         self._hash = None
-
-    @classmethod
-    def zero(cls):
-        return _ZERO
-
-    @classmethod
-    def one(cls):
-        return _ONE
 
     @classmethod
     def q(cls):

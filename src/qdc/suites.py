@@ -452,12 +452,11 @@ def leibniz_suite(calc, degree=None, samples=6):
     products = [[a * b for b in elems] for a in elems]
     d_elems = [calc.d(e) for e in elems]
     partials = [calc.partial(e) for e in elems]
-    trace = calc.dual.trace_functional()
-    eps = calc.dual.eps
-    sectors = ((trace, "trace"), (eps, "counit"))
-    # tag -> [f00 * e for e in elems]
+    sectors = calc.dual.sectors
+    trace = sectors["trace"]
+    # sector name -> [f00 * e for e in elems]
     convolved = {tag: [convolve(f00, e) for e in elems]
-                 for f00, tag in sectors}
+                 for tag, f00 in sectors.items()}
 
     def pair_str(a, b):
         return "%s, %s" % (render_element(a), render_element(b))
@@ -520,7 +519,7 @@ def leibniz_suite(calc, degree=None, samples=6):
                 rhs = sa * cb + a * sb
                 yield None if lhs == rhs else pair_str(a, b)
 
-    for f00, tag in sectors:
+    for tag, f00 in sectors.items():
         report.law("leibniz-sector-%s" % tag,
                    "the one-dimensional-sector differential obeys the "
                    "Leibniz rule (f00 = %s)" % tag,

@@ -502,13 +502,20 @@ class TestAdjoint:
             assert total == qg.counit(elem)
 
     def test_generator_expansion_leg_by_leg(self, qg):
-        a = qg.generator(1, 1)
-        triple = qg.coproduct(a, arity=3)
-        expected = {}
-        for (w1, w2, w3), c in triple.items():
-            right = qg.antipode_word(w1) * AlgebraElement.from_word(qg.rs, w3)
-            piece = {}
-            for u, cu in right.terms.items():
-                piece[(w2, u)] = c * cu
-            expected = sparse_sum(expected, piece)
-        assert qg.adjoint(a) == expected
+        # the triple coproduct as (id x phi) phi, the other bracketing of
+        # the one that adjoint composes
+        for w in qg.rs.normal_words(2):
+            a = AlgebraElement.from_word(qg.rs, w)
+            triple = {}
+            for (w1, w23), c in qg.coproduct(a).items():
+                for (w2, w3), cc in qg.coproduct_word(w23).items():
+                    add_term(triple, (w1, w2, w3), c * cc)
+            expected = {}
+            for (w1, w2, w3), c in triple.items():
+                right = qg.antipode_word(w1) * \
+                    AlgebraElement.from_word(qg.rs, w3)
+                piece = {}
+                for u, cu in right.terms.items():
+                    piece[(w2, u)] = c * cu
+                expected = sparse_sum(expected, piece)
+            assert qg.adjoint(a) == expected, w

@@ -1,6 +1,7 @@
 import pytest
 
 from qdc.forms import GradeCapError
+from qdc.functionals import SECTORS
 from qdc.bicomplex import build_grid, cartan_check, grid_check
 
 
@@ -55,13 +56,13 @@ class TestGrid:
 class TestCartan:
     @pytest.mark.parametrize("choice", ["trace", "counit"])
     def test_all_conditions(self, calc, choice):
-        report = cartan_check(calc, degree=2, f00_choice=choice, samples=8)
+        report = cartan_check(calc, degree=2, samples=8)[SECTORS.index(choice)]
         assert report.passed(), report.render()
         assert {e.law for e in report.entries} == \
             {"d-squared", "partial-squared", "delta-squared", "anticommute"}
 
     def test_negative_control_breaks(self, calc):
-        report = cartan_check(SwappedRows(calc), degree=1, samples=0)
+        report, _ = cartan_check(SwappedRows(calc), degree=1, samples=0)
         assert not report.passed()
         failing = [e for e in report.entries if e.status == "fail"]
         assert failing and all(e.witness for e in failing)
@@ -69,16 +70,18 @@ class TestCartan:
                    for e in failing)
 
     def test_law_with_no_instance_fails(self, calc):
-        report = cartan_check(AtGradeCap(calc), degree=1, samples=0)
+        reports = cartan_check(AtGradeCap(calc), degree=1, samples=0)
         inputs = len(calc.qg.rs.normal_words(1)) + calc.space.M
-        assert not report.passed()
-        assert [(e.status, e.witness) for e in report.entries] == \
-            [("fail", "no instance evaluated (%d skipped)" % inputs)] * 4
+        assert len(reports) == 2
+        for report in reports:
+            assert not report.passed()
+            assert [(e.status, e.witness) for e in report.entries] == \
+                [("fail", "no instance evaluated (%d skipped)" % inputs)] * 4
 
 
     def test_three_splits_per_input(self, calc, monkeypatch):
         # (partial x, delta x) from one split, then one split of each part:
-        # all four conditions read those values
+        # all four conditions of both reports read those values
         calls = []
         split_d = type(calc).split_d
 
@@ -87,8 +90,10 @@ class TestCartan:
             return split_d(self, x)
 
         monkeypatch.setattr(type(calc), "split_d", counted)
-        report = cartan_check(calc, degree=2)
-        assert report.passed(), report.render()
+        reports = cartan_check(calc, degree=2)
+        assert len(reports) == 2
+        for report in reports:
+            assert report.passed(), report.render()
         inputs = len(calc.qg.rs.normal_words(2)) + calc.space.M
         assert 0 < len(calls) <= 3 * inputs
 

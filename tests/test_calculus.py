@@ -6,10 +6,12 @@ import pytest
 from qdc.scalars import Scalar, ZERO, ONE, Q
 from qdc.algebra import AlgebraElement
 from qdc.forms import FormElement, GradeCapError, left_coaction
-from qdc.functionals import (ConvCombo, convolve, InvalidFunctionalError,
+from qdc.functionals import (convolve, InvalidFunctionalError,
                              scalar_functional)
-from qdc.calculus import (canonical_element, map_in_to_out, map_out_to_in,
-                          roundtrip_check, CalculusError, CheckReport, SKIPPED)
+from qdc.calculus import (assemble, canonical_element, map_in_to_out,
+                          map_out_to_in, roundtrip_check, CalculusError,
+                          CheckReport, GridSplit, ProjectorPair, SKIPPED)
+from qdc.bicomplex import cartan_check, grid_check
 
 
 def assert_no_zero_coefficient(x):
@@ -218,7 +220,7 @@ class TestCheckReport:
 
 class TestProjectors:
     def test_laws(self, calc):
-        assert calc.projectors.laws_exact() == (True, True, True)
+        assert calc.projectors.defects() == (None, None, None)
 
     def test_defects_name_the_first_differing_entry(self, calc):
         # at N=2 only column 3 of J is nonzero, and Jperp = 1 - J has no
@@ -260,7 +262,7 @@ class TestSectorDifferential:
     @staticmethod
     def sector(calc, choice):
         """The extended calculus whose one-dimensional sector uses choice."""
-        return map_out_to_in(map_in_to_out(calc), calc.resolve_f00(choice))
+        return map_out_to_in(map_in_to_out(calc), calc.dual.sectors[choice])
 
     def test_counit_choice_vanishes(self, calc, qg):
         ext = self.sector(calc, "counit")
@@ -311,8 +313,7 @@ class TestMaps:
         bad = copy.copy(outer)
         bad.partial_coeffs = list(outer.partial_coeffs)
         first, two = outer.partial_coeffs[0], Scalar.from_int(2)
-        bad.partial_coeffs[0] = ConvCombo(
-            first.qg, [(c * two, fs) for c, fs in first.terms])
+        bad.partial_coeffs[0] = [(chi, c * two) for chi, c in first]
         same, why = outer.same_as(bad, 2)
         assert not same and why.startswith("differential differs on ")
         assert outer.same_as(copy.copy(outer), 2) == (True, None)
@@ -324,19 +325,19 @@ class TestMaps:
 
     def test_extension_rank(self, calc):
         outer = map_in_to_out(calc)
-        ext = map_out_to_in(outer, calc.resolve_f00("trace"))
+        ext = map_out_to_in(outer, calc.dual.sectors["trace"])
         assert ext.rank == outer.rank + 1
 
     def test_roundtrip_both_sectors(self, calc):
         outer = map_in_to_out(calc)
         for choice in ("trace", "counit"):
-            report = roundtrip_check(outer, calc.resolve_f00(choice), 3)
+            report = roundtrip_check(outer, calc.dual.sectors[choice], 3)
             assert report.passed(), report.render()
 
     def test_extension_distinguishes_sectors(self, calc, qg):
         outer = map_in_to_out(calc)
-        ext_t = map_out_to_in(outer, calc.resolve_f00("trace"))
-        ext_e = map_out_to_in(outer, calc.resolve_f00("counit"))
+        ext_t = map_out_to_in(outer, calc.dual.sectors["trace"])
+        ext_e = map_out_to_in(outer, calc.dual.sectors["counit"])
         tables = []
         for ext in (ext_t, ext_e):
             tables.append({g: ext.f00.on_generator(*g) for g in qg.rs.gens})
@@ -355,7 +356,7 @@ class TestMaps:
 
     def test_degenerate_extension_keeps_partial(self, calc, qg):
         outer = map_in_to_out(calc)
-        ext = map_out_to_in(outer, calc.resolve_f00("counit"))
+        ext = map_out_to_in(outer, calc.dual.sectors["counit"])
         for g in qg.rs.gens:
             a = qg.generator(*g)
             assert ext.delta_coeff(a).is_zero()
@@ -378,7 +379,7 @@ class TestMaps:
 
     def test_unknown_f00_choice(self, calc):
         with pytest.raises(CalculusError):
-            calc.resolve_f00("something-else")
+            assemble(f00_choice="something-else")
 
 
 class TestRowProjector:
@@ -422,3 +423,76 @@ class TestRowProjector:
                 for w in data["u1_words"]:
                     x = word_form(w).wedge(c.X)
                     assert c.grid.split_component(x) == (zero, x)
+
+
+def _scaled_grid(c, grades, monkeypatch):
+    """A fresh GridSplit of c whose candidate vectors, and so its chosen
+    basis vectors, are scaled by distinct powers of q at each grade.
+
+    table.reduce_word is wrapped while a grade is built.  The build reads
+    the row-0 candidates first, one call per complement word; each gets a
+    power of its own.  A row-1 candidate sums one call per canonical
+    letter after a row-0 word of one grade lower, and all of them get the
+    power of that word, so each candidate is scaled as a whole.
+    """
+    grid = GridSplit(c)
+    table = c.space.table
+    reduce_word = table.reduce_word
+    row0_calls = len(c.space.basis.complement)
+    for k in grades:
+        calls, powers = [], {}
+
+        def scaled(u, k=k):
+            key = (0, len(calls)) if len(calls) < row0_calls ** k \
+                else (1, u[:-1])
+            calls.append(u)
+            s = Scalar.q_power(powers.setdefault(key, 1 + len(powers)))
+            return {w: v * s for w, v in reduce_word(u).items()}
+
+        with monkeypatch.context() as m:
+            m.setattr(table, "reduce_word", scaled)
+            grid.data(k)
+    return grid
+
+
+class TestScaledBasis:
+    """The complement basis that GridSplit chooses is one choice among
+    many: scaling its vectors changes no split, projector or verdict.
+    Every chosen vector of the default basis has entries 1 and -1 only, so
+    without the scale the basis-change inverse meets no other value."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_does_not_see_the_basis_scale(self, n, calc, calc3,
+                                                monkeypatch):
+        # grades 0-3: the cartan inputs (grades 0 and 1) are split up to
+        # grade 3, and the grid of cap 3 (N=2) or 1 (N=3) reads no more
+        c, degree = (calc, 2) if n == 2 else (calc3, 1)
+        grades = range(4)
+        grid = _scaled_grid(c, grades, monkeypatch)
+        scaled = copy.copy(c)
+        scaled.grid = grid
+        for k in grades:
+            data, ref = grid.data(k), c.grid.data(k)
+            assert all(v not in (ONE, -ONE) for col in data["cols"]
+                       for v in col.values())
+            for key in ("u0_words", "u1_words", "dims", "p1"):
+                assert data[key] == ref[key], (k, key)
+        assert ProjectorPair(grid.data(1)["p1"], c.space.M).J == \
+            c.projectors.J
+
+        rng = random.Random(17)
+        inputs = [c.space.from_algebra(AlgebraElement.from_word(c.qg.rs, w))
+                  for w in c.qg.rs.normal_words(degree)]
+        inputs += [c.random_form(rng, k) for k in (1, 2) for _ in range(3)]
+        for x in inputs:
+            assert scaled.split_d(x) == c.split_d(x)
+
+        def rows(reports):
+            return [(r.suite, e.law, e.status, e.witness)
+                    for r in reports for e in r.entries]
+
+        assert rows(cartan_check(scaled, degree)) == \
+            rows(cartan_check(c, degree))
+        assert rows([grid_check(scaled)]) == rows([grid_check(c)])
+        # every split above read the scaled grades only
+        assert sorted(grid._data) == list(grades)

@@ -101,6 +101,13 @@ class TestEvaluation:
         half = evaluate_ast(parse("t[1,1]/2"), calc)
         assert render_value(half) == "(1/2)*t[1,1]"
 
+    def test_integral_fraction_power_of_an_element(self, capsys):
+        # the parser reads 4/2 as the Fraction 2, which q^(4/2) already took
+        assert out_of(["eval", "t[1,1]^(4/2)"]) == \
+            out_of(["eval", "t[1,1]^2"]) == (0, "t[1,1]*t[1,1]\n")
+        assert out_of(["eval", "t[1,1]^(-2/1)"]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: powers of forms")
+
 
 class TestCommands:
     def test_eval_command(self):
@@ -234,6 +241,15 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert code == 2 and text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_n_is_singular_before_any_row_exists(self, tmp_path,
+                                                      capsys):
+        # an invertible N^2 x N^2 matrix has at least N^2 nonzero entries;
+        # N = 100000 with none would otherwise build 10^10 rows first
+        path = tmp_path / "r.rmatrix"
+        path.write_text("N 100000\nseries A\n", encoding="utf-8")
+        assert out_of(["--rmatrix", str(path), "eval", "q"]) == (2, "")
+        assert capsys.readouterr().err == "error: R-matrix is singular\n"
 
 
 class TestDegreeAndCap:

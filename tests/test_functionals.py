@@ -13,7 +13,8 @@ from qdc.functionals import (make_C, make_lambda, convolve,
                              VectorFieldFamily, Functional, FunctionalError,
                              InvalidFunctionalError)
 from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul, add_term
-from qdc.calculus import OuterCalculus
+from qdc.calculus import OuterCalculus, assemble
+from qdc.cli import SUITES, run_suite
 from qdc.suites import bicovariance_suite
 
 
@@ -74,7 +75,7 @@ class TestRegularFunctionals:
         fam = CorepFamily(qg, ext.size, tables, ext.reversed, ext.name)
         lhs = (g, (1, 1))
         rhs = AlgebraElement(qg.rs, qg.rs.rules[lhs])
-        row = [Functional(fam, 0, j, "corep", "x") for j in range(fam.size)]
+        row = [Functional(fam, 0, j, "x") for j in range(fam.size)]
         assert [j for j, f in enumerate(row)
                 if f.on_word(lhs) != f.value(rhs)] == [0, 1, 4]
         assert fam.check_rewrite_invariance() == (lhs, 0, 0)
@@ -547,7 +548,7 @@ class TestSparseRowFormat:
         bicovariance_suite(c, 1)
         dual = c.dual
         made = [dual.f.family.compose_antipode(),
-                dual.trace_functional().family,
+                dual.sectors["trace"].family,
                 OuterCalculus(c).commutation.family]
         for fam in made:
             for w in c.qg.rs.normal_words(2):
@@ -567,20 +568,39 @@ class TestSparseRowFormat:
 
 class TestTraceCharacter:
     def test_values(self, dual):
-        t = dual.trace_functional()
+        t = dual.sectors["trace"]
         assert t.on_generator(1, 1) == Q
         assert t.on_generator(2, 2) == ONE / Q
         assert t.on_generator(1, 2).is_zero()
         assert t.on_unit().is_one()
 
     def test_equals_counit_plus_lambda_chi(self, dual, qg):
-        t = dual.trace_functional()
+        t = dual.sectors["trace"]
         last = flatten_pair(2, 2, 2)
         for w in qg.rs.normal_words(3):
             elem = AlgebraElement.from_word(qg.rs, w)
             expected = qg.counit(elem) + dual.lam * \
                 dual.chi.entry(last).value(elem)
             assert t.value(elem) == expected
+
+    def test_built_once_per_calculus(self, monkeypatch):
+        # the sector functionals come from DualStructure.sectors: a fresh
+        # assembly and all five suites build the trace character once
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return scalar_functional(*args)
+
+        monkeypatch.setattr(functionals, "scalar_functional", counted)
+        calc = assemble()
+        for name in SUITES:
+            assert all(r.passed() for r in run_suite(calc, name, 1)), name
+        assert len(built) == 1
+        assert list(calc.dual.sectors) == list(functionals.SECTORS)
+        assert calc.f00 is calc.dual.sectors["trace"]
+        assert calc.dual.sectors["counit"] is calc.dual.eps
+        assert OuterCalculus(calc).twist is calc.dual.sectors["trace"]
 
     def test_other_diagonal_is_not_multiplicative(self, dual, qg):
         first = flatten_pair(1, 1, 2)

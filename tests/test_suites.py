@@ -17,7 +17,7 @@ import pytest
 from qdc.scalars import Scalar, ONE, Q
 from qdc.algebra import AlgebraElement, render_element
 from qdc.functionals import (LambdaMatrix, StructureConstants, CorepFamily,
-                             Functional, convolve)
+                             Functional, convolve, SECTORS)
 from qdc.suites import hopf_suite, bicovariance_suite, leibniz_suite
 from qdc.linalg import add_term
 
@@ -211,7 +211,7 @@ def corrupted_family(fam):
     generator's table is multiplied by q."""
     g = fam.qg.rs.gens[-1]
     i, j = [(i, j) for i in range(fam.size) for j in range(fam.size)
-            if Functional(fam, i, j, "corep", "x").on_generator(*g)][-1]
+            if Functional(fam, i, j, "x").on_generator(*g)][-1]
     table = [copy.copy(row) for row in fam.gen_tables[g]]
     table[i][j] = table[i][j] * Q
     tables = dict(fam.gen_tables)
@@ -276,7 +276,7 @@ def recomputing_pair_rows(calc, degree):
             if lhs != rhs:
                 yield pair_str(a, b)
 
-    trace = calc.dual.trace_functional()
+    trace = calc.dual.sectors["trace"]
     plain_failures = []
 
     def leibniz_partial_rows():
@@ -299,7 +299,8 @@ def recomputing_pair_rows(calc, degree):
     witnesses = {"leibniz-d": next(iter(leibniz_d()), None),
                  "leibniz-sector-trace": next(iter(leibniz_sector(trace)), None),
                  "leibniz-sector-counit":
-                     next(iter(leibniz_sector(calc.dual.eps)), None),
+                     next(iter(leibniz_sector(calc.dual.sectors["counit"])),
+                          None),
                  "leibniz-partial-twisted":
                      next(iter(leibniz_partial_rows()), None)}
     witnesses["leibniz-partial-plain"] = \
@@ -317,7 +318,7 @@ class BentFunctional(Functional):
         fam = f.family
         super().__init__(CorepFamily(fam.qg, fam.size, fam.gen_tables,
                                      fam.reversed, fam.name),
-                         f.row, f.col, f.kind, f.label)
+                         f.row, f.col, f.label)
 
     def on_word(self, word):
         value = super().on_word(word)
@@ -344,9 +345,9 @@ def test_leibniz_sweeps_keep_first_witnesses(calc, monkeypatch):
     image = calc._d_basis(mon, ())
     monkeypatch.setitem(calc._d_cache, (mon, ()),
                         {w: c + c for w, c in image.items()})
-    trace = BentFunctional(calc.dual.trace_functional())
-    monkeypatch.setattr(calc.dual, "trace_functional", lambda: trace)
-    monkeypatch.setattr(calc.dual, "eps", BentFunctional(calc.dual.eps))
+    sectors = calc.dual.sectors
+    for name in SECTORS:
+        monkeypatch.setitem(sectors, name, BentFunctional(sectors[name]))
     rows = _pair_rows(calc, 2)
     assert rows == recomputing_pair_rows(calc, 2)
     assert all(rows[law][0] == "fail" for law in PAIR_LAWS[:4]), rows
@@ -390,9 +391,9 @@ def test_hopf_mutant_found_where_it_was(kind, calc, monkeypatch):
         coproduct_word = qg.coproduct_word
         term = (((1, 1),), BENT)
 
-        def bent(w, arity=2):
-            out = coproduct_word(w, arity)
-            if w == BENT and arity == 2:
+        def bent(w):
+            out = coproduct_word(w)
+            if w == BENT:
                 out = dict(out)
                 out[term] = out[term] * Q
             return out

@@ -26,9 +26,6 @@ TEST_ONLY_API = {
     # the bracket as a sum of convolution products, one pair at a time: the
     # reference that the structure constants are compared against
     "q_lie_bracket",
-    # the three projector laws as booleans; the leibniz suite reports them
-    # through ProjectorPair.defects, which names where each fails
-    "laws_exact",
 }
 
 
