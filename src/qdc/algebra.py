@@ -611,6 +611,3 @@ class QuantumGroup:
 
     def generator(self, a, b):
         return AlgebraElement.generator(self.rs, a, b)
-
-    def one(self):
-        return AlgebraElement.one(self.rs)

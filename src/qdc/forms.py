@@ -87,9 +87,11 @@ class WedgeTable:
                 rows.append(row)
         columns = sorted((w + (b,) for w in self.basis[k - 1] for b in range(m)),
                          reverse=True)
-        pivot_rows, pivots = rref_sparse(rows, columns)
+        basis_rows = []
+        pivot_rows, pivots = rref_sparse(rows, columns, basis_rows)
         sym_rank = len(pivots)
-        numeric = rank_at_specializations(rows, columns, SPECIALIZATION_POINTS)
+        numeric = rank_at_specializations(rows, columns, SPECIALIZATION_POINTS,
+                                          basis_rows)
         self.spec_ranks[k] = {"symbolic": sym_rank, "numeric": dict(numeric)}
         for q0, rk in numeric.items():
             if rk != sym_rank:

@@ -405,12 +405,6 @@ class StructureConstants:
         self.M = n * n
         self.table = table  # dict (i, j, k) -> Scalar
 
-    def get(self, i, j, k):
-        return self.table.get((i, j, k), ZERO)
-
-    def items(self):
-        return self.table.items()
-
     def by_lower_pair(self):
         """C_{ij}^k by lower pair: i*M + j -> [(k, value), ...]."""
         out = {}

@@ -15,9 +15,7 @@ coaction images stay plain dicts.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from math import gcd, lcm
 
 from .scalars import Scalar, ZERO, ONE
 
@@ -174,13 +172,15 @@ class ValueNumbers:
         return out
 
 
-def rref_sparse(rows, column_order):
+def rref_sparse(rows, column_order, sources=None):
     """Reduced row echelon form of sparse rows.
 
     Pivots are chosen greedily along column_order, so the pivot set is the
     earliest independent set in that order.  Returns (pivot_rows, pivot_cols)
     where pivot_rows[c] is the fully reduced row with leading 1 at column c,
-    expressed over non-pivot columns only.
+    expressed over non-pivot columns only.  If sources is a list, the index
+    of each row that made a pivot is appended to it: those rows are the
+    earliest basis of the row space.
 
     A new pivot is eliminated only from the pivot rows that hold its
     column, found through an index from each non-pivot column to the
@@ -191,13 +191,15 @@ def rref_sparse(rows, column_order):
     pivot_rows = {}
     created = []   # pivot rows in creation order
     holders = {}   # non-pivot column -> creation numbers of rows holding it
-    for r in rows:
+    for i, r in enumerate(rows):
         row = {c: v for c, v in r.items() if v}
         # pivot rows only reach non-pivot columns, so one pass clears them all
         for c in [c for c in row if c in pivot_rows]:
             add_scaled(row, pivot_rows[c], -row.pop(c), skip=c)
         if not row:
             continue
+        if sources is not None:
+            sources.append(i)
         piv = min(row, key=col_rank.__getitem__)
         one = _one_like(row[piv])
         inv = one / row[piv]
@@ -285,74 +287,70 @@ def kernel_basis(rows, n_cols):
     return basis
 
 
-def rank_at_specializations(rows, column_order, points):
+# the prime of the rank certificate, 2^31 - 1
+PRIME = 2 ** 31 - 1
+
+
+def rank_at_specializations(rows, column_order, points, basis):
     """Rank of the same sparse system with q specialized to each point.
 
-    Entries must be Scalars without poles at the points; returns a dict
-    point -> rank.  Each evaluated row is scaled to integers by the lcm of
-    its denominators and the rank taken by fraction-free elimination.
+    Entries must be Scalars without poles at the points, and basis must
+    index rows that are a basis of the row space over Q(q), as the rows
+    that made rref_sparse's pivots are; returns a dict point -> rank.
+
+    The rank at q0 is at most the generic rank len(basis), and at least
+    the rank over F_p, p = PRIME, of the basis rows' values reduced mod p.
+    So where that reduction has full rank, len(basis) is the exact rank.
+    Elsewhere (a true drop, a value that is 0 mod p, or a denominator
+    that p divides) the rank is taken from the whole evaluated system by
+    rref_sparse over the rationals.
     """
     col_rank = {c: k for k, c in enumerate(column_order)}
     index = {}   # rows repeat few distinct entries
-    coded = [[(c, index.setdefault(v, len(index))) for c, v in r.items()]
-             for r in rows]
+    coded = [[(col_rank[c], index.setdefault(v, len(index)))
+              for c, v in rows[i].items()] for i in basis]
     out = {}
     for q0 in points:
-        at = [v.evaluate_at(q0) for v in index]
-        int_rows = []
-        for r in coded:
-            fr = [(c, at[i]) for c, i in r if at[i]]
-            if fr:
-                den = lcm(*(x.denominator for _, x in fr))
-                int_rows.append({c: x.numerator * (den // x.denominator)
-                                 for c, x in fr})
-        out[q0] = _integer_rank(int_rows, col_rank)
+        at = [_mod_prime(v.evaluate_at(q0)) for v in index]
+        if None not in at and _independent_mod_prime(coded, at):
+            out[q0] = len(basis)
+        else:
+            exact = [{c: v.evaluate_at(q0) for c, v in r.items()} for r in rows]
+            out[q0] = len(rref_sparse(exact, column_order)[1])
     return out
 
 
-def _integer_rank(rows, col_rank):
-    """Rank of rows of nonzero ints by fraction-free forward elimination.
+def _mod_prime(x):
+    """The Fraction x mod PRIME, or None if PRIME divides its denominator."""
+    d = x.denominator % PRIME
+    return x.numerator * pow(d, -1, PRIME) % PRIME if d else None
 
-    A pivot row holds no pivot column created before its own, so clearing
-    a row's pivot columns in creation order never brings back one that is
-    already cleared; what is left of the row, if anything, becomes a pivot
-    row at its earliest column.  Rows are consumed.
+
+def _independent_mod_prime(rows, at):
+    """Whether rows of (column, value number) pairs, a value number n
+    standing for at[n], are linearly independent over F_p.
+
+    Forward elimination: a pivot row leads with 1 at its least column and
+    is stored without it, so clearing a row's least column only brings in
+    greater ones.
     """
-    created = []   # pivot columns in creation order
-    pivots = {}    # pivot column -> (creation index, row)
-    for row in rows:
-        _divide_content(row)
-        pending = [pivots[c][0] for c in row if c in pivots]
-        heapq.heapify(pending)
-        while pending and row:
-            c = created[heapq.heappop(pending)]
-            b = row.get(c)
-            if b is None:
-                continue
-            prow = pivots[c][1]
-            a = prow[c]
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, v in prow.items():
-                x = row.get(k, 0) - b * v
+    tails = {}   # leading column -> the rest of its pivot row
+    for r in rows:
+        row = {c: at[n] for c, n in r if at[n]}
+        while row:
+            lead = min(row)
+            tail = tails.get(lead)
+            if tail is None:
+                inv = pow(row.pop(lead), -1, PRIME)
+                tails[lead] = {c: v * inv % PRIME for c, v in row.items()}
+                break
+            f = row.pop(lead)
+            for c, v in tail.items():
+                x = (row.get(c, 0) - f * v) % PRIME
                 if x:
-                    if k not in row and k in pivots:
-                        heapq.heappush(pending, pivots[k][0])
-                    row[k] = x
+                    row[c] = x
                 else:
-                    row.pop(k, None)
-            _divide_content(row)
-        if row:
-            piv = min(row, key=col_rank.__getitem__)
-            pivots[piv] = (len(created), row)
-            created.append(piv)
-    return len(created)
-
-
-def _divide_content(row):
-    """Divide an integer row by the gcd of its entries, in place."""
-    g = gcd(*row.values())
-    if g > 1:
-        for k in row:
-            row[k] //= g
+                    row.pop(c, None)
+        else:
+            return False
+    return True

@@ -204,9 +204,6 @@ class LaurentPoly:
                 terms[e] = s.numerator
         return _make(terms) if D == 1 else _lattice(terms, D)
 
-    def __sub__(self, other):
-        return self + -other
-
     def __neg__(self):
         return _make({e: -c for e, c in self.terms.items()}, self.D)
 
@@ -485,10 +482,6 @@ class Scalar:
         if self._hash is None:
             self._hash = hash((self.num, self.den))
         return self._hash
-
-    def has_fractional_exponents(self):
-        return (self.num.has_fractional_exponents()
-                or self.den.has_fractional_exponents())
 
     def evaluate_at(self, q0):
         """The rational number self(q0); exact, with pole detection."""

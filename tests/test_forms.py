@@ -87,7 +87,7 @@ class TestWedgeTable:
 class TestBimodule:
     def test_unit_action(self, calc, qg):
         w = calc.space.one_form(2)
-        assert w.algebra_mul_right(qg.one()) == w
+        assert w.algebra_mul_right(AlgebraElement.one(qg.rs)) == w
 
     def test_pass_algebra_through_expansion(self, calc, calc3):
         # omega_letter a = sum_j (f^letter_j * a) omega_j, j ascending, each

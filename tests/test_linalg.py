@@ -41,7 +41,9 @@ class TestRankAtSpecializations:
     def test_integer_rank_equals_fraction_rank(self, base, derived, order):
         rows = scalar_rows(base, derived)
         points = (2, 3, Fraction(1, 2))
-        got = rank_at_specializations(rows, order, points)
+        basis = []
+        rref_sparse(rows, order, basis)
+        got = rank_at_specializations(rows, order, points, basis)
         for q0 in points:
             frows = [{c: v.evaluate_at(q0) for c, v in r.items()} for r in rows]
             want = len(rref_sparse(frows, order)[1])
@@ -52,8 +54,23 @@ class TestRankAtSpecializations:
         rows = [{0: Scalar.q(), 1: Scalar.from_int(2)},
                 {0: Scalar.from_int(2), 1: Scalar.from_int(2)}]
         copies = [dict(r) for r in rows]
-        assert rank_at_specializations(rows, [0, 1], (2, 3)) == {2: 1, 3: 2}
+        assert rank_at_specializations(rows, [0, 1], (2, 3), [0, 1]) == \
+            {2: 1, 3: 2}
         assert rows == copies
+
+    def test_value_zero_mod_the_prime_gets_its_exact_rank(self):
+        # q + p - 2 is p at q = 2: nonzero over Q, zero mod p
+        row = {0: Scalar.q() + Scalar.from_int(linalg.PRIME - 2)}
+        assert rank_at_specializations([row], [0], (2, 3), [0]) == \
+            {2: 1, 3: 1}
+
+    def test_denominator_the_prime_divides_gets_its_exact_rank(self):
+        # 1 / (q + p - 2) is 1/p at q = 2, which has no value mod p
+        rows = [{0: ONE / (Scalar.q() + Scalar.from_int(linalg.PRIME - 2)),
+                 1: ONE},
+                {1: Scalar.q()}]
+        assert rank_at_specializations(rows, [0, 1], (2, 3), [0, 1]) == \
+            {2: 2, 3: 2}
 
 
 def sparse_product(a, b):
@@ -88,6 +105,16 @@ class TestElimination:
 
     def test_empty_inverse(self):
         assert mat_inverse([], 0) == []
+
+    @settings(deadline=None)
+    @given(base_rows, combos, st.permutations(range(COLUMNS)))
+    def test_sources_are_a_basis_of_the_rows(self, base, derived, order):
+        rows = scalar_rows(base, derived)
+        sources = []
+        _, pivots = rref_sparse(rows, order, sources)
+        kept = [rows[i] for i in sources]
+        assert len(sources) == len(pivots)
+        assert rref_sparse(kept, order)[1] == pivots
 
     def test_int_rows_stay_exact(self):
         # an int pivot must not turn the row into floats, which compare
@@ -222,10 +249,10 @@ def recorded_systems(monkeypatch):
     engine makes from now on, mat_inverse and kernel_basis included."""
     systems = []
 
-    def recording(rows, column_order):
+    def recording(rows, column_order, sources=None):
         rows = [dict(r) for r in rows]
         systems.append((rows, list(column_order)))
-        return rref_sparse(rows, column_order)
+        return rref_sparse(rows, column_order, sources)
 
     for module in (linalg, algebra, calculus, forms, functionals):
         monkeypatch.setattr(module, "rref_sparse", recording)

@@ -456,7 +456,7 @@ class TestExponentLattice:
                          Fraction(4, 2): 0})
         assert (p.terms, p.D) == ({3: 1, -2: 4, 6: -1}, 6)
         assert p.max_exp() == 1 and type(p.max_exp()) is int
-        assert (p - LaurentPoly({1: -1})).max_exp() == Fraction(1, 2)
+        assert (p + LaurentPoly({1: 1})).max_exp() == Fraction(1, 2)
         for p in (LaurentPoly(), LaurentPoly({0: 5}),
                   LaurentPoly({Fraction(6, 3): 1, -1: 2})):
             assert p.D == 1 and all(type(k) is int for k in p.terms)
