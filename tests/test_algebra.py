@@ -334,13 +334,15 @@ class TestHopf:
                 acc = AlgebraElement.zero(qg.rs)
                 for g in (1, 2):
                     acc = acc + qg.antipode_table[(a, g)] * qg.generator(g, b)
-                expected = AlgebraElement.one(qg.rs) if a == b else AlgebraElement.zero(qg.rs)
+                expected = (AlgebraElement.one(qg.rs) if a == b
+                            else AlgebraElement.zero(qg.rs))
                 assert acc == expected
 
     def test_antipode_squared_via_axiom(self, qg):
         b = qg.generator(1, 2)
         assert qg.antipode(qg.antipode(b)) == b.scalar_mul(ONE / (Q * Q))
-        assert qg.antipode(AlgebraElement.one(qg.rs)) == AlgebraElement.one(qg.rs)
+        one = AlgebraElement.one(qg.rs)
+        assert qg.antipode(one) == one
 
 
 class TestAntipodeSolve:
