@@ -16,18 +16,15 @@ from .calculus import CheckReport, SKIPPED
 
 
 class BicomplexGrid:
-    """Cell dimensions and basis words of the (r, s) grid."""
+    """Cell dimensions and basis words of the (r, s) grid, up to the
+    calculus's grade cap."""
 
-    def __init__(self, calc, cap):
-        if cap > calc.space.table.max_grade:
-            raise GradeCapError(
-                "grid cap %d exceeds wedge table cap %d"
-                % (cap, calc.space.table.max_grade))
+    def __init__(self, calc):
         self.calc = calc
-        self.cap = cap
+        self.cap = calc.grade_cap
         self.cells = {}
         basis = calc.space.basis
-        for k in range(cap + 1):
+        for k in range(self.cap + 1):
             data = calc.grid.data(k)
             d0, d1 = data["dims"]
             u0_labels = [" /\\ ".join(basis.label(i) for i in w) if w else "1"
@@ -75,10 +72,6 @@ class BicomplexGrid:
         lines.append("  first empty wedge grade: %s"
                      % ("not reached within probe" if empty is None else empty))
         return "\n".join(lines)
-
-
-def build_grid(calc, cap=None):
-    return BicomplexGrid(calc, cap if cap is not None else calc.grade_cap)
 
 
 def cartan_check(calc, degree=None, samples=0, seed=20260809):
@@ -152,9 +145,9 @@ def cartan_check(calc, degree=None, samples=0, seed=20260809):
     return reports
 
 
-def grid_check(calc, cap=None):
+def grid_check(calc):
     """Dimension additivity of the grid, as a report."""
-    grid = build_grid(calc, cap)
+    grid = BicomplexGrid(calc)
     report = CheckReport("bicomplex-grid", calc.degree_bound)
     for k in range(1, grid.cap + 1):
         report.law("additivity-grade-%d" % k,

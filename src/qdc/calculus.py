@@ -17,9 +17,8 @@ from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
                      add_scaled, sparse_sum, sparse_diff)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element, render_word)
-from .functionals import (DualStructure, CorepFamily, FunctionalMatrix,
-                          convolve, validate_scalar_functional,
-                          InvalidFunctionalError)
+from .functionals import (DualStructure, CorepFamily, convolve,
+                          validate_scalar_functional, InvalidFunctionalError)
 from .forms import FormSpace, FormElement, left_coaction
 
 
@@ -173,9 +172,8 @@ class GridSplit:
             # then never cross the canonical line
             for w in self.data(k - 1)["u0_words"]:
                 v = {}
-                for c, coeff in enumerate(space.basis.canonical_coeffs):
-                    if not coeff.is_zero():
-                        add_scaled(v, table.reduce_word(w + (c,)), coeff)
+                for c in space.basis.diagonal:
+                    add_scaled(v, table.reduce_word(w + (c,)), ONE)
                 cands.append((1, w, v))
         rows = {}
         for j, (_, _, v) in enumerate(cands):
@@ -326,12 +324,10 @@ class Calculus:
 
 
 def canonical_element(space):
-    """The trace one-form, the generator of the inner differential."""
-    out = {}
-    for i, c in enumerate(space.basis.canonical_coeffs):
-        if not c.is_zero():
-            out[(i,)] = AlgebraElement.from_scalar(space.qg.rs, c)
-    return FormElement(space, out)
+    """The trace one-form, the sum of the diagonal forms: the generator of
+    the inner differential."""
+    one = AlgebraElement.one(space.qg.rs)
+    return FormElement(space, {(i,): one for i in space.basis.diagonal})
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +346,26 @@ class OuterCalculus:
         self.rank = len(self.letters)
         self.labels = [basis.label(i) for i in self.letters]
         pos = {g: p for p, g in enumerate(self.letters)}
-        f = inner.dual.f
+        # the commutation block: f restricted to the complement letters
         tables = {}
         for g in qg.rs.gens:
-            src = f.family.gen_tables[g]
+            src = inner.dual.f.gen_tables[g]
             tables[g] = [{pos[j]: v for j, v in src[i].items() if j in pos}
                          for i in self.letters]
-        fam = CorepFamily(qg, self.rank, tables, name="f-outer")
-        self.commutation = FunctionalMatrix(fam, qg.N, doubled=False,
-                                            name="f'")
-        bad = fam.check_rewrite_invariance()
+        self.commutation = CorepFamily(qg, self.rank, tables, name="f'")
+        bad = self.commutation.check_rewrite_invariance()
         if bad is not None:
             raise CalculusError(
                 "outer commutation block is not well defined: rule %r" % (bad[0],))
         chi = inner.dual.chi
-        diag = [i for i, c in enumerate(basis.canonical_coeffs)
-                if not c.is_zero()]
         rm = basis.removed_index
         # each complement coefficient of the outer differential is a sum of
         # (chi entry, coefficient) convolutions
         self.partial_coeffs = []
         for g in self.letters:
-            combo = [(chi.entry(g), ONE)]
-            if g in diag:
-                ratio = basis.canonical_coeffs[g] / basis.canonical_coeffs[rm]
-                combo.append((chi.entry(rm), -ratio))
+            combo = [(chi[g], ONE)]
+            if g in basis.diagonal:
+                combo.append((chi[rm], -ONE))
             self.partial_coeffs.append(combo)
         self.sectors = inner.dual.sectors
         self.twist = self.sectors["trace"]
@@ -389,21 +380,11 @@ class OuterCalculus:
             out.append(total)
         return out
 
-    def commutation_generator_table(self):
-        out = {}
-        for al in range(self.rank):
-            for be in range(self.rank):
-                for g in self.qg.rs.gens:
-                    v = self.commutation.entry(al, be).on_generator(*g)
-                    if not v.is_zero():
-                        out[(al, be, g)] = v
-        return out
-
     def same_as(self, other, degree):
         """Rank, commutation tables and differential agreement up to degree."""
         if self.rank != other.rank:
             return False, "rank %d != %d" % (self.rank, other.rank)
-        if self.commutation_generator_table() != other.commutation_generator_table():
+        if self.commutation.gen_tables != other.commutation.gen_tables:
             return False, "commutation tables differ on generators"
         for w in self.qg.rs.normal_words(degree):
             a = AlgebraElement.from_word(self.qg.rs, w)

@@ -18,11 +18,11 @@ from .scalars import (Scalar, ONE, ZERO, render_scalar, scalar_power,
                       ScalarError)
 from .algebra import (AlgebraElement, dump_rmatrix,
                       render_element, render_word, AlgebraError, RMatrixError)
-from .functionals import FunctionalError, SECTORS
+from .functionals import FunctionalError, SECTORS, generator_table
 from .calculus import (assemble, map_in_to_out, map_out_to_in,
                        roundtrip_check, DEFAULT_RMATRIX, CalculusError)
 from .forms import FormElement, FormsError
-from .bicomplex import build_grid, cartan_check, grid_check
+from .bicomplex import BicomplexGrid, cartan_check, grid_check
 from .suites import hopf_suite, bicovariance_suite, leibniz_suite
 
 
@@ -282,15 +282,16 @@ def cmd_relations(args, out):
     cfg = resolve_config(args)
     calc = build_calculus(cfg)
     qg = calc.qg
-    payload = {"algebra_rules": [], "bimodule": [], "vector_fields": [],
-               "wedge": {}}
+    payload = {"algebra_rules": [], "wedge": {}}
     for lhs in sorted(qg.rs.rules, key=qg.rs.word_key):
         rhs = AlgebraElement(qg.rs, qg.rs.rules[lhs])
         payload["algebra_rules"].append([render_word(lhs), render_element(rhs)])
-    for label, gen, v in calc.dual.f.generator_table():
-        payload["bimodule"].append([label, gen, render_scalar(v)])
-    for label, gen, v in calc.dual.chi.generator_table():
-        payload["vector_fields"].append([label, gen, render_scalar(v)])
+    f = calc.dual.f
+    f_entries = [f.entry(i, j) for i in range(f.size) for j in range(f.size)]
+    for key, entries in (("bimodule", f_entries),
+                         ("vector_fields", calc.dual.chi)):
+        payload[key] = [[label, gen, render_scalar(v)]
+                        for label, gen, v in generator_table(entries)]
     space = calc.space
     table = space.table
     for k in range(2, min(table.max_grade, RELATIONS_MAX_GRADE) + 1):
@@ -420,12 +421,12 @@ def cmd_maps(args, out):
 def cmd_bicomplex(args, out):
     cfg = resolve_config(args)
     calc = build_calculus(cfg)
-    grid = build_grid(calc, cfg["cap"])
+    grid = BicomplexGrid(calc)
     if args.format == "structured":
         _write_json(out, grid.as_dict())
     else:
         out.write(grid.render() + "\n")
-        out.write(grid_check(calc, cfg["cap"]).render() + "\n")
+        out.write(grid_check(calc).render() + "\n")
     return 0
 
 

@@ -8,7 +8,7 @@ grade, with reduction rows kept per grade for exact normal forms.
 
 from __future__ import annotations
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ONE
 from .linalg import (rref_sparse, rank_at_specializations, add_term,
                      add_scaled, LinearCombination)
 from .algebra import AlgebraElement, render_element
@@ -30,8 +30,8 @@ class OneFormBasis:
         self.N = n
         self.M = n * n
         self.pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-        # the canonical trace element occupies the diagonal coordinates
-        self.canonical_coeffs = [ONE if a == b else ZERO for (a, b) in self.pairs]
+        # the canonical trace element is the sum of the diagonal forms
+        self.diagonal = [flatten_pair(a, a, n) for a in range(1, n + 1)]
         # complement directions: every basis form except omega_(N,N)
         self.removed_index = flatten_pair(n, n, n)
         self.complement = [i for i in range(self.M) if i != self.removed_index]
@@ -155,10 +155,10 @@ class WedgeTable:
 class FormSpace:
     """Bundles the basis, wedge table and commutation functionals."""
 
-    def __init__(self, qg, f_matrix, lambda_matrix, max_grade=4):
+    def __init__(self, qg, f, lambda_matrix, max_grade=4):
         self.qg = qg
         self.basis = OneFormBasis(qg.N)
-        self.f = f_matrix
+        self.f = f
         self.table = WedgeTable(lambda_matrix, max_grade)
         self.M = self.basis.M
         self._pass_cache = {}
@@ -180,7 +180,7 @@ class FormSpace:
         key = (letter, mon)
         hit = self._pass_cache.get(key)
         if hit is None:
-            word_matrix = self.f.family.word_matrix
+            word_matrix = self.f.word_matrix
             terms = {}
             for (w1, w2), c in self.qg.coproduct_word(mon).items():
                 for j, v in word_matrix(w2)[letter].items():

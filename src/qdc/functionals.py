@@ -2,10 +2,10 @@
 fields, the braiding matrix and the q-structure constants.
 
 Every functional family here is a matrix corepresentation of the word
-monoid: evaluation on a monomial is a product of per-generator matrices
-(reversed for families composed with the antipode).  Vector fields live in
-an extended family [[counit, chi], [0, f]] so that one engine evaluates
-everything.
+monoid, a CorepFamily: evaluation on a monomial is a product of
+per-generator matrices (reversed for families composed with the antipode).
+Vector fields live in an extended family [[counit, chi], [0, f]] so that
+one engine evaluates everything; the structure constants are a plain dict.
 """
 
 from __future__ import annotations
@@ -44,15 +44,18 @@ class CorepFamily:
 
     Generator tables and word matrices are lists of size sparse rows
     {col: nonzero}, the format of linalg; a word matrix is cached as the
-    product of its cached prefix and its last generator's table.
+    product of its cached prefix and its last generator's table.  A doubled
+    family indexes its rows and columns by pairs, i = (a1-1)N + a2.
     """
 
-    def __init__(self, qg, size, gen_tables, reversed=False, name="F"):
+    def __init__(self, qg, size, gen_tables, reversed=False, name="F",
+                 doubled=False):
         self.qg = qg
         self.size = size
         self.gen_tables = gen_tables
         self.reversed = reversed
         self.name = name
+        self.doubled = doubled
         self._cache = {(): identity(size)}
         self._conv_cache = {}
 
@@ -84,6 +87,16 @@ class CorepFamily:
         tables = {g: self.on_element(qg.antipode_table[g]) for g in qg.rs.gens}
         return CorepFamily(qg, self.size, tables, reversed=not self.reversed,
                            name="kd(%s)" % self.name)
+
+    def entry(self, i, j):
+        """The functional at row i, column j, labelled name[i;j]."""
+        label = "%s[%s;%s]" % (self.name, self._fmt(i), self._fmt(j))
+        return Functional(self, i, j, label)
+
+    def _fmt(self, i):
+        if self.doubled:
+            return "%d,%d" % unflatten_pair(i, self.qg.N)
+        return str(i + 1)
 
     def check_rewrite_invariance(self):
         """First (rule, row, col), in row-major order, where the family
@@ -154,41 +167,6 @@ def validate_scalar_functional(f):
 # ---------------------------------------------------------------------------
 # family constructors
 
-class FunctionalMatrix:
-    """A square family with doubled-index bookkeeping (i = (a1-1)N + a2)."""
-
-    def __init__(self, family, n, doubled, name):
-        self.family = family
-        self.N = n
-        self.doubled = doubled
-        self.name = name
-        self.size = family.size
-
-    def entry(self, i, j):
-        label = "%s[%s;%s]" % (self.name, self._fmt(i), self._fmt(j))
-        return Functional(self.family, i, j, label)
-
-    def _fmt(self, i):
-        if self.doubled:
-            return "%d,%d" % unflatten_pair(i, self.N)
-        return str(i + 1)
-
-    def generator_table(self):
-        """Dump rows: (entry label, generator or 1, scalar)."""
-        rows = []
-        for i in range(self.size):
-            for j in range(self.size):
-                f = self.entry(i, j)
-                u = f.on_unit()
-                if not u.is_zero():
-                    rows.append((f.label, "1", u))
-                for g in self.family.qg.rs.gens:
-                    v = f.on_generator(*g)
-                    if not v.is_zero():
-                        rows.append((f.label, "t[%d,%d]" % g, v))
-        return rows
-
-
 def make_L(qg, sign):
     """Regular functional family: (L+)(t^c_d) = c+ R^{ac}_{bd}, (L-) from R21^-1.
 
@@ -201,77 +179,64 @@ def make_L(qg, sign):
     tables = {g: [{} for _ in range(n)] for g in qg.rs.gens}
     for (a, c, b, d), v in entries.items():
         tables[(c, d)][a - 1][b - 1] = v * scale
-    name = "L+" if sign > 0 else "L-"
-    fam = CorepFamily(qg, n, tables, name=name)
-    return FunctionalMatrix(fam, n, doubled=False, name=name)
+    return CorepFamily(qg, n, tables, name="L+" if sign > 0 else "L-")
 
 
 def make_f(qg, lplus, lminus):
     """Characteristic functionals f^{(a1,a2)}_{(b1,b2)} = kd(L+)^{b1}_{a1} (L-)^{a2}_{b2}."""
     n = qg.N
     m = n * n
-    kd = lplus.family.compose_antipode()
-    lm = lminus.family
+    kd = lplus.compose_antipode()
     tables = {}
     for (c, d) in qg.rs.gens:
         t = [{} for _ in range(m)]
         # sum over g of kd(L+)(t_cg)[b1][a1] (L-)(t_gd)[a2][b2], 0-based
         for g in range(1, n + 1):
-            lt = lm.gen_tables[(g, d)]
+            lt = lminus.gen_tables[(g, d)]
             for b1, row in enumerate(kd.gen_tables[(c, g)]):
                 for a1, x in row.items():
                     for a2, lrow in enumerate(lt):
                         for b2, y in lrow.items():
                             add_term(t[a1 * n + a2], b1 * n + b2, x * y)
         tables[(c, d)] = t
-    fam = CorepFamily(qg, m, tables, name="f")
-    return FunctionalMatrix(fam, n, doubled=True, name="f")
+    return CorepFamily(qg, m, tables, name="f", doubled=True)
 
 
-class VectorFieldFamily:
-    """The chi column inside the extended family [[eps, chi], [0, f]]."""
-
-    def __init__(self, qg, ext_family):
-        self.qg = qg
-        self.ext = ext_family
-        self.N = qg.N
-        self.size = qg.N * qg.N
-
-    def entry(self, i):
-        label = "chi[%d,%d]" % unflatten_pair(i, self.N)
-        return Functional(self.ext, 0, 1 + i, label)
-
-    def values(self, word):
-        """{k: chi_k(w)} over the nonzero values on one word w."""
-        return {j - 1: v for j, v in self.ext.word_matrix(word)[0].items()
-                if j}
-
-    def generator_table(self):
-        rows = []
-        for i in range(self.size):
-            f = self.entry(i)
-            for g in self.qg.rs.gens:
-                v = f.on_generator(*g)
-                if not v.is_zero():
-                    rows.append((f.label, "t[%d,%d]" % g, v))
-        return rows
+def generator_table(entries):
+    """Dump rows (entry label, generator or 1, scalar) of the nonzero
+    values of each functional on the unit and on each generator."""
+    rows = []
+    for f in entries:
+        u = f.on_unit()
+        if not u.is_zero():
+            rows.append((f.label, "1", u))
+        for g in f.family.qg.rs.gens:
+            v = f.on_generator(*g)
+            if not v.is_zero():
+                rows.append((f.label, "t[%d,%d]" % g, v))
+    return rows
 
 
-def make_chi(f_matrix, lam):
+def chi_values(ext, word):
+    """{k: chi_k(w)} over the nonzero values on one word w, read off row 0
+    of the extended family ext = [[eps, chi], [0, f]]."""
+    return {j - 1: v for j, v in ext.word_matrix(word)[0].items() if j}
+
+
+def make_chi(f, lam):
     """Vector fields chi_i = (1/lam)(sum_b f^{(b,b)}_i - delta_i eps).
 
     The inner calculus is generated by X = sum_b omega_bb with
     d a = (1/lam)[X, a], and omega_j a = sum_i (f^j_i * a) omega_i, so the
-    vector fields are read off the diagonal rows of f.  Returns the family
-    packaged with f so that the twisted product law is one matrix
-    multiplication.
+    vector fields are read off the diagonal rows of f.  Returns the
+    extended family [[eps, chi], [0, f]], so that the twisted product law
+    is one matrix multiplication; chi_i is its row 0, column 1 + i.
     """
-    fam = f_matrix.family
-    qg = fam.qg
+    qg = f.qg
     n = qg.N
     diagonal = [b * n + b for b in range(n)]
     ext_tables = {}
-    for (c, d), table in fam.gen_tables.items():
+    for (c, d), table in f.gen_tables.items():
         acc = {}
         for i in diagonal:
             for k, v in table[i].items():
@@ -285,8 +250,7 @@ def make_chi(f_matrix, lam):
         # the f block is f's rows shifted by 1
         ext_tables[(c, d)] = [top] + [
             {1 + j: v for j, v in row.items()} for row in table]
-    ext = CorepFamily(qg, 1 + fam.size, ext_tables, name="[[eps,chi],[0,f]]")
-    return VectorFieldFamily(qg, ext)
+    return CorepFamily(qg, 1 + f.size, ext_tables, name="[[eps,chi],[0,f]]")
 
 
 class LambdaMatrix:
@@ -397,29 +361,6 @@ def make_lambda(r):
     return LambdaMatrix(n, dict(sorted(acc.items())))
 
 
-class StructureConstants:
-    """q-structure constants C_{ij}^k of the vector-field bracket."""
-
-    def __init__(self, n, table):
-        self.N = n
-        self.M = n * n
-        self.table = table  # dict (i, j, k) -> Scalar
-
-    def by_lower_pair(self):
-        """C_{ij}^k by lower pair: i*M + j -> [(k, value), ...]."""
-        out = {}
-        for (i, j, k), v in self.table.items():
-            out.setdefault(i * self.M + j, []).append((k, v))
-        return out
-
-    def by_upper_index(self):
-        """C_{ij}^k by upper index: k -> [(i*M + j, value), ...]."""
-        out = {}
-        for (i, j, k), v in self.table.items():
-            out.setdefault(k, []).append((i * self.M + j, v))
-        return out
-
-
 def bracket_table(pairs, x, lam_cols, m):
     """T[i][j] = [chi_i, chi_j](w) = B[i][j] - Lam^{kl}_{ij} B[k][l] on one word.
 
@@ -445,8 +386,10 @@ def bracket_table(pairs, x, lam_cols, m):
     return t
 
 
-def make_C(lambda_matrix, chi):
-    """Structure constants solved from [chi_i, chi_j] = C_{ij}^k chi_k.
+def make_C(lambda_matrix, ext):
+    """Structure constants {(i, j, k): C_{ij}^k} solved from
+    [chi_i, chi_j] = C_{ij}^k chi_k, the chi_i read off the extended
+    family ext.
 
     The bracket is chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l (convolution
     products); its values on the unit and the generators determine C
@@ -456,12 +399,12 @@ def make_C(lambda_matrix, chi):
     each word's row operations recorded in a column of its own, and the
     recorded combinations are then applied to every bracket.
     """
-    qg = chi.qg
-    m = chi.size
+    qg = ext.qg
+    m = ext.size - 1
     words = [()] + [((a, b),) for (a, b) in qg.rs.gens]
     cop = {w: list(qg.coproduct_word(w).items()) for w in words}
     legs = {leg for w in words for pair, _ in cop[w] for leg in pair}
-    x = {w: chi.values(w) for w in legs.union(words)}
+    x = {w: chi_values(ext, w) for w in legs.union(words)}
     lam_cols = lambda_matrix.by_lower_pair()
     brackets = [bracket_table(cop[w], x, lam_cols, m) for w in words]
     # column m + n records the row operations applied to word n
@@ -516,7 +459,7 @@ def make_C(lambda_matrix, chi):
         k = min(set(range(m)) - set(piv))
         raise FunctionalError(
             "structure constants underdetermined at (0,0,%d)" % k)
-    return StructureConstants(chi.N, table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +510,17 @@ class ConvCombo:
 
 
 def q_lie_bracket(i, j, chi, lambda_matrix):
-    """[chi_i, chi_j] = chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l as a ConvCombo."""
-    m = chi.size
-    terms = [(ONE, (chi.entry(i), chi.entry(j)))]
+    """[chi_i, chi_j] = chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l as a
+    ConvCombo, over the list chi of the vector fields."""
+    m = len(chi)
+    terms = [(ONE, (chi[i], chi[j]))]
     col = i * m + j
     for k in range(m):
         for l in range(m):
             coef = lambda_matrix.sparse.get((k * m + l, col))
             if coef is not None:
-                terms.append((-coef, (chi.entry(k), chi.entry(l))))
-    return ConvCombo(chi.qg, terms)
+                terms.append((-coef, (chi[k], chi[l])))
+    return ConvCombo(chi[i].family.qg, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +537,13 @@ class DualStructure:
         self.lplus = make_L(qg, +1)
         self.lminus = make_L(qg, -1)
         self.f = make_f(qg, self.lplus, self.lminus)
-        self.chi = make_chi(self.f, self.lam)
+        # the extended family [[eps, chi], [0, f]] and its chi entries
+        self.ext = make_chi(self.f, self.lam)
+        self.chi = [Functional(self.ext, 0, 1 + i,
+                               "chi[%d,%d]" % unflatten_pair(i, self.N))
+                    for i in range(self.M)]
         self.lam_matrix = make_lambda(qg.R)
-        self.C = make_C(self.lam_matrix, self.chi)
+        self.C = make_C(self.lam_matrix, self.ext)
         self.eps = counit_functional(qg)
         # the one-dimensional sector functionals f00 by SECTORS name: the
         # multiplicative trace character eps + lam * chi_(N,N), and eps
@@ -603,7 +551,7 @@ class DualStructure:
         vals = {}
         for g in qg.rs.gens:
             v = qg.counit_word((g,)) + \
-                self.lam * self.chi.entry(idx).on_generator(*g)
+                self.lam * self.chi[idx].on_generator(*g)
             if not v.is_zero():
                 vals[g] = v
         trace = scalar_functional(qg, vals, "trace-f")
@@ -617,7 +565,7 @@ class DualStructure:
                 out.append(self.lplus.entry(i, j))
                 out.append(self.lminus.entry(i, j))
         for i in range(self.M):
-            out.append(self.chi.entry(i))
+            out.append(self.chi[i])
             for j in range(self.M):
                 out.append(self.f.entry(i, j))
         return out

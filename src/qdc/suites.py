@@ -20,7 +20,7 @@ import random
 from .scalars import ZERO, ONE
 from .linalg import add_term, add_scaled, mat_mul, ValueNumbers
 from .algebra import AlgebraElement, render_element, render_word
-from .functionals import convolve, unflatten_pair, bracket_table
+from .functionals import convolve, unflatten_pair, bracket_table, chi_values
 from .forms import left_coaction, z_form_comparison
 from .calculus import CheckReport, SKIPPED
 
@@ -107,14 +107,14 @@ class _Tables:
                 legs.add(w1)
                 legs.add(w2)
         legs.update(self.words)
-        self.x = {w: dual.chi.values(w) for w in legs}
+        self.x = {w: chi_values(dual.ext, w) for w in legs}
         self.eps = {w: dual.qg.counit_word(w) for w in legs}
         self.lam_cols = dual.lam_matrix.by_lower_pair()
         self._bracket = {}
         self.vn = ValueNumbers()
         num = self.vn.number
         # the nonzero f entries ((i, j), number) and chi entries (k, number)
-        f_word = dual.f.family.word_matrix
+        f_word = dual.f.word_matrix
         self.f_nz = {w: [((i, j), num(v)) for i, row in enumerate(f_word(w))
                          for j, v in row.items()] for w in legs}
         self.x_nz = {w: [(k, num(v)) for k, v in self.x[w].items()]
@@ -173,12 +173,15 @@ def bicovariance_suite(calc, degree=None):
     tabs = _Tables(dual, words)
     lam_sparse = dual.lam_matrix.sparse
     lam_cols = tabs.lam_cols
-    c_lower = dual.C.by_lower_pair()
-    c_upper = dual.C.by_upper_index()
+    # C_{ij}^k by lower pair, i*M + j -> [(k, value), ...], and by upper
+    # index, k -> [(i*M + j, value), ...]
+    c_lower, c_upper = {}, {}
+    for (i, j, k), v in dual.C.items():
+        c_lower.setdefault(i * m + j, []).append((k, v))
+        c_upper.setdefault(k, []).append((i * m + j, v))
 
-    for fn, fam in [("L+", dual.lplus.family), ("L-", dual.lminus.family),
-                    ("f", dual.f.family), ("chi", dual.chi.ext),
-                    ("eps", dual.eps.family)]:
+    for fn, fam in [("L+", dual.lplus), ("L-", dual.lminus), ("f", dual.f),
+                    ("chi", dual.ext), ("eps", dual.eps.family)]:
         bad = fam.check_rewrite_invariance()
         report.law("well-defined-%s" % fn,
                    "family %s is rewrite-invariant on every relation" % fn,
@@ -188,7 +191,7 @@ def bicovariance_suite(calc, degree=None):
     # each entry with the value it takes on 1
     units = [(dual.f.entry(i, j), ONE if i == j else ZERO)
              for i in range(m) for j in range(m)]
-    units += [(dual.chi.entry(i), ZERO) for i in range(m)]
+    units += [(chi, ZERO) for chi in dual.chi]
     units += [(dual.lplus.entry(i, j), ONE if i == j else ZERO)
               for i in range(qg.N) for j in range(qg.N)]
     report.law("unit-values", "f(1) = delta, chi(1) = 0, L(1) = delta",
@@ -323,8 +326,8 @@ def bicovariance_suite(calc, degree=None):
                chi_f_exchange())
 
     # coalgebra of the dual: kappa_d(chi_i) = -chi_j kappa_d(f^j_i)
-    kd_f = dual.f.family.compose_antipode()
-    kd_ext = dual.chi.ext.compose_antipode()
+    kd_f = dual.f.compose_antipode()
+    kd_ext = dual.ext.compose_antipode()
 
     def antipode_of_chi():
         for w in words:
@@ -343,7 +346,7 @@ def bicovariance_suite(calc, degree=None):
                antipode_of_chi())
 
     # inverse law: kd(f^k_j) f^j_i = delta eps = f^k_j kd(f^j_i)
-    f_word = dual.f.family.word_matrix
+    f_word = dual.f.word_matrix
 
     def convolved(w, left, right):
         """The sum over the coproduct pairs (w1, w2) of w of
@@ -595,7 +598,7 @@ def leibniz_suite(calc, degree=None, samples=6):
             a = AlgebraElement.from_word(qg.rs, w)
             coeffs = calc.expand_d_in_basis(a)
             for j in range(space.M):
-                ok = qg.counit(coeffs[j]) == calc.dual.chi.entry(j).value(a)
+                ok = qg.counit(coeffs[j]) == calc.dual.chi[j].value(a)
                 yield None if ok else "j=%d on %s" % (j, render_word(w))
 
     report.law("duality-pairing",
@@ -624,7 +627,7 @@ def leibniz_suite(calc, degree=None, samples=6):
             a = AlgebraElement.from_word(qg.rs, w)
             coeffs = calc.expand_d_in_basis(a)
             for i in range(space.M):
-                ok = coeffs[i] == convolve(calc.dual.chi.entry(i), a)
+                ok = coeffs[i] == convolve(calc.dual.chi[i], a)
                 yield None if ok else "i=%d on %s" % (i, render_word(w))
 
     report.law("d-chi-expansion",

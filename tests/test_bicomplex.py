@@ -2,7 +2,7 @@ import pytest
 
 from qdc.forms import GradeCapError
 from qdc.functionals import SECTORS
-from qdc.bicomplex import build_grid, cartan_check, grid_check
+from qdc.bicomplex import BicomplexGrid, cartan_check, grid_check
 
 
 EXPECTED_CELLS = {
@@ -13,32 +13,28 @@ EXPECTED_CELLS = {
 
 class TestGrid:
     def test_cell_dimensions(self, calc):
-        grid = build_grid(calc, 3)
+        grid = BicomplexGrid(calc)
         for (r, s), dim in EXPECTED_CELLS.items():
             assert grid.dim(r, s) == dim, (r, s)
 
     def test_additivity(self, calc):
-        grid = build_grid(calc, 3)
+        grid = BicomplexGrid(calc)
         wedge_dims = calc.space.table.dimensions()
         for k in range(1, 4):
             assert wedge_dims[k] == grid.dim(0, k) + grid.dim(1, k - 1)
 
     def test_grade_one_split(self, calc):
-        grid = build_grid(calc, 3)
+        grid = BicomplexGrid(calc)
         assert calc.space.table.dimension(1) == 4
         assert grid.dim(0, 1) + grid.dim(1, 0) == 4
         assert grid.dim(1, 0) == 1   # the canonical line
 
     def test_grade_zero_marker(self, calc):
-        grid = build_grid(calc, 3)
+        grid = BicomplexGrid(calc)
         assert grid.cells[(0, 0)].get("marker") == "grade-0"
 
-    def test_cap_error(self, calc):
-        with pytest.raises(GradeCapError):
-            build_grid(calc, 10)
-
     def test_termination_grade_reported(self, calc):
-        grid = build_grid(calc, 3)
+        grid = BicomplexGrid(calc)
         out = grid.as_dict()
         assert out["first_empty_grade"] == 5
 
@@ -46,7 +42,7 @@ class TestGrid:
         assert grid_check(calc).passed()
 
     def test_basis_labels_syntactic(self, calc):
-        grid = build_grid(calc, 3)
+        grid = BicomplexGrid(calc)
         for label in grid.cells[(1, 1)]["basis"]:
             assert label.endswith(" /\\ X")
         for label in grid.cells[(0, 2)]["basis"]:

@@ -1,4 +1,5 @@
 import copy
+import io
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from qdc.calculus import (assemble, canonical_element, map_in_to_out,
                           map_out_to_in, roundtrip_check, CalculusError,
                           CheckReport, GridSplit, ProjectorPair, SKIPPED)
 from qdc.bicomplex import cartan_check, grid_check
+from qdc import cli
 
 
 def assert_no_zero_coefficient(x):
@@ -178,7 +180,7 @@ class TestBasisExpansion:
             a = AlgebraElement.from_word(qg.rs, w)
             coeffs = calc.expand_d_in_basis(a)
             for i in range(4):
-                assert coeffs[i] == convolve(dual.chi.entry(i), a)
+                assert coeffs[i] == convolve(dual.chi[i], a)
 
     def test_linearity(self, calc, qg):
         a = qg.generator(1, 1)
@@ -296,7 +298,7 @@ class TestSplit:
         for g in qg.rs.gens:
             a = qg.generator(*g)
             _, dl = calc.grid.split_component(calc.d(a))
-            coeff = convolve(dual.chi.entry(3), a)
+            coeff = convolve(dual.chi[3], a)
             assert dl == calc.X.algebra_mul_left(coeff)
 
     def test_partial_image_avoids_canonical_line(self, calc, qg):
@@ -318,6 +320,27 @@ class TestMaps:
         same, why = outer.same_as(bad, 2)
         assert not same and why.startswith("differential differs on ")
         assert outer.same_as(copy.copy(outer), 2) == (True, None)
+
+    def test_bent_commutation_block_is_refused(self, monkeypatch, capsys):
+        # f[1,1;1,1] on t[2,2] times q, a complement-block entry: the outer
+        # block no longer respects the rule with left side t[2,2] t[1,1]
+        bent = assemble()
+        tables = bent.dual.f.gen_tables
+        g = (2, 2)
+        row = dict(tables[g][0])
+        row[0] = row[0] * Q
+        tables[g] = [row] + tables[g][1:]
+        assert ((2, 2), (1, 1)) in bent.qg.rs.rules
+        message = ("outer commutation block is not well defined: "
+                   "rule ((2, 2), (1, 1))")
+        with pytest.raises(CalculusError) as err:
+            map_in_to_out(bent)
+        assert str(err.value) == message
+        monkeypatch.setattr(cli, "build_calculus", lambda cfg: bent)
+        buf = io.StringIO()
+        assert cli.run(["maps"], out=buf) == 2
+        assert buf.getvalue() == ""
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_quotient_rank(self, calc):
         outer = map_in_to_out(calc)

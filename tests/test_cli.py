@@ -86,7 +86,7 @@ class TestEvaluation:
         a = calc.qg.generator(1, 1)
         expected = calc.space.zero()
         for i in range(4):
-            c = convolve(calc.dual.chi.entry(i), a)
+            c = convolve(calc.dual.chi[i], a)
             if not c.is_zero():
                 expected = expected + calc.space.one_form(i).algebra_mul_left(c)
         assert value == expected

@@ -118,7 +118,7 @@ class TestBimodule:
                 assert c.d(a * b) == c.d(a).algebra_mul_right(b) + \
                     c.space.from_algebra(a).wedge(c.d(b))
         assert c.space._pass_cache
-        assert not c.dual.f.family._conv_cache
+        assert not c.dual.f._conv_cache
 
     def test_associativity(self, calc, qg):
         rng = random.Random(7)

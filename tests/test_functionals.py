@@ -10,7 +10,7 @@ from qdc import functionals
 from qdc.functionals import (make_C, make_lambda, convolve,
                              q_lie_bracket, flatten_pair, scalar_functional,
                              validate_scalar_functional, CorepFamily,
-                             VectorFieldFamily, Functional, FunctionalError,
+                             Functional, FunctionalError,
                              InvalidFunctionalError)
 from qdc.linalg import kernel_basis, rref_sparse, identity, mat_mul, add_term
 from qdc.calculus import OuterCalculus, assemble
@@ -51,8 +51,8 @@ class TestRegularFunctionals:
         assert lhs == rhs
 
     def test_rewrite_invariance_includes_determinant(self, dual):
-        assert dual.lplus.family.check_rewrite_invariance() is None
-        assert dual.lminus.family.check_rewrite_invariance() is None
+        assert dual.lplus.check_rewrite_invariance() is None
+        assert dual.lminus.check_rewrite_invariance() is None
 
     def test_unnormalized_tables_fail_on_determinant(self, qg):
         # (L+)(t^c_d) = R^{ac}_{bd}, without the q^(-1/N) scale
@@ -66,7 +66,7 @@ class TestRegularFunctionals:
         # the counit entry of the chi family on t[2,2] times q: row 0 then
         # differs across the rule t22 t11 -> ... at columns 0, 1 and 4, and
         # the witness is the first of them in row-major order
-        ext = dual.chi.ext
+        ext = dual.ext
         g = (2, 2)
         table = [copy.copy(row) for row in ext.gen_tables[g]]
         table[0][0] = table[0][0] * Q
@@ -90,7 +90,7 @@ class TestCharacteristicFunctionals:
 
     def test_no_fractional_exponents(self, dual, qg):
         for g in qg.rs.gens:
-            t = dual.f.family.gen_tables[g]
+            t = dual.f.gen_tables[g]
             for row in t:
                 for v in row.values():
                     assert not (v.num.has_fractional_exponents()
@@ -99,9 +99,9 @@ class TestCharacteristicFunctionals:
     def test_product_law_on_words(self, dual, qg):
         words = [w for w in qg.rs.normal_words(2) if len(w) == 2]
         for w in words:
-            m = dual.f.family.word_matrix(w)
-            m1 = dual.f.family.word_matrix(w[:1])
-            m2 = dual.f.family.word_matrix(w[1:])
+            m = dual.f.word_matrix(w)
+            m1 = dual.f.word_matrix(w[:1])
+            m2 = dual.f.word_matrix(w[1:])
             for i in range(4):
                 for j in range(4):
                     acc = ZERO
@@ -115,7 +115,7 @@ class TestCharacteristicFunctionals:
         """A new word's matrix is its cached prefix's times the last
         generator's table, on the left for the reversed family kd(f); the
         result is the product over the whole word from the identity."""
-        base = dual.f.family.compose_antipode() if antipode else dual.f.family
+        base = dual.f.compose_antipode() if antipode else dual.f
         fam = CorepFamily(qg, base.size, base.gen_tables, base.reversed)
         calls = []
 
@@ -139,7 +139,7 @@ class TestCharacteristicFunctionals:
     def test_column_concentration_at_last_diagonal(self, dual, qg):
         last = flatten_pair(2, 2, 2)
         for g in qg.rs.gens:
-            t = dual.f.family.gen_tables[g]
+            t = dual.f.gen_tables[g]
             for i in range(4):
                 if i != last:
                     assert t[i].get(last, ZERO).is_zero()
@@ -158,12 +158,12 @@ CHI_TABLE = {
 class TestVectorFields:
     def test_vanish_on_unit(self, dual):
         for i in range(4):
-            assert dual.chi.entry(i).on_unit().is_zero()
+            assert dual.chi[i].on_unit().is_zero()
 
     def test_generator_table_frozen(self, dual):
         for i, pair in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
             for g in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-                v = dual.chi.entry(i).on_generator(*g)
+                v = dual.chi[i].on_generator(*g)
                 expected = CHI_TABLE.get((pair, g))
                 if expected is None:
                     assert v.is_zero()
@@ -218,7 +218,7 @@ class TestVectorFields:
                 if c1 == c2 and c == d:
                     acc -= 1
                 expected = acc / lam0
-                got = dual.chi.entry(i).on_generator(c, d).evaluate_at(q0)
+                got = dual.chi[i].on_generator(c, d).evaluate_at(q0)
                 assert got == expected, (i, c, d)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -227,7 +227,7 @@ class TestVectorFields:
         # contraction kd(L+) L- it stands for: values and key order
         dual = {2: calc, 3: calc3, 4: calc4}[n].dual
         want = chi_rows_by_contraction(dual)
-        got = {g: t[0] for g, t in dual.chi.ext.gen_tables.items()}
+        got = {g: t[0] for g, t in dual.ext.gen_tables.items()}
         assert list(got) == list(want)
         for g, row in want.items():
             assert list(got[g].items()) == list(row.items()), g
@@ -241,10 +241,10 @@ class TestVectorFields:
                 b = AlgebraElement.from_word(qg.rs, wb)
                 ab = a * b
                 for i in range(4):
-                    lhs = dual.chi.entry(i).value(ab)
-                    rhs = qg.counit(a) * dual.chi.entry(i).value(b)
+                    lhs = dual.chi[i].value(ab)
+                    rhs = qg.counit(a) * dual.chi[i].value(b)
                     for j in range(4):
-                        rhs = rhs + dual.chi.entry(j).value(a) * \
+                        rhs = rhs + dual.chi[j].value(a) * \
                             dual.f.entry(j, i).value(b)
                     assert lhs == rhs
 
@@ -255,8 +255,8 @@ def chi_rows_by_contraction(dual):
     delta_cd delta_{c1 c2}) / lam, summed in that order."""
     qg = dual.qg
     n = qg.N
-    kd = dual.lplus.family.compose_antipode()
-    lm = dual.lminus.family
+    kd = dual.lplus.compose_antipode()
+    lm = dual.lminus
     rows = {}
     for (c, d) in qg.rs.gens:
         acc = {}
@@ -348,8 +348,8 @@ class TestBraiding:
                         lhs = ZERO
                         rhs = ZERO
                         for (w1, w2), c in tc:
-                            x1 = dual.chi.ext.word_matrix(w1)
-                            f2 = dual.f.family.word_matrix(w2)
+                            x1 = dual.ext.word_matrix(w1)
+                            f2 = dual.f.word_matrix(w2)
                             lhs = lhs + c * x1[0].get(1 + k, ZERO) * \
                                 f2[n].get(l, ZERO)
                         for (row, col), v in dual.lam_matrix.sparse.items():
@@ -357,8 +357,8 @@ class TestBraiding:
                                 continue
                             i, j = divmod(row, 4)
                             for (w1, w2), c in tc:
-                                f1 = dual.f.family.word_matrix(w1)
-                                x2 = dual.chi.ext.word_matrix(w2)
+                                f1 = dual.f.word_matrix(w1)
+                                x2 = dual.ext.word_matrix(w2)
                                 rhs = rhs + v * c * f1[n].get(i, ZERO) * \
                                     x2[0].get(1 + j, ZERO)
                         assert lhs == rhs
@@ -373,30 +373,30 @@ class TestStructureConstants:
                     lhs = br.on_word((g,))
                     rhs = ZERO
                     for k in range(4):
-                        c = dual.C.table.get((i, j, k), ZERO)
+                        c = dual.C.get((i, j, k), ZERO)
                         if not c.is_zero():
-                            rhs = rhs + c * dual.chi.entry(k).on_generator(*g)
+                            rhs = rhs + c * dual.chi[k].on_generator(*g)
                     assert lhs == rhs
 
     def test_classical_limit_antisymmetric(self, dual):
         for i in range(4):
             for j in range(4):
                 for k in range(4):
-                    a = dual.C.table.get((i, j, k), ZERO).evaluate_at(1)
-                    b = dual.C.table.get((j, i, k), ZERO).evaluate_at(1)
+                    a = dual.C.get((i, j, k), ZERO).evaluate_at(1)
+                    b = dual.C.get((j, i, k), ZERO).evaluate_at(1)
                     assert a == -b
 
     def test_classical_limit_trace_direction_central(self, dual):
         diag = [flatten_pair(1, 1, 2), flatten_pair(2, 2, 2)]
         for i in range(4):
             for k in range(4):
-                assert sum(dual.C.table.get((i, j, k), ZERO).evaluate_at(1)
+                assert sum(dual.C.get((i, j, k), ZERO).evaluate_at(1)
                            for j in diag) == 0
-                assert sum(dual.C.table.get((j, i, k), ZERO).evaluate_at(1)
+                assert sum(dual.C.get((j, i, k), ZERO).evaluate_at(1)
                            for j in diag) == 0
 
     def test_classical_limit_nontrivial(self, dual):
-        values = {k: v.evaluate_at(1) for k, v in dual.C.table.items()}
+        values = {k: v.evaluate_at(1) for k, v in dual.C.items()}
         assert any(v != 0 for v in values.values())
 
     def test_symmetric_combinations_annihilate(self, dual, qg):
@@ -416,7 +416,7 @@ class TestStructureConstants:
                 assert total.is_zero()
 
     def test_matches_per_pair_solve(self, dual):
-        assert make_C(dual.lam_matrix, dual.chi).table == \
+        assert make_C(dual.lam_matrix, dual.ext) == \
             per_pair_C(dual.lam_matrix, dual.chi)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -429,9 +429,9 @@ class TestStructureConstants:
             return rref_sparse(*args)
 
         monkeypatch.setattr(functionals, "rref_sparse", counted)
-        got = make_C(dual.lam_matrix, dual.chi)
+        got = make_C(dual.lam_matrix, dual.ext)
         assert len(calls) == 1      # was M^2 = 81 at N=3
-        assert got.table == dual.C.table
+        assert got == dual.C
 
     @staticmethod
     def _chi_copy_column(tables):
@@ -452,14 +452,14 @@ class TestStructureConstants:
     ])
     def test_error_branches_match_per_pair_solve(self, dual, edit, message):
         tables = {g: [dict(row) for row in t]
-                  for g, t in dual.chi.ext.gen_tables.items()}
+                  for g, t in dual.ext.gen_tables.items()}
         getattr(self, edit)(tables)
-        ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
-        chi = VectorFieldFamily(dual.qg, ext)
+        ext = CorepFamily(dual.qg, dual.ext.size, tables, name="stub")
+        chi = [Functional(ext, 0, 1 + k, "chi") for k in range(ext.size - 1)]
         with pytest.raises(FunctionalError) as want:
             per_pair_C(dual.lam_matrix, chi)
         with pytest.raises(FunctionalError) as got:
-            make_C(dual.lam_matrix, chi)
+            make_C(dual.lam_matrix, ext)
         assert str(got.value) == str(want.value) == message
 
 
@@ -467,14 +467,13 @@ class TestStructureConstants:
         # chi[1,2] zeroed on the unit and every generator: no bracket value
         # fixes C_{ij}^{(1,2)}, which used to come out as 0 without an error
         tables = {g: [dict(row) for row in t]
-                  for g, t in dual.chi.ext.gen_tables.items()}
+                  for g, t in dual.ext.gen_tables.items()}
         k = flatten_pair(1, 2, 2)
         for t in tables.values():
             t[0].pop(1 + k, None)
-        ext = CorepFamily(dual.qg, dual.chi.ext.size, tables, name="stub")
-        chi = VectorFieldFamily(dual.qg, ext)
+        ext = CorepFamily(dual.qg, dual.ext.size, tables, name="stub")
         with pytest.raises(FunctionalError) as err:
-            make_C(dual.lam_matrix, chi)
+            make_C(dual.lam_matrix, ext)
         assert str(err.value) == \
             "structure constants underdetermined at (0,0,%d)" % k
 
@@ -512,15 +511,15 @@ def dense_lambda_rows(r):
 def per_pair_C(lambda_matrix, chi):
     """C solved pair by pair, one q_lie_bracket and one elimination each:
     the reference for make_C's single shared elimination."""
-    m = chi.size
-    words = [()] + [(g,) for g in chi.qg.rs.gens]
+    m = len(chi)
+    words = [()] + [(g,) for g in chi[0].family.qg.rs.gens]
     table = {}
     for i in range(m):
         for j in range(m):
             br = q_lie_bracket(i, j, chi, lambda_matrix)
             rows = []
             for w in words:
-                row = {k: chi.entry(k).on_word(w) for k in range(m)}
+                row = {k: chi[k].on_word(w) for k in range(m)}
                 row["rhs"] = -br.on_word(w)
                 rows.append(row)
             piv, pivots = rref_sparse(rows, list(range(m)) + ["rhs"])
@@ -548,14 +547,14 @@ class TestSparseRowFormat:
         c = calc if n == 2 else calc3
         bicovariance_suite(c, 1)
         dual = c.dual
-        made = [dual.f.family.compose_antipode(),
+        made = [dual.f.compose_antipode(),
                 dual.sectors["trace"].family,
-                OuterCalculus(c).commutation.family]
+                OuterCalculus(c).commutation]
         for fam in made:
             for w in c.qg.rs.normal_words(2):
                 fam.word_matrix(w)
-        for fam in [dual.lplus.family, dual.lminus.family, dual.f.family,
-                    dual.chi.ext, dual.eps.family] + made:
+        for fam in [dual.lplus, dual.lminus, dual.f,
+                    dual.ext, dual.eps.family] + made:
             mats = list(fam.gen_tables.values()) + list(fam._cache.values())
             assert len(fam._cache) > len(fam.gen_tables), fam.name
             for mat in mats:
@@ -581,7 +580,7 @@ class TestTraceCharacter:
         for w in qg.rs.normal_words(3):
             elem = AlgebraElement.from_word(qg.rs, w)
             expected = qg.counit(elem) + dual.lam * \
-                dual.chi.entry(last).value(elem)
+                dual.chi[last].value(elem)
             assert t.value(elem) == expected
 
     def test_built_once_per_calculus(self, monkeypatch):
@@ -608,7 +607,7 @@ class TestTraceCharacter:
         vals = {}
         for g in qg.rs.gens:
             v = (ONE if g[0] == g[1] else ZERO) + \
-                dual.lam * dual.chi.entry(first).on_generator(*g)
+                dual.lam * dual.chi[first].on_generator(*g)
             if not v.is_zero():
                 vals[g] = v
         cand = scalar_functional(qg, vals, "bad-trace")
@@ -630,10 +629,10 @@ class TestConvolution:
     def test_vector_field_convolution_on_generators(self, dual, qg):
         for i in range(4):
             for (c, d) in qg.rs.gens:
-                got = convolve(dual.chi.entry(i), qg.generator(c, d))
+                got = convolve(dual.chi[i], qg.generator(c, d))
                 expected = AlgebraElement.zero(qg.rs)
                 for g in (1, 2):
-                    v = dual.chi.entry(i).on_generator(g, d)
+                    v = dual.chi[i].on_generator(g, d)
                     if not v.is_zero():
                         expected = expected + qg.generator(c, g).scalar_mul(v)
                 assert got == expected

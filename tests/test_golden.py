@@ -26,6 +26,7 @@ CASES = {
     "relations_cap1": ["--cap", "1", "relations"],
     "relations_slq1": ["--rmatrix", SLQ1, "relations"],
     "maps_d2": ["--degree", "2", "maps"],
+    "maps_structured": ["--format", "structured", "maps"],
     "check_d2_structured": ["--degree", "2", "--format", "structured", "check"],
     "eval_d_t11": ["eval", "d(t[1,1])"],
     "eval_dd_t12": ["eval", "d(d(t[1,2]))"],

@@ -484,11 +484,11 @@ def test_sl3_calculus_exponent_keys_are_ints(calc3):
         calc3.d(AlgebraElement.generator(rs, *g))
     dual = calc3.dual
     parts = {"Lambda": dual.lam_matrix.sparse,
-             "L+": dual.lplus.family.gen_tables,
-             "L-": dual.lminus.family.gen_tables,
-             "f": dual.f.family.gen_tables,
-             "chi": dual.chi.ext.gen_tables,
-             "C": dual.C.table,
+             "L+": dual.lplus.gen_tables,
+             "L-": dual.lminus.gen_tables,
+             "f": dual.f.gen_tables,
+             "chi": dual.ext.gen_tables,
+             "C": dual.C,
              "d memo": calc3._d_cache}
     lattices = set()
     for name, part in parts.items():

@@ -37,7 +37,7 @@ def test_d_expands_through_the_vector_fields_on_generators(calc4):
         coeffs = calc4.expand_d_in_basis(a)
         assert len(coeffs) == 16
         for i in range(16):
-            assert coeffs[i] == convolve(chi.entry(i), a), (g, i)
+            assert coeffs[i] == convolve(chi[i], a), (g, i)
 
 
 def test_braiding_satisfies_the_braid_relation(calc4):

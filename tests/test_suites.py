@@ -16,8 +16,8 @@ import pytest
 
 from qdc.scalars import Scalar, ONE, Q
 from qdc.algebra import AlgebraElement, render_element
-from qdc.functionals import (LambdaMatrix, StructureConstants, CorepFamily,
-                             Functional, convolve, SECTORS)
+from qdc.functionals import (LambdaMatrix, CorepFamily, Functional,
+                             convolve, SECTORS)
 from qdc.suites import hopf_suite, bicovariance_suite, leibniz_suite
 from qdc.linalg import add_term
 
@@ -86,10 +86,10 @@ def corrupted(dual, kind):
     """(attribute, replacement): C with its last entry times q, or Lambda
     with one added to its last nonzero entry or to its last zero entry."""
     if kind == "C*q":
-        table = dict(dual.C.table)
+        table = dict(dual.C)
         key = max(table)
         table[key] = table[key] * Q
-        return "C", StructureConstants(dual.N, table)
+        return "C", table
     lam = dual.lam_matrix
     mm = lam.M * lam.M
     if kind == "Lam+1":
@@ -232,9 +232,8 @@ def test_bent_unit_value_is_named(calc, monkeypatch):
 def test_corrupted_family_found_where_it_was(n, kind, calc, calc3,
                                              monkeypatch):
     c = calculus_for(n, calc, calc3)
-    holder, attr = ((c.dual.f, "family") if kind == "f"
-                    else (c.dual.chi, "ext"))
-    monkeypatch.setattr(holder, attr, corrupted_family(getattr(holder, attr)))
+    attr = "f" if kind == "f" else "ext"
+    monkeypatch.setattr(c.dual, attr, corrupted_family(getattr(c.dual, attr)))
     report = bicovariance_suite(c, DEGREE[n])
     got = {e.law: (e.status, e.witness) for e in report.entries}
     assert got == EXPECTED_FAMILY[(n, kind)]
