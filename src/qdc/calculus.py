@@ -14,7 +14,7 @@ import os
 
 from .scalars import Scalar, ONE, render_scalar
 from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
-                     add_scaled, sparse_sum, sparse_diff)
+                     add_scaled, sparse_sum, sparse_diff, first_difference)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element, render_word)
 from .functionals import (DualStructure, CorepFamily, convolve,
@@ -106,16 +106,6 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # projectors and the bidegree grid
 
-def _first_difference(a, b):
-    """The first (row, column) where two matrices of sparse rows differ, as
-    text; None if they are equal."""
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j in sorted(ra.keys() | rb.keys()):
-            if ra.get(j) != rb.get(j):
-                return str((i, j))
-    return None
-
-
 class ProjectorPair:
     """J projects onto the canonical line along the stable complement.
 
@@ -135,10 +125,11 @@ class ProjectorPair:
         """(J o J = J, J o Jperp = 0, J + Jperp = id): None where a law holds,
         else the first (row, column) where its two sides differ."""
         complete = [sparse_sum(a, b) for a, b in zip(self.J, self.Jperp)]
-        return (_first_difference(mat_mul(self.J, self.J), self.J),
-                _first_difference(mat_mul(self.J, self.Jperp),
-                                  [{} for _ in range(self.M)]),
-                _first_difference(complete, identity(self.M)))
+        zero = [{} for _ in range(self.M)]
+        diffs = (first_difference(mat_mul(self.J, self.J), self.J),
+                 first_difference(mat_mul(self.J, self.Jperp), zero),
+                 first_difference(complete, identity(self.M)))
+        return tuple(None if d is None else str(d) for d in diffs)
 
 
 class GridSplit:

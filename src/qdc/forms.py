@@ -8,11 +8,13 @@ grade, with reduction rows kept per grade for exact normal forms.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .scalars import Scalar, ONE
 from .linalg import (rref_sparse, rank_at_specializations, add_term,
-                     add_scaled, LinearCombination)
+                     add_scaled, sparse_diff, transpose, LinearCombination)
 from .algebra import AlgebraElement, render_element
-from .functionals import flatten_pair
+from .functionals import flatten_pair, fixed_vectors
 
 
 class FormsError(Exception):
@@ -58,14 +60,14 @@ class WedgeTable:
     grade k-2, rewritten in those coordinates.
     """
 
-    def __init__(self, lambda_matrix, max_grade):
+    def __init__(self, lam, max_grade):
         if max_grade < 2:
             raise FormsError("wedge table needs max_grade >= 2")
-        self.M = lambda_matrix.M
+        self.M = isqrt(len(lam))
         self.max_grade = max_grade
         # the quadratic wedge relations: fixed vectors of the braiding acting
         # on coefficient rows, i.e. the kernel of (transposed Lam) - id
-        self.relation_vectors = lambda_matrix.fixed_vectors(transposed=True)
+        self.relation_vectors = fixed_vectors(transpose(lam, len(lam)))
         self.basis = {0: [()], 1: [(i,) for i in range(self.M)]}
         self.pivot_rows = {0: {}, 1: {}}
         self.spec_ranks = {}
@@ -155,11 +157,11 @@ class WedgeTable:
 class FormSpace:
     """Bundles the basis, wedge table and commutation functionals."""
 
-    def __init__(self, qg, f, lambda_matrix, max_grade=4):
+    def __init__(self, qg, f, lam, max_grade=4):
         self.qg = qg
         self.basis = OneFormBasis(qg.N)
         self.f = f
-        self.table = WedgeTable(lambda_matrix, max_grade)
+        self.table = WedgeTable(lam, max_grade)
         self.M = self.basis.M
         self._pass_cache = {}
 
@@ -327,24 +329,20 @@ def left_coaction(space, x):
     return out
 
 
-def z_form_comparison(lambda_matrix, inverse, relation_vectors):
+def z_form_comparison(lam, inverse, relation_vectors):
     """Compare the alternative quadratic-relation rule with the braid kernel.
 
     The alternative rule generates relations e_{ij} + Z^{kl}_{ij} e_{kl} with
     Z = (Lam - Lam^-1)/(q^2 - q^-2); returns dimensions and whether the two
     relation subspaces agree (they are expected to differ off the series the
     rule was stated for, and the discrepancy is reported, not hidden).
-    inverse is Lam^-1, as LambdaMatrix.inverse() returns it, and
-    relation_vectors is the wedge table's basis of the braid kernel.
+    Lam and its inverse are sparse rows, and relation_vectors is the wedge
+    table's basis of the braid kernel.
     """
-    mm = lambda_matrix.M * lambda_matrix.M
+    mm = len(lam)
     q2 = Scalar.q_power(2)
     denom = q2 - (ONE / q2)
-    diff = [{} for _ in range(mm)]
-    for (k, i), v in lambda_matrix.sparse.items():
-        add_term(diff[i], k, v)
-    for (k, i), v in inverse.items():
-        add_term(diff[i], k, -v)
+    diff = transpose([sparse_diff(a, b) for a, b in zip(lam, inverse)], mm)
     rows_z = []
     for i, d in enumerate(diff):
         row = {k: v / denom for k, v in d.items()}

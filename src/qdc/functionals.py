@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
-from .linalg import (mat_mul, mat_inverse, identity, kernel_basis,
-                     rref_sparse, add_term, add_scaled, ValueNumbers)
+from .linalg import (mat_mul, identity, kernel_basis, rref_sparse, add_term,
+                     add_scaled, first_difference, ValueNumbers)
 from .algebra import AlgebraElement
 
 
@@ -104,10 +104,9 @@ class CorepFamily:
         for lhs, rhs in self.qg.rs.rules.items():
             lv = self.word_matrix(lhs)
             rv = self.on_element(AlgebraElement(self.qg.rs, rhs))
-            for i, (a, b) in enumerate(zip(lv, rv)):
-                if a != b:
-                    return (lhs, i, min(j for j in a.keys() | b.keys()
-                                        if a.get(j) != b.get(j)))
+            bad = first_difference(lv, rv)
+            if bad is not None:
+                return (lhs,) + bad
         return None
 
 
@@ -139,12 +138,6 @@ class Functional:
 
     def __repr__(self):
         return "<functional %s>" % self.label
-
-
-def counit_functional(qg):
-    tables = {g: [{0: ONE} if g[0] == g[1] else {}] for g in qg.rs.gens}
-    fam = CorepFamily(qg, 1, tables, name="eps")
-    return Functional(fam, 0, 0, "eps")
 
 
 def scalar_functional(qg, gen_values, name):
@@ -253,73 +246,50 @@ def make_chi(f, lam):
     return CorepFamily(qg, 1 + f.size, ext_tables, name="[[eps,chi],[0,f]]")
 
 
-class LambdaMatrix:
-    """The braiding on invariant one-forms, rows = upper pair (I,J), cols = lower."""
+# ---------------------------------------------------------------------------
+# the braiding Lam, M^2 sparse rows: rows = upper pair (I,J), cols = lower
 
-    def __init__(self, n, sparse):
-        self.N = n
-        self.M = n * n
-        self.sparse = sparse      # (row, col) -> nonzero, in row-major order
+def fixed_vectors(lam):
+    """Basis of ker(Lam - 1) as sparse vectors {column: value}."""
+    rows = [dict(row) for row in lam]
+    for i, row in enumerate(rows):
+        add_term(row, i, -ONE)
+    return kernel_basis(rows, len(rows))
 
-    def _sparse_rows(self, transposed):
-        rows = [{} for _ in range(self.M * self.M)]
-        for (i, j), v in self.sparse.items():
-            if transposed:
-                i, j = j, i
-            rows[i][j] = v
-        return rows
 
-    def inverse(self):
-        """Lam^-1 as {(row, col): value}; raises ValueError if Lam is singular."""
-        mm = self.M * self.M
-        inv = mat_inverse(self._sparse_rows(transposed=False), mm)
-        return {(i, j): row[j] for i, row in enumerate(inv) for j in sorted(row)}
+def by_lower_pair(lam, m):
+    """Lam^{kl}_{ij} by lower pair: column i*M + j -> [(k, l, value), ...]."""
+    cols = {}
+    for row, entries in enumerate(lam):
+        for col, v in entries.items():
+            cols.setdefault(col, []).append(divmod(row, m) + (v,))
+    return cols
 
-    def fixed_vectors(self, transposed):
-        """Basis of ker(Lam - 1), or of ker(Lam^T - 1) if transposed, as
-        sparse vectors {column: value}."""
-        rows = self._sparse_rows(transposed)
-        for i, row in enumerate(rows):
-            add_term(row, i, -ONE)
-        return kernel_basis(rows, len(rows))
 
-    def by_lower_pair(self):
-        """Lam^{kl}_{ij} by lower pair: column i*M + j -> [(k, l, value), ...]."""
-        cols = {}
-        for (row, col), v in self.sparse.items():
-            cols.setdefault(col, []).append(divmod(row, self.M) + (v,))
-        return cols
+def braid_defect(lam, m):
+    """None if the braid relation holds; else a witness index pair.
 
-    def braid_defect(self):
-        """None if the braid relation holds; else a witness index pair.
-
-        With Q = (1 x Lam)(Lam x 1) the two sides are (Lam x 1) Q and
-        Q (1 x Lam): three sparse products, run over the numbers of the
-        few distinct entry values.  The witness is the first mismatch in
-        sorted (row, column) order, which does not depend on how the
-        products are grouped.
-        """
-        m = self.M
-        mm = m * m
-        vn = ValueNumbers()
-        b1, b2 = {}, {}
-        for (i, j), v in self.sparse.items():
-            v = vn.number(v)
+    With Q = (1 x Lam)(Lam x 1) the two sides are (Lam x 1) Q and
+    Q (1 x Lam): three sparse products, run over the numbers of the few
+    distinct entry values.  The witness is the first mismatch in row-major
+    order, which does not depend on how the products are grouped.
+    """
+    mm = m * m
+    vn = ValueNumbers()
+    b1 = [{} for _ in range(mm * m)]
+    b2 = [{} for _ in range(mm * m)]
+    for i, row in enumerate(vn.numbered(lam)):
+        for j, v in row.items():
             for k in range(m):
-                b1.setdefault(i * m + k, {})[j * m + k] = v
-                b2.setdefault(k * mm + i, {})[k * mm + j] = v
-        q = vn.sp_mul(b2, b1)
-        lhs, rhs = vn.sp_mul(b1, q), vn.sp_mul(q, b2)
-        for i in sorted(lhs.keys() | rhs.keys()):
-            ri, rj = lhs.get(i, {}), rhs.get(i, {})
-            for j in sorted(ri.keys() | rj.keys()):
-                if ri.get(j, 0) != rj.get(j, 0):
-                    return (i, j)
-        return None
+                b1[i * m + k][j * m + k] = v
+                b2[k * mm + i][k * mm + j] = v
+    q = vn.sp_mul(b2, b1)
+    return first_difference(vn.sp_mul(b1, q), vn.sp_mul(q, b2))
 
 
 def make_lambda(r):
-    """Braiding matrix by exact index contraction of R-factors with q-weights.
+    """Braiding matrix, as M^2 sparse rows, by exact index contraction of
+    R-factors with q-weights.
 
     Uses the leg-swapped R (matching the relation orientation of
     derive_relations) and the A-series weights q^{2a-1}; validity is
@@ -345,7 +315,7 @@ def make_lambda(r):
     # the weight q^{2f-1} / q^{2c-1} of each (f2, c2), divided once
     weight = {(f, c): Scalar.q_power(2 * f - 1) / Scalar.q_power(2 * c - 1)
               for f in rng for c in rng}
-    acc = {}
+    lam = [{} for _ in range(m * m)]
     # Lam[(a1,a2),(d1,d2)][(c1,c2),(b1,b2)] = sum over f2, g1, e1, g2 of
     # w(f2,c2) rv(f2,b1,c2,g1) rinv(c1,g1,e1,a1) rinv(a2,e1,g2,d1) rv(g2,d2,b2,f2)
     for (f2, b1, c2, g1), x1 in rv.items():
@@ -356,16 +326,16 @@ def make_lambda(r):
                 p3 = p2 * x3
                 row = fl(a1, a2) * m
                 for d2, b2, x4 in rv_by_ends.get((g2, f2), ()):
-                    add_term(acc, (row + fl(d1, d2), fl(c1, c2) * m + fl(b1, b2)),
+                    add_term(lam[row + fl(d1, d2)], fl(c1, c2) * m + fl(b1, b2),
                              p3 * x4)
-    return LambdaMatrix(n, dict(sorted(acc.items())))
+    return [dict(sorted(row.items())) for row in lam]
 
 
 def bracket_table(pairs, x, lam_cols, m):
     """T[i][j] = [chi_i, chi_j](w) = B[i][j] - Lam^{kl}_{ij} B[k][l] on one word.
 
     pairs are the coproduct terms ((w1, w2), c) of w, x maps each leg to
-    its chi values and lam_cols is LambdaMatrix.by_lower_pair(); the double
+    its chi values and lam_cols is by_lower_pair of Lam; the double
     table B[i][j] = (chi_i chi_j)(w) is built once for all M^2 brackets.
     """
     B = [[ZERO] * m for _ in range(m)]
@@ -386,7 +356,7 @@ def bracket_table(pairs, x, lam_cols, m):
     return t
 
 
-def make_C(lambda_matrix, ext):
+def make_C(lam, ext):
     """Structure constants {(i, j, k): C_{ij}^k} solved from
     [chi_i, chi_j] = C_{ij}^k chi_k, the chi_i read off the extended
     family ext.
@@ -405,7 +375,7 @@ def make_C(lambda_matrix, ext):
     cop = {w: list(qg.coproduct_word(w).items()) for w in words}
     legs = {leg for w in words for pair, _ in cop[w] for leg in pair}
     x = {w: chi_values(ext, w) for w in legs.union(words)}
-    lam_cols = lambda_matrix.by_lower_pair()
+    lam_cols = by_lower_pair(lam, m)
     brackets = [bracket_table(cop[w], x, lam_cols, m) for w in words]
     # column m + n records the row operations applied to word n
     rows = []
@@ -509,7 +479,7 @@ class ConvCombo:
         return total
 
 
-def q_lie_bracket(i, j, chi, lambda_matrix):
+def q_lie_bracket(i, j, chi, lam):
     """[chi_i, chi_j] = chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l as a
     ConvCombo, over the list chi of the vector fields."""
     m = len(chi)
@@ -517,7 +487,7 @@ def q_lie_bracket(i, j, chi, lambda_matrix):
     col = i * m + j
     for k in range(m):
         for l in range(m):
-            coef = lambda_matrix.sparse.get((k * m + l, col))
+            coef = lam[k * m + l].get(col)
             if coef is not None:
                 terms.append((-coef, (chi[k], chi[l])))
     return ConvCombo(chi[i].family.qg, terms)
@@ -544,7 +514,8 @@ class DualStructure:
                     for i in range(self.M)]
         self.lam_matrix = make_lambda(qg.R)
         self.C = make_C(self.lam_matrix, self.ext)
-        self.eps = counit_functional(qg)
+        self.eps = scalar_functional(
+            qg, {g: ONE for g in qg.rs.gens if g[0] == g[1]}, "eps")
         # the one-dimensional sector functionals f00 by SECTORS name: the
         # multiplicative trace character eps + lam * chi_(N,N), and eps
         idx = flatten_pair(self.N, self.N, self.N)

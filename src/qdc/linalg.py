@@ -158,17 +158,31 @@ class ValueNumbers:
         else:
             terms.pop(key, None)
 
+    def numbered(self, rows):
+        """Matrix rows of values as rows of their numbers."""
+        return [{j: self.number(v) for j, v in row.items()} for row in rows]
+
     def sp_mul(self, a, b):
-        """The product of number-valued sparse rows {i: {j: number}}."""
+        """The product of two matrices of number-valued sparse rows, as
+        mat_mul takes the product of value-valued ones."""
         mul, add_term = self.mul, self.add_term
-        out = {}
-        for i, row in a.items():
+        out = []
+        for row in a:
             acc = {}
             for k, v in row.items():
-                for j, w in b.get(k, {}).items():
+                for j, w in b[k].items():
                     add_term(acc, j, mul(v, w))
-            if acc:
-                out[i] = acc
+            out.append(acc)
+        return out
+
+    def sp_add(self, a, b):
+        """The sum of two matrices of number-valued sparse rows."""
+        out = []
+        for ra, rb in zip(a, b):
+            acc = dict(ra)
+            for j, n in rb.items():
+                self.add_term(acc, j, n)
+            out.append(acc)
         return out
 
 
@@ -245,6 +259,25 @@ def mat_mul(a, b):
                 add_term(acc, j, x * y)
         out.append(acc)
     return out
+
+
+def transpose(rows, n_cols):
+    """The transpose of sparse rows over n_cols columns, as sparse rows."""
+    out = [{} for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
+def first_difference(a, b):
+    """The first (row, column), in row-major order, where two matrices of
+    sparse rows differ; None if they are equal."""
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        if ra != rb:
+            return i, min(j for j in ra.keys() | rb.keys()
+                          if ra.get(j) != rb.get(j))
+    return None
 
 
 def mat_inverse(rows, n):

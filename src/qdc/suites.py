@@ -18,9 +18,11 @@ from __future__ import annotations
 import random
 
 from .scalars import ZERO, ONE
-from .linalg import add_term, add_scaled, mat_mul, ValueNumbers
+from .linalg import (add_term, add_scaled, mat_mul, mat_inverse,
+                     first_difference, ValueNumbers)
 from .algebra import AlgebraElement, render_element, render_word
-from .functionals import convolve, unflatten_pair, bracket_table, chi_values
+from .functionals import (convolve, unflatten_pair, bracket_table, chi_values,
+                          fixed_vectors, by_lower_pair, braid_defect)
 from .forms import left_coaction, z_form_comparison
 from .calculus import CheckReport, SKIPPED
 
@@ -87,11 +89,10 @@ def hopf_suite(calc, degree=None):
 
 class _Tables:
     """Per-monomial caches: coproduct pairs, the nonzero f entries and chi
-    values, and the f f, f chi and chi f tables that the exchange laws sum
-    over.
+    values, and the f f, f chi and chi f matrices of the exchange laws.
 
-    Those three tables hold numbers of vn, one ValueNumbers for the whole
-    suite run, and are built once per word.
+    Those three matrices are sparse rows of numbers of vn, one ValueNumbers
+    for the whole suite run, and are built once per word.
     """
 
     def __init__(self, dual, words):
@@ -109,7 +110,7 @@ class _Tables:
         legs.update(self.words)
         self.x = {w: chi_values(dual.ext, w) for w in legs}
         self.eps = {w: dual.qg.counit_word(w) for w in legs}
-        self.lam_cols = dual.lam_matrix.by_lower_pair()
+        self.lam_cols = by_lower_pair(dual.lam_matrix, dual.M)
         self._bracket = {}
         self.vn = ValueNumbers()
         num = self.vn.number
@@ -129,38 +130,42 @@ class _Tables:
                                                  self.lam_cols, self.dual.M)
         return t
 
-    def _pair_table(self, kind, w, left, right, key):
+    def _pair_table(self, kind, w, left, right, rows, key):
         """The sum over the coproduct pairs (w1, w2) of w of c * x * y, for
-        each x of left[w1] and y of right[w2], at key(x's index, y's)."""
+        each x of left[w1] and y of right[w2], at the (row, column)
+        key(x's index, y's) of a matrix of rows sparse rows."""
         out = self._pair_tables.get((kind, w))
         if out is None:
             vn = self.vn
             mul, add_term = vn.mul, vn.add_term
-            out = self._pair_tables[(kind, w)] = {}
+            out = self._pair_tables[(kind, w)] = [{} for _ in range(rows)]
             for (w1, w2), c in self.cop[w]:
                 c = vn.number(c)
                 r = right[w2]
                 for a, x in left[w1]:
                     cx = mul(c, x)
                     for b, y in r:
-                        add_term(out, key(a, b), mul(cx, y))
+                        i, j = key(a, b)
+                        add_term(out[i], j, mul(cx, y))
         return out
 
     def ff(self, w):
-        """K[(i*M + j, p*M + q)] = (f^i_p f^j_q)(w), as numbers."""
+        """K[i*M + j][p*M + q] = (f^i_p f^j_q)(w), as numbers."""
         m = self.dual.M
-        return self._pair_table("ff", w, self.f_nz, self.f_nz,
+        return self._pair_table("ff", w, self.f_nz, self.f_nz, m * m,
                                 lambda a, b: (a[0] * m + b[0], a[1] * m + b[1]))
 
     def fx(self, w):
-        """H[(i, j, k)] = (f^i_j chi_k)(w), as numbers."""
-        return self._pair_table("fx", w, self.f_nz, self.x_nz,
-                                lambda a, b: a + (b,))
+        """H[i][j*M + k] = (f^i_j chi_k)(w), as numbers."""
+        m = self.dual.M
+        return self._pair_table("fx", w, self.f_nz, self.x_nz, m,
+                                lambda a, k: (a[0], a[1] * m + k))
 
     def xf(self, w):
-        """Hp[(k, i, j)] = (chi_k f^i_j)(w), as numbers."""
-        return self._pair_table("xf", w, self.x_nz, self.f_nz,
-                                lambda a, b: (a,) + b)
+        """H'[i][k*M + j] = (chi_k f^i_j)(w), as numbers."""
+        m = self.dual.M
+        return self._pair_table("xf", w, self.x_nz, self.f_nz, m,
+                                lambda k, a: (a[0], k * m + a[1]))
 
 
 def bicovariance_suite(calc, degree=None):
@@ -171,14 +176,14 @@ def bicovariance_suite(calc, degree=None):
     report = CheckReport("bicovariance", degree)
     words = qg.rs.normal_words(degree)
     tabs = _Tables(dual, words)
-    lam_sparse = dual.lam_matrix.sparse
+    lam = dual.lam_matrix
     lam_cols = tabs.lam_cols
-    # C_{ij}^k by lower pair, i*M + j -> [(k, value), ...], and by upper
-    # index, k -> [(i*M + j, value), ...]
-    c_lower, c_upper = {}, {}
+    # C_{ij}^k by lower pair, i*M + j -> [(k, value), ...], and as the
+    # matrix C[k][i*M + j] of M sparse rows
+    c_lower, c_rows = {}, [{} for _ in range(m)]
     for (i, j, k), v in dual.C.items():
         c_lower.setdefault(i * m + j, []).append((k, v))
-        c_upper.setdefault(k, []).append((i * m + j, v))
+        c_rows[k][i * m + j] = v
 
     for fn, fam in [("L+", dual.lplus), ("L-", dual.lminus), ("f", dual.f),
                     ("chi", dual.ext), ("eps", dual.eps.family)]:
@@ -197,32 +202,27 @@ def bicovariance_suite(calc, degree=None):
     report.law("unit-values", "f(1) = delta, chi(1) = 0, L(1) = delta",
                (None if e.on_unit() == v else e.label for e, v in units))
 
-    defect = dual.lam_matrix.braid_defect()
+    defect = braid_defect(lam, m)
     report.law("braiding-braid-relation",
                "the braiding matrix satisfies the braid relation exactly",
                [None if defect is None else str(defect)])
     try:
-        lam_inv, singular = dual.lam_matrix.inverse(), None
+        lam_inv, singular = mat_inverse(lam, m * m), None
     except ValueError as err:
         lam_inv, singular = None, str(err)
     report.law("braiding-invertible", "the braiding matrix is invertible",
                [singular])
 
-    # the braiding at q0 = 1 is the flip (a, b) (c, d) -> (b, a) (d, c): the
-    # nonzero entries are evaluated and each flip position must be among
-    # them, in row-major order as a dense sweep would meet them; the
-    # witness is the first (row, column) that differs
-    flips = {(i, (i % m) * m + i // m) for i in range(m * m)}
-
-    def classical_limit():
-        for key in sorted(lam_sparse.keys() | flips):
-            v = lam_sparse.get(key)
-            got = 0 if v is None else v.evaluate_at(1)
-            yield None if got == (1 if key in flips else 0) else str(key)
-
+    # the braiding at q0 = 1 is the flip (a, b) (c, d) -> (b, a) (d, c);
+    # only the nonzero entries are evaluated, and the witness is the first
+    # (row, column) that differs
+    at_one = [{j: v.evaluate_at(1) for j, v in row.items()} for row in lam]
+    at_one = [{j: x for j, x in row.items() if x} for row in at_one]
+    flip = first_difference(at_one, [{(i % m) * m + i // m: 1}
+                                     for i in range(m * m)])
     report.law("braiding-classical-limit",
                "at q0 = 1 the braiding specializes to the flip",
-               classical_limit())
+               [None if flip is None else str(flip)])
 
     # bracket relation: chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l = C_{ij}^k chi_k
     def bracket_structure_constants():
@@ -244,82 +244,42 @@ def bicovariance_suite(calc, degree=None):
                "the vector-field bracket expands over the structure constants",
                bracket_structure_constants())
 
-    # the exchange laws sum over the numbers of tabs.vn
+    # the exchange laws, one identity of sparse products over the numbers
+    # of tabs.vn per word, with K = ff, H = fx, H' = xf and F = f
     vn = tabs.vn
-    num, mul, add = vn.number, vn.mul, vn.add
-    lam_n = [(a, b, num(v)) for (a, b), v in lam_sparse.items()]
-    lam_cols_n = {col: [(k, l, num(v)) for k, l, v in e]
-                  for col, e in lam_cols.items()}
-    c_lower_n = {ij: [(k, num(v)) for k, v in e] for ij, e in c_lower.items()}
-    c_upper_n = {k: [(ij, num(v)) for ij, v in e] for k, e in c_upper.items()}
+    lam_n, c_n = vn.numbered(lam), vn.numbered(c_rows)
 
-    # exchange: Lam f f = f f Lam  (commutant identity per monomial)
     def braiding_f_exchange():
+        # Lam K = K Lam
         for w in words:
-            by_row, by_col = {}, {}
-            for (ij, pq), kv in tabs.ff(w).items():
-                by_row.setdefault(ij, []).append((pq, kv))
-                by_col.setdefault(pq, []).append((ij, kv))
-            lhs, rhs = {}, {}
-            for a, b, v in lam_n:
-                # lhs[(nm),(pq)] += Lam[(nm),(ij)] K[(ij),(pq)], and
-                # rhs[(ij),(pq)] += K[(ij),(nm)] Lam[(nm),(pq)]
-                for pq, kv in by_row.get(b, ()):
-                    vn.add_term(lhs, (a, pq), mul(v, kv))
-                for ij, kv in by_col.get(a, ()):
-                    vn.add_term(rhs, (ij, b), mul(kv, v))
-            yield None if lhs == rhs else render_word(w)
+            K = tabs.ff(w)
+            ok = vn.sp_mul(lam_n, K) == vn.sp_mul(K, lam_n)
+            yield None if ok else render_word(w)
 
     report.law("braiding-f-exchange",
                "the braiding commutes with the doubled f-family action",
                braiding_f_exchange())
 
-    # mixed exchange: C f f + f chi = Lam chi f + C f
     def mixed_exchange():
+        # H + C K = H' Lam + F C, a witness at (i, j*M + k)
         for w in words:
-            K = tabs.ff(w)
-            H = tabs.fx(w)
-            Hp = tabs.xf(w)
-            Fw = dict(tabs.f_nz[w])
-            for i in range(m):
-                for j in range(m):
-                    for k in range(m):
-                        lhs = H.get((i, j, k), 0)
-                        for mn, cc in c_upper_n.get(i, ()):
-                            kv = K.get((mn, j * m + k))
-                            if kv is not None:
-                                lhs = add(lhs, mul(cc, kv))
-                        rhs = 0
-                        for p, qq, v in lam_cols_n.get(j * m + k, ()):
-                            hp = Hp.get((p, i, qq))
-                            if hp is not None:
-                                rhs = add(rhs, mul(v, hp))
-                        for l, cc in c_lower_n.get(j * m + k, ()):
-                            fv = Fw.get((i, l))
-                            if fv is not None:
-                                rhs = add(rhs, mul(cc, fv))
-                        yield None if lhs == rhs else \
-                            "(i,j,k)=(%d,%d,%d) on %s" % (i, j, k, render_word(w))
+            F = vn.numbered(dual.f.word_matrix(w))
+            bad = first_difference(
+                vn.sp_add(tabs.fx(w), vn.sp_mul(c_n, tabs.ff(w))),
+                vn.sp_add(vn.sp_mul(tabs.xf(w), lam_n), vn.sp_mul(F, c_n)))
+            yield None if bad is None else "(i,j,k)=(%d,%d,%d) on %s" % (
+                (bad[0],) + divmod(bad[1], m) + (render_word(w),))
 
     report.law("mixed-exchange",
                "the mixed structure-constant/f/chi exchange identity",
                mixed_exchange())
 
-    # chi f = Lam f chi
     def chi_f_exchange():
+        # H Lam = H', a witness at (n, k*M + l)
         for w in words:
-            H = tabs.fx(w)
-            Hp = tabs.xf(w)
-            for n in range(m):
-                for k in range(m):
-                    for l in range(m):
-                        rhs = 0
-                        for i, j, v in lam_cols_n.get(k * m + l, ()):
-                            hv = H.get((n, i, j))
-                            if hv is not None:
-                                rhs = add(rhs, mul(v, hv))
-                        yield None if Hp.get((k, n, l), 0) == rhs else \
-                            "(k,l,n)=(%d,%d,%d) on %s" % (k, l, n, render_word(w))
+            bad = first_difference(vn.sp_mul(tabs.fx(w), lam_n), tabs.xf(w))
+            yield None if bad is None else "(k,l,n)=(%d,%d,%d) on %s" % (
+                divmod(bad[1], m) + (bad[0], render_word(w)))
 
     report.law("chi-f-exchange",
                "vector fields exchange with f through the braiding",
@@ -372,7 +332,7 @@ def bicovariance_suite(calc, degree=None):
                "kappa-dual f is the convolution inverse of f", f_inverse_law())
 
     # invariant combinations annihilate under the bracket
-    fixed = dual.lam_matrix.fixed_vectors(transposed=False)
+    fixed = fixed_vectors(lam)
 
     def symmetric_vanishing():
         for v in fixed:
@@ -428,7 +388,7 @@ def bicovariance_suite(calc, degree=None):
     if lam_inv is None:
         alt = "the rule needs Lam^-1 and the braiding is singular"
     else:
-        zf = z_form_comparison(dual.lam_matrix, lam_inv,
+        zf = z_form_comparison(lam, lam_inv,
                                calc.space.table.relation_vectors)
         alt = None if zf["equal"] else "dims: rule %d, kernel %d, union %d" \
             % (zf["z_rank"], zf["kernel_rank"], zf["union_rank"])

@@ -221,7 +221,7 @@ def test_criterion_10_specialization_oracle(calc, qg, dual):
         for i in range(mm):
             row = {}
             for j in range(mm):
-                v = dual.lam_matrix.sparse.get((j, i), ZERO)
+                v = dual.lam_matrix[j].get(i, ZERO)
                 x = v.evaluate_at(q0) - (1 if i == j else 0)
                 if x:
                     row[j] = x

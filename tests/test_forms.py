@@ -10,7 +10,7 @@ from qdc.calculus import assemble
 from qdc.forms import (FormElement, GradeCapError, WedgeTable, left_coaction,
                        z_form_comparison)
 from qdc.functionals import convolve, make_lambda
-from qdc.linalg import add_term, rref_sparse
+from qdc.linalg import add_term, rref_sparse, mat_inverse
 
 
 class TestWedgeTable:
@@ -57,12 +57,12 @@ class TestWedgeTable:
 
     def test_braiding_stability_of_relations(self, calc, dual):
         # fixed vectors stay fixed: sigma(v) = v entrywise
-        lam = dual.lam_matrix.sparse
+        lam = dual.lam_matrix
         for v in calc.space.table.relation_vectors:
             for kl in range(16):
                 acc = ZERO
                 for ij, coeff in v.items():
-                    acc = acc + lam.get((ij, kl), ZERO) * coeff
+                    acc = acc + lam[ij].get(kl, ZERO) * coeff
                 assert acc == v.get(kl, ZERO)
 
     def test_first_empty_grade(self, calc):
@@ -229,7 +229,7 @@ class TestAlternativeRule:
     def test_reported_dimensions(self, n, calc, calc3, calc4):
         c = {2: calc, 3: calc3, 4: calc4}[n]
         lam = c.dual.lam_matrix
-        out = z_form_comparison(lam, lam.inverse(),
+        out = z_form_comparison(lam, mat_inverse(lam, len(lam)),
                                 c.space.table.relation_vectors)
         z_rank, kernel_rank, union_rank = self.DIMS[n]
         assert out == {"z_rank": z_rank, "kernel_rank": kernel_rank,

@@ -201,12 +201,8 @@ class TestValueNumbers:
         vn = ValueNumbers()
 
         def numbered(m):
-            out = {}
-            for i, row in enumerate(m):
-                r = {j: vn.number(v) for j, v in enumerate(row) if v}
-                if r:
-                    out[i] = r
-            return out
+            return [{j: vn.number(v) for j, v in enumerate(row) if v}
+                    for row in m]
 
         def rows(m):
             return [{j: v for j, v in enumerate(row) if v} for row in m]
@@ -217,7 +213,7 @@ class TestValueNumbers:
                     if row}
             got = vn.sp_mul(numbered(a), numbered(b))
             assert {i: {j: vn.values[n] for j, n in row.items()}
-                    for i, row in got.items()} == want
+                    for i, row in enumerate(got) if row} == want
 
 
 def eager_rref(rows, column_order):
@@ -284,7 +280,7 @@ class TestColumnIndexedElimination:
         systems = recorded_systems(monkeypatch)
         calc = calculus.assemble(text, **kwargs)
         lam = calc.dual.lam_matrix
-        forms.z_form_comparison(lam, lam.inverse(),
+        forms.z_form_comparison(lam, linalg.mat_inverse(lam, len(lam)),
                                 calc.space.table.relation_vectors)
         monkeypatch.undo()
         # the antipode, the wedge grades, the structure constants, R^-1,

@@ -483,7 +483,7 @@ def test_sl3_calculus_exponent_keys_are_ints(calc3):
     for g in rs.gens:
         calc3.d(AlgebraElement.generator(rs, *g))
     dual = calc3.dual
-    parts = {"Lambda": dual.lam_matrix.sparse,
+    parts = {"Lambda": dual.lam_matrix,
              "L+": dual.lplus.gen_tables,
              "L-": dual.lminus.gen_tables,
              "f": dual.f.gen_tables,

@@ -407,3 +407,36 @@ def test_one_law_driver():
     assert not hasattr(importlib.import_module("qdc.calculus").CheckReport,
                        "add")
     assert "first_witness" not in _function_names("src")
+
+
+def test_braiding_is_plain_sparse_rows():
+    """The braiding is a list of sparse rows like every other matrix: src
+    defines no LambdaMatrix and reads no .sparse, and a scan for the first
+    differing entry over the union of two key sets is written twice, in
+    linalg.first_difference and in the Yang-Baxter component check of
+    RMatrix._validate."""
+    scans = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "LambdaMatrix"], path.name
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "sparse"], path.name
+        # each function by its qualified name, a method under its class
+        names = {id(f): f.name for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                names.update((id(f), "%s.%s" % (cls.name, f.name))
+                             for f in cls.body if isinstance(f, ast.FunctionDef))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for n, line in enumerate(text.splitlines(), 1):
+            if "keys() |" in line:
+                inner = max((f for f in funcs if f.lineno <= n <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                scans.append("%s.%s" % (path.stem, names[id(inner)]
+                                        if inner else "<module>"))
+    assert scans == ["algebra.RMatrix._validate", "linalg.first_difference"]
