@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
-from qdc import algebra
 from qdc.algebra import (RMatrixError, PresentationError, load_rmatrix,
                          dump_rmatrix, QuantumGroup, AlgebraElement,
-                         quantum_determinant_terms)
-from qdc.linalg import add_term, rref_sparse, sparse_sum
+                         quantum_minor_terms)
+from qdc.linalg import add_term, sparse_sum
 from qdc.calculus import DEFAULT_RMATRIX
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -308,7 +307,7 @@ class TestHopf:
     def test_counit_values(self, qg):
         assert qg.counit(qg.generator(1, 2)).is_zero()
         assert qg.counit(AlgebraElement.one(qg.rs)).is_one()
-        det = AlgebraElement(qg.rs, dict(quantum_determinant_terms(2)))
+        det = AlgebraElement(qg.rs, quantum_minor_terms((1, 2), (1, 2)))
         assert qg.counit(det).is_one()
 
     def test_counit_axiom_random_degree_three(self, qg):
@@ -345,75 +344,34 @@ class TestHopf:
         assert qg.antipode(one) == one
 
 
-class TestAntipodeSolve:
-    """The single elimination against a per-row reference: one solve for
-    each row index a, with the right-hand side (b == a, u == ())."""
+class TestAntipodeCertificate:
+    """The minor table is kept only if kappa(T) is a two-sided inverse of T,
+    so a bent entry is refused on a named generator."""
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_one_elimination_matches_per_row_solve(self, n, calc, calc3,
-                                                   monkeypatch):
-        qg = (calc if n == 2 else calc3).qg
-        calls = []
+    def test_bent_minor_is_refused_on_a_named_generator(self, monkeypatch):
+        minors = QuantumGroup._minor_antipode
 
-        def counted(*args):
-            calls.append(args)
-            return rref_sparse(*args)
+        def bent(qg):
+            table = minors(qg)
+            table[(1, 2)] = table[(1, 2)].scalar_mul(Q)
+            return table
 
-        monkeypatch.setattr(algebra, "rref_sparse", counted)
-        table = qg._solve_antipode()
-        assert len(calls) == 1      # was one per row index a
-        assert table == per_row_antipode(qg) == qg.antipode_table
-
-    # N=2 ansatz edits: without t[2,2] (t[1,1]) the system of row a=1
-    # (a=2) is inconsistent, as S(t[1,1]) = t[2,2] and S(t[2,2]) = t[1,1];
-    # t[1,2]*t[1,1] = q^-1 t[1,1]*t[1,2] makes two unknowns of one column,
-    # so every system is underdetermined.  The per-row solve reports the
-    # first defect of the first row.
-    NON_NORMAL = [((1, 1), (1, 2)), ((1, 2), (1, 1))]
-
-    @pytest.mark.parametrize("drop, add, message", [
-        (((2, 2),), [], "antipode equations are inconsistent"),
-        (((1, 1),), [], "antipode equations are inconsistent"),
-        (None, NON_NORMAL, "antipode is not uniquely determined"),
-        (((2, 2),), NON_NORMAL, "antipode equations are inconsistent"),
-        (((1, 1),), NON_NORMAL, "antipode is not uniquely determined"),
-    ])
-    def test_error_branches_match_per_row_solve(self, qg, drop, add, message,
-                                                monkeypatch):
-        ansatz = [w for w in qg.rs.normal_words(1) if w != drop] + add
-        monkeypatch.setattr(qg.rs, "normal_words", lambda degree: ansatz)
-        with pytest.raises(PresentationError) as want:
-            per_row_antipode(qg)
-        with pytest.raises(PresentationError) as got:
-            qg._solve_antipode()
-        assert str(got.value) == str(want.value) == message
-
-    def test_missing_unit_row_is_inconsistent(self, calc3, monkeypatch):
-        """At N=3 only the cubic determinant rule reaches the unit, so an
-        ansatz cut to degree <= 1 gives no row (a, ()) at all: each system
-        asks for unit coefficient 1 where no unknown can supply it, and
-        the solve itself refuses it rather than returning kappa = 0."""
-        qg = calc3.qg
-        ansatz = qg.rs.normal_words(1)
-        monkeypatch.setattr(qg.rs, "normal_words", lambda degree: ansatz)
-        axiom = []
-        monkeypatch.setattr(qg, "_check_antipode_axiom",
-                            lambda: axiom.append(True))
+        monkeypatch.setattr(QuantumGroup, "_minor_antipode", bent)
         with pytest.raises(PresentationError,
-                           match="^antipode equations are inconsistent$"):
-            qg._solve_antipode()
-        assert not axiom
+                           match=r"^antipode axiom fails on generator t\[1,1\]$"):
+            QuantumGroup(load_rmatrix(DEFAULT_RMATRIX))
 
 
 class TestQuantumCofactorAntipode:
-    """The solved antipode against the quantum cofactor formula
+    """The engine's antipode table against the quantum cofactor formula,
+    written out here independently of quantum_minor_terms
     (Faddeev-Reshetikhin-Takhtajan 1990; Klimyk-Schmuedgen 1997, 9.2):
 
         S(t[i,j]) = (-q)^(i-j) * det_q(T without row j and column i),
 
     with det_q of rows r1 < ... < rk and columns c1 < ... < ck the sum over
     permutations s of (-q)^inv(s) t[r1,c_s(1)] ... t[rk,c_s(k)], the order
-    of quantum_determinant_terms.  The exponent i - j, not j - i, is fixed
+    of the determinant rule.  The exponent i - j, not j - i, is fixed
     at N=2, where S(t[1,2]) = -q^-1 t[1,2] and S(t[2,1]) = -q t[2,1].  The
     minors have degree N-1, below the determinant rule, so only the
     quadratic rules reduce them.
@@ -448,43 +406,6 @@ class TestQuantumCofactorAntipode:
 def minus_q_power(k):
     """(-q)^k for an integer k."""
     return Scalar.q_power(k, -1 if k % 2 else 1)
-
-
-def per_row_antipode(qg):
-    """kappa(t^a_g) solved with one elimination per row index a."""
-    rs = qg.rs
-    n = qg.N
-    rng = range(1, n + 1)
-    words = rs.normal_words(max(n - 1, 1))
-    rows = {}
-    for g in rng:
-        for w in words:
-            for b in rng:
-                for u, c in rs.reduce_word(w + ((g, b),)).items():
-                    add_term(rows.setdefault((b, u), {}), (g, w), c)
-    unknowns = sorted({(g, w) for g in rng for w in words},
-                      key=lambda gw: (gw[0], rs.word_key(gw[1])))
-    table = {}
-    for a in rng:
-        system = []
-        for (b, u), row in rows.items():
-            r = dict(row)
-            if b == a and u == ():
-                r["rhs"] = -ONE
-            system.append(r)
-        pivot_rows, pivots = rref_sparse(system, unknowns + ["rhs"])
-        if "rhs" in pivots:
-            raise PresentationError("antipode equations are inconsistent")
-        sol = {}
-        for p, row in pivot_rows.items():
-            if any(c not in (p, "rhs") for c in row):
-                raise PresentationError("antipode is not uniquely determined")
-            if "rhs" in row:
-                sol[p] = -row["rhs"]
-        for g in rng:
-            table[(a, g)] = AlgebraElement(rs, {w: sol[(g, w)] for w in words
-                                                if (g, w) in sol})
-    return table
 
 
 class TestAdjoint:

@@ -251,6 +251,19 @@ class TestErrorSurface:
         assert out_of(["--rmatrix", str(path), "eval", "q"]) == (2, "")
         assert capsys.readouterr().err == "error: R-matrix is singular\n"
 
+    def test_relabelled_r_is_refused_by_the_antipode_axiom(self, tmp_path,
+                                                           capsys):
+        # the standard R under i -> 3 - i passes the Yang-Baxter and Hecke
+        # gates, but the quantum minors fit only the standard orientation
+        path = tmp_path / "r.rmatrix"
+        path.write_text("N 2\nseries A\n" + "".join(
+            "entry %s\n" % e for e in ["2 2 2 2 q", "2 1 2 1 1",
+                                       "2 1 1 2 q - q^-1", "1 2 1 2 1",
+                                       "1 1 1 1 q"]), encoding="utf-8")
+        assert out_of(["--rmatrix", str(path), "eval", "q"]) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: antipode axiom fails on generator t[1,1]\n"
+
 
 class TestDegreeAndCap:
     @pytest.mark.parametrize("flag, value", [

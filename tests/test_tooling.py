@@ -440,3 +440,18 @@ def test_braiding_is_plain_sparse_rows():
                 scans.append("%s.%s" % (path.stem, names[id(inner)]
                                         if inner else "<module>"))
     assert scans == ["algebra.RMatrix._validate", "linalg.first_difference"]
+
+
+def test_antipode_is_not_solved():
+    """The antipode comes from the quantum minors and is certified, not
+    solved for: src defines no _solve_antipode, has no refusal for an
+    underdetermined antipode, and algebra.py imports no elimination."""
+    assert "_solve_antipode" not in _function_names("src")
+    for path in sorted(SRC.glob("*.py")):
+        assert "not uniquely determined" not in \
+            path.read_text(encoding="utf-8"), path.name
+    tree = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "rref_sparse" not in imported
