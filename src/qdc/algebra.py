@@ -190,23 +190,21 @@ def dump_rmatrix(r):
 # ---------------------------------------------------------------------------
 # words and the rewrite system
 
-def gen_order(n):
-    return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-
-
 class RewriteSystem:
-    """Oriented rewriting rules for the RTT ideal (plus determinant = 1).
+    """Oriented rewriting rules over an ordered alphabet of letters.
 
-    Rules map a leading word to a strictly smaller normal element under the
-    degree-lexicographic order, so rewriting terminates.  Confluence is not
-    certified: the tests probe all words of length 4 at N=2 only, and at
-    N=3 the cubic determinant rule leaves it non-confluent above degree 1
-    (ROADMAP item 2).
+    Each rule maps a leading word to a combination of words that are
+    smaller in the degree-lexicographic order, so rewriting terminates.
+    Once every overlap of two leading words resolves (first_ambiguity is
+    None), the normal words are a basis of the quotient in every degree
+    (Bergman 1978, the diamond lemma).  The wedge table certifies its
+    grade-2 rules this way.  The RTT rules of A are not certified: they
+    resolve at N=1 and N=2, and at N=3 and N=4 the determinant rule
+    overlaps a quadratic rule without resolving (ROADMAP item 2).
     """
 
-    def __init__(self, n, rules):
-        self.N = n
-        self.gens = gen_order(n)
+    def __init__(self, gens, rules):
+        self.gens = list(gens)
         self.rank = {g: i for i, g in enumerate(self.gens)}
         self.rules = rules
         self.lhs_lengths = sorted({len(w) for w in rules}, reverse=True)
@@ -216,35 +214,77 @@ class RewriteSystem:
         return (len(w), tuple(self.rank[g] for g in w))
 
     def reduce_word(self, word):
-        """Normal form of a single word, as a dict word -> Scalar."""
-        cached = self._cache.get(word)
+        """Normal form of a single word, as a dict word -> Scalar; memoized,
+        so shared: read it, never mutate it.
+
+        A word is its prefix's normal form times the last letter, where the
+        only redexes end at that letter; the longest one is rewritten.  The
+        normal forms this needs first wait on a stack, not in a recursion,
+        so that a long word cannot exhaust the interpreter's stack.
+        """
+        cache = self._cache
+        cached = cache.get(word)
         if cached is not None:
             return cached
-        result = {}
-        stack = [(word, ONE)]
-        while stack:
-            w, coeff = stack.pop()
-            hit = None
-            for i in range(len(w)):
-                for ln in self.lhs_lengths:
-                    if i + ln > len(w):
-                        continue
-                    sub = w[i:i + ln]
-                    rhs = self.rules.get(sub)
-                    if rhs is not None:
-                        hit = (i, ln, rhs)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                add_term(result, w, coeff)
+        cache.setdefault((), {(): ONE})
+        todo = [word]
+        while todo:
+            w = todo.pop()
+            if w in cache:
                 continue
-            i, ln, rhs = hit
-            pre, post = w[:i], w[i + ln:]
-            for rw, rc in rhs.items():
-                stack.append((pre + rw + post, coeff * rc))
-        self._cache[word] = result
-        return result
+            prefix = cache.get(w[:-1])
+            if prefix is None:
+                todo += [w, w[:-1]]
+                continue
+            result, missing = {}, []
+            for u, c in prefix.items():
+                x = u + w[-1:]
+                hit = self._rule_ending(x)
+                if hit is None:
+                    add_term(result, x, c)
+                    continue
+                ln, rhs = hit
+                for rw, rc in rhs.items():
+                    y = x[:-ln] + rw
+                    if y in cache:
+                        add_scaled(result, cache[y], c * rc)
+                    else:
+                        missing.append(y)
+            if missing:
+                todo += [w] + missing
+            else:
+                cache[w] = result
+        return cache[word]
+
+    def _rule_ending(self, w):
+        """(length, right-hand side) of the longest rule whose leading word
+        ends w, or None."""
+        for ln in self.lhs_lengths:
+            rhs = self.rules.get(w[-ln:]) if ln <= len(w) else None
+            if rhs is not None:
+                return ln, rhs
+        return None
+
+    def first_ambiguity(self):
+        """The first overlap word whose two one-step rewrites reduce to
+        different normal forms, or None if every overlap resolves.
+
+        An overlap joins leading words u and v where a proper suffix of u
+        is a prefix of v; leading words are taken in word order.
+        """
+        leads = sorted(self.rules, key=self.word_key)
+        for u, v in itertools.product(leads, repeat=2):
+            for k in range(1, min(len(u) - 1, len(v)) + 1):
+                if u[-k:] != v[:k]:
+                    continue
+                tail, head = v[k:], u[:-k]
+                left = self.reduce_terms(
+                    {w + tail: c for w, c in self.rules[u].items()})
+                right = self.reduce_terms(
+                    {head + w: c for w, c in self.rules[v].items()})
+                if left != right:
+                    return u + tail
+        return None
 
     def reduce_terms(self, terms):
         out = {}
@@ -258,18 +298,8 @@ class RewriteSystem:
         words = [()]
         layer = [()]
         for _ in range(max_degree):
-            nxt = []
-            for w in layer:
-                for g in self.gens:
-                    cand = w + (g,)
-                    ok = True
-                    for ln in self.lhs_lengths:
-                        if ln <= len(cand) and cand[-ln:] in self.rules:
-                            ok = False
-                            break
-                    if ok:
-                        nxt.append(cand)
-            layer = nxt
+            layer = [w + (g,) for w in layer for g in self.gens
+                     if self._rule_ending(w + (g,)) is None]
             words.extend(layer)
         words.sort(key=self.word_key)
         return words
@@ -304,7 +334,7 @@ def derive_relations(r, sl_mode=True):
         add_term(det, (), -ONE)
         raw_relations.append(det)
 
-    rs = RewriteSystem(n, {})
+    rs = RewriteSystem(itertools.product(rng, repeat=2), {})
     for rel in raw_relations:
         red = rs.reduce_terms(rel)
         if not red:
@@ -362,9 +392,9 @@ class AlgebraElement(LinearCombination):
 
     @classmethod
     def generator(cls, rs, a, b):
-        if not (1 <= a <= rs.N and 1 <= b <= rs.N):
+        if (a, b) not in rs.rank:
             raise AlgebraError("unknown generator t[%d,%d] for N=%d"
-                               % (a, b, rs.N))
+                               % (a, b, rs.gens[-1][0]))
         return cls.from_word(rs, ((a, b),))
 
     @classmethod

@@ -2,18 +2,19 @@
 
 One-forms carry left algebra coefficients; commuting an algebra element
 past a basis form expands through the characteristic functionals.  The
-wedge quotient divides out the fixed subspace of the braiding, grade by
-grade, with reduction rows kept per grade for exact normal forms.
+wedge quotient divides out the fixed subspace of the braiding: its grade-2
+rules, certified on their overlaps, give exact normal forms in every grade.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import isqrt
 
 from .scalars import Scalar, ONE
 from .linalg import (rref_sparse, rank_at_specializations, add_term,
                      add_scaled, sparse_diff, transpose, LinearCombination)
-from .algebra import AlgebraElement, render_element
+from .algebra import AlgebraElement, RewriteSystem, render_element
 from .functionals import flatten_pair, fixed_vectors
 
 
@@ -51,58 +52,51 @@ SPECIALIZATION_POINTS = (2, 3, 5)
 
 
 class WedgeTable:
-    """Per-grade reduced bases and rewrite rows for the exterior algebra.
+    """The exterior algebra as a rewrite system of its grade-2 rules.
 
-    Grade k is built from (grade k-1 basis) x letter: under the
-    lexicographic word order every prefix of a reduced word is reduced
-    (standard monomials, as in Bergman's diamond lemma), so the grade-k
-    relations are the quadratic relations appended to the reduced words of
-    grade k-2, rewritten in those coordinates.
+    The quadratic relations are the fixed vectors of the braiding.  One
+    elimination over the grade-2 words, largest first, makes each pivot
+    word a leading word that rewrites to smaller words.  For quadratic
+    rules every overlap has degree 3, and once those overlaps resolve the
+    normal words are a basis in every grade (Bergman 1978, the diamond
+    lemma; Polishchuk-Positselski 2005, ch. 4), so a table whose overlaps
+    do not resolve is refused, and every grade is reached by rewriting.
     """
 
     def __init__(self, lam, max_grade):
         if max_grade < 2:
             raise FormsError("wedge table needs max_grade >= 2")
-        self.M = isqrt(len(lam))
+        m = self.M = isqrt(len(lam))
         self.max_grade = max_grade
         # the quadratic wedge relations: fixed vectors of the braiding acting
         # on coefficient rows, i.e. the kernel of (transposed Lam) - id
         self.relation_vectors = fixed_vectors(transpose(lam, len(lam)))
-        self.basis = {0: [()], 1: [(i,) for i in range(self.M)]}
-        self.pivot_rows = {0: {}, 1: {}}
-        self.spec_ranks = {}
-        self.warnings = []
-        self._reduced = {}
-        for k in range(2, max_grade + 1):
-            self._build_grade(k)
-
-    def _build_grade(self, k):
-        m = self.M
-        rows = []
-        for u in self.basis[k - 2]:
-            for v in self.relation_vectors:
-                row = {}
-                for c, coeff in v.items():
-                    a, b = divmod(c, m)
-                    for w, sc in self._reduce(u + (a,)).items():
-                        add_term(row, w + (b,), sc * coeff)
-                rows.append(row)
-        columns = sorted((w + (b,) for w in self.basis[k - 1] for b in range(m)),
-                         reverse=True)
+        rows = [{divmod(c, m): v for c, v in vec.items()}
+                for vec in self.relation_vectors]
+        columns = sorted(itertools.product(range(m), repeat=2), reverse=True)
         basis_rows = []
         pivot_rows, pivots = rref_sparse(rows, columns, basis_rows)
-        sym_rank = len(pivots)
         numeric = rank_at_specializations(rows, columns, SPECIALIZATION_POINTS,
                                           basis_rows)
-        self.spec_ranks[k] = {"symbolic": sym_rank, "numeric": dict(numeric)}
-        for q0, rk in numeric.items():
-            if rk != sym_rank:
-                self.warnings.append(
-                    "grade %d relation rank drops from %d to %d at q0=%s"
-                    % (k, sym_rank, rk, q0))
-        pivot_set = set(pivots)
-        self.basis[k] = sorted(w for w in columns if w not in pivot_set)
-        self.pivot_rows[k] = pivot_rows
+        self.spec_ranks = {2: {"symbolic": len(pivots), "numeric": numeric}}
+        self.warnings = ["grade 2 relation rank drops from %d to %d at q0=%s"
+                         % (len(pivots), rk, q0)
+                         for q0, rk in numeric.items() if rk != len(pivots)]
+        rules = {}
+        for lead, row in pivot_rows.items():
+            rules[lead] = {w: -c for w, c in row.items() if w != lead}
+            for c in rules[lead].values():
+                for q0 in SPECIALIZATION_POINTS:
+                    c.evaluate_at(q0)   # a pole raises PoleError
+        self.rs = RewriteSystem(range(m), rules)
+        overlap = self.rs.first_ambiguity()
+        if overlap is not None:
+            label = OneFormBasis(isqrt(m)).label
+            raise FormsError("wedge rules do not resolve the overlap %s"
+                             % " /\\ ".join(label(i) for i in overlap))
+        self.basis = {k: [] for k in range(max_grade + 1)}
+        for w in self.rs.normal_words(max_grade):
+            self.basis[len(w)].append(w)
 
     def dimension(self, k):
         if k > self.max_grade:
@@ -113,44 +107,29 @@ class WedgeTable:
         return [len(self.basis[k]) for k in range(self.max_grade + 1)]
 
     def reduce_word(self, word):
-        """Expand a wedge word over the reduced basis of its grade.
+        """Expand a wedge word over the normal words of its grade.
 
-        The result is shared with the table's memo: read it, never mutate it.
+        The result is shared with the rewrite memo: read it, never mutate it.
         """
         if len(word) > self.max_grade:
             raise GradeCapError("grade %d beyond table cap %d"
                                 % (len(word), self.max_grade))
-        return self._reduce(word)
-
-    def _reduce(self, word):
-        hit = self._reduced.get(word)
-        if hit is None:
-            if len(word) < 2:
-                hit = {word: ONE}
-            else:
-                pivot_rows = self.pivot_rows[len(word)]
-                hit = {}
-                for u, c in self._reduce(word[:-1]).items():
-                    w = u + word[-1:]
-                    row = pivot_rows.get(w)
-                    if row is None:
-                        add_term(hit, w, c)
-                    else:
-                        add_scaled(hit, row, -c, skip=w)
-            self._reduced[word] = hit
-        return hit
+        return self.rs.reduce_word(word)
 
     def first_empty_grade(self):
-        """Smallest grade with empty reduced basis, or None up to grade M + 1.
+        """Smallest grade with no normal word, or None up to grade M + 1.
 
         Grade M + 1 is where the classical exterior algebra on M letters
-        ends; grades past the table cap are built on the way.
+        ends.  Normal words are counted by their last letter, so no grade
+        is listed, past the table cap or within it.
         """
-        for k in range(self.M + 2):
-            if k not in self.basis:
-                self._build_grade(k)
-            if not self.basis[k]:
+        rules = self.rs.rules
+        counts = [1] * self.M   # the normal words of grade 1
+        for k in range(1, self.M + 2):
+            if not any(counts):
                 return k
+            counts = [sum(n for a, n in enumerate(counts)
+                          if (a, b) not in rules) for b in range(self.M)]
         return None
 
 

@@ -8,7 +8,7 @@ import pytest
 from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
 from qdc.algebra import (RMatrixError, PresentationError, load_rmatrix,
                          dump_rmatrix, QuantumGroup, AlgebraElement,
-                         quantum_minor_terms)
+                         quantum_minor_terms, derive_relations, render_word)
 from qdc.linalg import add_term, sparse_sum
 from qdc.calculus import DEFAULT_RMATRIX
 
@@ -266,6 +266,77 @@ class TestConfluence:
                                     if not c.is_zero()})
                 for other in results[1:]:
                     assert other == results[0], "diverging paths on %r" % (word,)
+
+
+def presentation(n):
+    """The rewrite system of SL_q(n) from its config, N=2 the default."""
+    text = DEFAULT_RMATRIX if n == 2 else read_config("slq%d.rmatrix" % n)
+    return derive_relations(load_rmatrix(text))
+
+
+def leftmost_normal_form(rs, word):
+    """The reference: the reducer RewriteSystem had before it reduced the
+    prefix first.  It rewrites the redex that starts earliest, longest
+    leading word first, until no word has one; nothing is memoized."""
+    result = {}
+    stack = [(word, ONE)]
+    while stack:
+        w, coeff = stack.pop()
+        hit = None
+        for i in range(len(w)):
+            for ln in rs.lhs_lengths:
+                rhs = rs.rules.get(w[i:i + ln]) if i + ln <= len(w) else None
+                if rhs is not None:
+                    hit = (i, ln, rhs)
+                    break
+            if hit:
+                break
+        if hit is None:
+            add_term(result, w, coeff)
+            continue
+        i, ln, rhs = hit
+        for rw, rc in rhs.items():
+            stack.append((w[:i] + rw + w[i + ln:], coeff * rc))
+    return result
+
+
+class TestRewriteSystem:
+    @pytest.mark.parametrize("n, witness", [
+        (1, None), (2, None), (3, "t[2,1]*t[1,3]*t[2,2]*t[3,1]"),
+        (4, "t[2,1]*t[1,4]*t[2,3]*t[3,2]*t[4,1]")],
+        ids=["N1", "N2", "N3", "N4"])
+    def test_first_ambiguity(self, n, witness):
+        # recorded, not gating: the determinant rule of N >= 3 overlaps a
+        # quadratic rule without resolving (ROADMAP item 2)
+        overlap = presentation(n).first_ambiguity()
+        assert (None if overlap is None else render_word(overlap)) == witness
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_no_leading_word_contains_another(self, n):
+        # so the redex that ends earliest is the one that starts earliest
+        leads = presentation(n).rules
+        for u in leads:
+            for v in leads:
+                assert u == v or not any(
+                    u[i:i + len(v)] == v
+                    for i in range(len(u) - len(v) + 1)), (u, v)
+
+    def test_long_word_needs_no_deep_recursion(self):
+        # t[1,1] passes 1,100 letters t[2,1] one rule at a time, deeper than
+        # the interpreter's recursion limit
+        n = 1100
+        word = ((2, 1),) * n + ((1, 1),)
+        assert presentation(2).reduce_word(word) == \
+            {((1, 1),) + ((2, 1),) * n: Scalar.q_power(-n)}
+
+    @pytest.mark.parametrize("n, degree", [(2, 6), (3, 4)])
+    def test_prefix_first_matches_the_leftmost_scan(self, n, degree):
+        # at N=3 also where the rules do not resolve
+        rs = presentation(n)
+        for k in range(degree + 1):
+            for word in itertools.product(rs.gens, repeat=k):
+                assert rs.reduce_word(word) == \
+                    leftmost_normal_form(rs, word), word
 
 
 class TestDeterminant:

@@ -1,16 +1,19 @@
 import math
 import os
 import random
+import re
 
 import pytest
 
-from qdc.scalars import ZERO, ONE
+from qdc import forms
+from qdc.scalars import PoleError, Scalar, ZERO, ONE
 from qdc.algebra import AlgebraElement, load_rmatrix
 from qdc.calculus import assemble
-from qdc.forms import (FormElement, GradeCapError, WedgeTable, left_coaction,
-                       z_form_comparison)
+from qdc.forms import (FormElement, FormsError, GradeCapError, WedgeTable,
+                       SPECIALIZATION_POINTS, left_coaction, z_form_comparison)
 from qdc.functionals import convolve, make_lambda
-from qdc.linalg import add_term, rref_sparse, mat_inverse
+from qdc.linalg import (add_term, add_scaled, rref_sparse, mat_inverse,
+                        rank_at_specializations)
 
 
 class TestWedgeTable:
@@ -74,7 +77,8 @@ class TestWedgeTable:
 
     def test_sl3_grades_are_binomial(self):
         # the N=3 table at the default cap (max grade 5) has the classical
-        # dimensions C(9, k) and agrees with every specialization
+        # dimensions C(9, k), and its grade-2 rank holds at every
+        # specialization
         path = os.path.join(os.path.dirname(__file__), "data", "slq3.rmatrix")
         with open(path, encoding="utf-8") as fh:
             r = load_rmatrix(fh.read())
@@ -82,6 +86,119 @@ class TestWedgeTable:
         assert table.dimensions() == [math.comb(9, k) for k in range(6)]
         assert table.warnings == []
         assert table.first_empty_grade() == 10
+
+
+class EliminatedWedge:
+    """The reference: the exterior algebra grade by grade, as the wedge
+    table built it before it rewrote.
+
+    Grade k is built from (grade k-1 basis) x letter: under the
+    lexicographic word order every prefix of a reduced word is reduced, so
+    the grade-k relations are the relation vectors appended to the basis
+    words of grade k-2, rewritten in those coordinates.  Each grade is one
+    rref_sparse over its column words, largest first, with its rank at
+    every specialization point.
+    """
+
+    def __init__(self, relation_vectors, m, max_grade):
+        self.basis = {0: [()], 1: [(i,) for i in range(m)]}
+        self.columns = {}
+        self.pivot_rows = {}
+        self.ranks = {}
+        self._reduced = {}
+        for k in range(2, max_grade + 1):
+            rows = []
+            for u in self.basis[k - 2]:
+                for v in relation_vectors:
+                    row = {}
+                    for c, coeff in v.items():
+                        a, b = divmod(c, m)
+                        for w, sc in self.reduce(u + (a,)).items():
+                            add_term(row, w + (b,), sc * coeff)
+                    rows.append(row)
+            columns = sorted((w + (b,) for w in self.basis[k - 1]
+                              for b in range(m)), reverse=True)
+            basis_rows = []
+            self.pivot_rows[k], pivots = rref_sparse(rows, columns, basis_rows)
+            self.ranks[k] = (len(pivots), rank_at_specializations(
+                rows, columns, SPECIALIZATION_POINTS, basis_rows))
+            self.columns[k] = columns
+            pivot_set = set(pivots)
+            self.basis[k] = sorted(w for w in columns if w not in pivot_set)
+
+    def reduce(self, word):
+        hit = self._reduced.get(word)
+        if hit is None:
+            if len(word) < 2:
+                hit = {word: ONE}
+            else:
+                pivot_rows = self.pivot_rows[len(word)]
+                hit = {}
+                for u, c in self.reduce(word[:-1]).items():
+                    w = u + word[-1:]
+                    row = pivot_rows.get(w)
+                    if row is None:
+                        add_term(hit, w, c)
+                    else:
+                        add_scaled(hit, row, -c, skip=w)
+            self._reduced[word] = hit
+        return hit
+
+
+class TestRewrittenWedge:
+    """The grade-2 rules, rewritten at every grade, against the per-grade
+    elimination: the same basis and the same normal form of every column
+    word, N=2 and N=3 through grade 4 and N=4 through grade 3."""
+
+    @pytest.mark.parametrize("n, top", [(2, 4), (3, 4), (4, 3)])
+    def test_normal_forms_match_the_elimination(self, n, top, calc, calc3,
+                                                calc4):
+        c = {2: calc, 3: calc3, 4: calc4}[n]
+        table = WedgeTable(c.dual.lam_matrix, top)
+        ref = EliminatedWedge(table.relation_vectors, table.M, top)
+        for k in range(top + 1):
+            assert table.basis[k] == ref.basis[k], k
+        for k in range(2, top + 1):
+            symbolic, numeric = ref.ranks[k]
+            assert numeric == dict.fromkeys(SPECIALIZATION_POINTS, symbolic), k
+            for w in ref.columns[k]:
+                assert table.reduce_word(w) == ref.reduce(w), w
+
+    def test_one_elimination_at_any_grade(self, calc, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rref_sparse(*args)
+
+        monkeypatch.setattr(forms, "rref_sparse", counted)
+        table = WedgeTable(calc.dual.lam_matrix, 5)
+        assert table.first_empty_grade() == 5
+        assert len(calls) == 1
+
+    def test_bent_rule_is_refused_by_its_overlap(self, calc, monkeypatch):
+        # the rule w[2,2] /\ w[1,2] -> (-q^4 + q^2) w[1,1] /\ w[1,2]
+        # - q^2 w[1,2] /\ w[2,2], with its first coefficient times q
+        def bent(rows, columns, sources=None):
+            pivot_rows, pivots = rref_sparse(rows, columns, sources)
+            pivot_rows[(3, 1)][(0, 1)] *= Scalar.q()
+            return pivot_rows, pivots
+
+        monkeypatch.setattr(forms, "rref_sparse", bent)
+        with pytest.raises(FormsError, match=re.escape(
+                "overlap w[2,2] /\\ w[2,1] /\\ w[1,2]")):
+            WedgeTable(calc.dual.lam_matrix, 3)
+
+    def test_rule_with_a_pole_is_refused(self, calc, monkeypatch):
+        # a coefficient 1/(q - 2) has a pole at the specialization point 2
+        def with_pole(rows, columns, sources=None):
+            pivot_rows, pivots = rref_sparse(rows, columns, sources)
+            pivot_rows[(3, 1)][(0, 1)] = ONE / (Scalar.q() - Scalar.from_int(2))
+            return pivot_rows, pivots
+
+        monkeypatch.setattr(forms, "rref_sparse", with_pole)
+        with pytest.raises(PoleError):
+            WedgeTable(calc.dual.lam_matrix, 3)
 
 
 class TestBimodule:

@@ -7,6 +7,7 @@ runs where only the quadratic RTT rules act.
 import math
 
 from qdc.algebra import AlgebraElement
+from qdc.forms import WedgeTable
 from qdc.functionals import convolve, braid_defect
 from qdc.suites import hopf_suite
 
@@ -16,13 +17,21 @@ def test_wedge_dimensions_are_binomial(calc4):
 
 
 def test_symbolic_rank_equals_numeric_rank_at_every_point(calc4):
+    # grade 2 only: the grade-3 ranks are checked against the per-grade
+    # elimination in tests/test_forms.py
     table = calc4.space.table
-    assert sorted(table.spec_ranks) == [2, 3]
+    assert sorted(table.spec_ranks) == [2]
     for k, info in table.spec_ranks.items():
         assert set(info["numeric"]) == {2, 3, 5}
         for q0, rank in info["numeric"].items():
             assert rank == info["symbolic"], (k, q0)
     assert table.warnings == []
+
+
+def test_first_empty_wedge_grade_is_counted(calc4):
+    # M + 1 = 17, the first grade past the classical exterior algebra,
+    # counted without building any grade beyond the cap
+    assert WedgeTable(calc4.dual.lam_matrix, 3).first_empty_grade() == 17
 
 
 def test_hopf_suite_passes_at_degree_one(calc4):

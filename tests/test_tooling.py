@@ -455,3 +455,25 @@ def test_antipode_is_not_solved():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
     assert "rref_sparse" not in imported
+
+
+def test_one_rewriting_engine():
+    """The wedge table rewrites with algebra.RewriteSystem and keeps no
+    reducer of its own: forms.py defines no _build_grade or _reduce,
+    stores no pivot_rows, and rref_sparse is called once in WedgeTable,
+    in its __init__."""
+    tree = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_build_grade", "_reduce"}
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "pivot_rows"]
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "WedgeTable")
+    calls = ["%s:%d" % (f.name, node.lineno)
+             for f in table.body if isinstance(f, ast.FunctionDef)
+             for node in ast.walk(f)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "rref_sparse"]
+    assert len(calls) == 1 and calls[0].startswith("__init__:"), calls
