@@ -11,7 +11,7 @@ import itertools
 import operator
 
 from .scalars import Scalar, ZERO, ONE, parse_scalar, render_scalar
-from .linalg import (mat_inverse, mat_mul, add_term, add_scaled,
+from .linalg import (mat_inverse, mat_mul, rref_sparse, add_term, add_scaled,
                      LinearCombination)
 
 
@@ -208,7 +208,23 @@ class RewriteSystem:
         self.rank = {g: i for i, g in enumerate(self.gens)}
         self.rules = rules
         self.lhs_lengths = sorted({len(w) for w in rules}, reverse=True)
-        self._cache = {}
+        self._cache = {(): {(): ONE}}
+
+    @classmethod
+    def from_relations(cls, gens, relations, sources=None):
+        """The rules of the span of relations (dicts word -> Scalar).
+
+        One elimination over the relations' words, largest first, makes
+        each pivot row lead + rest the rule lead -> -rest.  sources is
+        passed to rref_sparse, which lists in it the relations that made
+        the rules.
+        """
+        gens = list(gens)
+        words = sorted({w for rel in relations for w in rel},
+                       key=cls(gens, {}).word_key, reverse=True)
+        pivot_rows, _ = rref_sparse(relations, words, sources)
+        return cls(gens, {lead: {w: -c for w, c in row.items() if w != lead}
+                          for lead, row in pivot_rows.items()})
 
     def word_key(self, w):
         return (len(w), tuple(self.rank[g] for g in w))
@@ -226,7 +242,6 @@ class RewriteSystem:
         cached = cache.get(word)
         if cached is not None:
             return cached
-        cache.setdefault((), {(): ONE})
         todo = [word]
         while todo:
             w = todo.pop()
@@ -318,44 +333,30 @@ def quantum_minor_terms(rows, cols):
 
 
 def derive_relations(r, sl_mode=True):
-    """Oriented rewrite system for R T2 T1 = T1 T2 R (plus det = 1)."""
-    n = r.N
-    rng = range(1, n + 1)
-    raw_relations = []
+    """Oriented rewrite system for R T2 T1 = T1 T2 R (plus det = 1).
+
+    An elimination cancels whole words, not subwords, so det - 1 is first
+    reduced by the quadratic rules; its largest normal word then leads
+    the determinant rule.
+    """
+    rng = range(1, r.N + 1)
+    gens = list(itertools.product(rng, repeat=2))
+    rows = []
     for a, b, c, d in itertools.product(rng, repeat=4):
         terms = {}
         for e, f in itertools.product(rng, repeat=2):
             add_term(terms, ((f, d), (e, c)), r.val(a, b, e, f))
             add_term(terms, ((a, e), (b, f)), -r.val(e, f, c, d))
-        if terms:
-            raw_relations.append(terms)
+        rows.append(terms)
+    rs = RewriteSystem.from_relations(gens, rows)
     if sl_mode:
         det = quantum_minor_terms(rng, rng)
         add_term(det, (), -ONE)
-        raw_relations.append(det)
-
-    rs = RewriteSystem(itertools.product(rng, repeat=2), {})
-    for rel in raw_relations:
-        red = rs.reduce_terms(rel)
-        if not red:
-            continue
-        lead = max(red, key=rs.word_key)
-        if lead == ():
-            raise PresentationError(
-                "inconsistent relations: a nonzero constant reduces to zero")
-        coeff = red.pop(lead)
-        rhs = {w: -(c / coeff) for w, c in red.items()}
-        rs.rules[lead] = rhs
-        rs.lhs_lengths = sorted({len(w) for w in rs.rules}, reverse=True)
-        rs._cache.clear()
-    # re-reduce every rule right-hand side against the full system
-    for lead in list(rs.rules):
-        rs._cache.clear()
-        body = rs.reduce_terms(rs.rules[lead])
-        if lead in body:
-            raise PresentationError("rule %r is self-referential" % (lead,))
-        rs.rules[lead] = body
-    rs._cache.clear()
+        rows.append(rs.reduce_terms(det))
+        rs = RewriteSystem.from_relations(gens, rows)
+    if () in rs.rules:
+        raise PresentationError(
+            "inconsistent relations: a nonzero constant reduces to zero")
     return rs
 
 

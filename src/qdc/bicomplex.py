@@ -27,10 +27,8 @@ class BicomplexGrid:
         for k in range(self.cap + 1):
             data = calc.grid.data(k)
             d0, d1 = data["dims"]
-            u0_labels = [" /\\ ".join(basis.label(i) for i in w) if w else "1"
-                         for w in data["u0_words"]]
-            u1_labels = ["X" if not w else
-                         " /\\ ".join(basis.label(i) for i in w) + " /\\ X"
+            u0_labels = [basis.render_word(w) for w in data["u0_words"]]
+            u1_labels = [basis.render_word(w) + " /\\ X" if w else "X"
                          for w in data["u1_words"]]
             self.cells[(0, k)] = {"dim": d0, "basis": u0_labels}
             if k >= 1:

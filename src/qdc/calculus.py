@@ -397,7 +397,6 @@ class ExtendedCalculus:
         self.qg = outer.qg
         self.f00 = f00
         self.rank = outer.rank + 1
-        self.labels = ["X"] + list(outer.labels)
 
     def delta_coeff(self, a):
         """delta(a) = (f00 * a - a) X, as the X-sector coefficient."""

@@ -303,10 +303,10 @@ def cmd_relations(args, out):
             red = FormElement(space, {
                 u: AlgebraElement.from_scalar(qg.rs, c)
                 for u, c in table.reduce_word(w).items()})
-            rows.append([_wedge_word_str(calc, w), red.render()])
+            rows.append([space.basis.render_word(w), red.render()])
         payload["wedge"][str(k)] = {
             "dimension": table.dimension(k),
-            "basis": [_wedge_word_str(calc, w) for w in table.basis[k]],
+            "basis": [space.basis.render_word(w) for w in table.basis[k]],
             "rules": rows,
         }
     if args.format == "structured":
@@ -327,12 +327,6 @@ def cmd_relations(args, out):
             for lhs, rhs in info["rules"]:
                 out.write("  %s -> %s\n" % (lhs, rhs))
     return 0
-
-
-def _wedge_word_str(calc, w):
-    if not w:
-        return "1"
-    return " /\\ ".join(calc.space.basis.label(i) for i in w)
 
 
 def cmd_eval(args, out):

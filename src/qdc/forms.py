@@ -8,7 +8,6 @@ rules, certified on their overlaps, give exact normal forms in every grade.
 
 from __future__ import annotations
 
-import itertools
 from math import isqrt
 
 from .scalars import Scalar, ONE
@@ -42,6 +41,11 @@ class OneFormBasis:
     def label(self, i):
         return "w[%d,%d]" % self.pairs[i]
 
+    def render_word(self, word):
+        if not word:
+            return "1"
+        return " /\\ ".join(self.label(i) for i in word)
+
     def index(self, a, b):
         if not (1 <= a <= self.N and 1 <= b <= self.N):
             raise FormsError("unknown one-form w[%d,%d] for N=%d" % (a, b, self.N))
@@ -73,27 +77,23 @@ class WedgeTable:
         self.relation_vectors = fixed_vectors(transpose(lam, len(lam)))
         rows = [{divmod(c, m): v for c, v in vec.items()}
                 for vec in self.relation_vectors]
-        columns = sorted(itertools.product(range(m), repeat=2), reverse=True)
         basis_rows = []
-        pivot_rows, pivots = rref_sparse(rows, columns, basis_rows)
-        numeric = rank_at_specializations(rows, columns, SPECIALIZATION_POINTS,
-                                          basis_rows)
-        self.spec_ranks = {2: {"symbolic": len(pivots), "numeric": numeric}}
+        self.rs = RewriteSystem.from_relations(range(m), rows, basis_rows)
+        rank = len(self.rs.rules)
+        numeric = rank_at_specializations(self.relation_vectors, range(m * m),
+                                          SPECIALIZATION_POINTS, basis_rows)
+        self.spec_ranks = {2: {"symbolic": rank, "numeric": numeric}}
         self.warnings = ["grade 2 relation rank drops from %d to %d at q0=%s"
-                         % (len(pivots), rk, q0)
-                         for q0, rk in numeric.items() if rk != len(pivots)]
-        rules = {}
-        for lead, row in pivot_rows.items():
-            rules[lead] = {w: -c for w, c in row.items() if w != lead}
-            for c in rules[lead].values():
+                         % (rank, rk, q0)
+                         for q0, rk in numeric.items() if rk != rank]
+        for body in self.rs.rules.values():
+            for c in body.values():
                 for q0 in SPECIALIZATION_POINTS:
                     c.evaluate_at(q0)   # a pole raises PoleError
-        self.rs = RewriteSystem(range(m), rules)
         overlap = self.rs.first_ambiguity()
         if overlap is not None:
-            label = OneFormBasis(isqrt(m)).label
             raise FormsError("wedge rules do not resolve the overlap %s"
-                             % " /\\ ".join(label(i) for i in overlap))
+                             % OneFormBasis(isqrt(m)).render_word(overlap))
         self.basis = {k: [] for k in range(max_grade + 1)}
         for w in self.rs.normal_words(max_grade):
             self.basis[len(w)].append(w)
@@ -267,14 +267,14 @@ class FormElement(LinearCombination):
     def render(self):
         if not self.terms:
             return "0"
-        names = self.space.basis.label
+        render_word = self.space.basis.render_word
         parts = []
         for w, c in self.sorted_terms():
             cs = render_element(c)
             if not w:
                 parts.append("(%s)" % cs if _needs_parens(cs) else cs)
                 continue
-            wstr = " /\\ ".join(names(i) for i in w)
+            wstr = render_word(w)
             if cs == "1":
                 parts.append(wstr)
             elif cs == "-1":

@@ -410,37 +410,49 @@ def leibniz_suite(calc, degree=None, samples=6):
     rng = random.Random(20260809)
     words = qg.rs.normal_words(degree)
     elems = [AlgebraElement.from_word(qg.rs, w) for w in words]
-    # the pair sweeps below read these, each computed once: products[i][j]
-    # is elems[i] * elems[j], and pairs run row by row in that order
-    products = [[a * b for b in elems] for a in elems]
     d_elems = [calc.d(e) for e in elems]
-    partials = [calc.partial(e) for e in elems]
+    # a function lies in row 0, so partial(e) is the row-0 part of d(e)
+    partials = [calc.grid.split_component(de)[0] for de in d_elems]
     sectors = calc.dual.sectors
     trace = sectors["trace"]
-    # sector name -> [f00 * e for e in elems]
-    convolved = {tag: [convolve(f00, e) for e in elems]
-                 for tag, f00 in sectors.items()}
+    # sector name -> (f00, [f00 * e], [f00 * e - e]): the sector
+    # differential e -> f00 * e - e
+    sector_data = {}
+    for tag, f00 in sectors.items():
+        conv = [convolve(f00, e) for e in elems]
+        sector_data[tag] = (f00, conv, [c - e for c, e in zip(conv, elems)])
 
     def pair_str(a, b):
         return "%s, %s" % (render_element(a), render_element(b))
 
-    # leibniz-d and the partial rule share one sweep, so each d(ab) is
-    # computed once: a function lies in row 0, so partial(ab) is the row-0
-    # part of d(ab).  leibniz-d has one outcome per pair.  The twisted rule
-    # is swept row by row (all b for one a), with one outcome per row: the
-    # row's last failure.  The plain rule is measured on the rows up to the
-    # twisted rule's first failing one.  Each rule is evaluated no further
-    # than its first witness.
+    # One joint sweep of the pairs, row by row (all b for one a), where
+    # each product ab is built once and dropped after its pair.  leibniz-d
+    # and the partial rule share each d(ab): partial(ab) is the row-0 part
+    # of d(ab).  leibniz-d and each sector rule have one outcome per pair.
+    # The twisted rule has one outcome per row: the row's last failure.
+    # The plain rule is measured on the rows up to the twisted rule's
+    # first failing one.  Each rule is evaluated no further than its first
+    # witness.
     out_d, out_twisted, out_plain = [], [], []
-    for a, da, pa, ta, row in zip(elems, d_elems, partials, convolved["trace"],
-                                  products):
-        if not (_open(out_d) or _open(out_twisted)):
+    out_sector = {tag: [] for tag in sectors}
+    for i, (a, da, pa, ta) in enumerate(zip(elems, d_elems, partials,
+                                            sector_data["trace"][1])):
+        if not any(map(_open, [out_d, out_twisted, *out_sector.values()])):
             break
         twisted = _open(out_twisted)
         fa = space.from_algebra(a)
         twist = space.from_algebra(ta)
         row_failures = []
-        for b, db, pb, ab in zip(elems, d_elems, partials, row):
+        for j, (b, db, pb) in enumerate(zip(elems, d_elems, partials)):
+            ab = a * b
+            for tag, (f00, conv, sector) in sector_data.items():
+                out = out_sector[tag]
+                if _open(out):
+                    lhs = convolve(f00, ab) - ab
+                    rhs = sector[i] * conv[j] + a * sector[j]
+                    out.append(None if lhs == rhs else pair_str(a, b))
+            if not (_open(out_d) or twisted):
+                continue
             dab = calc.d(ab)
             if _open(out_d):
                 rhs = da.algebra_mul_right(b) + fa.wedge(db)
@@ -473,20 +485,10 @@ def leibniz_suite(calc, degree=None, samples=6):
                "d(x /\\ y) = dx /\\ y - x /\\ dy on grade-1 pairs",
                leibniz_graded())
 
-    def leibniz_sector(f00, conv):
-        # the sector differential e -> f00 * e - e
-        sector = [c - e for c, e in zip(conv, elems)]
-        for a, sa, row in zip(elems, sector, products):
-            for b, cb, sb, ab in zip(elems, conv, sector, row):
-                lhs = convolve(f00, ab) - ab
-                rhs = sa * cb + a * sb
-                yield None if lhs == rhs else pair_str(a, b)
-
-    for tag, f00 in sectors.items():
+    for tag in sectors:
         report.law("leibniz-sector-%s" % tag,
                    "the one-dimensional-sector differential obeys the "
-                   "Leibniz rule (f00 = %s)" % tag,
-                   leibniz_sector(f00, convolved[tag]))
+                   "Leibniz rule (f00 = %s)" % tag, out_sector[tag])
 
     report.law("leibniz-partial-twisted",
                "the complement differential obeys the trace-twisted "

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
-from qdc.algebra import (RMatrixError, PresentationError, load_rmatrix,
-                         dump_rmatrix, QuantumGroup, AlgebraElement,
-                         quantum_minor_terms, derive_relations, render_word)
+from qdc.algebra import (RMatrixError, PresentationError, RewriteSystem,
+                         load_rmatrix, dump_rmatrix, QuantumGroup,
+                         AlgebraElement, quantum_minor_terms,
+                         derive_relations, render_word)
 from qdc.linalg import add_term, sparse_sum
 from qdc.calculus import DEFAULT_RMATRIX
 
@@ -300,7 +301,60 @@ def leftmost_normal_form(rs, word):
     return result
 
 
+def incremental_relations(r, sl_mode):
+    """The reference: derive_relations as it was before it eliminated.
+    Each relation, RTT rows then det - 1, is reduced by the rules so far
+    and oriented at its largest word; then every rule body is reduced
+    again against the full system."""
+    rng = range(1, r.N + 1)
+    raw_relations = []
+    for a, b, c, d in itertools.product(rng, repeat=4):
+        terms = {}
+        for e, f in itertools.product(rng, repeat=2):
+            add_term(terms, ((f, d), (e, c)), r.val(a, b, e, f))
+            add_term(terms, ((a, e), (b, f)), -r.val(e, f, c, d))
+        if terms:
+            raw_relations.append(terms)
+    if sl_mode:
+        det = quantum_minor_terms(rng, rng)
+        add_term(det, (), -ONE)
+        raw_relations.append(det)
+    gens = list(itertools.product(rng, repeat=2))
+    rules = {}
+    for rel in raw_relations:
+        red = RewriteSystem(gens, rules).reduce_terms(rel)
+        if not red:
+            continue
+        lead = max(red, key=RewriteSystem(gens, {}).word_key)
+        coeff = red.pop(lead)
+        rules[lead] = {w: -(c / coeff) for w, c in red.items()}
+    for lead in list(rules):
+        rules[lead] = RewriteSystem(gens, rules).reduce_terms(rules[lead])
+    return rules
+
+
 class TestRewriteSystem:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("sl_mode", [True, False], ids=["SL", "GL"])
+    def test_one_elimination_matches_the_incremental_derivation(self, n,
+                                                                sl_mode):
+        # rule order too: check_rewrite_invariance names the first bad rule
+        text = DEFAULT_RMATRIX if n == 2 else read_config("slq%d.rmatrix" % n)
+        r = load_rmatrix(text)
+        got = derive_relations(r, sl_mode=sl_mode).rules
+        want = incremental_relations(r, sl_mode)
+        assert got == want
+        assert [(lead, list(body)) for lead, body in got.items()] == \
+            [(lead, list(body)) for lead, body in want.items()]
+
+    def test_unit_relation_is_refused(self, monkeypatch):
+        # a vanishing determinant leaves det - 1 = -1, a pivot at ()
+        monkeypatch.setattr("qdc.algebra.quantum_minor_terms",
+                            lambda rows, cols: {})
+        with pytest.raises(PresentationError, match="^inconsistent relations: "
+                           "a nonzero constant reduces to zero$"):
+            derive_relations(load_rmatrix(DEFAULT_RMATRIX))
+
     @pytest.mark.parametrize("n, witness", [
         (1, None), (2, None), (3, "t[2,1]*t[1,3]*t[2,2]*t[3,1]"),
         (4, "t[2,1]*t[1,4]*t[2,3]*t[3,2]*t[4,1]")],

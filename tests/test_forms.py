@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from qdc import forms
+from qdc import algebra
 from qdc.scalars import PoleError, Scalar, ZERO, ONE
 from qdc.algebra import AlgebraElement, load_rmatrix
 from qdc.calculus import assemble
@@ -171,7 +171,7 @@ class TestRewrittenWedge:
             calls.append(args)
             return rref_sparse(*args)
 
-        monkeypatch.setattr(forms, "rref_sparse", counted)
+        monkeypatch.setattr(algebra, "rref_sparse", counted)
         table = WedgeTable(calc.dual.lam_matrix, 5)
         assert table.first_empty_grade() == 5
         assert len(calls) == 1
@@ -184,7 +184,7 @@ class TestRewrittenWedge:
             pivot_rows[(3, 1)][(0, 1)] *= Scalar.q()
             return pivot_rows, pivots
 
-        monkeypatch.setattr(forms, "rref_sparse", bent)
+        monkeypatch.setattr(algebra, "rref_sparse", bent)
         with pytest.raises(FormsError, match=re.escape(
                 "overlap w[2,2] /\\ w[2,1] /\\ w[1,2]")):
             WedgeTable(calc.dual.lam_matrix, 3)
@@ -196,7 +196,7 @@ class TestRewrittenWedge:
             pivot_rows[(3, 1)][(0, 1)] = ONE / (Scalar.q() - Scalar.from_int(2))
             return pivot_rows, pivots
 
-        monkeypatch.setattr(forms, "rref_sparse", with_pole)
+        monkeypatch.setattr(algebra, "rref_sparse", with_pole)
         with pytest.raises(PoleError):
             WedgeTable(calc.dual.lam_matrix, 3)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdc import calculus, forms, functionals, linalg
+from qdc import algebra, calculus, forms, functionals, linalg
 from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
 from qdc.linalg import (add_scaled, add_term, kernel_basis, mat_inverse,
                         rank_at_specializations, rref_sparse, ValueNumbers,
@@ -250,7 +250,7 @@ def recorded_systems(monkeypatch):
         systems.append((rows, list(column_order)))
         return rref_sparse(rows, column_order, sources)
 
-    for module in (linalg, calculus, forms, functionals):
+    for module in (linalg, algebra, calculus, forms, functionals):
         monkeypatch.setattr(module, "rref_sparse", recording)
     return systems
 
@@ -285,7 +285,7 @@ class TestColumnIndexedElimination:
         forms.z_form_comparison(lam, linalg.mat_inverse(lam, len(lam)),
                                 calc.space.table.relation_vectors)
         monkeypatch.undo()
-        # the grade-2 wedge rules, the structure constants, R^-1,
-        # the grid bases, ker(Lambda^T - 1), Lambda^-1 and the z-forms
+        # the rules of A, the grade-2 wedge rules, the structure constants,
+        # R^-1, the grid bases, ker(Lambda^T - 1), Lambda^-1 and the z-forms
         assert len(systems) > 8
         self.assert_same_as_eager(systems)

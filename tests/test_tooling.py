@@ -445,23 +445,36 @@ def test_braiding_is_plain_sparse_rows():
 def test_antipode_is_not_solved():
     """The antipode comes from the quantum minors and is certified, not
     solved for: src defines no _solve_antipode, has no refusal for an
-    underdetermined antipode, and algebra.py imports no elimination."""
+    underdetermined antipode, and QuantumGroup, _minor_antipode included,
+    calls no elimination."""
     assert "_solve_antipode" not in _function_names("src")
     for path in sorted(SRC.glob("*.py")):
         assert "not uniquely determined" not in \
             path.read_text(encoding="utf-8"), path.name
     tree = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names}
-    assert "rref_sparse" not in imported
+    group = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "QuantumGroup")
+    assert "_minor_antipode" in {f.name for f in group.body
+                                 if isinstance(f, ast.FunctionDef)}
+    eliminations = {"rref_sparse", "kernel_basis", "mat_inverse",
+                    "from_relations"}
+    calls = ["%s:%d" % (_callee(node), node.lineno) for node in ast.walk(group)
+             if isinstance(node, ast.Call) and _callee(node) in eliminations]
+    assert not calls, calls
+
+
+def _callee(call):
+    """The name a call is made through: f for f(...), m for x.m(...)."""
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
 
 
 def test_one_rewriting_engine():
     """The wedge table rewrites with algebra.RewriteSystem and keeps no
-    reducer of its own: forms.py defines no _build_grade or _reduce,
-    stores no pivot_rows, and rref_sparse is called once in WedgeTable,
-    in its __init__."""
+    reducer or rule reader of its own: forms.py defines no _build_grade or
+    _reduce, stores no pivot_rows, WedgeTable.__init__ takes its rules from
+    one RewriteSystem.from_relations call, and rref_sparse is called only
+    in z_form_comparison."""
     tree = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
@@ -475,5 +488,45 @@ def test_one_rewriting_engine():
              for f in table.body if isinstance(f, ast.FunctionDef)
              for node in ast.walk(f)
              if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "rref_sparse"]
+             and _callee(node) == "from_relations"
+             and getattr(getattr(node.func, "value", None), "id", None)
+             == "RewriteSystem"]
     assert len(calls) == 1 and calls[0].startswith("__init__:"), calls
+    functions = [f for top in tree.body
+                 for f in (top.body if isinstance(top, ast.ClassDef)
+                           else [top])
+                 if isinstance(f, ast.FunctionDef)]
+    assert [f.name for f in functions
+            if any(isinstance(node, ast.Call)
+                   and _callee(node) == "rref_sparse"
+                   for node in ast.walk(f))] == ["z_form_comparison"]
+
+
+def test_only_the_rewrite_system_writes_its_rules():
+    """Rules become a RewriteSystem in one place: no code in src/qdc
+    outside class RewriteSystem assigns .rules, .rules[...] or
+    .lhs_lengths, or clears a ._cache."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  and cls.name == "RewriteSystem"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            written = [t for target in targets for t in ast.walk(target)
+                       if isinstance(t, ast.Attribute)
+                       and t.attr in ("rules", "lhs_lengths")]
+            cleared = (isinstance(node, ast.Call) and _callee(node) == "clear"
+                       and getattr(getattr(node.func, "value", None), "attr",
+                                   None) == "_cache")
+            if written or cleared:
+                sites.append("%s:%d" % (path.name, node.lineno))
+    assert not sites, sites
