@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .scalars import Scalar, ONE
+from .scalars import Scalar, ONE, check_values_at
 from .linalg import (rref_sparse, rank_at_specializations, add_term,
                      add_scaled, sparse_diff, transpose, LinearCombination)
 from .algebra import AlgebraElement, RewriteSystem, render_element
@@ -86,10 +86,9 @@ class WedgeTable:
         self.warnings = ["grade 2 relation rank drops from %d to %d at q0=%s"
                          % (rank, rk, q0)
                          for q0, rk in numeric.items() if rk != rank]
-        for body in self.rs.rules.values():
-            for c in body.values():
-                for q0 in SPECIALIZATION_POINTS:
-                    c.evaluate_at(q0)   # a pole raises PoleError
+        # a coefficient with a pole at a point raises PoleError
+        check_values_at((c for body in self.rs.rules.values()
+                         for c in body.values()), SPECIALIZATION_POINTS)
         overlap = self.rs.first_ambiguity()
         if overlap is not None:
             raise FormsError("wedge rules do not resolve the overlap %s"
@@ -321,13 +320,13 @@ def z_form_comparison(lam, inverse, relation_vectors):
     mm = len(lam)
     q2 = Scalar.q_power(2)
     denom = q2 - (ONE / q2)
-    diff = transpose([sparse_diff(a, b) for a, b in zip(lam, inverse)], mm)
-    rows_z = []
-    for i, d in enumerate(diff):
-        row = {k: v / denom for k, v in d.items()}
-        add_term(row, i, ONE)
-        rows_z.append(row)
-    cols = range(mm)
+    # each relation scaled by the denominator: the same line, no division
+    rows_z = transpose([sparse_diff(a, b) for a, b in zip(lam, inverse)], mm)
+    for i, row in enumerate(rows_z):
+        add_term(row, i, denom)
+    # largest word first, as RewriteSystem.from_relations orders the same
+    # space; only ranks leave, and they do not depend on the order
+    cols = range(mm - 1, -1, -1)
     z_pivots, zp = rref_sparse(rows_z, cols)
     # the rule's pivot rows span its relations, so they stand in for them
     _, bp = rref_sparse(list(z_pivots.values()) + relation_vectors, cols)

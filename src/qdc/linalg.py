@@ -164,14 +164,34 @@ class ValueNumbers:
 
     def sp_mul(self, a, b):
         """The product of two matrices of number-valued sparse rows, as
-        mat_mul takes the product of value-valued ones."""
-        mul, add_term = self.mul, self.add_term
+        mat_mul takes the product of value-valued ones.
+
+        mul and add_term inlined over their memos: stored numbers are
+        nonzero, so each product is too, and only a sum can cancel.
+        """
+        values, number, muls, adds = (self.values, self.number, self._mul,
+                                      self._add)
         out = []
         for row in a:
             acc = {}
             for k, v in row.items():
                 for j, w in b[k].items():
-                    add_term(acc, j, mul(v, w))
+                    key = (v, w) if v <= w else (w, v)
+                    n = muls.get(key)
+                    if n is None:
+                        n = muls[key] = number(values[v] * values[w])
+                    cur = acc.get(j)
+                    if cur is None:
+                        acc[j] = n
+                        continue
+                    key = (cur, n) if cur <= n else (n, cur)
+                    s = adds.get(key)
+                    if s is None:
+                        s = adds[key] = number(values[cur] + values[n])
+                    if s:
+                        acc[j] = s
+                    else:
+                        del acc[j]
             out.append(acc)
         return out
 

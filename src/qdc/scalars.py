@@ -52,6 +52,8 @@ class SpecializationError(ScalarError):
 # the grammar's one error class, under the name this module always used
 ScalarParseError = expr.ExprError
 
+_FRACTIONAL = "fractional q-exponents have no rational value"
+
 
 def _coef(x):
     """x as a coefficient: an int when it is integral, else a Fraction."""
@@ -257,7 +259,7 @@ class LaurentPoly:
         if q0 == 0:
             raise SpecializationError("cannot specialize at q0 = 0")
         if self.has_fractional_exponents():
-            raise SpecializationError("fractional q-exponents have no rational value")
+            raise SpecializationError(_FRACTIONAL)
         # with q0 = a/b the value is (sum of c a^(e-lo) b^(hi-e)) a^lo / b^hi:
         # the sum is taken in ints over the coefficients' common denominator
         # and one Fraction is built at the end
@@ -497,6 +499,28 @@ class Scalar:
         return render_scalar(self)
 
     __repr__ = __str__
+
+
+def check_values_at(values, points):
+    """Raise what evaluate_at raises for the first of values, in order,
+    that has no value at one of the nonzero points, tried in order.
+
+    A reduced fraction has poles only at roots of its denominator, so only
+    the distinct denominators are evaluated, each once per point, and a
+    numerator is only asked for its exponent lattice.
+    """
+    roots = {}   # denominator -> the first point where it vanishes, or None
+    for value in values:
+        den = value.den
+        if den not in roots:
+            roots[den] = next((q0 for q0 in points if not den.evaluate(q0)),
+                              None)
+        root = roots[den]
+        # evaluate_at reads the numerator at each point before the root
+        if root != points[0] and value.num.has_fractional_exponents():
+            raise SpecializationError(_FRACTIONAL)
+        if root is not None:
+            raise PoleError("pole at q0 = %s" % Fraction(root))
 
 
 def _sum(an, ad, bn, bd):

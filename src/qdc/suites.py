@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .scalars import ZERO, ONE
-from .linalg import (add_term, add_scaled, mat_mul, mat_inverse,
+from .linalg import (add_term, add_scaled, mat_mul, mat_inverse, transpose,
                      first_difference, ValueNumbers)
 from .algebra import AlgebraElement, render_element, render_word
 from .functionals import (convolve, unflatten_pair, bracket_table, chi_values,
@@ -166,6 +166,38 @@ class _Tables:
         m = self.dual.M
         return self._pair_table("xf", w, self.x_nz, self.f_nz, m,
                                 lambda k, a: (a[0], k * m + a[1]))
+
+
+def jacobi_coefficients(vn, c_lower, lam_cols, m):
+    """The word-independent coefficients of the braided Jacobi identity
+
+        C_{jk}^l T[i][l] - C_{ij}^l T[l][k] + Lam^{lm}_{jk} C_{il}^p T[p][m] = 0
+
+    on the bracket table T of every word, as numbers of vn: the triples
+    (i, j, k) that have a coefficient, and for each a sparse row mapping
+    a*M + b to the number of the coefficient of T[a][b].  c_lower maps
+    i*M + j to the pairs (k, C_{ij}^k), and lam_cols is by_lower_pair of Lam.
+    """
+    num, mul, add_term = vn.number, vn.mul, vn.add_term
+    c_pos = {ij: [(k, num(v)) for k, v in kv] for ij, kv in c_lower.items()}
+    c_neg = {ij: [(k, num(-v)) for k, v in kv] for ij, kv in c_lower.items()}
+    ijks, rows = [], []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                row = {}
+                for l, cc in c_pos.get(j * m + k, ()):
+                    add_term(row, i * m + l, cc)
+                for l, cc in c_neg.get(i * m + j, ()):
+                    add_term(row, l * m + k, cc)
+                for l, mm_, lv in lam_cols.get(j * m + k, ()):
+                    lv = num(lv)
+                    for p, cc in c_pos.get(i * m + l, ()):
+                        add_term(row, p * m + mm_, mul(lv, cc))
+                if row:
+                    ijks.append((i, j, k))
+                    rows.append(row)
+    return ijks, rows
 
 
 def bicovariance_suite(calc, degree=None):
@@ -353,33 +385,19 @@ def bicovariance_suite(calc, degree=None):
                [None if len(fixed) == relations
                 else "%d vs %d" % (len(fixed), relations)])
 
-    # q-Jacobi via the verified bracket expansion:
-    #   C_{jk}^l T[i][l] - C_{ij}^l T[l][k] + Lam^{lm}_{jk} C_{il}^p T[p][m] = 0
-    # on every word; the coefficient of each T entry is word-independent
-    jacobi = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                coef = {}
-                for l, cc in c_lower.get(j * m + k, ()):
-                    add_term(coef, (i, l), cc)
-                for l, cc in c_lower.get(i * m + j, ()):
-                    add_term(coef, (l, k), -cc)
-                for l, mm_, lv in lam_cols.get(j * m + k, ()):
-                    for p, cc in c_lower.get(i * m + l, ()):
-                        add_term(coef, (p, mm_), lv * cc)
-                if coef:
-                    jacobi.append(((i, j, k), list(coef.items())))
+    # q-Jacobi via the verified bracket expansion: each word's bracket
+    # table, numbered once as one sparse row, times the coefficient columns
+    ijks, jacobi = jacobi_coefficients(vn, c_lower, lam_cols, m)
+    jacobi_cols = transpose(jacobi, m * m)
 
     def q_jacobi():
         for w in words:
-            t = tabs.bracket(w)
-            for ijk, coef in jacobi:
-                total = ZERO
-                for (a, b), cc in coef:
-                    if not t[a][b].is_zero():
-                        total = total + cc * t[a][b]
-                yield None if total.is_zero() else \
+            t = vn.numbered([{a * m + b: v
+                              for a, row in enumerate(tabs.bracket(w))
+                              for b, v in enumerate(row) if v}])
+            totals = vn.sp_mul(t, jacobi_cols)[0]
+            for r, ijk in enumerate(ijks):
+                yield None if r not in totals else \
                     "(i,j,k)=(%d,%d,%d) on %s" % (ijk + (render_word(w),))
 
     report.law("q-jacobi", "the braided Jacobi identity for the bracket",

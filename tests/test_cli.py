@@ -3,6 +3,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdc.cli import (parse, print_ast, evaluate_ast, render_value,
                      run, ExprError, read_session)
@@ -320,3 +321,41 @@ def test_superscript_digit_is_an_unexpected_character(text, position, capsys):
     assert run(["eval", text]) == 2
     assert capsys.readouterr().err == (
         "error: unexpected character '²' (at position %d)\n" % position)
+
+
+# ---------------------------------------------------------------------------
+# a fuzz of the expression grammar: any bounded expression, well formed or
+# not, evaluates (exit 0) or ends in one error line (exit 2)
+
+INDICES = st.integers(min_value=1, max_value=2)
+EXPONENTS = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(str),
+    st.builds("({}/{})".format, st.integers(min_value=-3, max_value=3),
+              st.sampled_from([1, 2, 3, -2, 0])))
+ATOMS = st.one_of(
+    st.builds("t[{},{}]".format, INDICES, INDICES),
+    st.builds("w[{},{}]".format, INDICES, INDICES),
+    st.just("X"), st.just("q"),
+    st.integers(min_value=0, max_value=3).map(str),
+    EXPONENTS.map("q^{}".format),
+    st.sampled_from(["t[0,1]", "w[3,2]"]))   # unknown for N=2
+
+
+def expressions(depth):
+    """Expression texts whose trees are at most depth deep."""
+    if depth == 1:
+        return ATOMS
+    sub = expressions(depth - 1)
+    return st.one_of(
+        ATOMS,
+        st.builds("({} {} {})".format, sub,
+                  st.sampled_from(["+", "-", "*", "/", "/\\"]), sub),
+        st.builds("({})^{}".format, sub, EXPONENTS),
+        st.builds("{}({})".format, st.sampled_from(["d", "del", "dlt"]), sub),
+        st.builds("(-{})".format, sub))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(expressions(4))
+def test_eval_exits_with_0_or_2(text):
+    assert run(["eval", text], out=io.StringIO()) in (0, 2), text

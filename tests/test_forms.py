@@ -2,11 +2,12 @@ import math
 import os
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from qdc import algebra
-from qdc.scalars import PoleError, Scalar, ZERO, ONE
+from qdc.scalars import PoleError, SpecializationError, Scalar, ZERO, ONE
 from qdc.algebra import AlgebraElement, load_rmatrix
 from qdc.calculus import assemble
 from qdc.forms import (FormElement, FormsError, GradeCapError, WedgeTable,
@@ -200,6 +201,19 @@ class TestRewrittenWedge:
         with pytest.raises(PoleError):
             WedgeTable(calc.dual.lam_matrix, 3)
 
+    def test_rule_with_a_fractional_exponent_is_refused(self, calc,
+                                                        monkeypatch):
+        # q^(1/3) has no rational value at any specialization point
+        def fractional(rows, columns, sources=None):
+            pivot_rows, pivots = rref_sparse(rows, columns, sources)
+            pivot_rows[(3, 1)][(0, 1)] = Scalar.q_power(Fraction(1, 3))
+            return pivot_rows, pivots
+
+        monkeypatch.setattr(algebra, "rref_sparse", fractional)
+        with pytest.raises(SpecializationError,
+                           match="fractional q-exponents have no rational"):
+            WedgeTable(calc.dual.lam_matrix, 3)
+
 
 class TestBimodule:
     def test_unit_action(self, calc, qg):
@@ -351,6 +365,39 @@ class TestAlternativeRule:
         z_rank, kernel_rank, union_rank = self.DIMS[n]
         assert out == {"z_rank": z_rank, "kernel_rank": kernel_rank,
                        "union_rank": union_rank, "equal": False}
+
+    @staticmethod
+    def forward_ranks(lam, inverse, relation_vectors):
+        """The ranks as z_form_comparison took them before it eliminated
+        largest word first: each row divided by q^2 - q^-2, columns in
+        their own order."""
+        mm = len(lam)
+        q2 = Scalar.q_power(2)
+        denom = q2 - (ONE / q2)
+        rows_z = []
+        for i in range(mm):
+            row = {}
+            for k in range(mm):
+                v = lam[k].get(i, ZERO) - inverse[k].get(i, ZERO)
+                if v:
+                    row[k] = v / denom
+            add_term(row, i, ONE)
+            rows_z.append(row)
+        z_pivots, zp = rref_sparse(rows_z, range(mm))
+        _, bp = rref_sparse(list(z_pivots.values()) + relation_vectors,
+                            range(mm))
+        return len(zp), len(relation_vectors), len(bp)
+
+    @pytest.mark.parametrize("n", sorted(DIMS))
+    def test_ranks_do_not_depend_on_the_column_order(self, n, calc, calc3,
+                                                     calc4):
+        c = {2: calc, 3: calc3, 4: calc4}[n]
+        lam = c.dual.lam_matrix
+        inverse = mat_inverse(lam, len(lam))
+        vectors = c.space.table.relation_vectors
+        out = z_form_comparison(lam, inverse, vectors)
+        assert self.forward_ranks(lam, inverse, vectors) == \
+            (out["z_rank"], out["kernel_rank"], out["union_rank"])
 
 
 # ---------------------------------------------------------------------------

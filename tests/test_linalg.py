@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdc import algebra, calculus, forms, functionals, linalg
+from qdc import algebra, calculus, forms, functionals, linalg, suites
 from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
 from qdc.linalg import (add_scaled, add_term, kernel_basis, mat_inverse,
                         rank_at_specializations, rref_sparse, ValueNumbers,
@@ -214,6 +214,68 @@ class TestValueNumbers:
             got = vn.sp_mul(numbered(a), numbered(b))
             assert {i: {j: vn.values[n] for j, n in row.items()}
                     for i, row in enumerate(got) if row} == want
+
+    @staticmethod
+    def values_of(vn, rows):
+        return [{j: vn.values[n] for j, n in row.items()} for row in rows]
+
+    def test_sparse_product_on_the_braid_factors(self, calc3):
+        # (1 x Lam) (Lam x 1) at N=3, the first product braid_defect takes
+        lam = calc3.dual.lam_matrix
+        m = calc3.dual.M
+        mm = m * m
+        lam_1 = [{} for _ in range(mm * m)]
+        one_lam = [{} for _ in range(mm * m)]
+        for i, row in enumerate(lam):
+            for j, v in row.items():
+                for k in range(m):
+                    lam_1[i * m + k][j * m + k] = v
+                    one_lam[k * mm + i][k * mm + j] = v
+        vn = ValueNumbers()
+        got = vn.sp_mul(vn.numbered(one_lam), vn.numbered(lam_1))
+        assert self.values_of(vn, got) == mat_mul(one_lam, lam_1)
+        assert sum(map(len, got)) > 0
+
+    def test_sparse_product_whose_entries_cancel(self):
+        # rows (x, y) and (x, -y) against (1, 1): every entry of the second
+        # row sums to zero and leaves the accumulator again
+        x, y = Scalar.q_power(Fraction(1, 3)), Q + ONE
+        a = [{0: x, 1: y}, {0: x, 1: -y}, {0: x, 1: x}]
+        b = [{0: y, 1: ONE, 2: y}, {0: x, 1: x / y, 2: x}]
+        vn = ValueNumbers()
+        got = vn.sp_mul(vn.numbered(a), vn.numbered(b))
+        want = mat_mul(a, b)
+        assert want[1] == {} and 1 in want[0]
+        assert self.values_of(vn, got) == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_numbered_jacobi_coefficients(self, n, calc, calc3):
+        # against the Scalar table the suite built before it numbered it
+        dual = {2: calc, 3: calc3}[n].dual
+        m = dual.M
+        c_lower = {}
+        for (i, j, k), v in dual.C.items():
+            c_lower.setdefault(i * m + j, []).append((k, v))
+        lam_cols = functionals.by_lower_pair(dual.lam_matrix, m)
+        want = {}
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    coef = {}
+                    for l, cc in c_lower.get(j * m + k, ()):
+                        add_term(coef, (i, l), cc)
+                    for l, cc in c_lower.get(i * m + j, ()):
+                        add_term(coef, (l, k), -cc)
+                    for l, mm_, lv in lam_cols.get(j * m + k, ()):
+                        for p, cc in c_lower.get(i * m + l, ()):
+                            add_term(coef, (p, mm_), lv * cc)
+                    if coef:
+                        want[(i, j, k)] = {a * m + b: v
+                                           for (a, b), v in coef.items()}
+        vn = ValueNumbers()
+        ijks, rows = suites.jacobi_coefficients(vn, c_lower, lam_cols, m)
+        assert dict(zip(ijks, self.values_of(vn, rows))) == want
+        assert len(ijks) == len(want) > 0
 
 
 def eager_rref(rows, column_order):

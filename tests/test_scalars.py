@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qdc.scalars import (LaurentPoly, Scalar, ZERO, ONE, Q, qlambda,
                          parse_scalar, render_scalar, ScalarDivisionError,
-                         PoleError, SpecializationError, ScalarParseError)
+                         PoleError, SpecializationError, ScalarParseError,
+                         check_values_at)
 from qdc.scalars import _poly_gcd, _normalize, _reduce, _REDUCED
 from qdc.algebra import AlgebraElement
 from qdc.cli import parse, evaluate_ast, render_value
@@ -209,6 +210,43 @@ class TestIntegerEvaluation:
         with pytest.raises(error) as info:
             evaluate(q0)
         assert str(info.value) == text
+
+
+def first_refusal(check, values, points):
+    """(type, text) of what check(values, points) raises, or None."""
+    try:
+        check(values, points)
+    except (PoleError, SpecializationError) as err:
+        return type(err), str(err)
+    return None
+
+
+def evaluate_each(values, points):
+    """The check as a loop of evaluate_at over values, then points."""
+    for value in values:
+        for q0 in points:
+            value.evaluate_at(q0)
+
+
+z3 = Scalar.q_power(Fraction(1, 3))
+# fractional exponents and poles at each point, in numerator, denominator
+# and both
+refusals = [ONE / (Q - Scalar.from_int(p)) for p in (2, 3, 5)] + [
+    z3, ONE / (ONE + z3), z3 / (Q - Scalar.from_int(2)),
+    z3 / (Q - Scalar.from_int(3)), (Q + z3) / (Q * Q - Scalar.from_int(25))]
+
+
+class TestCheckValuesAt:
+    @given(st.lists(st.one_of(scalars, st.sampled_from(refusals)),
+                    max_size=6),
+           st.sampled_from([(2, 3, 5), (5, 3, 2), (3,)]))
+    def test_raises_what_evaluate_at_raises_first(self, values, points):
+        assert first_refusal(check_values_at, values, points) == \
+            first_refusal(evaluate_each, values, points)
+
+    def test_each_refusal_is_seen(self):
+        for value in refusals:
+            assert first_refusal(check_values_at, [ONE, value], (2, 3, 5))
 
 
 class TestFractionalExponents:
