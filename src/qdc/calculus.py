@@ -154,6 +154,10 @@ class GridSplit:
         table = space.table
         basis_words = table.basis[k]
         dim = len(basis_words)
+        if not dim:
+            # every word of an empty grade reduces to 0
+            return {"basis_words": basis_words, "u0_words": [], "u1_words": [],
+                    "dims": (0, 0), "cols": [], "p1": {}}
         # candidates (row, word, vector) in order; the earliest independent
         # ones, the pivots of the matrix with these columns, form the basis
         cands = [(0, w, table.reduce_word(w))

@@ -5,7 +5,8 @@ Every functional family here is a matrix corepresentation of the word
 monoid, a CorepFamily: evaluation on a monomial is a product of
 per-generator matrices (reversed for families composed with the antipode).
 Vector fields live in an extended family [[counit, chi], [0, f]] so that
-one engine evaluates everything; the structure constants are a plain dict.
+one engine evaluates everything.  The braiding and the structure constants,
+a plain dict, are entries of that family on the adjoint matrix.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
-from .linalg import (mat_mul, identity, kernel_basis, rref_sparse, add_term,
-                     add_scaled, first_difference, ValueNumbers)
+from .linalg import (mat_mul, identity, kernel_basis, add_term, add_scaled,
+                     first_difference, ValueNumbers)
 from .algebra import AlgebraElement
 
 
@@ -210,12 +211,6 @@ def generator_table(entries):
     return rows
 
 
-def chi_values(ext, word):
-    """{k: chi_k(w)} over the nonzero values on one word w, read off row 0
-    of the extended family ext = [[eps, chi], [0, f]]."""
-    return {j - 1: v for j, v in ext.word_matrix(word)[0].items() if j}
-
-
 def make_chi(f, lam):
     """Vector fields chi_i = (1/lam)(sum_b f^{(b,b)}_i - delta_i eps).
 
@@ -287,149 +282,47 @@ def braid_defect(lam, m):
     return first_difference(vn.sp_mul(b1, q), vn.sp_mul(q, b2))
 
 
-def make_lambda(r):
-    """Braiding matrix, as M^2 sparse rows, by exact index contraction of
-    R-factors with q-weights.
+# ---------------------------------------------------------------------------
+# Lam and C off the adjoint matrix M_i^l = t_ac kappa(t_db), i = (a, b),
+# l = (c, d) (Woronowicz 1989): Lam^{kl}_{ij} = f^k_j(M_i^l) and
+# C_{ij}^k = chi_j(M_i^k), both entries of the extended family on M
 
-    Uses the leg-swapped R (matching the relation orientation of
-    derive_relations) and the A-series weights q^{2a-1}; validity is
-    certified by braid_defect and the exchange law tests.  The contraction
-    runs over the nonzero entries of R and R^-1 only, each factor looked up
-    by the indices it shares with the factors before it.
+def adjoint_values(ext, ext_kappa):
+    """[ext(M_i^l)] by i*M + l, each one product ext(t_ac) (ext kappa)(t_db)
+    of generator tables; ext_kappa is ext.compose_antipode()."""
+    n = ext.qg.N
+    pairs = [unflatten_pair(i, n) for i in range(n * n)]
+    return [mat_mul(ext.gen_tables[(a, c)], ext_kappa.gen_tables[(d, b)])
+            for a, b in pairs for c, d in pairs]
+
+
+def make_lambda(adjoint):
+    """Braiding matrix Lam^{kl}_{ij} = f^k_j(M_i^l), as M^2 sparse rows
+    (row k*M + l, column i*M + j), read off rows 1.. of ext(M_i^l); the
+    braid relation and the exchange laws are certified by the check suites.
     """
-    n = r.N
-    m = n * n
-    rng = range(1, n + 1)
-    # the leg-swapped factors: rv(a, b, c, d) = R^{ba}_{dc}, rinv from R^-1
-    rv = {(b, a, d, c): v for (a, b, c, d), v in r.entries.items()}
-    rinv_by_second = {}   # b -> [(a, c, d, rinv(a, b, c, d))]
-    for (b, a, d, c), v in r.inv_entries.items():
-        rinv_by_second.setdefault(b, []).append((a, c, d, v))
-    rv_by_ends = {}       # (a, d) -> [(b, c, rv(a, b, c, d))]
-    for (a, b, c, d), v in rv.items():
-        rv_by_ends.setdefault((a, d), []).append((b, c, v))
-
-    def fl(a, b):
-        return flatten_pair(a, b, n)
-
-    # the weight q^{2f-1} / q^{2c-1} of each (f2, c2), divided once
-    weight = {(f, c): Scalar.q_power(2 * f - 1) / Scalar.q_power(2 * c - 1)
-              for f in rng for c in rng}
+    m = len(adjoint[0]) - 1
     lam = [{} for _ in range(m * m)]
-    # Lam[(a1,a2),(d1,d2)][(c1,c2),(b1,b2)] = sum over f2, g1, e1, g2 of
-    # w(f2,c2) rv(f2,b1,c2,g1) rinv(c1,g1,e1,a1) rinv(a2,e1,g2,d1) rv(g2,d2,b2,f2)
-    for (f2, b1, c2, g1), x1 in rv.items():
-        p1 = weight[(f2, c2)] * x1
-        for c1, e1, a1, x2 in rinv_by_second.get(g1, ()):
-            p2 = p1 * x2
-            for a2, g2, d1, x3 in rinv_by_second.get(e1, ()):
-                p3 = p2 * x3
-                row = fl(a1, a2) * m
-                for d2, b2, x4 in rv_by_ends.get((g2, f2), ()):
-                    add_term(lam[row + fl(d1, d2)], fl(c1, c2) * m + fl(b1, b2),
-                             p3 * x4)
+    for il, value in enumerate(adjoint):
+        i, l = divmod(il, m)
+        for k, row in enumerate(value[1:]):
+            for j, v in row.items():
+                lam[k * m + l][i * m + j - 1] = v
     return [dict(sorted(row.items())) for row in lam]
 
 
-def bracket_table(pairs, x, lam_cols, m):
-    """T[i][j] = [chi_i, chi_j](w) = B[i][j] - Lam^{kl}_{ij} B[k][l] on one word.
-
-    pairs are the coproduct terms ((w1, w2), c) of w, x maps each leg to
-    its chi values and lam_cols is by_lower_pair of Lam; the double
-    table B[i][j] = (chi_i chi_j)(w) is built once for all M^2 brackets.
+def make_C(adjoint):
+    """Structure constants {(i, j, k): C_{ij}^k = chi_j(M_i^k)} in sorted
+    order, read off row 0 of ext(M_i^k).  They expand the bracket
+    [chi_i, chi_j] = chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l = C_{ij}^k chi_k,
+    which the check suites verify on a degree-bounded span.
     """
-    B = [[ZERO] * m for _ in range(m)]
-    for (w1, w2), c in pairs:
-        x2 = x[w2]
-        for i, a in x[w1].items():
-            ca = c * a
-            row = B[i]
-            for j, b in x2.items():
-                row[j] = row[j] + ca * b
-    t = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            val = B[i][j]
-            for k, l, lv in lam_cols.get(i * m + j, ()):
-                val = val - lv * B[k][l]
-            t[i][j] = val
-    return t
-
-
-def make_C(lam, ext):
-    """Structure constants {(i, j, k): C_{ij}^k} solved from
-    [chi_i, chi_j] = C_{ij}^k chi_k, the chi_i read off the extended
-    family ext.
-
-    The bracket is chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l (convolution
-    products); its values on the unit and the generators determine C
-    uniquely, and the full bracket relation is re-verified on a
-    degree-bounded span by the check suites.  The chi-value rows of those
-    words are the same for every pair (i, j), so they are eliminated once,
-    each word's row operations recorded in a column of its own, and the
-    recorded combinations are then applied to every bracket.
-    """
-    qg = ext.qg
-    m = ext.size - 1
-    words = [()] + [((a, b),) for (a, b) in qg.rs.gens]
-    cop = {w: list(qg.coproduct_word(w).items()) for w in words}
-    legs = {leg for w in words for pair, _ in cop[w] for leg in pair}
-    x = {w: chi_values(ext, w) for w in legs.union(words)}
-    lam_cols = by_lower_pair(lam, m)
-    brackets = [bracket_table(cop[w], x, lam_cols, m) for w in words]
-    # column m + n records the row operations applied to word n
-    rows = []
-    for n, w in enumerate(words):
-        row = dict(x[w])
-        row[m + n] = ONE
-        rows.append(row)
-    piv, _ = rref_sparse(rows, list(range(m + len(words))))
-
-    def recorded(p):
-        return [(c - m, v) for c, v in p.items() if c >= m]
-
-    # a pivot row at a word column has no chi part: the brackets must
-    # satisfy the same linear relation as the chi values do
-    relations = [recorded(p) for c, p in piv.items() if c >= m]
-    solved = []
-    for k in range(m):
-        p = piv.get(k)
-        if p is not None:
-            free = [c for c in p if c != k and c < m]
-            solved.append((k, free, recorded(p)))
-
-    def combine(combo, i, j):
-        total = ZERO
-        for n, v in combo:
-            b = brackets[n][i][j]
-            if not b.is_zero():
-                total = total + v * b
-        return total
-
+    m = len(adjoint[0]) - 1
     table = {}
-    for i in range(m):
-        for j in range(m):
-            if any(not combine(r, i, j).is_zero() for r in relations):
-                raise FunctionalError(
-                    "bracket [%d,%d] does not lie in the vector-field span"
-                    % (i, j))
-            for k, free, combo in solved:
-                if free:
-                    raise FunctionalError(
-                        "structure constants underdetermined at (%d,%d,%d)"
-                        % (i, j, k))
-                v = combine(combo, i, j)
-                if not v.is_zero():
-                    table[(i, j, k)] = v
-    # a chi_k without a pivot row is zero on the unit and every generator,
-    # so no bracket value fixes C_{ij}^k; a family zero on all of them
-    # vanishes identically (chi(xy) = eps(x) chi(y) + chi(x) f(y)), as at
-    # N=1, and its C is 0
-    if 0 < len(solved) < m:
-        k = min(set(range(m)) - set(piv))
-        raise FunctionalError(
-            "structure constants underdetermined at (0,0,%d)" % k)
-    return table
+    for ik, value in enumerate(adjoint):
+        i, k = divmod(ik, m)
+        table.update(((i, j - 1, k), v) for j, v in value[0].items() if j)
+    return dict(sorted(table.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +405,9 @@ class DualStructure:
         self.chi = [Functional(self.ext, 0, 1 + i,
                                "chi[%d,%d]" % unflatten_pair(i, self.N))
                     for i in range(self.M)]
-        self.lam_matrix = make_lambda(qg.R)
-        self.C = make_C(self.lam_matrix, self.ext)
+        adjoint = adjoint_values(self.ext, self.ext.compose_antipode())
+        self.lam_matrix = make_lambda(adjoint)
+        self.C = make_C(adjoint)
         self.eps = scalar_functional(
             qg, {g: ONE for g in qg.rs.gens if g[0] == g[1]}, "eps")
         # the one-dimensional sector functionals f00 by SECTORS name: the

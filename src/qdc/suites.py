@@ -21,8 +21,8 @@ from .scalars import ZERO, ONE
 from .linalg import (add_term, add_scaled, mat_mul, mat_inverse, transpose,
                      first_difference, ValueNumbers)
 from .algebra import AlgebraElement, render_element, render_word
-from .functionals import (convolve, unflatten_pair, bracket_table, chi_values,
-                          fixed_vectors, by_lower_pair, braid_defect)
+from .functionals import (convolve, unflatten_pair, fixed_vectors,
+                          by_lower_pair, braid_defect)
 from .forms import left_coaction, z_form_comparison
 from .calculus import CheckReport, SKIPPED
 
@@ -108,7 +108,9 @@ class _Tables:
                 legs.add(w1)
                 legs.add(w2)
         legs.update(self.words)
-        self.x = {w: chi_values(dual.ext, w) for w in legs}
+        # {k: chi_k(w)}, row 0 of the extended family without its counit
+        self.x = {w: {j - 1: v for j, v in dual.ext.word_matrix(w)[0].items()
+                      if j} for w in legs}
         self.eps = {w: dual.qg.counit_word(w) for w in legs}
         self.lam_cols = by_lower_pair(dual.lam_matrix, dual.M)
         self._bracket = {}
@@ -123,11 +125,27 @@ class _Tables:
         self._pair_tables = {}
 
     def bracket(self, w):
-        """T[i][j] = [chi_i, chi_j](w)."""
+        """T[i][j] = [chi_i, chi_j](w) = B[i][j] - Lam^{kl}_{ij} B[k][l], with
+        the double table B[i][j] = (chi_i chi_j)(w) built once for all M^2
+        brackets."""
         t = self._bracket.get(w)
         if t is None:
-            t = self._bracket[w] = bracket_table(self.cop[w], self.x,
-                                                 self.lam_cols, self.dual.M)
+            m = self.dual.M
+            B = [[ZERO] * m for _ in range(m)]
+            for (w1, w2), c in self.cop[w]:
+                x2 = self.x[w2]
+                for i, a in self.x[w1].items():
+                    ca = c * a
+                    row = B[i]
+                    for j, b in x2.items():
+                        row[j] = row[j] + ca * b
+            t = self._bracket[w] = [[ZERO] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(m):
+                    val = B[i][j]
+                    for k, l, lv in self.lam_cols.get(i * m + j, ()):
+                        val = val - lv * B[k][l]
+                    t[i][j] = val
         return t
 
     def _pair_table(self, kind, w, left, right, rows, key):

@@ -308,6 +308,26 @@ class TestSplit:
             u0, u1 = calc.grid.split_component(p)
             assert u1.is_zero()
 
+    def test_empty_grade_reduces_no_word(self, calc, monkeypatch):
+        # grade 5 of the N=2 table is empty: its split is empty at once,
+        # without reducing its 3^5 complement words to 0
+        table = calc.space.table
+        assert not table.basis[5]
+        grid = GridSplit(calc)
+        grid.data(4)
+        reduce_word = table.reduce_word
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return reduce_word(word)
+
+        monkeypatch.setattr(table, "reduce_word", counted)
+        data = grid.data(5)
+        assert calls == []
+        assert (data["u0_words"], data["u1_words"], data["dims"],
+                data["p1"]) == ([], [], (0, 0), {})
+
 
 class TestMaps:
     def test_same_as_sees_a_changed_differential(self, calc):

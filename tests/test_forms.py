@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import re
 from fractions import Fraction
@@ -8,11 +7,11 @@ import pytest
 
 from qdc import algebra
 from qdc.scalars import PoleError, SpecializationError, Scalar, ZERO, ONE
-from qdc.algebra import AlgebraElement, load_rmatrix
+from qdc.algebra import AlgebraElement
 from qdc.calculus import assemble
 from qdc.forms import (FormElement, FormsError, GradeCapError, WedgeTable,
                        SPECIALIZATION_POINTS, left_coaction, z_form_comparison)
-from qdc.functionals import convolve, make_lambda
+from qdc.functionals import convolve
 from qdc.linalg import (add_term, add_scaled, rref_sparse, mat_inverse,
                         rank_at_specializations)
 
@@ -76,14 +75,11 @@ class TestWedgeTable:
         with pytest.raises(GradeCapError):
             calc.space.table.reduce_word((0,) * 7)
 
-    def test_sl3_grades_are_binomial(self):
+    def test_sl3_grades_are_binomial(self, calc3):
         # the N=3 table at the default cap (max grade 5) has the classical
         # dimensions C(9, k), and its grade-2 rank holds at every
         # specialization
-        path = os.path.join(os.path.dirname(__file__), "data", "slq3.rmatrix")
-        with open(path, encoding="utf-8") as fh:
-            r = load_rmatrix(fh.read())
-        table = WedgeTable(make_lambda(r), 5)
+        table = WedgeTable(calc3.dual.lam_matrix, 5)
         assert table.dimensions() == [math.comb(9, k) for k in range(6)]
         assert table.warnings == []
         assert table.first_empty_grade() == 10

@@ -463,6 +463,31 @@ def test_antipode_is_not_solved():
     assert not calls, calls
 
 
+def test_braiding_and_structure_constants_are_not_solved():
+    """Lam and C are read off the adjoint matrix, not contracted from R or
+    solved for: make_lambda and make_C call no elimination, make_lambda
+    reads no R entries, and src keeps no refusal of the C solve."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for refusal in ("does not lie in the vector-field span",
+                        "structure constants underdetermined"):
+            assert refusal not in text, (path.name, refusal)
+    tree = ast.parse((SRC / "functionals.py").read_text(encoding="utf-8"))
+    made = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("make_lambda", "make_C")}
+    assert sorted(made) == ["make_C", "make_lambda"]
+    eliminations = {"rref_sparse", "kernel_basis", "mat_inverse"}
+    calls = ["%s:%d" % (_callee(node), node.lineno)
+             for fn in made.values() for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and _callee(node) in eliminations]
+    assert not calls, calls
+    reads = [node.lineno for node in ast.walk(made["make_lambda"])
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("entries", "inv_entries")]
+    assert not reads, reads
+
+
 def _callee(call):
     """The name a call is made through: f for f(...), m for x.m(...)."""
     func = call.func
