@@ -301,6 +301,20 @@ class RewriteSystem:
                     return u + tail
         return None
 
+    def add_product(self, acc, left, right):
+        """acc += left * right in place, for term dicts over normal words;
+        each term pair's normal form is added straight into acc."""
+        reduce_word = self.reduce_word
+        for w1, c1 in left.items():
+            for w2, c2 in right.items():
+                w = w1 + w2
+                red = reduce_word(w)
+                if w in red:
+                    # a normal word reduces to itself with coefficient one
+                    add_term(acc, w, c1 * c2)
+                else:
+                    add_scaled(acc, red, c1 * c2)
+
     def reduce_terms(self, terms):
         out = {}
         for w, c in terms.items():
@@ -403,18 +417,8 @@ class AlgebraElement(LinearCombination):
         return cls(rs, rs.reduce_terms({tuple(word): ONE}))
 
     def __mul__(self, other):
-        """Each term pair's normal form is added straight into the result."""
-        reduce_word = self.rs.reduce_word
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                red = reduce_word(w)
-                if w in red:
-                    # a normal word reduces to itself with coefficient one
-                    add_term(out, w, c1 * c2)
-                else:
-                    add_scaled(out, red, c1 * c2)
+        self.rs.add_product(out, self.terms, other.terms)
         return AlgebraElement(self.rs, out)
 
     def __pow__(self, k):
@@ -488,7 +492,11 @@ class QuantumGroup:
         Scalars; memoized, so shared: read it, never mutate it.
 
         phi(w t_ab) = sum over g of phi(w) (t_ag (x) t_gb), each leg
-        renormalized.
+        renormalized.  Its callers take it of words up to the degree
+        bound: the hopf and bicovariance suites, ConvCombo.on_word,
+        adjoint and, through coproduct, left_coaction.  Convolution and
+        the commutation of forms with A read generator tables instead
+        (functionals._convolve_word, FormSpace._pass_letter_word).
         """
         cached = self._cop_cache.get(word)
         if cached is not None:

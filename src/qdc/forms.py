@@ -14,7 +14,7 @@ from .scalars import Scalar, ONE, check_values_at
 from .linalg import (rref_sparse, rank_at_specializations, add_term,
                      add_scaled, sparse_diff, transpose, LinearCombination)
 from .algebra import AlgebraElement, RewriteSystem, render_element
-from .functionals import flatten_pair, fixed_vectors
+from .functionals import flatten_pair, fixed_vectors, _convolve_word
 
 
 class FormsError(Exception):
@@ -154,21 +154,17 @@ class FormSpace:
         return FormElement(self, {(i,): c} if c else {})
 
     def _pass_letter_word(self, letter, mon):
-        """omega_letter times a monomial: cached map j -> coefficient, the
-        convolutions f^letter_j * mon read off row letter of f's word
-        matrices in one sweep of the coproduct."""
-        key = (letter, mon)
-        hit = self._pass_cache.get(key)
-        if hit is None:
-            word_matrix = self.f.word_matrix
-            terms = {}
-            for (w1, w2), c in self.qg.coproduct_word(mon).items():
-                for j, v in word_matrix(w2)[letter].items():
-                    add_term(terms.setdefault(j, {}), w1, c * v)
-            hit = {j: AlgebraElement(self.qg.rs, terms[j])
-                   for j in sorted(terms) if terms[j]}
-            self._pass_cache[key] = hit
-        return hit
+        """omega_letter times a monomial: the map j -> f^letter_j * mon,
+        j ascending, so that omega_letter mon = sum_j (f^letter_j * mon)
+        omega_j; memoized in _pass_cache, so shared: read it, never
+        mutate it.
+
+        No coproduct is taken: this is row letter of f * mon, which
+        functionals._convolve_word reads off f's generator tables.  For a
+        word w t, when omega_letter w = sum_j c_j omega_j, the coefficient
+        of omega_k in omega_letter (w t) is sum_j c_j (f^j_k * t).
+        """
+        return _convolve_word(self.f, self._pass_cache, letter, mon)
 
     def pass_algebra_through(self, word, a):
         """Expand word * a as sum coeff_w' * w' using the commutation law."""

@@ -330,26 +330,84 @@ def make_C(adjoint):
 
 def convolve(f, a):
     """(f * a) = (id (x) f) o phi(a)."""
+    fam = f.family
+    line, other = (f.col, f.row) if fam.reversed else (f.row, f.col)
     out = {}
     for w0, c in a.terms.items():
-        add_scaled(out, _convolve_word(f, w0), c)
-    return AlgebraElement(f.family.qg.rs, out)
+        e = _convolve_word(fam, fam._conv_cache, line, w0).get(other)
+        if e is not None:
+            add_scaled(out, e.terms, c)
+    return AlgebraElement(fam.qg.rs, out)
 
 
-def _convolve_word(f, word):
-    cache = f.family._conv_cache
-    key = (f.row, f.col, word)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    qg = f.family.qg
-    out = {}
-    for (w1, w2), c in qg.coproduct_word(word).items():
-        v = f.on_word(w2)
-        if not v.is_zero():
-            add_term(out, w1, c * v)
-    cache[key] = out
+def _convolve_word(fam, cache, line, word):
+    """One line of F * word, the sum over phi(word) of w1 F(w2): row line,
+    {c: F^line_c * word}, of a plain family, and column line,
+    {r: F^r_line * word}, of a reversed one.  Keys ascend, values are
+    AlgebraElements, and lines are memoized in cache by (line, word); a
+    line is shared: read it, never mutate it.
+
+    No coproduct is taken.  One letter is read off the generator tables
+    (_letter_line).  F is a corepresentation and phi an algebra map, so
+    the line of a longer word w t is built from the line of its prefix
+    and the lines of its last letter:
+    F^r_c * (w t) = sum over k of (F^r_k * w)(F^k_c * t), and
+    (F^k_c * w)(F^r_k * t) for a reversed family; either way entry x of
+    the line of w t is the sum over k of line(w)[k] line_k(t)[x].
+    FormSpace._pass_letter_word reads f's rows here, with a memo of its own.
+    """
+    out = cache.get((line, word))
+    if out is not None:
+        return out
+    rs = fam.qg.rs
+    if not word:
+        return {line: AlgebraElement.one(rs)}
+    # the longest memoized prefix, then one letter at a time: a loop, not
+    # a recursion, so that a long word cannot exhaust the stack
+    n = len(word) - 1
+    while n > 1 and (line, word[:n]) not in cache:
+        n -= 1
+    if n > 1:
+        out = cache[(line, word[:n])]
+    else:
+        n, out = 1, _letter_line(fam, cache, line, word[0])
+    for i in range(n, len(word)):
+        terms = {}
+        for k, e in out.items():
+            for x, v in _letter_line(fam, cache, k, word[i]).items():
+                rs.add_product(terms.setdefault(x, {}), e.terms, v.terms)
+        out = _line(rs, terms)
+        cache[(line, word[:i + 1])] = out
     return out
+
+
+def _letter_line(fam, cache, line, letter):
+    """The line of F * t_ab, memoized in cache by (line, (t_ab,)):
+    F * t_ab = sum over g of t_ag F(t_gb), each t_ag reduced by A's rules
+    (at N=1, t[1,1] -> 1)."""
+    key = (line, (letter,))
+    out = cache.get(key)
+    if out is None:
+        rs = fam.qg.rs
+        a, b = letter
+        terms = {}
+        for g in range(1, fam.qg.N + 1):
+            red = rs.reduce_word(((a, g),))
+            table = fam.gen_tables[(g, b)]
+            if fam.reversed:
+                values = [(r, row[line]) for r, row in enumerate(table)
+                          if line in row]
+            else:
+                values = table[line].items()
+            for x, v in values:
+                add_scaled(terms.setdefault(x, {}), red, v)
+        out = cache[key] = _line(rs, terms)
+    return out
+
+
+def _line(rs, terms):
+    return {x: AlgebraElement(rs, terms[x]) for x in sorted(terms)
+            if terms[x]}
 
 
 class ConvCombo:

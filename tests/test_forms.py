@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,57 @@ class TestRewrittenWedge:
             WedgeTable(calc.dual.lam_matrix, 3)
 
 
+def _by_definition(qg, f, word):
+    """f * word = sum of w1 f(w2) over the coproduct pairs of word."""
+    out = {}
+    for (w1, w2), c in qg.coproduct_word(word).items():
+        add_term(out, w1, c * f.on_word(w2))
+    return AlgebraElement(qg.rs, out)
+
+
+class TestConvolutionByDefinition:
+    """The letter-by-letter recurrences of convolve and of the pass of
+    one-forms against the coproduct of the whole word."""
+
+    @staticmethod
+    def _entries(dual):
+        f, ext = dual.f, dual.ext
+        kd_f = f.compose_antipode()
+        size = dual.lplus.size
+        return ([fam.entry(i, j) for fam in (f, kd_f)
+                 for i in range(f.size) for j in range(f.size)]
+                + [ext.entry(0, j) for j in range(ext.size)]
+                + [dual.lplus.entry(i, j) for i in range(size)
+                   for j in range(size)]
+                + list(dual.sectors.values()))
+
+    @pytest.mark.parametrize("n, degree", [(2, 4), (3, 2)])
+    def test_convolve(self, n, degree, calc, calc3):
+        c = calc if n == 2 else calc3
+        entries = self._entries(c.dual)
+        assert c.dual.f.compose_antipode().reversed
+        for mon in c.qg.rs.normal_words(degree):
+            a = AlgebraElement.from_word(c.qg.rs, mon)
+            for f in entries:
+                assert convolve(f, a) == _by_definition(c.qg, f, mon), \
+                    (f.label, mon)
+
+    @pytest.mark.parametrize("n, degree", [(2, 4), (3, 2), (4, 2)])
+    def test_pass_rows(self, n, degree, calc, calc3, calc4):
+        c = {2: calc, 3: calc3, 4: calc4}[n]
+        f = c.dual.f
+        for mon in c.qg.rs.normal_words(degree):
+            a = AlgebraElement.from_word(c.qg.rs, mon)
+            for letter in range(c.space.M):
+                expected = {}
+                for j in range(c.space.M):
+                    v = _by_definition(c.qg, f.entry(letter, j), mon)
+                    if not v.is_zero():
+                        expected[(j,)] = v
+                assert c.space.pass_algebra_through((letter,), a) == \
+                    expected, (letter, mon)
+
+
 class TestBimodule:
     def test_unit_action(self, calc, qg):
         w = calc.space.one_form(2)
@@ -246,6 +298,33 @@ class TestBimodule:
                     c.space.from_algebra(a).wedge(c.d(b))
         assert c.space._pass_cache
         assert not c.dual.f._conv_cache
+
+    def test_long_words_take_no_coproduct(self):
+        # a fresh calculus, whose coproduct memo holds only what assembly
+        # put there
+        c = assemble()
+        rs = c.qg.rs
+        cop = {w: dict(terms) for w, terms in c.qg._cop_cache.items()}
+        mon = ((1, 1), (1, 2), (1, 2), (2, 2), (2, 2), (2, 2))
+        assert rs.reduce_word(mon) == {mon: ONE}
+        a = AlgebraElement.from_word(rs, mon)
+        assert not c.d(a).is_zero()
+        assert not c.space.one_form(1).algebra_mul_right(a).is_zero()
+        assert not convolve(c.dual.sectors["trace"], a).is_zero()
+        assert {w: dict(terms) for w, terms in c.qg._cop_cache.items()} \
+            == cop
+
+    def test_a_word_longer_than_the_stack(self):
+        # both recurrences extend a prefix in a loop, not by recursion:
+        # w[1,1] t[1,2]^n = q^n t[1,2]^n w[1,1] and trace-f * t[1,2]^n =
+        # q^-n t[1,2]^n
+        c = assemble()
+        n = sys.getrecursionlimit() + 100
+        a = AlgebraElement.from_word(c.qg.rs, ((1, 2),) * n)
+        assert c.space.one_form(0).algebra_mul_right(a) == \
+            c.space.one_form(0, a.scalar_mul(Scalar.q_power(n)))
+        assert convolve(c.dual.sectors["trace"], a) == \
+            a.scalar_mul(Scalar.q_power(-n))
 
     def test_associativity(self, calc, qg):
         rng = random.Random(7)

@@ -17,7 +17,8 @@ import pytest
 
 from qdc.scalars import Scalar, ONE, Q
 from qdc.algebra import AlgebraElement, render_element
-from qdc.functionals import CorepFamily, Functional, convolve, SECTORS
+from qdc.functionals import (CorepFamily, Functional, convolve,
+                             scalar_functional, SECTORS)
 from qdc.suites import hopf_suite, bicovariance_suite, leibniz_suite
 from qdc.linalg import add_term
 
@@ -325,20 +326,15 @@ def recomputing_pair_rows(calc, degree):
             for law, wit in witnesses.items()}
 
 
-class BentFunctional(Functional):
-    """The 1x1 functional f on a fresh copy of its family, so that its
-    convolution memo is its own, with one added to its value on the word
-    t[2,2]*t[2,2]; so it is no longer multiplicative."""
-
-    def __init__(self, f):
-        fam = f.family
-        super().__init__(CorepFamily(fam.qg, fam.size, fam.gen_tables,
-                                     fam.reversed, fam.name),
-                         f.row, f.col, f.label)
-
-    def on_word(self, word):
-        value = super().on_word(word)
-        return value + ONE if word == ((2, 2), (2, 2)) else value
+def bent_sector(f00):
+    """The sector functional f00 with its value on t[2,2] times q, on a
+    family of its own, so that its convolution memo is its own.  It is
+    still multiplicative on words, but its generator table breaks A's
+    rules, so it is no longer a character of A."""
+    qg = f00.family.qg
+    values = {g: f00.on_generator(*g) for g in qg.rs.gens}
+    values[(2, 2)] = values[(2, 2)] * Q
+    return scalar_functional(qg, values, f00.label)
 
 
 def _pair_rows(calc, degree):
@@ -363,10 +359,22 @@ def test_leibniz_sweeps_keep_first_witnesses(calc, monkeypatch):
                         {w: c + c for w, c in image.items()})
     sectors = calc.dual.sectors
     for name in SECTORS:
-        monkeypatch.setitem(sectors, name, BentFunctional(sectors[name]))
+        monkeypatch.setitem(sectors, name, bent_sector(sectors[name]))
     rows = _pair_rows(calc, 2)
     assert rows == recomputing_pair_rows(calc, 2)
     assert all(rows[law][0] == "fail" for law in PAIR_LAWS[:4]), rows
+
+
+@pytest.mark.parametrize("name", SECTORS)
+def test_bent_generator_fails_its_sector_law(name, calc, monkeypatch):
+    # a multiplicative f00 that breaks A's rules: its own law fails on the
+    # first pair whose product a rule rewrites, and the other law passes
+    sectors = calc.dual.sectors
+    monkeypatch.setitem(sectors, name, bent_sector(sectors[name]))
+    rows = _pair_rows(calc, 2)
+    for tag in SECTORS:
+        assert rows["leibniz-sector-" + tag] == (
+            ("fail", "t[1,2], t[2,1]") if tag == name else _PASS)
 
 
 def test_leibniz_graded_without_samples_fails(calc):
