@@ -1,9 +1,11 @@
 """The bimodule of one-forms and its exterior algebra.
 
 One-forms carry left algebra coefficients; commuting an algebra element
-past a basis form expands through the characteristic functionals.  The
-wedge quotient divides out the fixed subspace of the braiding: its grade-2
-rules, certified on their overlaps, give exact normal forms in every grade.
+past a basis form expands through the characteristic functionals,
+omega_i a = sum_j (f^i_j * a) omega_j, read letter by letter off f's
+generator tables with no coproduct of a's words.  The wedge quotient
+divides out the fixed subspace of the braiding: its grade-2 rules,
+certified on their overlaps, give exact normal forms in every grade.
 """
 
 from __future__ import annotations
