@@ -19,7 +19,7 @@ from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element, render_word)
 from .functionals import (DualStructure, CorepFamily, convolve,
                           validate_scalar_functional, InvalidFunctionalError)
-from .forms import FormSpace, FormElement, left_coaction
+from .forms import FormSpace, FormElement
 
 
 class CalculusError(Exception):
@@ -237,8 +237,6 @@ class Calculus:
         self.X = canonical_element(self.space)
         self.grid = GridSplit(self)
         self.projectors = ProjectorPair(self.grid.data(1)["p1"], self.space.M)
-        if left_coaction(self.space, self.X) != {(): self.X}:
-            raise CalculusError("canonical element is not left invariant")
 
     # -- differentials ------------------------------------------------------
 

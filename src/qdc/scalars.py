@@ -584,6 +584,11 @@ def _normalize(num, den):
     return out
 
 
+# The largest exponent span, in lattice steps, that _reduce takes a gcd
+# over.  The gcd's pseudo-remainders cost time quadratic in the span, and
+# no check at N = 2..5 reduces a span above 50.
+MAX_SPAN = 1000
+
 # (num, den) -> _reduce(num, den).  The canonical form is a pure function of
 # the two polynomials, so one memo serves every calculus in the process.
 _REDUCED = {}
@@ -591,7 +596,8 @@ _REDUCED = {}
 
 def _reduce(num, den):
     """Canonical num/den by the gcd: num nonzero, den of two or more terms.
-    Both are read on their common lattice, where every exponent is an int."""
+    Both are read on their common lattice, where every exponent is an int.
+    A span beyond MAX_SPAN is refused."""
     D = num.D
     if D == den.D:
         a, b = num.terms, den.terms
@@ -602,6 +608,9 @@ def _reduce(num, den):
     a = {e - sn: c for e, c in a.items()}
     b = {e - sd: c for e, c in b.items()}
     if len(a) > 1:
+        if max(a) > MAX_SPAN or max(b) > MAX_SPAN:
+            raise ScalarError("q-exponent span beyond %d lattice steps"
+                              % MAX_SPAN)
         g = _poly_gcd(a, b)
         if g != _ONE_TERMS:
             a, b = _divide(a, g), _divide(b, g)

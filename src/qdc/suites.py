@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .scalars import ZERO, ONE
-from .linalg import (add_term, add_scaled, mat_mul, mat_inverse, transpose,
+from .linalg import (add_term, sparse_diff, mat_inverse, transpose,
                      first_difference, ValueNumbers)
 from .algebra import AlgebraElement, render_element, render_word
 from .functionals import (convolve, unflatten_pair, fixed_vectors,
@@ -88,102 +88,84 @@ def hopf_suite(calc, degree=None):
 # bicovariance suite
 
 class _Tables:
-    """Per-monomial caches: coproduct pairs, the nonzero f entries and chi
-    values, and the f f, f chi and chi f matrices of the exchange laws.
+    """Per-word tables of one bicovariance run, built once per word as
+    sparse rows of numbers of vn, one ValueNumbers for the whole run.
 
-    Those three matrices are sparse rows of numbers of vn, one ValueNumbers
-    for the whole suite run, and are built once per word.
+    E(u) is row 0 of the extended family, (eps, chi), above the rows of f
+    shifted one column, and Ebar(u) the same from the two families composed
+    with the antipode.  The tables are three sums over the coproduct pairs
+    (w1, w2) of a word w with coefficient c:
+
+        P(w) = sum c E(w1) (x) E(w2), row a*S + b, column x*S + y, S = M + 1
+        L(w) = sum c E(w1) Ebar(w2)   and   R(w) = sum c Ebar(w1) E(w2)
     """
 
     def __init__(self, dual, words):
-        self.dual = dual
-        qg = dual.qg
-        self.words = list(words)
+        m = dual.M
+        self.s = s = m + 1
+        self.vn = vn = ValueNumbers()
         self.cop = {}
-        legs = set()
-        for w in self.words:
-            pairs = list(qg.coproduct_word(w).items())
-            self.cop[w] = pairs
-            for (w1, w2), _ in pairs:
-                legs.add(w1)
-                legs.add(w2)
-        legs.update(self.words)
-        # {k: chi_k(w)}, row 0 of the extended family without its counit
-        self.x = {w: {j - 1: v for j, v in dual.ext.word_matrix(w)[0].items()
-                      if j} for w in legs}
-        self.eps = {w: dual.qg.counit_word(w) for w in legs}
-        self.lam_cols = by_lower_pair(dual.lam_matrix, dual.M)
-        self._bracket = {}
-        self.vn = ValueNumbers()
+        legs = set(words)
+        for w in words:
+            self.cop[w] = [(w1, w2, vn.number(c)) for (w1, w2), c
+                           in dual.qg.coproduct_word(w).items()]
+            legs.update(u for w1, w2, _ in self.cop[w] for u in (w1, w2))
+        kd_ext, kd_f = dual.ext.compose_antipode(), dual.f.compose_antipode()
+        self.E, self.Ebar = {}, {}
+        for u in legs:
+            # E's column 0 is the counit itself, not the family's column 0,
+            # so that antipode-of-chi rests on the hopf counit law alone
+            top = {**dual.ext.word_matrix(u)[0], 0: dual.qg.counit_word(u)}
+            self.E[u] = self._rows(top, dual.f, u)
+            self.Ebar[u] = self._rows(kd_ext.word_matrix(u)[0], kd_f, u)
+        # P's rows in the blocks B (the chi chi row), H, H' and K
+        self.block_rows = ([0], [(1 + i) * s for i in range(m)],
+                           [1 + i for i in range(m)],
+                           [(1 + i) * s + 1 + j for i in range(m)
+                            for j in range(m)])
+        # P's columns (1 + x, 1 + y), renumbered x*M + y in the blocks
+        self.inner = {(1 + x) * s + 1 + y: x * m + y
+                      for x in range(m) for y in range(m)}
+        self._tables = {}
+
+    def _rows(self, top, f, u):
         num = self.vn.number
-        # the nonzero f entries ((i, j), number) and chi entries (k, number)
-        f_word = dual.f.word_matrix
-        self.f_nz = {w: [((i, j), num(v)) for i, row in enumerate(f_word(w))
-                         for j, v in row.items()] for w in legs}
-        self.x_nz = {w: [(k, num(v)) for k, v in self.x[w].items()]
-                     for w in legs}
-        self._pair_tables = {}
+        return [{j: num(v) for j, v in top.items() if v}] + [
+            {1 + j: num(v) for j, v in row.items()}
+            for row in f.word_matrix(u)]
 
-    def bracket(self, w):
-        """T[i][j] = [chi_i, chi_j](w) = B[i][j] - Lam^{kl}_{ij} B[k][l], with
-        the double table B[i][j] = (chi_i chi_j)(w) built once for all M^2
-        brackets."""
-        t = self._bracket.get(w)
-        if t is None:
-            m = self.dual.M
-            B = [[ZERO] * m for _ in range(m)]
-            for (w1, w2), c in self.cop[w]:
-                x2 = self.x[w2]
-                for i, a in self.x[w1].items():
-                    ca = c * a
-                    row = B[i]
-                    for j, b in x2.items():
-                        row[j] = row[j] + ca * b
-            t = self._bracket[w] = [[ZERO] * m for _ in range(m)]
-            for i in range(m):
-                for j in range(m):
-                    val = B[i][j]
-                    for k, l, lv in self.lam_cols.get(i * m + j, ()):
-                        val = val - lv * B[k][l]
-                    t[i][j] = val
-        return t
-
-    def _pair_table(self, kind, w, left, right, rows, key):
-        """The sum over the coproduct pairs (w1, w2) of w of c * x * y, for
-        each x of left[w1] and y of right[w2], at the (row, column)
-        key(x's index, y's) of a matrix of rows sparse rows."""
-        out = self._pair_tables.get((kind, w))
+    def __getitem__(self, w):
+        """(B, H, H', K, L, R) of w: L(w), R(w) and the blocks of P(w),
+        B[0][i*M + j] = (chi_i chi_j)(w), H[i][j*M + k] = (f^i_j chi_k)(w),
+        H'[i][k*M + j] = (chi_k f^i_j)(w), K[i*M + j][p*M + q] =
+        (f^i_p f^j_q)(w)."""
+        out = self._tables.get(w)
         if out is None:
-            vn = self.vn
-            mul, add_term = vn.mul, vn.add_term
-            out = self._pair_tables[(kind, w)] = [{} for _ in range(rows)]
-            for (w1, w2), c in self.cop[w]:
-                c = vn.number(c)
-                r = right[w2]
-                for a, x in left[w1]:
-                    cx = mul(c, x)
-                    for b, y in r:
-                        i, j = key(a, b)
-                        add_term(out[i], j, mul(cx, y))
+            mul, add_term = self.vn.mul, self.vn.add_term
+            s, E, Ebar = self.s, self.E, self.Ebar
+            P = [{} for _ in range(s * s)]
+            L, R = [{} for _ in range(s)], [{} for _ in range(s)]
+            for w1, w2, c in self.cop[w]:
+                e2 = list(enumerate(E[w2]))
+                for a, row1 in enumerate(E[w1]):
+                    for x, v in row1.items():
+                        cv, x = mul(c, v), x * s
+                        for b, row2 in e2:
+                            acc = P[a * s + b]
+                            for y, u in row2.items():
+                                add_term(acc, x + y, mul(cv, u))
+                for table, left, right in ((L, E[w1], Ebar[w2]),
+                                           (R, Ebar[w1], E[w2])):
+                    for acc, row1 in zip(table, left):
+                        for k, v in row1.items():
+                            cv = mul(c, v)
+                            for y, u in right[k].items():
+                                add_term(acc, y, mul(cv, u))
+            inner = self.inner
+            out = self._tables[w] = tuple(
+                [{inner[x]: n for x, n in P[r].items() if x in inner}
+                 for r in rows] for rows in self.block_rows) + (L, R)
         return out
-
-    def ff(self, w):
-        """K[i*M + j][p*M + q] = (f^i_p f^j_q)(w), as numbers."""
-        m = self.dual.M
-        return self._pair_table("ff", w, self.f_nz, self.f_nz, m * m,
-                                lambda a, b: (a[0] * m + b[0], a[1] * m + b[1]))
-
-    def fx(self, w):
-        """H[i][j*M + k] = (f^i_j chi_k)(w), as numbers."""
-        m = self.dual.M
-        return self._pair_table("fx", w, self.f_nz, self.x_nz, m,
-                                lambda a, k: (a[0], a[1] * m + k))
-
-    def xf(self, w):
-        """H'[i][k*M + j] = (chi_k f^i_j)(w), as numbers."""
-        m = self.dual.M
-        return self._pair_table("xf", w, self.x_nz, self.f_nz, m,
-                                lambda k, a: (a[0], k * m + a[1]))
 
 
 def jacobi_coefficients(vn, c_lower, lam_cols, m):
@@ -227,7 +209,6 @@ def bicovariance_suite(calc, degree=None):
     words = qg.rs.normal_words(degree)
     tabs = _Tables(dual, words)
     lam = dual.lam_matrix
-    lam_cols = tabs.lam_cols
     # C_{ij}^k by lower pair, i*M + j -> [(k, value), ...], and as the
     # matrix C[k][i*M + j] of M sparse rows
     c_lower, c_rows = {}, [{} for _ in range(m)]
@@ -274,35 +255,35 @@ def bicovariance_suite(calc, degree=None):
                "at q0 = 1 the braiding specializes to the flip",
                [None if flip is None else str(flip)])
 
-    # bracket relation: chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l = C_{ij}^k chi_k
+    # bracket relation: chi_i chi_j - Lam^{kl}_{ij} chi_k chi_l =
+    # C_{ij}^k chi_k, the bracket row T = B - B Lam = B (1 - Lam) equal to
+    # chi C, with chi = row 0 of E(w) without its counit column
+    vn = tabs.vn
+    lam_n, c_n = vn.numbered(lam), vn.numbered(c_rows)
+    one_minus_lam = vn.numbered([sparse_diff({i: ONE}, row)
+                                 for i, row in enumerate(lam)])
+
+    def bracket(w):
+        return vn.sp_mul(tabs[w][0], one_minus_lam)
+
     def bracket_structure_constants():
         for w in words:
-            t = tabs.bracket(w)
-            xw = tabs.x[w]
-            for i in range(m):
-                for j in range(m):
-                    rhs = ZERO
-                    for k, cc in c_lower.get(i * m + j, ()):
-                        xk = xw.get(k)
-                        if xk is not None:
-                            rhs = rhs + cc * xk
-                    yield None if t[i][j] == rhs else "(i,j)=%r on %s" % (
-                        (unflatten_pair(i, qg.N), unflatten_pair(j, qg.N)),
-                        render_word(w))
+            chi = [{j - 1: n for j, n in tabs.E[w][0].items() if j}]
+            bad = first_difference(bracket(w), vn.sp_mul(chi, c_n))
+            yield None if bad is None else "(i,j)=%r on %s" % (
+                tuple(unflatten_pair(i, qg.N) for i in divmod(bad[1], m)),
+                render_word(w))
 
     report.law("bracket-structure-constants",
                "the vector-field bracket expands over the structure constants",
                bracket_structure_constants())
 
-    # the exchange laws, one identity of sparse products over the numbers
-    # of tabs.vn per word, with K = ff, H = fx, H' = xf and F = f
-    vn = tabs.vn
-    lam_n, c_n = vn.numbered(lam), vn.numbered(c_rows)
-
+    # the exchange laws, one identity of sparse products per word, with
+    # K, H and H' the blocks of P(w) and F = f(w)
     def braiding_f_exchange():
         # Lam K = K Lam
         for w in words:
-            K = tabs.ff(w)
+            K = tabs[w][3]
             ok = vn.sp_mul(lam_n, K) == vn.sp_mul(K, lam_n)
             yield None if ok else render_word(w)
 
@@ -313,10 +294,11 @@ def bicovariance_suite(calc, degree=None):
     def mixed_exchange():
         # H + C K = H' Lam + F C, a witness at (i, j*M + k)
         for w in words:
+            _, H, H1, K, _, _ = tabs[w]
             F = vn.numbered(dual.f.word_matrix(w))
-            bad = first_difference(
-                vn.sp_add(tabs.fx(w), vn.sp_mul(c_n, tabs.ff(w))),
-                vn.sp_add(vn.sp_mul(tabs.xf(w), lam_n), vn.sp_mul(F, c_n)))
+            bad = first_difference(vn.sp_add(H, vn.sp_mul(c_n, K)),
+                                   vn.sp_add(vn.sp_mul(H1, lam_n),
+                                             vn.sp_mul(F, c_n)))
             yield None if bad is None else "(i,j,k)=(%d,%d,%d) on %s" % (
                 (bad[0],) + divmod(bad[1], m) + (render_word(w),))
 
@@ -327,7 +309,8 @@ def bicovariance_suite(calc, degree=None):
     def chi_f_exchange():
         # H Lam = H', a witness at (n, k*M + l)
         for w in words:
-            bad = first_difference(vn.sp_mul(tabs.fx(w), lam_n), tabs.xf(w))
+            _, H, H1, _, _, _ = tabs[w]
+            bad = first_difference(vn.sp_mul(H, lam_n), H1)
             yield None if bad is None else "(k,l,n)=(%d,%d,%d) on %s" % (
                 divmod(bad[1], m) + (bad[0], render_word(w)))
 
@@ -335,64 +318,46 @@ def bicovariance_suite(calc, degree=None):
                "vector fields exchange with f through the braiding",
                chi_f_exchange())
 
-    # coalgebra of the dual: kappa_d(chi_i) = -chi_j kappa_d(f^j_i)
-    kd_f = dual.f.compose_antipode()
-    kd_ext = dual.ext.compose_antipode()
-
+    # coalgebra of the dual: kappa_d(chi_i) = -chi_j kappa_d(f^j_i), so
+    # row 0 of L(w) vanishes past its column 0, which holds eps(w).  Its
+    # column 1 + i is sum c eps(w1) kappa_d(chi_i)(w2) plus
+    # (chi_j kappa_d(f^j_i))(w), and the first term is kappa_d(chi_i)(w)
+    # wherever the hopf counit law holds: there this law compares the two
+    # sides on w itself
     def antipode_of_chi():
         for w in words:
-            rhs = {}
-            for (w1, w2), c in tabs.cop[w]:
-                f2 = kd_f.word_matrix(w2)
-                for j, x in tabs.x[w1].items():
-                    add_scaled(rhs, f2[j], -c * x)
-            mk = kd_ext.word_matrix(w)[0]
-            for i in range(m):
-                yield None if mk.get(1 + i, ZERO) == rhs.get(i, ZERO) else \
-                    "i=%d on %s" % (i, render_word(w))
+            i = min((j for j in tabs[w][4][0] if j), default=None)
+            yield None if i is None else "i=%d on %s" % (i - 1, render_word(w))
 
     report.law("antipode-of-chi",
                "kappa-dual of a vector field expands over kappa-dual f",
                antipode_of_chi())
 
-    # inverse law: kd(f^k_j) f^j_i = delta eps = f^k_j kd(f^j_i)
-    f_word = dual.f.word_matrix
-
-    def convolved(w, left, right):
-        """The sum over the coproduct pairs (w1, w2) of w of
-        c * left(w1) right(w2), as sparse rows."""
-        out = [{} for _ in range(m)]
-        for (w1, w2), c in tabs.cop[w]:
-            for acc, row in zip(out, mat_mul(left(w1), right(w2))):
-                add_scaled(acc, row, c)
-        return out
-
+    # inverse law: kd(f^k_j) f^j_i = delta eps = f^k_j kd(f^j_i), the f
+    # blocks of R(w) and L(w), a witness at (k, 1 + i) of either
     def f_inverse_law():
         for w in words:
-            left = convolved(w, kd_f.word_matrix, f_word)
-            right = convolved(w, f_word, kd_f.word_matrix)
-            for k in range(m):
-                for i in range(m):
-                    want = tabs.eps[w] if k == i else ZERO
-                    ok = left[k].get(i, ZERO) == want == right[k].get(i, ZERO)
-                    yield None if ok else "(k,i)=(%d,%d) on %s" % (
-                        k, i, render_word(w))
+            e = vn.number(qg.counit_word(w))
+            want = [{1 + k: e} if e else {} for k in range(m)]
+            bad = min((b for b in (first_difference(t[1:], want)
+                                   for t in tabs[w][4:])
+                       if b is not None), default=None)
+            yield None if bad is None else "(k,i)=(%d,%d) on %s" % (
+                bad[0], bad[1] - 1, render_word(w))
 
     report.law("f-inverse-law",
                "kappa-dual f is the convolution inverse of f", f_inverse_law())
 
-    # invariant combinations annihilate under the bracket
+    # invariant combinations annihilate under the bracket: T v for each v
+    # in ker(Lam - 1), as one product with the columns v
     fixed = fixed_vectors(lam)
+    fixed_cols = vn.numbered(transpose(fixed, m * m))
 
     def symmetric_vanishing():
-        for v in fixed:
-            for w in words:
-                t = tabs.bracket(w)
-                total = ZERO
-                for c, coeff in v.items():
-                    k, l = divmod(c, m)
-                    total = total + coeff * t[k][l]
-                yield None if total.is_zero() else render_word(w)
+        sums = [vn.sp_mul(bracket(w), fixed_cols)[0] for w in words]
+        for r in range(len(fixed)):
+            for w, total in zip(words, sums):
+                yield None if r not in total else render_word(w)
 
     report.law("symmetric-vanishing",
                "braiding-invariant pairs have vanishing bracket",
@@ -403,17 +368,14 @@ def bicovariance_suite(calc, degree=None):
                [None if len(fixed) == relations
                 else "%d vs %d" % (len(fixed), relations)])
 
-    # q-Jacobi via the verified bracket expansion: each word's bracket
-    # table, numbered once as one sparse row, times the coefficient columns
-    ijks, jacobi = jacobi_coefficients(vn, c_lower, lam_cols, m)
+    # q-Jacobi via the verified bracket expansion: each word's bracket row
+    # times the coefficient columns
+    ijks, jacobi = jacobi_coefficients(vn, c_lower, by_lower_pair(lam, m), m)
     jacobi_cols = transpose(jacobi, m * m)
 
     def q_jacobi():
         for w in words:
-            t = vn.numbered([{a * m + b: v
-                              for a, row in enumerate(tabs.bracket(w))
-                              for b, v in enumerate(row) if v}])
-            totals = vn.sp_mul(t, jacobi_cols)[0]
+            totals = vn.sp_mul(bracket(w), jacobi_cols)[0]
             for r, ijk in enumerate(ijks):
                 yield None if r not in totals else \
                     "(i,j,k)=(%d,%d,%d) on %s" % (ijk + (render_word(w),))

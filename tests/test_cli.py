@@ -3,12 +3,13 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdc.cli import (parse, print_ast, evaluate_ast, render_value,
                      run, ExprError, read_session)
 from qdc.expr import tokenize
 from qdc.calculus import DEFAULT_RMATRIX
+from qdc.scalars import MAX_SPAN
 
 
 def out_of(argv):
@@ -359,3 +360,66 @@ def expressions(depth):
 @given(expressions(4))
 def test_eval_exits_with_0_or_2(text):
     assert run(["eval", text], out=io.StringIO()) in (0, 2), text
+
+
+# ---------------------------------------------------------------------------
+# a q-exponent span too wide to reduce is refused with one error line, not
+# worked through: the pseudo-remainders of a gcd grow with the span squared
+
+def test_wide_exponent_span_is_refused(tmp_path, capsys):
+    path = tmp_path / "wide.rmatrix"
+    path.write_text(DEFAULT_RMATRIX + "entry 2 1 1 2 q^99999\n")
+    assert run(["--rmatrix", str(path), "check"]) == 2
+    assert run(["eval", "(q^30000 + 1)/(q^30000 + q)"]) == 2
+    assert capsys.readouterr().err == 2 * (
+        "error: q-exponent span beyond %d lattice steps\n" % MAX_SPAN)
+
+
+# ---------------------------------------------------------------------------
+# a fuzz of the config text: up to three edits to the packaged N=2 config,
+# each line and value from a fixed menu; the config is refused (exit 2) or
+# the expression evaluates (exit 0)
+
+INDEX = st.integers(min_value=0, max_value=3)
+VALUES = st.sampled_from(["q", "1", "0", "-1", "q^2", "q - q^-1",
+                          "1/(q - q)", "q^(1/0)", "t[1,1]"])
+LINES = st.one_of(
+    st.sampled_from(["N 0", "N 1", "N 3", "N two", "N", "series B",
+                     "series", "entry 1 1 1", "entry 1 1 1 1",
+                     "entry x 1 1 1 q", "unknown 1"]),
+    st.builds("entry {} {} {} {} {}".format, INDEX, INDEX, INDEX, INDEX,
+              VALUES))
+POSITION = st.integers(min_value=0, max_value=8)
+EDITS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["drop", "repeat"]), POSITION),
+    st.tuples(st.just("insert"), POSITION, LINES),
+    st.tuples(st.just("value"), POSITION, VALUES)), max_size=3)
+
+
+def edited_config(edits):
+    """The packaged config with each edit applied in turn: drop or repeat
+    a line, insert one, or replace an entry line's value."""
+    lines = DEFAULT_RMATRIX.splitlines()
+    for kind, i, *arg in edits:
+        if kind == "insert":
+            lines.insert(i % (len(lines) + 1), arg[0])
+        elif lines:
+            i %= len(lines)
+            if kind == "drop":
+                del lines[i]
+            elif kind == "repeat":
+                lines.insert(i, lines[i])
+            elif lines[i].startswith("entry"):
+                lines[i] = " ".join(lines[i].split()[:5] + arg)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(edits=[("insert", 8, "entry 2 1 1 2 q^99999999")])
+@given(edits=EDITS)
+def test_edited_config_exits_with_0_or_2(edits, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "edited.rmatrix"
+    path.write_text(edited_config(edits))
+    argv = ["--rmatrix", str(path), "--cap", "1", "--degree", "1",
+            "eval", "d(t[1,1])"]
+    assert run(argv, out=io.StringIO()) in (0, 2), edits

@@ -221,7 +221,31 @@ EXPECTED_FAMILY = {
         "well-defined-chi": "rule ((3, 3), (1, 1)) entry (0, 9)",
         "antipode-of-chi": "i=8 on t[1,1]",
     }),
+    # the families no other law reads, recorded from the suite on the
+    # sparse tables: each fails its own well-definedness law only
+    (2, "L+"): _expected(2, {
+        "well-defined-L+": "rule ((2, 2), (1, 1)) entry (1, 1)",
+    }),
+    (2, "L-"): _expected(2, {
+        "well-defined-L-": "rule ((2, 2), (1, 1)) entry (1, 1)",
+    }),
+    (2, "eps"): _expected(2, {
+        "well-defined-eps": "rule ((2, 2), (1, 1)) entry (0, 0)",
+    }),
+    (3, "L+"): _expected(3, {
+        "well-defined-L+": "rule ((3, 3), (3, 1)) entry (0, 2)",
+    }),
+    (3, "L-"): _expected(3, {
+        "well-defined-L-": "rule ((3, 3), (1, 3)) entry (2, 0)",
+    }),
+    (3, "eps"): _expected(3, {
+        "well-defined-eps": "rule ((1, 3), (2, 2), (3, 1)) entry (0, 0)",
+    }),
 }
+
+# the DualStructure attribute of each bent family
+FAMILY_ATTR = {"f": "f", "chi": "ext", "L+": "lplus", "L-": "lminus",
+               "eps": "eps"}
 
 
 def corrupted_family(fam):
@@ -250,8 +274,12 @@ def test_bent_unit_value_is_named(calc, monkeypatch):
 def test_corrupted_family_found_where_it_was(n, kind, calc, calc3,
                                              monkeypatch):
     c = calculus_for(n, calc, calc3)
-    attr = "f" if kind == "f" else "ext"
-    monkeypatch.setattr(c.dual, attr, corrupted_family(getattr(c.dual, attr)))
+    attr = FAMILY_ATTR[kind]
+    if kind == "eps":
+        bent = Functional(corrupted_family(c.dual.eps.family), 0, 0, "eps")
+    else:
+        bent = corrupted_family(getattr(c.dual, attr))
+    monkeypatch.setattr(c.dual, attr, bent)
     report = bicovariance_suite(c, DEGREE[n])
     got = {e.law: (e.status, e.witness) for e in report.entries}
     assert got == EXPECTED_FAMILY[(n, kind)]
