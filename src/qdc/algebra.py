@@ -1,8 +1,10 @@
 """The FRT quantum group as a presented algebra.
 
-Generators t^a_b (stored as 1-based pairs), relations derived from a
-validated R-matrix, normal-form rewriting under a degree-lexicographic
-order, and the Hopf structure maps (coproduct, counit, antipode).
+Generators t^a_b (stored as 1-based pairs), relations derived from an
+R-matrix validated as one braided matrix B = PR (the braid relation, the
+Hecke relation, and R^-1 read off the latter), normal-form rewriting under
+a degree-lexicographic order, and the Hopf structure maps (coproduct,
+counit, antipode).
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .scalars import Scalar, ZERO, ONE, parse_scalar, render_scalar
-from .linalg import (mat_inverse, mat_mul, rref_sparse, add_term, add_scaled,
-                     LinearCombination)
+from .scalars import Scalar, ZERO, ONE, parse_scalar, render_scalar, qlambda
+from .linalg import (mat_mul, identity, first_difference, braid_defect,
+                     rref_sparse, add_term, add_scaled, LinearCombination)
 
 
 class AlgebraError(Exception):
@@ -34,17 +36,24 @@ class RMatrix:
     """A validated solution R^{ac}_{bd} of the quantum Yang-Baxter equation.
 
     Entries are indexed (a, c, b, d) with (a, c) the upper and (b, d) the
-    lower index pair.  Construction checks invertibility, the Yang-Baxter
-    equation and, for the A series, the Hecke condition on the braided form.
-    Also derives R^{-1} and the second solution R21^{-1}.
+    lower index pair.  Construction checks the braided form B = PR, whose
+    row (c, a) and column (b, d) hold R^{ac}_{bd}: the Yang-Baxter equation
+    of R is the braid relation of B, and the A series asks for the Hecke
+    relation B (B - (q - q^-1)) = 1.  That relation makes B - (q - q^-1)
+    the inverse of B, so R^{-1} and the second solution R21^{-1} are read
+    off it with no elimination.
     """
 
     def __init__(self, n, entries, series="A"):
         self.N = n
         self.series = series
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
-        self.inv_entries = self._invert()
-        self._validate()
+        inverse = self._validate()
+        # R = PB, so (R^-1)^{ac}_{bd} = R^{ca}_{db} - (q - q^-1) d_ad d_cb
+        # is the entry (a, c) -> (d, b) of B^-1
+        self.inv_entries = dict(sorted(
+            ((i // n + 1, i % n + 1, j % n + 1, j // n + 1), v)
+            for i, row in enumerate(inverse) for j, v in row.items()))
         # second solution: (R-)^{ac}_{bd} = (R^-1)^{ca}_{db}
         self.rminus_entries = {(c, a, d, b): v
                                for (a, c, b, d), v in self.inv_entries.items()}
@@ -52,85 +61,36 @@ class RMatrix:
     def val(self, a, c, b, d):
         return self.entries.get((a, c, b, d), ZERO)
 
-    def _invert(self):
+    def _validate(self):
+        """Refuse R unless B passes the gates; return B^-1, certified."""
         n = self.N
         # an invertible n^2 x n^2 matrix has a nonzero entry in every row;
         # refusing fewer entries first keeps a huge N from allocating rows
         if len(self.entries) < n * n:
             raise RMatrixError("R-matrix is singular")
-        rows = [{} for _ in range(n * n)]
-        for (a, c, b, d), v in self.entries.items():
-            rows[(a - 1) * n + c - 1][(b - 1) * n + d - 1] = v
-        try:
-            inv = mat_inverse(rows, n * n)
-        except ValueError:
-            raise RMatrixError("R-matrix is singular")
-        out = {}
-        for i, row in enumerate(inv):
-            a, c = divmod(i, n)
-            for j in sorted(row):
-                b, d = divmod(j, n)
-                out[(a + 1, c + 1, b + 1, d + 1)] = row[j]
-        return out
-
-    def _validate(self):
-        n = self.N
         if self.series not in ("A",):
             raise RMatrixError(
                 "series %r is reserved and not implemented" % self.series)
-        rng = range(1, n + 1)
-        # Yang-Baxter, all n^6 component equations; components that both
-        # sides leave out are 0 = 0
-        lhs, rhs = self._yang_baxter_sides()
-        bad = [k for k in lhs.keys() | rhs.keys()
-               if lhs.get(k, ZERO) != rhs.get(k, ZERO)]
-        if bad:
-            raise RMatrixError("Yang-Baxter equation fails at indices %r"
-                               % (min(bad),))
-        # Hecke condition on the braided form (A series): the braided
-        # entry (c, a) -> (b, d) is R^{ac}_{bd}
-        pairs = [(a, c) for a in rng for c in rng]
-        left = [{} for _ in pairs]
+        braided = [{} for _ in range(n * n)]
         for (a, c, b, d), v in self.entries.items():
-            left[(c - 1) * n + a - 1][(b - 1) * n + d - 1] = v
-        right = [dict(row) for row in left]
-        q = Scalar.q()
-        qinv = ONE / q
-        for i in range(len(pairs)):
-            add_term(left[i], i, -q)
-            add_term(right[i], i, qinv)
-        for i, row in enumerate(mat_mul(left, right)):
-            if row:
-                raise RMatrixError(
-                    "Hecke condition fails at braided entry %r -> %r"
-                    % (pairs[i], pairs[min(row)]))
-
-    def _yang_baxter_sides(self):
-        """R12 R13 R23 and R23 R13 R12 as dicts (a1, a2, a3, c1, c2, c3) ->
-        component, contracted over the nonzero entries only."""
-        entries = self.entries.items()
-        by_upper = {}    # a -> [(c, b, d, R^{ac}_{bd})]
-        by_second = {}   # c -> [(a, b, d, R^{ac}_{bd})]
-        by_pair = {}     # (a, c) -> [(b, d, R^{ac}_{bd})]
-        for (a, c, b, d), v in entries:
-            by_upper.setdefault(a, []).append((c, b, d, v))
-            by_second.setdefault(c, []).append((a, b, d, v))
-            by_pair.setdefault((a, c), []).append((b, d, v))
-        lhs = {}
-        # sum over x, y, z of R^{a1 a2}_{x y} R^{x a3}_{c1 z} R^{y z}_{c2 c3}
-        for (a1, a2, x, y), p in entries:
-            for a3, c1, z, p2 in by_upper.get(x, ()):
-                pp = p * p2
-                for c2, c3, p3 in by_pair.get((y, z), ()):
-                    add_term(lhs, (a1, a2, a3, c1, c2, c3), pp * p3)
-        rhs = {}
-        # sum over x, y, z of R^{a2 a3}_{x y} R^{a1 y}_{z c3} R^{z x}_{c1 c2}
-        for (a2, a3, x, y), p in entries:
-            for a1, z, c3, p2 in by_second.get(y, ()):
-                pp = p * p2
-                for c1, c2, p3 in by_pair.get((z, x), ()):
-                    add_term(rhs, (a1, a2, a3, c1, c2, c3), pp * p3)
-        return lhs, rhs
+            braided[(c - 1) * n + a - 1][(b - 1) * n + d - 1] = v
+        defect = braid_defect(braided, n)
+        if defect is not None:
+            raise RMatrixError(
+                "Yang-Baxter equation fails at braided entry %r -> %r"
+                % tuple(tuple(k // n ** p % n + 1 for p in (2, 1, 0))
+                        for k in defect))
+        # B (B - (q - q^-1)) - 1 is (B - q)(B + q^-1), the Hecke condition
+        inverse = [dict(row) for row in braided]
+        lam = qlambda()
+        for i, row in enumerate(inverse):
+            add_term(row, i, -lam)
+        defect = first_difference(mat_mul(braided, inverse), identity(n * n))
+        if defect is not None:
+            raise RMatrixError(
+                "Hecke condition fails at braided entry %r -> %r"
+                % tuple((k // n + 1, k % n + 1) for k in defect))
+        return inverse
 
 
 def load_rmatrix(text):

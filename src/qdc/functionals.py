@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, qlambda
 from .linalg import (mat_mul, identity, kernel_basis, add_term, add_scaled,
-                     first_difference, ValueNumbers)
+                     first_difference)
 from .algebra import AlgebraElement
 
 
@@ -259,27 +259,6 @@ def by_lower_pair(lam, m):
         for col, v in entries.items():
             cols.setdefault(col, []).append(divmod(row, m) + (v,))
     return cols
-
-
-def braid_defect(lam, m):
-    """None if the braid relation holds; else a witness index pair.
-
-    With Q = (1 x Lam)(Lam x 1) the two sides are (Lam x 1) Q and
-    Q (1 x Lam): three sparse products, run over the numbers of the few
-    distinct entry values.  The witness is the first mismatch in row-major
-    order, which does not depend on how the products are grouped.
-    """
-    mm = m * m
-    vn = ValueNumbers()
-    b1 = [{} for _ in range(mm * m)]
-    b2 = [{} for _ in range(mm * m)]
-    for i, row in enumerate(vn.numbered(lam)):
-        for j, v in row.items():
-            for k in range(m):
-                b1[i * m + k][j * m + k] = v
-                b2[k * mm + i][k * mm + j] = v
-    q = vn.sp_mul(b2, b1)
-    return first_difference(vn.sp_mul(b1, q), vn.sp_mul(q, b2))
 
 
 # ---------------------------------------------------------------------------

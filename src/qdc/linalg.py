@@ -1,8 +1,8 @@
 """Exact linear algebra over Q(q) (or any exact field via duck typing).
 
 A matrix is a list of sparse rows, dicts mapping column keys to nonzero
-field elements; rref_sparse is the one elimination over them and mat_mul
-their product.  Field elements must support +, -, *, / and a truth value
+field elements; rref_sparse is the one elimination over them, mat_mul
+their product and braid_defect the one check of the braid relation.  Field elements must support +, -, *, / and a truth value
 that means "nonzero", as int, Fraction and Scalar have.
 
 The sparse accumulate kernel (add_term, add_scaled, sparse_sum,
@@ -298,6 +298,29 @@ def first_difference(a, b):
             return i, min(j for j in ra.keys() | rb.keys()
                           if ra.get(j) != rb.get(j))
     return None
+
+
+def braid_defect(b, m):
+    """None if the braid relation holds for B, the m^2 sparse rows of an
+    operator on V x V with dim V = m (pair (i, j) at i*m + j); else the
+    first (row, column) where the two sides differ, in V x V x V.
+
+    With Q = (1 x B)(B x 1) the two sides are (B x 1) Q and Q (1 x B):
+    three sparse products, run over the numbers of the few distinct entry
+    values.  The witness is the first mismatch in row-major order, which
+    does not depend on how the products are grouped.
+    """
+    mm = m * m
+    vn = ValueNumbers()
+    b1 = [{} for _ in range(mm * m)]
+    b2 = [{} for _ in range(mm * m)]
+    for i, row in enumerate(vn.numbered(b)):
+        for j, v in row.items():
+            for k in range(m):
+                b1[i * m + k][j * m + k] = v
+                b2[k * mm + i][k * mm + j] = v
+    q = vn.sp_mul(b2, b1)
+    return first_difference(vn.sp_mul(b1, q), vn.sp_mul(q, b2))
 
 
 def mat_inverse(rows, n):

@@ -679,7 +679,9 @@ def render_scalar(s):
 
 def scalar_power(s, e):
     """s^e for an int or Fraction exponent e; a non-integral e applies
-    only to a power of q, where it multiplies the exponent."""
+    only to a power of q, where it multiplies the exponent.  An integer
+    power whose numerator or denominator would span more than MAX_SPAN
+    lattice steps is refused before any product is taken."""
     if isinstance(e, Fraction):
         if e.denominator == 1:
             e = e.numerator
@@ -688,6 +690,10 @@ def scalar_power(s, e):
             return Scalar.q_power(s.num.max_exp() * e)
         else:
             raise ScalarError("fractional powers only apply to powers of q")
+    for p in (s.num, s.den):
+        if p.terms and abs(e) * (max(p.terms) - min(p.terms)) > MAX_SPAN:
+            raise ScalarError("q-exponent span beyond %d lattice steps"
+                              % MAX_SPAN)
     return s ** e
 
 

@@ -19,10 +19,10 @@ import random
 
 from .scalars import ZERO, ONE
 from .linalg import (add_term, sparse_diff, mat_inverse, transpose,
-                     first_difference, ValueNumbers)
+                     first_difference, braid_defect, ValueNumbers)
 from .algebra import AlgebraElement, render_element, render_word
 from .functionals import (convolve, unflatten_pair, fixed_vectors,
-                          by_lower_pair, braid_defect)
+                          by_lower_pair)
 from .forms import left_coaction, z_form_comparison
 from .calculus import CheckReport, SKIPPED
 

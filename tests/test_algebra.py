@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda
+from qdc.scalars import Scalar, ZERO, ONE, Q, qlambda, parse_scalar
 from qdc.algebra import (RMatrixError, PresentationError, RewriteSystem,
                          load_rmatrix, dump_rmatrix, QuantumGroup,
                          AlgebraElement, quantum_minor_terms,
                          derive_relations, render_word)
-from qdc.linalg import add_term, sparse_sum
+from qdc.linalg import add_term, sparse_sum, mat_inverse
 from qdc.calculus import DEFAULT_RMATRIX
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -23,6 +23,29 @@ def read_config(name):
 
 def gen(rs, a, b):
     return AlgebraElement.generator(rs, a, b)
+
+
+def dense_braid_sides(text):
+    """B12 B23 B12 and B23 B12 B23 as dense matrices over V x V x V, for the
+    braided form B (row (c, a), column (b, d) holds R^{ac}_{bd}) of the
+    entry lines of an R-matrix config with N = 3, parsed without the gate."""
+    n, nn, m = 3, 9, 27
+    braided = [[ZERO] * nn for _ in range(nn)]
+    for line in text.splitlines():
+        if line.startswith("entry "):
+            fields = line.split(None, 5)
+            a, c, b, d = (int(x) - 1 for x in fields[1:5])
+            braided[c * n + a][b * n + d] = parse_scalar(fields[5])
+    b12 = [[braided[x // n][y // n] if x % n == y % n else ZERO
+            for y in range(m)] for x in range(m)]
+    b23 = [[braided[x % nn][y % nn] if x // nn == y // nn else ZERO
+            for y in range(m)] for x in range(m)]
+
+    def mul(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(m) if x[i][k]), ZERO)
+                 for j in range(m)] for i in range(m)]
+
+    return mul(mul(b12, b23), b12), mul(mul(b23, b12), b23)
 
 
 # ---------------------------------------------------------------------------
@@ -111,30 +134,56 @@ class TestRMatrixGate:
             load_rmatrix(bad)
         assert "reserved" in str(err.value)
 
-    # Each refusal names the lexicographically first failing component, as
-    # the sweep over all n^6 index tuples in itertools.product order did;
-    # the texts were recorded from that sweep.
+    # Each refusal names the first braided entry (a1, a2, a3) -> (c1, c2,
+    # c3), in row-major order, where the two sides of the braid relation
+    # differ; the dense sides below recompute it.
     @pytest.mark.parametrize("old, new, message", [
         ("entry 2 3 3 2 q - q^-1", "entry 2 3 3 2 q - q^-2",
-         "Yang-Baxter equation fails at indices (1, 2, 3, 2, 3, 1)"),
+         "Yang-Baxter equation fails at braided entry (2, 3, 1) -> (3, 2, 1)"),
         ("entry 1 3 1 3 1", "entry 1 3 1 3 2",
-         "Yang-Baxter equation fails at indices (1, 1, 3, 3, 1, 1)"),
+         "Yang-Baxter equation fails at braided entry (2, 3, 1) -> (2, 3, 1)"),
         ("entry 2 2 2 2 q", "entry 2 2 2 2 q^2",
-         "Yang-Baxter equation fails at indices (1, 2, 2, 2, 2, 1)"),
+         "Yang-Baxter equation fails at braided entry (2, 2, 1) -> (2, 2, 1)"),
         ("entry 3 3 3 3 q", "entry 3 3 3 3 q\nentry 1 2 3 3 1",
-         "Yang-Baxter equation fails at indices (1, 1, 2, 1, 3, 3)"),
+         "Yang-Baxter equation fails at braided entry (1, 2, 1) -> (3, 3, 1)"),
         ("entry 1 2 2 1 q - q^-1\n", "",
-         "Yang-Baxter equation fails at indices (1, 2, 3, 3, 1, 2)"),
+         "Yang-Baxter equation fails at braided entry (3, 1, 2) -> (3, 2, 1)"),
         ("entry 1 2 2 1 q - q^-1", "entry 1 2 2 1 q - q^-1\n"
          "entry 2 1 1 2 q - q^-1",
-         "Yang-Baxter equation fails at indices (1, 1, 2, 1, 2, 1)"),
+         "Yang-Baxter equation fails at braided entry (1, 1, 2) -> (1, 2, 1)"),
     ])
     def test_perturbed_sl3_refused_at_first_component(self, old, new, message):
         text = read_config("slq3.rmatrix")
         assert old in text
+        text = text.replace(old, new)
         with pytest.raises(RMatrixError) as err:
-            load_rmatrix(text.replace(old, new))
+            load_rmatrix(text)
         assert str(err.value) == message
+        lhs, rhs = dense_braid_sides(text)
+        digits = [int(x) - 1 for x in re.findall(r"\d", message)]
+        row = (digits[0] * 3 + digits[1]) * 3 + digits[2]
+        col = (digits[3] * 3 + digits[4]) * 3 + digits[5]
+        assert lhs[row][col] != rhs[row][col]
+        assert lhs[:row] == rhs[:row]
+        assert lhs[row][:col] == rhs[row][:col]
+
+    # R^-1 is read off the Hecke relation, B^-1 = B - (q - q^-1), with no
+    # elimination; an elimination of R's rows must give the same entries
+    @pytest.mark.parametrize("name", [None, "slq1.rmatrix", "slq3.rmatrix",
+                                      "slq4.rmatrix", "slq5.rmatrix",
+                                      "slq2_relabelled.rmatrix"])
+    def test_inverse_matches_an_elimination(self, name):
+        r = load_rmatrix(DEFAULT_RMATRIX if name is None
+                         else read_config(name))
+        n = r.N
+        rows = [{} for _ in range(n * n)]
+        for (a, c, b, d), v in r.entries.items():
+            rows[(a - 1) * n + c - 1][(b - 1) * n + d - 1] = v
+        expected = {}
+        for i, row in enumerate(mat_inverse(rows, n * n)):
+            for j, v in row.items():
+                expected[(i // n + 1, i % n + 1, j // n + 1, j % n + 1)] = v
+        assert r.inv_entries == expected
 
     def test_scaled_sl3_passes_yang_baxter_and_fails_hecke(self):
         # R -> 2R keeps the cubic Yang-Baxter equation and breaks Hecke

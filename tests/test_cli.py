@@ -253,16 +253,23 @@ class TestErrorSurface:
         assert out_of(["--rmatrix", str(path), "eval", "q"]) == (2, "")
         assert capsys.readouterr().err == "error: R-matrix is singular\n"
 
-    def test_relabelled_r_is_refused_by_the_antipode_axiom(self, tmp_path,
-                                                           capsys):
+    def test_singular_r_with_n2_entries_fails_a_gate(self, tmp_path, capsys):
+        # a B that passes the Hecke relation is invertible, so a singular R
+        # with enough entries to pass the count guard fails a gate instead
+        path = tmp_path / "r.rmatrix"
+        path.write_text("N 2\n" + "".join(
+            "entry %s 1\n" % e for e in ["1 1 1 1", "1 1 2 2", "2 2 1 1",
+                                         "2 2 2 2"]), encoding="utf-8")
+        assert out_of(["--rmatrix", str(path), "eval", "q"]) == (2, "")
+        assert capsys.readouterr().err == "error: Yang-Baxter equation " \
+            "fails at braided entry (1, 1, 1) -> (1, 2, 2)\n"
+
+    def test_relabelled_r_is_refused_by_the_antipode_axiom(self, capsys):
         # the standard R under i -> 3 - i passes the Yang-Baxter and Hecke
         # gates, but the quantum minors fit only the standard orientation
-        path = tmp_path / "r.rmatrix"
-        path.write_text("N 2\nseries A\n" + "".join(
-            "entry %s\n" % e for e in ["2 2 2 2 q", "2 1 2 1 1",
-                                       "2 1 1 2 q - q^-1", "1 2 1 2 1",
-                                       "1 1 1 1 q"]), encoding="utf-8")
-        assert out_of(["--rmatrix", str(path), "eval", "q"]) == (2, "")
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "slq2_relabelled.rmatrix")
+        assert out_of(["--rmatrix", path, "eval", "q"]) == (2, "")
         assert capsys.readouterr().err == \
             "error: antipode axiom fails on generator t[1,1]\n"
 
@@ -364,15 +371,27 @@ def test_eval_exits_with_0_or_2(text):
 
 # ---------------------------------------------------------------------------
 # a q-exponent span too wide to reduce is refused with one error line, not
-# worked through: the pseudo-remainders of a gcd grow with the span squared
+# worked through: the pseudo-remainders of a gcd grow with the span squared,
+# and an integer power's span grows with its exponent
 
 def test_wide_exponent_span_is_refused(tmp_path, capsys):
+    span = "q-exponent span beyond %d lattice steps" % MAX_SPAN
     path = tmp_path / "wide.rmatrix"
+    # a lone wide entry fails the braid relation before any gcd is taken
     path.write_text(DEFAULT_RMATRIX + "entry 2 1 1 2 q^99999\n")
     assert run(["--rmatrix", str(path), "check"]) == 2
-    assert run(["eval", "(q^30000 + 1)/(q^30000 + q)"]) == 2
-    assert capsys.readouterr().err == 2 * (
-        "error: q-exponent span beyond %d lattice steps\n" % MAX_SPAN)
+    assert capsys.readouterr().err == "error: Yang-Baxter equation fails " \
+        "at braided entry (1, 1, 2) -> (1, 1, 2)\n"
+    # an entry value whose own reduction needs the wide gcd
+    line = "entry 1 1 1 1 (q^3000 + 1)/(q^3000 + q)"
+    path.write_text(DEFAULT_RMATRIX + line + "\n")
+    assert run(["--rmatrix", str(path), "check"]) == 2
+    assert capsys.readouterr().err == \
+        "error: bad entry line 9: %r (ScalarError: %s)\n" % (line, span)
+    for text in ["(q^30000 + 1)/(q^30000 + q)", "(q + 1)^4000",
+                 "(q + 1)^-4000"]:
+        assert run(["eval", text]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % span
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ from qdc.scalars import Scalar, ZERO, ONE, Q, parse_scalar, qlambda
 from qdc.algebra import AlgebraElement
 from qdc import functionals
 from qdc.functionals import (make_C, make_lambda, adjoint_values,
-                             braid_defect, convolve, q_lie_bracket,
-                             flatten_pair, scalar_functional,
-                             validate_scalar_functional, CorepFamily,
-                             Functional, FunctionalError,
+                             convolve, q_lie_bracket, flatten_pair,
+                             scalar_functional, validate_scalar_functional,
+                             CorepFamily, Functional, FunctionalError,
                              InvalidFunctionalError)
 from qdc.linalg import (kernel_basis, rref_sparse, identity, mat_mul,
-                        mat_inverse, add_term)
+                        mat_inverse, add_term, braid_defect)
 from qdc.calculus import OuterCalculus, assemble
 from qdc.cli import SUITES, run_suite
 from qdc.suites import bicovariance_suite

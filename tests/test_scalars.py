@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdc.scalars import (LaurentPoly, Scalar, ZERO, ONE, Q, qlambda,
-                         parse_scalar, render_scalar, ScalarDivisionError,
-                         PoleError, SpecializationError, ScalarParseError,
-                         check_values_at)
+                         parse_scalar, render_scalar, ScalarError,
+                         ScalarDivisionError, PoleError, SpecializationError,
+                         ScalarParseError, check_values_at, MAX_SPAN)
 from qdc.scalars import _poly_gcd, _normalize, _reduce, _REDUCED
 from qdc.algebra import AlgebraElement
 from qdc.cli import parse, evaluate_ast, render_value
@@ -283,6 +283,22 @@ class TestGrammar:
             parse_scalar("(q")
         with pytest.raises(ScalarParseError):
             parse_scalar("q 3")
+
+    def test_integer_power_span_is_bounded(self):
+        # |e| times the span of the numerator or the denominator may reach
+        # MAX_SPAN lattice steps, not pass it; the product is never taken
+        assert MAX_SPAN == 1000
+        assert parse_scalar("(q^10 + 1)^100").num.max_exp() == 1000
+        den = parse_scalar("(q^(1/2) + q)^-1000").den
+        assert (den.D, max(den.terms) - min(den.terms)) == (2, 1000)
+        assert parse_scalar("q^99999") == Scalar.q_power(99999)
+        for text in ["(q^10 + 1)^101", "(q^10 + 1)^-101",
+                     "(1/(q^10 + 1))^101", "(q^(1/2) + q)^1001",
+                     "(q + 1)^100000"]:
+            with pytest.raises(ScalarError) as err:
+                parse_scalar(text)
+            assert str(err.value) == \
+                "q-exponent span beyond 1000 lattice steps"
 
     @pytest.mark.parametrize("text", ["t[1,1]", "w[1,2]", "X", "d(q)",
                                       "w[1,1] /\\ w[2,2]"])

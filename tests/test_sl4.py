@@ -8,7 +8,8 @@ import math
 
 from qdc.algebra import AlgebraElement
 from qdc.forms import WedgeTable
-from qdc.functionals import convolve, braid_defect
+from qdc.functionals import convolve
+from qdc.linalg import braid_defect
 from qdc.suites import hopf_suite
 
 

@@ -412,9 +412,8 @@ def test_one_law_driver():
 def test_braiding_is_plain_sparse_rows():
     """The braiding is a list of sparse rows like every other matrix: src
     defines no LambdaMatrix and reads no .sparse, and a scan for the first
-    differing entry over the union of two key sets is written twice, in
-    linalg.first_difference and in the Yang-Baxter component check of
-    RMatrix._validate."""
+    differing entry over the union of two key sets is written once, in
+    linalg.first_difference."""
     scans = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -439,7 +438,40 @@ def test_braiding_is_plain_sparse_rows():
                             key=lambda f: f.lineno, default=None)
                 scans.append("%s.%s" % (path.stem, names[id(inner)]
                                         if inner else "<module>"))
-    assert scans == ["algebra.RMatrix._validate", "linalg.first_difference"]
+    assert scans == ["linalg.first_difference"]
+
+
+def test_r_matrix_is_one_braided_matrix():
+    """The R-matrix gate checks the braided form B = PR: Yang-Baxter is
+    braid_defect of B, the one braid-relation check, which linalg alone
+    defines and both RMatrix._validate and the bicovariance suite call,
+    and R^-1 is read off the Hecke relation.  RMatrix calls no
+    elimination, and src defines no _yang_baxter_sides or _invert."""
+    names = _function_names("src")
+    assert "_yang_baxter_sides" not in names and "_invert" not in names
+    defined = [path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "braid_defect"]
+    assert defined == ["linalg.py"]
+    rmatrix = _top_level("algebra.py", "RMatrix")
+    validate = next(f for f in rmatrix.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "_validate")
+    for fn in (validate, _top_level("suites.py", "bicovariance_suite")):
+        assert "braid_defect" in {_callee(node) for node in ast.walk(fn)
+                                  if isinstance(node, ast.Call)}, fn.name
+    calls = ["%s:%d" % (_callee(node), node.lineno)
+             for node in ast.walk(rmatrix)
+             if isinstance(node, ast.Call) and _callee(node) in ELIMINATIONS]
+    assert not calls, calls
+
+
+def _top_level(module, name):
+    """The class or function name defined at the top level of src module."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    return next(node for node in tree.body
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                and node.name == name)
 
 
 def test_antipode_is_not_solved():
@@ -456,10 +488,8 @@ def test_antipode_is_not_solved():
                  and node.name == "QuantumGroup")
     assert "_minor_antipode" in {f.name for f in group.body
                                  if isinstance(f, ast.FunctionDef)}
-    eliminations = {"rref_sparse", "kernel_basis", "mat_inverse",
-                    "from_relations"}
     calls = ["%s:%d" % (_callee(node), node.lineno) for node in ast.walk(group)
-             if isinstance(node, ast.Call) and _callee(node) in eliminations]
+             if isinstance(node, ast.Call) and _callee(node) in ELIMINATIONS]
     assert not calls, calls
 
 
@@ -486,6 +516,10 @@ def test_braiding_and_structure_constants_are_not_solved():
              if isinstance(node, ast.Attribute)
              and node.attr in ("entries", "inv_entries")]
     assert not reads, reads
+
+
+# the calls that run an elimination
+ELIMINATIONS = {"rref_sparse", "kernel_basis", "mat_inverse", "from_relations"}
 
 
 def _callee(call):
