@@ -283,12 +283,16 @@ class RewriteSystem:
         return out
 
     def normal_words(self, max_degree):
-        """All normal-form monomials of degree <= max_degree, ordered."""
+        """All normal-form monomials of degree <= max_degree, ordered.
+        Every prefix of a normal word is normal, so the first empty degree
+        ends the search."""
         words = [()]
         layer = [()]
         for _ in range(max_degree):
             layer = [w + (g,) for w in layer for g in self.gens
                      if self._rule_ending(w + (g,)) is None]
+            if not layer:
+                break
             words.extend(layer)
         words.sort(key=self.word_key)
         return words
@@ -456,7 +460,7 @@ class QuantumGroup:
         bound: the hopf and bicovariance suites, ConvCombo.on_word,
         adjoint and, through coproduct, left_coaction.  Convolution and
         the commutation of forms with A read generator tables instead
-        (functionals._convolve_word, FormSpace._pass_letter_word).
+        (functionals._convolve_word, FormSpace.pass_algebra_through).
         """
         cached = self._cop_cache.get(word)
         if cached is not None:

@@ -103,14 +103,9 @@ def evaluate_ast(ast, calc):
 
 
 def _mul_values(x, y):
-    ax, ay = _as_algebra(x), _as_algebra(y)
-    if ax is not None and ay is not None:
-        return x.space.from_algebra(ax * ay)
-    if ax is not None:
-        return y.algebra_mul_left(ax)
-    if ay is not None:
-        return x.algebra_mul_right(ay)
-    raise CliError("use /\\ to multiply forms of positive grade")
+    if _as_algebra(x) is None and _as_algebra(y) is None:
+        raise CliError("use /\\ to multiply forms of positive grade")
+    return x.wedge(y)
 
 
 def _as_algebra(x):

@@ -6,6 +6,8 @@ omega_i a = sum_j (f^i_j * a) omega_j, read letter by letter off f's
 generator tables with no coproduct of a's words.  The wedge quotient
 divides out the fixed subspace of the braiding: its grade-2 rules,
 certified on their overlaps, give exact normal forms in every grade.
+The wedge is the one product of the forms: with a grade-0 factor it is
+the left or right action of the algebra.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ class OneFormBasis:
 SPECIALIZATION_POINTS = (2, 3, 5)
 
 
+class _Grades(dict):
+    """Normal words by grade; a grade with none reads as an empty list."""
+
+    def __missing__(self, k):
+        return []
+
+
 class WedgeTable:
     """The exterior algebra as a rewrite system of its grade-2 rules.
 
@@ -95,9 +104,11 @@ class WedgeTable:
         if overlap is not None:
             raise FormsError("wedge rules do not resolve the overlap %s"
                              % OneFormBasis(isqrt(m)).render_word(overlap))
-        self.basis = {k: [] for k in range(max_grade + 1)}
+        # only grades with normal words are stored, so a large cap costs
+        # nothing past the top grade; an empty grade reads as []
+        self.basis = _Grades()
         for w in self.rs.normal_words(max_grade):
-            self.basis[len(w)].append(w)
+            self.basis.setdefault(len(w), []).append(w)
 
     def dimension(self, k):
         if k > self.max_grade:
@@ -155,53 +166,24 @@ class FormSpace:
         c = coeff if coeff is not None else AlgebraElement.one(self.qg.rs)
         return FormElement(self, {(i,): c} if c else {})
 
-    def _pass_letter_word(self, letter, mon):
-        """omega_letter times a monomial: the map j -> f^letter_j * mon,
-        j ascending, so that omega_letter mon = sum_j (f^letter_j * mon)
-        omega_j; memoized in _pass_cache, so shared: read it, never
-        mutate it.
-
-        No coproduct is taken: this is row letter of f * mon, which
-        functionals._convolve_word reads off f's generator tables.  For a
-        word w t, when omega_letter w = sum_j c_j omega_j, the coefficient
-        of omega_k in omega_letter (w t) is sum_j c_j (f^j_k * t).
-        """
-        return _convolve_word(self.f, self._pass_cache, letter, mon)
-
     def pass_algebra_through(self, word, a):
-        """Expand word * a as sum coeff_w' * w' using the commutation law."""
+        """Expand word * a as sum coeff_w' * w' using the commutation law.
+
+        omega_letter mon = sum_j (f^letter_j * mon) omega_j, and the map
+        j -> f^letter_j * mon is row letter of f * mon, which
+        functionals._convolve_word reads off f's generator tables with no
+        coproduct, memoized in _pass_cache (shared: never mutate it).
+        """
+        f, cache = self.f, self._pass_cache
         segments = {(): a}
         for letter in reversed(word):
             nxt = {}
             for suffix, coeff in segments.items():
                 for mon, sc in coeff.terms.items():
-                    for j, c in self._pass_letter_word(letter, mon).items():
+                    for j, c in _convolve_word(f, cache, letter, mon).items():
                         add_term(nxt, (j,) + suffix, c.scalar_mul(sc))
             segments = nxt
         return segments
-
-
-def _accumulate(out, reduced, c, a):
-    """out[w] += s * (c * a) for each term s * w of reduced, the product
-    taken once; out maps wedge words to plain term dicts (see _form)."""
-    if reduced:
-        terms = (c * a).terms
-        for w, s in reduced.items():
-            acc = out.get(w)
-            if acc is None:
-                out[w] = acc = {}
-            if s.is_one():
-                for mon, v in terms.items():
-                    add_term(acc, mon, v)
-            else:
-                add_scaled(acc, terms, s)
-
-
-def _form(space, out):
-    """The form whose coefficients _accumulate gathered in out."""
-    rs = space.qg.rs
-    return FormElement(space, {w: AlgebraElement(rs, terms)
-                               for w, terms in out.items() if terms})
 
 
 class FormElement(LinearCombination):
@@ -223,40 +205,42 @@ class FormElement(LinearCombination):
     def grades(self):
         return sorted({len(w) for w in self.terms})
 
-    def algebra_mul_left(self, a):
-        out = {}
-        for w, c in self.terms.items():
-            add_term(out, w, a * c)
-        return FormElement(self.space, out)
-
-    def algebra_mul_right(self, a):
-        """Commute a past every wedge word; exact bimodule action."""
-        space = self.space
-        out = {}
-        for w, c in self.terms.items():
-            if not w:
-                _accumulate(out, {w: ONE}, c, a)
-                continue
-            for w2, passed in space.pass_algebra_through(w, a).items():
-                _accumulate(out, space.table.reduce_word(w2), c, passed)
-        return _form(space, out)
-
     def wedge(self, other):
+        """The product of Omega.  With a grade-0 factor it is a module
+        action: a w is from_algebra(a).wedge(w), and w a is
+        w.wedge(from_algebra(a)), which commutes a past every wedge word."""
         space = self.space
-        out = {}
+        table = space.table
+        rs = space.qg.rs
+        out = {}   # wedge word -> plain term dict of its coefficient
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) > space.table.max_grade:
+                if len(w1) + len(w2) > table.max_grade:
                     raise GradeCapError(
                         "wedge of grades %d and %d beyond table cap %d"
-                        % (len(w1), len(w2), space.table.max_grade))
-                if not w1:
-                    _accumulate(out, {w2: ONE}, c1, c2)
-                    continue
-                for w1p, passed in space.pass_algebra_through(w1, c2).items():
-                    _accumulate(out, space.table.reduce_word(w1p + w2),
-                                c1, passed)
-        return _form(space, out)
+                        % (len(w1), len(w2), table.max_grade))
+                if w1:
+                    pieces = [(table.reduce_word(w1p + w2), passed)
+                              for w1p, passed in
+                              space.pass_algebra_through(w1, c2).items()]
+                else:
+                    pieces = [({w2: ONE}, c2)]
+                for reduced, a in pieces:
+                    # c1 * a, taken once if a word scales it; a word that
+                    # reduces to 0 takes no product at all
+                    terms = None
+                    for w, s in reduced.items():
+                        acc = out.get(w)
+                        if acc is None:
+                            out[w] = acc = {}
+                        if s.is_one():
+                            rs.add_product(acc, c1.terms, a.terms)
+                        else:
+                            if terms is None:
+                                terms = (c1 * a).terms
+                            add_scaled(acc, terms, s)
+        return FormElement(space, {w: AlgebraElement(rs, terms)
+                                   for w, terms in out.items() if terms})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))

@@ -333,7 +333,7 @@ def _convolve_word(fam, cache, line, word):
     F^r_c * (w t) = sum over k of (F^r_k * w)(F^k_c * t), and
     (F^k_c * w)(F^r_k * t) for a reversed family; either way entry x of
     the line of w t is the sum over k of line(w)[k] line_k(t)[x].
-    FormSpace._pass_letter_word reads f's rows here, with a memo of its own.
+    FormSpace.pass_algebra_through reads f's rows here, with its own memo.
     """
     out = cache.get((line, word))
     if out is not None:

@@ -236,6 +236,11 @@ class LaurentPoly:
                         p = p.numerator
                     terms[e1 + e] = p
         else:
+            # only products larger than the engine's own pay the span test
+            if len(a) * len(b) > MAX_SPAN and \
+                    max(a) - min(a) + max(b) - min(b) > MAX_SPAN:
+                raise ScalarError("q-exponent span beyond %d lattice steps"
+                                  % MAX_SPAN)
             terms = {}
             get = terms.get
             for e1, c1 in a.items():
@@ -585,8 +590,9 @@ def _normalize(num, den):
 
 
 # The largest exponent span, in lattice steps, that _reduce takes a gcd
-# over.  The gcd's pseudo-remainders cost time quadratic in the span, and
-# no check at N = 2..5 reduces a span above 50.
+# over and that a product of two many-term polynomials may reach.  The
+# gcd's pseudo-remainders cost time quadratic in the span, and no check
+# at N = 2..5 reduces a span above 50.
 MAX_SPAN = 1000
 
 # (num, den) -> _reduce(num, den).  The canonical form is a pure function of

@@ -408,6 +408,7 @@ def leibniz_suite(calc, degree=None, samples=6):
     rng = random.Random(20260809)
     words = qg.rs.normal_words(degree)
     elems = [AlgebraElement.from_word(qg.rs, w) for w in words]
+    forms = [space.from_algebra(e) for e in elems]
     d_elems = [calc.d(e) for e in elems]
     # a function lies in row 0, so partial(e) is the row-0 part of d(e)
     partials = [calc.grid.split_component(de)[0] for de in d_elems]
@@ -433,15 +434,15 @@ def leibniz_suite(calc, degree=None, samples=6):
     # witness.
     out_d, out_twisted, out_plain = [], [], []
     out_sector = {tag: [] for tag in sectors}
-    for i, (a, da, pa, ta) in enumerate(zip(elems, d_elems, partials,
-                                            sector_data["trace"][1])):
+    for i, (a, fa, da, pa, ta) in enumerate(zip(
+            elems, forms, d_elems, partials, sector_data["trace"][1])):
         if not any(map(_open, [out_d, out_twisted, *out_sector.values()])):
             break
         twisted = _open(out_twisted)
-        fa = space.from_algebra(a)
         twist = space.from_algebra(ta)
         row_failures = []
-        for j, (b, db, pb) in enumerate(zip(elems, d_elems, partials)):
+        for j, (b, fb, db, pb) in enumerate(zip(elems, forms, d_elems,
+                                                partials)):
             ab = a * b
             for tag, (f00, conv, sector) in sector_data.items():
                 out = out_sector[tag]
@@ -453,11 +454,11 @@ def leibniz_suite(calc, degree=None, samples=6):
                 continue
             dab = calc.d(ab)
             if _open(out_d):
-                rhs = da.algebra_mul_right(b) + fa.wedge(db)
+                rhs = da.wedge(fb) + fa.wedge(db)
                 out_d.append(None if dab == rhs else pair_str(a, b))
             if twisted:
                 lhs = calc.grid.split_component(dab)[0]
-                pa_b = pa.algebra_mul_right(b)
+                pa_b = pa.wedge(fb)
                 if lhs != pa_b + twist.wedge(pb):
                     row_failures.append(pair_str(a, b))
                 if _open(out_plain):
@@ -505,10 +506,10 @@ def leibniz_suite(calc, degree=None, samples=6):
     def projector_right_module():
         for i in range(space.M):
             for g in qg.rs.gens:
-                a = qg.generator(*g)
+                a = space.from_algebra(qg.generator(*g))
                 w = space.one_form(i)
-                lhs = calc.grid.split_component(w)[1].algebra_mul_right(a)
-                rhs = calc.grid.split_component(w.algebra_mul_right(a))[1]
+                lhs = calc.grid.split_component(w)[1].wedge(a)
+                rhs = calc.grid.split_component(w.wedge(a))[1]
                 yield None if lhs == rhs else \
                     "J(%s t[%d,%d])" % (space.basis.label(i), g[0], g[1])
 
@@ -522,11 +523,11 @@ def leibniz_suite(calc, degree=None, samples=6):
     out_span, out_rule = [], []
     for w in words:
         a = AlgebraElement.from_word(qg.rs, w)
-        u0, u1 = calc.grid.split_component(X.algebra_mul_right(a))
+        u0, u1 = calc.grid.split_component(X.wedge(space.from_algebra(a)))
         if _open(out_span):
             out_span.append(None if u0.is_zero() else "X %s has complement "
                             "part %s" % (render_word(w), u0.render()))
-        rule = X.algebra_mul_left(convolve(trace, a))
+        rule = space.from_algebra(convolve(trace, a)).wedge(X)
         out_rule.append(None if u1 == rule else render_word(w))
     report.law("canonical-line-submodule",
                "the canonical line is a right submodule (measured; fails for "
@@ -543,7 +544,8 @@ def leibniz_suite(calc, degree=None, samples=6):
     def complement_right_stable():
         for i in space.basis.complement:
             for g in qg.rs.gens:
-                got = space.one_form(i).algebra_mul_right(qg.generator(*g))
+                got = space.one_form(i).wedge(
+                    space.from_algebra(qg.generator(*g)))
                 ok = calc.grid.split_component(got)[1].is_zero()
                 yield None if ok else "%s t[%d,%d]" % (
                     space.basis.label(i), g[0], g[1])
@@ -567,7 +569,7 @@ def leibniz_suite(calc, degree=None, samples=6):
 
     # bicovariance of d under the left coaction
     test_forms = [space.from_algebra(qg.generator(*g)) for g in qg.rs.gens]
-    test_forms += [space.one_form(i).algebra_mul_left(qg.generator(1, 1))
+    test_forms += [space.one_form(i, qg.generator(1, 1))
                    for i in range(space.M)]
 
     def d_left_covariant():

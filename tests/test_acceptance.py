@@ -131,7 +131,7 @@ def test_criterion_06_leibniz_and_cartan(calc, qg):
         for wb in words:
             a = AlgebraElement.from_word(qg.rs, wa)
             b = AlgebraElement.from_word(qg.rs, wb)
-            if calc.d(a * b) != calc.d(a).algebra_mul_right(b) + \
+            if calc.d(a * b) != calc.d(a).wedge(calc.space.from_algebra(b)) + \
                     calc.space.from_algebra(a).wedge(calc.d(b)):
                 leibniz_ok = False
 

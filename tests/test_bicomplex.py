@@ -1,5 +1,7 @@
 import pytest
 
+from qdc import cli
+from qdc.calculus import CalculusError, assemble
 from qdc.forms import GradeCapError
 from qdc.functionals import SECTORS
 from qdc.bicomplex import BicomplexGrid, cartan_check, grid_check
@@ -40,6 +42,22 @@ class TestGrid:
 
     def test_grid_check_report(self, calc):
         assert grid_check(calc).passed()
+
+    def test_a_grade_that_does_not_split_is_refused(self, monkeypatch,
+                                                    capsys):
+        # the additivity-grade-k laws never see a failing grade: the split
+        # refuses it before grid_check reads the cells.  With one
+        # complement letter dropped, grade 2 has 1 + 3 of its 6 words.
+        calc = assemble()
+        basis = calc.space.basis
+        monkeypatch.setattr(basis, "complement", basis.complement[:-1])
+        error = "grade 2 does not split: 1 + 3 != 6"
+        with pytest.raises(CalculusError) as err:
+            grid_check(calc)
+        assert str(err.value) == error
+        monkeypatch.setattr(cli, "build_calculus", lambda cfg: calc)
+        assert cli.run(["bicomplex"]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % error
 
     def test_basis_labels_syntactic(self, calc):
         grid = BicomplexGrid(calc)

@@ -90,7 +90,8 @@ class TestEvaluation:
         for i in range(4):
             c = convolve(calc.dual.chi[i], a)
             if not c.is_zero():
-                expected = expected + calc.space.one_form(i).algebra_mul_left(c)
+                expected = expected + calc.space.from_algebra(c).wedge(
+                    calc.space.one_form(i))
         assert value == expected
 
     def test_dd_is_zero(self, calc):
@@ -389,9 +390,19 @@ def test_wide_exponent_span_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: bad entry line 9: %r (ScalarError: %s)\n" % (line, span)
     for text in ["(q^30000 + 1)/(q^30000 + q)", "(q + 1)^4000",
-                 "(q + 1)^-4000"]:
+                 "(q + 1)^-4000", "(q + 1)^1000 * (q + 1)^1000"]:
         assert run(["eval", text]) == 2
         assert capsys.readouterr().err == "error: %s\n" % span
+
+
+def test_a_product_may_reach_the_span_bound():
+    # two spans of 500 add to MAX_SPAN, which a product may reach
+    outs = []
+    for text in ["(q + 1)^500 * (q + 1)^500", "(q + 1)^1000"]:
+        buf = io.StringIO()
+        assert run(["eval", text], out=buf) == 0
+        outs.append(buf.getvalue())
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,19 @@ class TestGrammar:
             assert str(err.value) == \
                 "q-exponent span beyond 1000 lattice steps"
 
+    def test_polynomial_product_span_is_bounded(self):
+        # a product of two many-term polynomials may reach MAX_SPAN lattice
+        # steps, not pass it; few terms, as every product of the engine
+        # has, are never refused
+        wide = parse_scalar("(q + 1)^600").num
+        half = parse_scalar("(q + 1)^400").num
+        assert max((wide * half).terms) == 1000
+        with pytest.raises(ScalarError) as err:
+            wide * wide
+        assert str(err.value) == "q-exponent span beyond 1000 lattice steps"
+        sparse = parse_scalar("q^900 + q^450 + 1").num
+        assert max((sparse * sparse).terms) == 1800
+
     @pytest.mark.parametrize("text", ["t[1,1]", "w[1,2]", "X", "d(q)",
                                       "w[1,1] /\\ w[2,2]"])
     def test_non_scalar_nodes_rejected(self, text):

@@ -308,7 +308,7 @@ def recomputing_pair_rows(calc, degree):
     def leibniz_d():
         for a, b in pairs:
             lhs = calc.d(a * b)
-            rhs = calc.d(a).algebra_mul_right(b) + \
+            rhs = calc.d(a).wedge(space.from_algebra(b)) + \
                 space.from_algebra(a).wedge(calc.d(b))
             if lhs != rhs:
                 yield pair_str(a, b)
@@ -331,7 +331,7 @@ def recomputing_pair_rows(calc, degree):
             row_failures = []
             for b, pb in zip(elems, partials):
                 lhs = calc.partial(a * b)
-                pa_b = pa.algebra_mul_right(b)
+                pa_b = pa.wedge(space.from_algebra(b))
                 plain = pa_b + space.from_algebra(a).wedge(pb)
                 twisted = pa_b + twist.wedge(pb)
                 if lhs != twisted:

@@ -38,7 +38,6 @@ TEST_ONLY_PARAMS = {
         "on or deletes",
     ("cartan_check", "seed"): "tests size their random sweeps",
     ("leibniz_suite", "samples"): "tests size their random sweeps",
-    ("one_form", "coeff"): "tests build one-forms with algebra coefficients",
     ("run", "out"): "the seam through which tests capture output",
 }
 
@@ -559,6 +558,43 @@ def test_one_rewriting_engine():
             if any(isinstance(node, ast.Call)
                    and _callee(node) == "rref_sparse"
                    for node in ast.walk(f))] == ["z_form_comparison"]
+
+
+def test_one_product_on_forms():
+    """The wedge is the only product of forms, the module actions included:
+    of FormElement's methods only wedge commutes algebra elements past
+    forms or reduces wedge words; forms.py defines no _accumulate, _form
+    or _pass_letter_word; only FormSpace.pass_algebra_through calls
+    _convolve_word there; and no code in src/ or tests/ names an
+    algebra_mul_* member."""
+    tree = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
+    functions = {("%s.%s" % (top.name, f.name) if top is not f else f.name): f
+                 for top in tree.body
+                 for f in (top.body if isinstance(top, ast.ClassDef)
+                           else [top])
+                 if isinstance(f, ast.FunctionDef)}
+
+    def calling(*names):
+        return sorted(name for name, f in functions.items()
+                      if any(isinstance(node, ast.Call)
+                             and _callee(node) in names
+                             for node in ast.walk(f)))
+
+    assert [name for name in calling("pass_algebra_through", "reduce_word")
+            if name.startswith("FormElement.")] == ["FormElement.wedge"]
+    assert not {name.rpartition(".")[2] for name in functions} \
+        & {"_accumulate", "_form", "_pass_letter_word"}
+    assert calling("_convolve_word") == ["FormSpace.pass_algebra_through"]
+    named = set()
+    for t in _trees("src", "tests"):
+        for node in ast.walk(t):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.FunctionDef):
+                named.add(node.name)
+    assert not [n for n in named if n.startswith("algebra_mul_")]
 
 
 def test_only_the_rewrite_system_writes_its_rules():
