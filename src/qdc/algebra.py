@@ -21,6 +21,10 @@ class AlgebraError(Exception):
     pass
 
 
+# a power's longest word: the rewrite memo keeps every prefix it reduces
+MAX_POWER_LENGTH = 1000
+
+
 class RMatrixError(ValueError):
     """R-matrix failed validation (YBE, Hecke, or invertibility)."""
 
@@ -388,6 +392,8 @@ class AlgebraElement(LinearCombination):
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise AlgebraError("nonnegative integer power expected")
+        if k * max(map(len, self.terms), default=0) > MAX_POWER_LENGTH:
+            raise AlgebraError("power beyond %d letters" % MAX_POWER_LENGTH)
         out = AlgebraElement.one(self.rs)
         for _ in range(k):
             out = out * self

@@ -9,12 +9,11 @@ implemented as explicit descriptor maps with an exact round-trip check.
 
 from __future__ import annotations
 
-import itertools
 import os
 
 from .scalars import Scalar, ONE, render_scalar
-from .linalg import (mat_mul, mat_inverse, identity, rref_sparse, add_term,
-                     add_scaled, sparse_sum, sparse_diff, first_difference)
+from .linalg import (mat_mul, identity, rref_sparse, add_term, add_scaled,
+                     sparse_sum, sparse_diff, first_difference)
 from .algebra import (QuantumGroup, AlgebraElement, load_rmatrix,
                       render_element, render_word)
 from .functionals import (DualStructure, CorepFamily, convolve,
@@ -135,9 +134,11 @@ class ProjectorPair:
 class GridSplit:
     """Per-grade row split and its row-1 projector P1.
 
-    Row 0 of grade k is spanned by complement words, row 1 by row-0 words of
-    grade k-1 wedged by the canonical element on the right; P1 projects onto
-    row 1 along row 0.
+    Row 0 of grade k is spanned by complement words, each a row-0 word of
+    grade k-1 and one more complement letter; row 1 by row-0 words of grade
+    k-1 wedged by the canonical element on the right.  P1 projects onto row
+    1 along row 0.  One elimination per grade chooses both bases and carries
+    the rows of the inverse basis change that P1 reads.
     """
 
     def __init__(self, calc):
@@ -154,28 +155,32 @@ class GridSplit:
         table = space.table
         basis_words = table.basis[k]
         dim = len(basis_words)
-        if not dim:
-            # every word of an empty grade reduces to 0
-            return {"basis_words": basis_words, "u0_words": [], "u1_words": [],
-                    "dims": (0, 0), "cols": [], "p1": {}}
-        # candidates (row, word, vector) in order; the earliest independent
-        # ones, the pivots of the matrix with these columns, form the basis
-        cands = [(0, w, table.reduce_word(w))
-                 for w in itertools.product(space.basis.complement, repeat=k)]
-        if k >= 1:
-            # the canonical element sits on the right: left coefficients
-            # then never cross the canonical line
-            for w in self.data(k - 1)["u0_words"]:
-                v = {}
-                for c in space.basis.diagonal:
-                    add_scaled(v, table.reduce_word(w + (c,)), ONE)
-                cands.append((1, w, v))
-        rows = {}
+        # candidates (row, word, vector) in order, the earliest independent
+        # ones the basis: row-0 words of grade k-1 and one complement letter
+        # (the chosen words are closed under prefixes), then the same words
+        # wedged by the canonical element on the right, so that left
+        # coefficients never cross the canonical line
+        if k:
+            prev = self.data(k - 1)["u0_words"]
+            words = [w + (c,) for w in prev for c in space.basis.complement]
+        else:
+            prev, words = [], [()]
+        cands = [(0, w, table.reduce_word(w)) for w in words]
+        for w in prev:
+            v = {}
+            for c in space.basis.diagonal:
+                add_scaled(v, table.reduce_word(w + (c,)), ONE)
+            cands.append((1, w, v))
+        # one elimination of (candidates | 1), a row per word: candidate
+        # pivots are the basis B, an identity pivot a word the candidates
+        # miss, and each basis pivot row holds a row of B^-1 beside it
+        n = len(cands)
+        rows = {w: {n + i: ONE} for i, w in enumerate(basis_words)}
         for j, (_, _, v) in enumerate(cands):
             for w, c in v.items():
-                rows.setdefault(w, {})[j] = c
-        _, pivots = rref_sparse(list(rows.values()), range(len(cands)))
-        chosen = [cands[j] for j in pivots]
+                rows[w][j] = c
+        pivot_rows, pivots = rref_sparse(list(rows.values()), range(n + dim))
+        chosen = [cands[j] for j in pivots if j < n]
         u0_words = [w for r, w, _ in chosen if r == 0]
         u1_words = [w for r, w, _ in chosen if r == 1]
         d0, d1 = len(u0_words), len(u1_words)
@@ -183,19 +188,13 @@ class GridSplit:
             raise CalculusError(
                 "grade %d does not split: %d + %d != %d" % (k, d0, d1, dim))
         cols = [v for _, _, v in chosen]
-        index = {w: i for i, w in enumerate(basis_words)}
-        brows = [{} for _ in range(dim)]
-        for j, v in enumerate(cols):
-            for w, c in v.items():
-                brows[index[w]][j] = c
-        binv = mat_inverse(brows, dim)
         p1 = {}
         for i, w in enumerate(basis_words):
             image = {}
-            for slot in range(d0, dim):
-                c = binv[slot].get(i)
+            for j in pivots[d0:]:
+                c = pivot_rows[j].get(n + i)
                 if c is not None:
-                    add_scaled(image, chosen[slot][2], c)
+                    add_scaled(image, cands[j][2], c)
             if image:
                 p1[w] = image
         return {"basis_words": basis_words, "u0_words": u0_words,

@@ -425,28 +425,33 @@ SHARED_FLAGS = [
     ("--degree", {"type": int, "help": "degree bound for checks"}),
     ("--cap", {"type": int, "help": "grade cap for forms"}),
     ("--f00", {"choices": SECTORS,
-               "help": "one-dimensional sector functional"}),
+               "help": "sector functional of maps' extension and of init's "
+                       "descriptor; every suite checks both"}),
     ("--format", {"choices": ("text", "structured")}),
 ]
 
 
-def _add_shared(parser, suffix):
+def _add_shared(parser, default):
     for flag, kw in SHARED_FLAGS:
-        parser.add_argument(flag, dest=flag.lstrip("-") + suffix,
-                            default=None, **kw)
+        parser.add_argument(flag, default=default, **kw)
 
 
 def make_parser():
+    """Shared flags may appear before or after the subcommand.  The
+    subcommand's copies default to SUPPRESS, so a flag given after it
+    overrides the same flag given before, and an absent one leaves the
+    earlier value alone."""
     import argparse
     p = argparse.ArgumentParser(
         prog="qdc",
         description="exact bicovariant differential calculus engine")
-    _add_shared(p, "_pre")
+    _add_shared(p, None)
+    p.set_defaults(format="text")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, help_text):
         sp = sub.add_parser(name, help=help_text)
-        _add_shared(sp, "_post")
+        _add_shared(sp, argparse.SUPPRESS)
         return sp
 
     sp = command("init", "assemble and persist a descriptor")
@@ -461,18 +466,6 @@ def make_parser():
     return p
 
 
-def _merge_shared(args):
-    """Flags may appear before or after the subcommand; later ones win."""
-    for flag, _ in SHARED_FLAGS:
-        name = flag.lstrip("-")
-        pre = getattr(args, name + "_pre", None)
-        post = getattr(args, name + "_post", None)
-        setattr(args, name, post if post is not None else pre)
-    if args.format is None:
-        args.format = "text"
-    return args
-
-
 _COMMANDS = {"init": cmd_init, "relations": cmd_relations, "eval": cmd_eval,
              "check": cmd_check, "maps": cmd_maps, "bicomplex": cmd_bicomplex}
 
@@ -480,7 +473,7 @@ _COMMANDS = {"init": cmd_init, "relations": cmd_relations, "eval": cmd_eval,
 def run(argv, out=None):
     out = out if out is not None else sys.stdout
     parser = make_parser()
-    args = _merge_shared(parser.parse_args(argv))
+    args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
     except (CliError, ExprError, RMatrixError, AlgebraError, FunctionalError,

@@ -148,7 +148,7 @@ def _parse_expr(s, min_prec):
             lhs = ("pow", lhs, rhs)
             continue
         rhs = _parse_expr(s, prec + 1)
-        lhs = (op if op != "wedge" else "wedge", lhs, rhs)
+        lhs = (op, lhs, rhs)
     s.depth -= 1
     return lhs
 
@@ -233,7 +233,7 @@ def print_ast(ast):
                                                             e.denominator)
         return "%s^%s" % (_wrap(ast[1], 9), es)
     op = {"+": " + ", "-": " - ", "*": "*", "/": "/", "wedge": " /\\ "}[kind]
-    prec = _PREC[kind if kind != "wedge" else "wedge"]
+    prec = _PREC[kind]
     return "%s%s%s" % (_wrap(ast[1], prec), op, _wrap(ast[2], prec + 1))
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from qdc import cli
-from qdc.calculus import CalculusError, assemble
+from qdc.calculus import CalculusError, GridSplit, assemble
 from qdc.forms import GradeCapError
 from qdc.functionals import SECTORS
 from qdc.bicomplex import BicomplexGrid, cartan_check, grid_check
@@ -47,11 +47,13 @@ class TestGrid:
                                                     capsys):
         # the additivity-grade-k laws never see a failing grade: the split
         # refuses it before grid_check reads the cells.  With one
-        # complement letter dropped, grade 2 has 1 + 3 of its 6 words.
+        # complement letter dropped before a fresh split is built, grade 1
+        # has 2 + 1 of its 4 words.
         calc = assemble()
         basis = calc.space.basis
         monkeypatch.setattr(basis, "complement", basis.complement[:-1])
-        error = "grade 2 does not split: 1 + 3 != 6"
+        monkeypatch.setattr(calc, "grid", GridSplit(calc))
+        error = "grade 1 does not split: 2 + 1 != 4"
         with pytest.raises(CalculusError) as err:
             grid_check(calc)
         assert str(err.value) == error

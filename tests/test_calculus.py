@@ -1,10 +1,14 @@
 import copy
 import io
+import itertools
+import os
 import random
+from math import comb
 
 import pytest
 
 from qdc.scalars import Scalar, ZERO, ONE, Q
+from qdc.linalg import add_scaled, mat_inverse, rref_sparse
 from qdc.algebra import AlgebraElement
 from qdc.forms import FormElement, GradeCapError, left_coaction
 from qdc.functionals import (convolve, InvalidFunctionalError,
@@ -312,8 +316,8 @@ class TestSplit:
             assert u1.is_zero()
 
     def test_empty_grade_reduces_no_word(self, calc, monkeypatch):
-        # grade 5 of the N=2 table is empty: its split is empty at once,
-        # without reducing its 3^5 complement words to 0
+        # grade 5 of the N=2 table is empty, and so is row 0 of grade 4:
+        # the split of grade 5 has no candidate and reduces no word
         table = calc.space.table
         assert not table.basis[5]
         grid = GridSplit(calc)
@@ -472,25 +476,110 @@ class TestRowProjector:
                     assert c.grid.split_component(x) == (zero, x)
 
 
+def _swept_split(c, k, below):
+    """The split of grade k built from every complement word of length k
+    (below is grade k-1's split): one elimination picks the earliest
+    independent candidates, and P1 reads the inverse of their matrix."""
+    space = c.space
+    table = space.table
+    basis_words = table.basis[k]
+    dim = len(basis_words)
+    if not dim:
+        return {"basis_words": basis_words, "u0_words": [], "u1_words": [],
+                "dims": (0, 0), "cols": [], "p1": {}}
+    cands = [(0, w, table.reduce_word(w))
+             for w in itertools.product(space.basis.complement, repeat=k)]
+    for w in below["u0_words"] if k else []:
+        v = {}
+        for d in space.basis.diagonal:
+            add_scaled(v, table.reduce_word(w + (d,)), ONE)
+        cands.append((1, w, v))
+    rows = {}
+    for j, (_, _, v) in enumerate(cands):
+        for w, x in v.items():
+            rows.setdefault(w, {})[j] = x
+    _, pivots = rref_sparse(list(rows.values()), range(len(cands)))
+    chosen = [cands[j] for j in pivots]
+    assert len(chosen) == dim
+    u0_words = [w for r, w, _ in chosen if r == 0]
+    u1_words = [w for r, w, _ in chosen if r == 1]
+    index = {w: i for i, w in enumerate(basis_words)}
+    brows = [{} for _ in range(dim)]
+    for j, (_, _, v) in enumerate(chosen):
+        for w, x in v.items():
+            brows[index[w]][j] = x
+    binv = mat_inverse(brows, dim)
+    p1 = {}
+    for i, w in enumerate(basis_words):
+        image = {}
+        for slot in range(len(u0_words), dim):
+            x = binv[slot].get(i)
+            if x is not None:
+                add_scaled(image, chosen[slot][2], x)
+        if image:
+            p1[w] = image
+    return {"basis_words": basis_words, "u0_words": u0_words,
+            "u1_words": u1_words, "dims": (len(u0_words), len(u1_words)),
+            "cols": [v for _, _, v in chosen], "p1": p1}
+
+
+class TestSplitFromGradeBelow:
+    """GridSplit extends grade k-1's row-0 words by one complement letter;
+    the sweep over every complement word chooses the same words, vectors
+    and P1."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+
+    def _assemble(self, name, **kwargs):
+        with open(os.path.join(self.DATA, name), encoding="utf-8") as fh:
+            return assemble(fh.read(), **kwargs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_split_as_the_sweep(self, n, calc, calc4):
+        c = {1: lambda: self._assemble("slq1.rmatrix"),
+             2: lambda: calc,
+             3: lambda: self._assemble("slq3.rmatrix", grade_cap=3),
+             4: lambda: calc4}[n]()
+        grid = GridSplit(c)
+        below = None
+        for k in range(c.space.table.max_grade + 1):
+            below = _swept_split(c, k, below)
+            data = grid.data(k)
+            assert data == below, k
+            assert list(data["p1"]) == list(below["p1"]), k
+
+    def test_sl3_rows_at_every_grade(self):
+        # the N=3 forms have the grade dimensions of an exterior algebra on
+        # 9 letters: row 0 those of one on the 8 complement letters, row 1
+        # the same one grade lower, wedged by X
+        c = self._assemble("slq3.rmatrix", grade_cap=8)
+        for k in range(10):
+            assert c.grid.data(k)["dims"] == \
+                (comb(8, k), comb(8, k - 1) if k else 0), k
+
+
 def _scaled_grid(c, grades, monkeypatch):
     """A fresh GridSplit of c whose candidate vectors, and so its chosen
     basis vectors, are scaled by distinct powers of q at each grade.
 
     table.reduce_word is wrapped while a grade is built.  The build reads
-    the row-0 candidates first, one call per complement word; each gets a
-    power of its own.  A row-1 candidate sums one call per canonical
-    letter after a row-0 word of one grade lower, and all of them get the
-    power of that word, so each candidate is scaled as a whole.
+    the row-0 candidates first, one call per row-0 word of one grade lower
+    and complement letter (one call, the empty word, at grade 0); each
+    gets a power of its own.  A row-1 candidate sums one call per
+    canonical letter after a row-0 word of one grade lower, and all of
+    them get the power of that word, so each candidate is scaled as a
+    whole.  grades must run up from 0.
     """
     grid = GridSplit(c)
     table = c.space.table
     reduce_word = table.reduce_word
-    row0_calls = len(c.space.basis.complement)
+    letters = len(c.space.basis.complement)
     for k in grades:
         calls, powers = [], {}
+        row0_calls = len(grid.data(k - 1)["u0_words"]) * letters if k else 1
 
-        def scaled(u, k=k):
-            key = (0, len(calls)) if len(calls) < row0_calls ** k \
+        def scaled(u, row0_calls=row0_calls):
+            key = (0, len(calls)) if len(calls) < row0_calls \
                 else (1, u[:-1])
             calls.append(u)
             s = Scalar.q_power(powers.setdefault(key, 1 + len(powers)))

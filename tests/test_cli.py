@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from qdc.cli import (parse, print_ast, evaluate_ast, render_value,
                      run, ExprError, read_session)
 from qdc.expr import tokenize
-from qdc.calculus import DEFAULT_RMATRIX
+from qdc.calculus import DEFAULT_RMATRIX, assemble
+from qdc.algebra import AlgebraElement, MAX_POWER_LENGTH
 from qdc.scalars import MAX_SPAN
 
 
@@ -111,8 +112,43 @@ class TestEvaluation:
         assert out_of(["eval", "t[1,1]^(-2/1)"]) == (2, "")
         assert capsys.readouterr().err.startswith("error: powers of forms")
 
+    def test_algebra_power_bound(self, monkeypatch, capsys):
+        # a power may reach words of MAX_POWER_LENGTH letters; past that it
+        # is refused before any product is taken
+        assert out_of(["eval", "t[1,1]^%d" % MAX_POWER_LENGTH]) == \
+            (0, "*".join(["t[1,1]"] * MAX_POWER_LENGTH) + "\n")
+        calc = assemble()
+        monkeypatch.setattr("qdc.cli.build_calculus", lambda cfg: calc)
+
+        def no_product(self, other):
+            raise AssertionError("multiplied before the bound")
+
+        monkeypatch.setattr(AlgebraElement, "__mul__", no_product)
+        for e in (MAX_POWER_LENGTH + 1, 4000):
+            assert out_of(["eval", "t[1,1]^%d" % e]) == (2, "")
+            assert capsys.readouterr().err == \
+                "error: power beyond %d letters\n" % MAX_POWER_LENGTH
+
 
 class TestCommands:
+    def test_flag_after_the_subcommand_overrides_the_one_before(self,
+                                                                capsys):
+        hopf = ["check", "--suite", "hopf"]
+        one = out_of(["--degree", "1"] + hopf)
+        assert "suite hopf (degree bound 1)" in one[1]
+        assert out_of(["--degree", "2"] + hopf + ["--degree", "1"]) == one
+        # a flag absent after the subcommand leaves the one before alone
+        assert out_of(["--format", "structured", "eval", "--cap", "1",
+                       "q"]) == (0, '{\n  "expression": "q",\n'
+                                    '  "value": "q"\n}\n')
+        assert out_of(["--format", "structured", "eval", "--format", "text",
+                       "q"]) == (0, "q\n")
+        for argv in (["--help"], ["eval", "--help"]):
+            with pytest.raises(SystemExit):
+                run(argv)
+            usage = capsys.readouterr().out
+            assert "[--rmatrix RMATRIX]" in usage and "_P" not in usage
+
     def test_eval_command(self):
         code, text = out_of(["eval", "d(d(t[1,2]))"])
         assert code == 0 and text.strip() == "0"

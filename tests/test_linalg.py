@@ -347,7 +347,7 @@ class TestColumnIndexedElimination:
         forms.z_form_comparison(lam, linalg.mat_inverse(lam, len(lam)),
                                 calc.space.table.relation_vectors)
         monkeypatch.undo()
-        # the rules of A, the grade-2 wedge rules, R^-1, the grid bases,
-        # ker(Lambda^T - 1), Lambda^-1 and the z-forms
+        # the rules of A, the grade-2 wedge rules, one split per grid
+        # grade, ker(Lambda^T - 1), Lambda^-1 and the z-forms
         assert len(systems) > 8
         self.assert_same_as_eager(systems)
