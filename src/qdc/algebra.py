@@ -21,7 +21,8 @@ class AlgebraError(Exception):
     pass
 
 
-# a power's longest word: the rewrite memo keeps every prefix it reduces
+# the longest word of a power, and of a product in an evaluated expression:
+# the rewrite memo keeps every prefix it reduces
 MAX_POWER_LENGTH = 1000
 
 

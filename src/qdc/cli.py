@@ -16,7 +16,7 @@ from fractions import Fraction
 from .expr import ExprError, parse, print_ast
 from .scalars import (Scalar, ONE, ZERO, render_scalar, scalar_power,
                       ScalarError)
-from .algebra import (AlgebraElement, dump_rmatrix,
+from .algebra import (AlgebraElement, dump_rmatrix, MAX_POWER_LENGTH,
                       render_element, render_word, AlgebraError, RMatrixError)
 from .functionals import FunctionalError, SECTORS, generator_table
 from .calculus import (assemble, map_in_to_out, map_out_to_in,
@@ -62,14 +62,12 @@ def evaluate_ast(ast, calc):
         x = evaluate_ast(ast[1], calc)
         y = evaluate_ast(ast[2], calc)
         return x + y if kind == "+" else x - y
-    if kind == "*":
+    if kind in ("*", "wedge"):
         x = evaluate_ast(ast[1], calc)
         y = evaluate_ast(ast[2], calc)
-        return _mul_values(x, y)
-    if kind == "wedge":
-        x = evaluate_ast(ast[1], calc)
-        y = evaluate_ast(ast[2], calc)
-        return x.wedge(y)
+        if _longest_word(x) + _longest_word(y) > MAX_POWER_LENGTH:
+            raise AlgebraError("product beyond %d letters" % MAX_POWER_LENGTH)
+        return _mul_values(x, y) if kind == "*" else x.wedge(y)
     if kind == "/":
         x = evaluate_ast(ast[1], calc)
         y = evaluate_ast(ast[2], calc)
@@ -100,6 +98,17 @@ def evaluate_ast(ast, calc):
     if kind == "dlt":
         return calc.delta(evaluate_ast(ast[1], calc))
     raise CliError("unhandled expression node %r" % (kind,))
+
+
+def _longest_word(x):
+    """The length of the longest algebra word in a form's coefficients (a
+    plain loop: a generator costs more than the scan on small values)."""
+    n = 0
+    for c in x.terms.values():
+        for w in c.terms:
+            if len(w) > n:
+                n = len(w)
+    return n
 
 
 def _mul_values(x, y):
@@ -384,12 +393,13 @@ def cmd_maps(args, out):
     ext = map_out_to_in(outer, f00)
     reports = [roundtrip_check(outer, f, cfg["degree"])
                for f in calc.dual.sectors.values()]
+    twist = calc.dual.sectors["trace"]
     payload = {
         "inner": {"mode": calc.mode, "one_form_dimension": calc.space.M},
         "outer": {"mode": outer.mode, "rank": outer.rank,
                   "basis": outer.labels,
                   "twist": {"t[%d,%d]" % g:
-                            render_scalar(outer.twist.on_generator(*g))
+                            render_scalar(twist.on_generator(*g))
                             for g in calc.qg.rs.gens}},
         "extended": ext.summary(),
         "roundtrip": [r.as_dict() for r in reports],

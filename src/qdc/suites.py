@@ -7,10 +7,9 @@ contractions.
 
 A law is one CheckReport.law call, mostly on a generator that yields one
 outcome per instance: None where the identity holds, SKIPPED where it is
-not evaluated, a witness string where it fails.  The report keeps the first
-witness, so a law with another witness orders its outcomes to put it first
-(leibniz-partial-twisted yields each row's last failure; the projected rule
-is reversed).  Laws sharing one sweep fill lists of outcomes instead.
+not evaluated, a witness string where it fails.  The witness is the first
+failing instance, and no instance past it is evaluated.  Laws sharing one
+sweep fill lists of outcomes instead, each up to its own first witness.
 """
 
 from __future__ import annotations
@@ -424,23 +423,18 @@ def leibniz_suite(calc, degree=None, samples=6):
     def pair_str(a, b):
         return "%s, %s" % (render_element(a), render_element(b))
 
-    # One joint sweep of the pairs, row by row (all b for one a), where
-    # each product ab is built once and dropped after its pair.  leibniz-d
-    # and the partial rule share each d(ab): partial(ab) is the row-0 part
-    # of d(ab).  leibniz-d and each sector rule have one outcome per pair.
-    # The twisted rule has one outcome per row: the row's last failure.
-    # The plain rule is measured on the rows up to the twisted rule's
-    # first failing one.  Each rule is evaluated no further than its first
-    # witness.
+    # One joint sweep of the pairs (a, b), where each product ab is built
+    # once and dropped after its pair, with one outcome per pair for every
+    # rule.  leibniz-d and the partial rules share each d(ab): partial(ab)
+    # is the row-0 part of d(ab).
     out_d, out_twisted, out_plain = [], [], []
     out_sector = {tag: [] for tag in sectors}
     for i, (a, fa, da, pa, ta) in enumerate(zip(
             elems, forms, d_elems, partials, sector_data["trace"][1])):
-        if not any(map(_open, [out_d, out_twisted, *out_sector.values()])):
+        if not any(map(_open, [out_d, out_twisted, out_plain,
+                               *out_sector.values()])):
             break
-        twisted = _open(out_twisted)
         twist = space.from_algebra(ta)
-        row_failures = []
         for j, (b, fb, db, pb) in enumerate(zip(elems, forms, d_elems,
                                                 partials)):
             ab = a * b
@@ -450,22 +444,19 @@ def leibniz_suite(calc, degree=None, samples=6):
                     lhs = convolve(f00, ab) - ab
                     rhs = sector[i] * conv[j] + a * sector[j]
                     out.append(None if lhs == rhs else pair_str(a, b))
-            if not (_open(out_d) or twisted):
+            if not any(map(_open, [out_d, out_twisted, out_plain])):
                 continue
             dab = calc.d(ab)
             if _open(out_d):
                 rhs = da.wedge(fb) + fa.wedge(db)
                 out_d.append(None if dab == rhs else pair_str(a, b))
-            if twisted:
+            if _open(out_twisted) or _open(out_plain):
                 lhs = calc.grid.split_component(dab)[0]
                 pa_b = pa.wedge(fb)
-                if lhs != pa_b + twist.wedge(pb):
-                    row_failures.append(pair_str(a, b))
-                if _open(out_plain):
-                    plain = pa_b + fa.wedge(pb)
-                    out_plain.append(None if lhs == plain else pair_str(a, b))
-        if twisted:
-            out_twisted.append(row_failures[-1] if row_failures else None)
+                for out, left in ((out_twisted, twist), (out_plain, fa)):
+                    if _open(out):
+                        ok = lhs == pa_b + left.wedge(pb)
+                        out.append(None if ok else pair_str(a, b))
 
     report.law("leibniz-d", "d(ab) = (da) b + a (db) on monomial pairs", out_d)
 
@@ -517,23 +508,26 @@ def leibniz_suite(calc, degree=None, samples=6):
                "J commutes with right multiplication (measured, informative)",
                projector_right_module(), gating=False)
 
-    # canonical line as a right module (measured) and its projected rule;
-    # one sweep of every word, the rule reporting its last failure
+    # canonical line as a right module (measured) and its projected rule,
+    # in one sweep of the words
     X = calc.X
     out_span, out_rule = [], []
     for w in words:
+        if not (_open(out_span) or _open(out_rule)):
+            break
         a = AlgebraElement.from_word(qg.rs, w)
         u0, u1 = calc.grid.split_component(X.wedge(space.from_algebra(a)))
         if _open(out_span):
             out_span.append(None if u0.is_zero() else "X %s has complement "
                             "part %s" % (render_word(w), u0.render()))
-        rule = space.from_algebra(convolve(trace, a)).wedge(X)
-        out_rule.append(None if u1 == rule else render_word(w))
+        if _open(out_rule):
+            rule = space.from_algebra(convolve(trace, a)).wedge(X)
+            out_rule.append(None if u1 == rule else render_word(w))
     report.law("canonical-line-submodule",
                "the canonical line is a right submodule (measured; fails for "
                "a connected calculus)", out_span, gating=False)
     report.law("canonical-line-projected-rule",
-               "J(X a) = (trace-f * a) X exactly", reversed(out_rule))
+               "J(X a) = (trace-f * a) X exactly", out_rule)
 
     xx = X.wedge(X)
     report.law("canonical-square",

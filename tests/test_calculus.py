@@ -337,16 +337,25 @@ class TestSplit:
 
 
 class TestMaps:
-    def test_same_as_sees_a_changed_differential(self, calc):
-        # negative control for the comparison behind roundtrip-identity
-        outer = map_in_to_out(calc)
+    @pytest.mark.parametrize("fixture, degree", [("calc", 3), ("calc3", 1)])
+    def test_bent_outer_differential_fails_roundtrip(self, fixture, degree,
+                                                     request):
+        # roundtrip-identity compares the outer differential with the row-0
+        # part of the inner d on every word: it passes on the outer calculus
+        # and fails, in both sector reports, on a copy whose first
+        # coefficient is doubled
+        c = request.getfixturevalue(fixture)
+        outer = map_in_to_out(c)
         bad = copy.copy(outer)
         bad.partial_coeffs = list(outer.partial_coeffs)
         first, two = outer.partial_coeffs[0], Scalar.from_int(2)
-        bad.partial_coeffs[0] = [(chi, c * two) for chi, c in first]
-        same, why = outer.same_as(bad, 2)
-        assert not same and why.startswith("differential differs on ")
-        assert outer.same_as(copy.copy(outer), 2) == (True, None)
+        bad.partial_coeffs[0] = [(chi, x * two) for chi, x in first]
+        for f00 in c.dual.sectors.values():
+            assert roundtrip_check(outer, f00, degree).passed()
+            report = roundtrip_check(bad, f00, degree)
+            rows = {e.law: (e.status, e.witness) for e in report.entries}
+            assert rows["roundtrip-identity"] == \
+                ("fail", "differential differs on t[1,1]")
 
     def test_bent_commutation_block_is_refused(self, monkeypatch, capsys):
         # f[1,1;1,1] on t[2,2] times q, a complement-block entry: the outer
@@ -412,21 +421,6 @@ class TestMaps:
             a = qg.generator(*g)
             assert ext.delta_coeff(a).is_zero()
             assert ext.outer.partial_table(a) == outer.partial_table(a)
-
-    def test_outer_partial_matches_inner_projection(self, calc, qg):
-        outer = map_in_to_out(calc)
-        for w in qg.rs.normal_words(2):
-            a = AlgebraElement.from_word(qg.rs, w)
-            table = outer.partial_table(a)
-            p = calc.partial(a)
-            # reconstruct the complement expansion from the inner split
-            terms = dict(p.terms)
-            expected = []
-            rm = calc.space.basis.removed_index
-            for i in outer.letters:
-                c = terms.get((i,), AlgebraElement.zero(qg.rs))
-                expected.append(c)
-            assert table == expected
 
     def test_unknown_f00_choice(self, calc):
         with pytest.raises(CalculusError):

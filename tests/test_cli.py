@@ -10,6 +10,7 @@ from qdc.cli import (parse, print_ast, evaluate_ast, render_value,
 from qdc.expr import tokenize
 from qdc.calculus import DEFAULT_RMATRIX, assemble
 from qdc.algebra import AlgebraElement, MAX_POWER_LENGTH
+from qdc.forms import FormElement
 from qdc.scalars import MAX_SPAN
 
 
@@ -128,6 +129,28 @@ class TestEvaluation:
             assert out_of(["eval", "t[1,1]^%d" % e]) == (2, "")
             assert capsys.readouterr().err == \
                 "error: power beyond %d letters\n" % MAX_POWER_LENGTH
+
+    def test_product_bound(self, monkeypatch, capsys):
+        # the longest words of a product's factors may add up to
+        # MAX_POWER_LENGTH letters; past that the product is refused before
+        # it is taken
+        assert out_of(["eval", "t[1,1]^500*t[1,1]^500"]) == \
+            out_of(["eval", "t[1,1]^%d" % MAX_POWER_LENGTH])
+        error = "error: product beyond %d letters\n" % MAX_POWER_LENGTH
+        # w[1,1]*t[1,1]^600 is taken, and the second product is refused
+        assert out_of(["eval", "w[1,1]*t[1,1]^600*t[1,1]^600"]) == (2, "")
+        assert capsys.readouterr().err == error
+        calc = assemble()
+        monkeypatch.setattr("qdc.cli.build_calculus", lambda cfg: calc)
+
+        def no_product(self, other):
+            raise AssertionError("multiplied before the bound")
+
+        monkeypatch.setattr(FormElement, "wedge", no_product)
+        for text in ("t[1,1]^%d*t[1,1]" % MAX_POWER_LENGTH,
+                     "t[1,1]^600/\\t[1,1]^600"):
+            assert out_of(["eval", text]) == (2, "")
+            assert capsys.readouterr().err == error
 
 
 class TestCommands:

@@ -601,7 +601,6 @@ class TestTraceCharacter:
         assert list(calc.dual.sectors) == list(functionals.SECTORS)
         assert calc.f00 is calc.dual.sectors["trace"]
         assert calc.dual.sectors["counit"] is calc.dual.eps
-        assert OuterCalculus(calc).twist is calc.dual.sectors["trace"]
 
     def test_other_diagonal_is_not_multiplicative(self, dual, qg):
         first = flatten_pair(1, 1, 2)

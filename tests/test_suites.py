@@ -294,7 +294,7 @@ PAIR_LAWS = ("leibniz-d", "leibniz-sector-trace", "leibniz-sector-counit",
 
 
 def recomputing_pair_rows(calc, degree):
-    """law -> (status, witness) of the four pair sweeps of leibniz_suite,
+    """law -> (status, witness) of the pair sweeps of leibniz_suite,
     written so that each pair recomputes its products, d values and
     convolutions where it reads them."""
     qg, space = calc.qg, calc.space
@@ -322,24 +322,15 @@ def recomputing_pair_rows(calc, degree):
                 yield pair_str(a, b)
 
     trace = calc.dual.sectors["trace"]
-    plain_failures = []
 
-    def leibniz_partial_rows():
+    def leibniz_partial(twisted):
         partials = [calc.partial(e) for e in elems]
         for a, pa in zip(elems, partials):
-            twist = space.from_algebra(convolve(trace, a))
-            row_failures = []
+            left = space.from_algebra(convolve(trace, a) if twisted else a)
             for b, pb in zip(elems, partials):
-                lhs = calc.partial(a * b)
-                pa_b = pa.wedge(space.from_algebra(b))
-                plain = pa_b + space.from_algebra(a).wedge(pb)
-                twisted = pa_b + twist.wedge(pb)
-                if lhs != twisted:
-                    row_failures.append(pair_str(a, b))
-                if lhs != plain:
-                    plain_failures.append((a, b))
-            if row_failures:
-                yield row_failures[-1]
+                rhs = pa.wedge(space.from_algebra(b)) + left.wedge(pb)
+                if calc.partial(a * b) != rhs:
+                    yield pair_str(a, b)
 
     witnesses = {"leibniz-d": next(iter(leibniz_d()), None),
                  "leibniz-sector-trace": next(iter(leibniz_sector(trace)), None),
@@ -347,9 +338,9 @@ def recomputing_pair_rows(calc, degree):
                      next(iter(leibniz_sector(calc.dual.sectors["counit"])),
                           None),
                  "leibniz-partial-twisted":
-                     next(iter(leibniz_partial_rows()), None)}
-    witnesses["leibniz-partial-plain"] = \
-        pair_str(*plain_failures[0]) if plain_failures else None
+                     next(iter(leibniz_partial(True)), None),
+                 "leibniz-partial-plain":
+                     next(iter(leibniz_partial(False)), None)}
     return {law: ("pass" if wit is None else "fail", wit)
             for law, wit in witnesses.items()}
 
@@ -379,8 +370,8 @@ def test_leibniz_sweeps_match_recomputing_copy(calc):
 
 def test_leibniz_sweeps_keep_first_witnesses(calc, monkeypatch):
     # d(t[2,1]*t[2,2]^3) doubled in the d memo, which two pairs of degree-2
-    # words read, and both sector functionals bent: the twisted rule first
-    # fails on a row with several failures, before those pairs
+    # words read, and both sector functionals bent: each rule names its
+    # first failing pair, the twisted one a pair before those two
     mon = ((2, 1), (2, 2), (2, 2), (2, 2))
     image = calc._d_basis(mon, ())
     monkeypatch.setitem(calc._d_cache, (mon, ()),
@@ -391,6 +382,7 @@ def test_leibniz_sweeps_keep_first_witnesses(calc, monkeypatch):
     rows = _pair_rows(calc, 2)
     assert rows == recomputing_pair_rows(calc, 2)
     assert all(rows[law][0] == "fail" for law in PAIR_LAWS[:4]), rows
+    assert rows["leibniz-partial-twisted"] == ("fail", "t[1,2], t[1,1]")
 
 
 @pytest.mark.parametrize("name", SECTORS)
@@ -403,6 +395,16 @@ def test_bent_generator_fails_its_sector_law(name, calc, monkeypatch):
     for tag in SECTORS:
         assert rows["leibniz-sector-" + tag] == (
             ("fail", "t[1,2], t[2,1]") if tag == name else _PASS)
+
+
+def test_bent_trace_fails_projected_rule_at_first_word(calc, monkeypatch):
+    # J(X a) = (trace-f * a) X read with a trace functional bent on t[2,2]:
+    # the rule names the first degree-2 word it fails on
+    sectors = calc.dual.sectors
+    monkeypatch.setitem(sectors, "trace", bent_sector(sectors["trace"]))
+    entries = {e.law: e for e in leibniz_suite(calc, 2, samples=0).entries}
+    rule = entries["canonical-line-projected-rule"]
+    assert (rule.status, rule.witness) == ("fail", "t[1,2]")
 
 
 def test_leibniz_graded_without_samples_fails(calc):

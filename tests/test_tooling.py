@@ -408,6 +408,27 @@ def test_one_law_driver():
     assert "first_witness" not in _function_names("src")
 
 
+def test_laws_keep_first_witnesses_and_compare_two_calculi():
+    """No report.law call in src/qdc passes a reversed(...) outcome
+    argument, so every law names its first failing instance; and the round
+    trip compares the outer calculus with the inner one, not with itself:
+    OuterCalculus defines no same_as, ExtendedCalculus no
+    restrict_to_outer."""
+    reversals = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "attr", None) == "law":
+                args = node.args + [k.value for k in node.keywords]
+                reversals += ["%s:%d" % (path.name, node.lineno)
+                              for arg in args if isinstance(arg, ast.Call)
+                              and getattr(arg.func, "id", None) == "reversed"]
+    assert reversals == []
+    calculus = importlib.import_module("qdc.calculus")
+    assert "same_as" not in vars(calculus.OuterCalculus)
+    assert "restrict_to_outer" not in vars(calculus.ExtendedCalculus)
+
+
 def test_braiding_is_plain_sparse_rows():
     """The braiding is a list of sparse rows like every other matrix: src
     defines no LambdaMatrix and reads no .sparse, and a scan for the first
